@@ -4,6 +4,7 @@ Each op is ``repro.api.run(source, RunConfig(engine="rvm"))`` on one program
 of the shipped corpus or of a seeded generated corpus — what
 ``repro-gradual run`` does for a program it has not seen.  The front end
 and compile layers do almost all of the work; the run itself is short.
+The timed and traced passes run in a spawned child (``common.in_child``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import random
 import time
 
-from common import ROOT, Tracer, corrupt, cycle_for, outcome_of_machine, outcome_of_result, time_windows, windowed
+from common import (ROOT, Tracer, corrupt, cycle_for, in_child, outcome_of_machine, outcome_of_result,
+                    traced_in_child, window_metrics)
 from pipeline import RunLayer, compile_layers, count_casts, lexing_instrumented, register_layers, run_stats
 
 WHY = ("whole-pipeline runs with the cache off: the `repro-gradual run` "
@@ -49,6 +51,14 @@ def reference(state: dict, corrupted: bool) -> dict:
 
 
 def timed(state: dict, expected: dict, seconds: float) -> dict:
+    return in_child(_timed_here, state, expected, seconds)
+
+
+def traced(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
+    return traced_in_child(tracer, _traced_here, state, expected, seconds)
+
+
+def _timed_here(state: dict, expected: dict, seconds: float) -> dict:
     from repro.api import RunConfig, run
 
     config = RunConfig(engine="rvm")
@@ -59,15 +69,16 @@ def timed(state: dict, expected: dict, seconds: float) -> dict:
         except Exception as exc:  # an exception is a failed op, not a crash
             return ("exception", repr(exc), None)
 
-    samples, elapsed, rss = cycle_for(seconds, state["programs"], perform)
-    failures = [(op[0], output) for op, _, _, output in samples if output != expected[op[0]]]
-    metrics, windows = windowed(time_windows(
-        [(end, latency) for _, end, latency, _ in samples], elapsed))
+    region = cycle_for(seconds, state["programs"], perform)
+    samples = region.samples()
+    failures = [(op[0], output) for op, _, output in samples if output != expected[op[0]]]
+    metrics, windows = window_metrics(region)
     return {
         "attempted": len(samples),
         "failed": len(failures),
         "metrics": metrics,
-        "peak_rss_mb": rss,
+        "peak_rss_mb": region.peak_rss_mb,
+        "live_objects": region.live_objects,
         "detail": {"programs": len(state["programs"]), "windows": windows,
                    "failures": failures[:5]},
     }
@@ -87,7 +98,7 @@ def _traced_op(tracer: Tracer, source: str, config) -> tuple:
     return outcome, counts, run_self, op["end"] - op["start"]
 
 
-def traced(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
+def _traced_here(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
     """Untraced and traced cycles alternate over the same programs; each
     traced op must reproduce the outcome ``repro.api.run`` gave."""
     from repro.api import RunConfig, resolve_config, run
@@ -99,6 +110,8 @@ def traced(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
     failures = []
     totals: dict[str, float] = {}
     runs = RunLayer()
+    for _, source in programs:  # lazy imports, outside both passes
+        run(source, config)
     deadline = time.perf_counter() + seconds
     while True:
         api_outcomes = {}

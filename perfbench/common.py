@@ -1,4 +1,6 @@
-"""Shared pieces of the benchmark: statistics, outcomes, spans, provenance.
+"""Shared pieces of the benchmark: statistics, outcomes, spans, timed
+windows scaled by the host-speed probe (``probe.py``), spawned children,
+provenance.
 
 Nothing here imports :mod:`repro` at module level, so ``run.py`` can time
 the program's imports as part of set-up.
@@ -9,6 +11,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
+import multiprocessing
 import os
 import platform
 import resource
@@ -17,8 +21,14 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+
+from probe import probe, probe_cpus
 
 #: The checkout the benchmark runs in: the parent of this directory.
 ROOT = Path(__file__).resolve().parent.parent
@@ -254,16 +264,27 @@ def count_into(key: str, measure):
 
 
 # ---------------------------------------------------------------------------
-# Timed loops
+# Timed regions (every time scaled by ``probe.probe``)
 # ---------------------------------------------------------------------------
 
 
-#: The timed region is cut into windows (this many equal slices of time,
-#: or one sweep each), and each end-to-end rate and latency is the median of
-#: its per-window values: on a shared host a burst of contention from
-#: outside the benchmark moves a few windows, not the result.
-WINDOWS = 20
+def with_speed(function, *args) -> tuple[object, float, float]:
+    """``function(*args)``, its wall seconds, and the host's speed factor
+    around the call."""
+    before = probe()
+    begin = time.perf_counter()
+    result = function(*args)
+    seconds = time.perf_counter() - begin
+    return result, seconds, math.sqrt(before * probe())
 
+
+#: A timed region is cut into windows of ``seconds / WINDOWS`` (or one
+#: sweep each), with a host-speed probe before the first window and after
+#: each.  The windows are short because each CPU of a shared host switches
+#: between fast and slow stretches within a second.  Rates and median
+#: latencies are medians over the windows: a burst of contention the
+#: probes miss moves a few windows, not the result.
+WINDOWS = 80
 
 #: Passes over the inputs after which an in-process workload reads its peak
 #: RSS, so the figure covers a fixed amount of work however fast the passes
@@ -271,33 +292,74 @@ WINDOWS = 20
 RSS_CYCLES = 10
 
 
-def cycle_for(seconds: float, ops: list, perform) -> tuple[list, float, float]:
-    """Call ``perform(op)`` over ``ops`` round-robin until ``seconds`` pass.
+@dataclass
+class Timed:
+    """A timed region: its ``(elapsed s, samples, speed factor)`` windows,
+    a sample being ``(op, latency s, output)``; the live objects before and
+    after it; the peak RSS in MiB it reached, if the workload reads one."""
 
-    Returns ``(samples, elapsed, peak RSS MiB after RSS_CYCLES passes or at
-    the end)``, a sample being ``(op, end, latency, output)`` with ``end`` in
-    seconds since the start.  Always completes at least one full pass, so
-    every op is checked.
-    """
-    samples = []
+    windows: list
+    live_objects: tuple[int, int]
+    peak_rss_mb: float | None = None
+
+    def samples(self) -> list:
+        return [sample for _, samples, _ in self.windows for sample in samples]
+
+
+def timed_windows(seconds: float, window, minimum: int = 1, spread: bool = False) -> Timed:
+    """Call ``window(index, deadline)`` until ``seconds`` have passed and at
+    least ``minimum`` windows ran; ``deadline`` is the window's start plus
+    ``seconds / WINDOWS``, and the window returns its samples.  A window's
+    speed factor is the geometric mean of the probes on either side, which
+    run on every usable CPU if the work is ``spread`` over processes and
+    where this process runs otherwise."""
+    before = live_objects()
     clock = time.perf_counter
+    width = seconds / WINDOWS
+    windows = []
+    probe_now = partial(probe_cpus, sorted(os.sched_getaffinity(0))) if spread else probe
+    speeds = [probe_now()]
     started = clock()
-    cycles = 0
+    while clock() - started < seconds or len(windows) < minimum:
+        begin = clock()
+        samples = window(len(windows), begin + width)
+        elapsed = clock() - begin
+        speeds.append(probe_now())
+        windows.append((elapsed, samples, math.sqrt(speeds[-2] * speeds[-1])))
+    return Timed(windows, (before, live_objects()))
+
+
+def cycle_for(seconds: float, ops: list, perform) -> Timed:
+    """Timed windows of whole passes of ``perform(op)`` over ``ops``, after
+    one untimed pass that finishes the program's lazy imports: every op is
+    checked in every window.  The peak RSS is read after
+    :data:`RSS_CYCLES` timed passes, or at the end if there were fewer."""
+    for op in ops:
+        perform(op)
+    clock = time.perf_counter
+    passes = 0
     rss = None
-    while True:
-        for op in ops:
-            begin = clock()
-            output = perform(op)
-            end = clock()
-            samples.append((op, end - started, end - begin, output))
-        cycles += 1
-        if cycles == RSS_CYCLES:
-            rss = peak_rss_mb()
-        if clock() - started >= seconds:
-            return samples, clock() - started, rss if rss is not None else peak_rss_mb()
+
+    def window(_index: int, deadline: float) -> list:
+        nonlocal passes, rss
+        samples = []
+        while True:
+            for op in ops:
+                begin = clock()
+                output = perform(op)
+                samples.append((op, clock() - begin, output))
+            passes += 1
+            if passes == RSS_CYCLES:
+                rss = peak_rss_mb()
+            if clock() >= deadline:
+                return samples
+
+    timed = timed_windows(seconds, window)
+    timed.peak_rss_mb = rss if rss is not None else peak_rss_mb()
+    return timed
 
 
-def _rate_and_latency(latencies: list[float], seconds: float) -> dict:
+def _figures(latencies: list[float], seconds: float) -> dict:
     return {
         "ops_per_s": len(latencies) / seconds,
         "latency_p50_ms": percentile(latencies, 0.50) * 1e3,
@@ -305,32 +367,78 @@ def _rate_and_latency(latencies: list[float], seconds: float) -> dict:
     }
 
 
-def time_windows(events: list[tuple[float, float]], elapsed: float) -> list[tuple[float, list]]:
-    """``(end, latency)`` events cut into :data:`WINDOWS` equal slices of
-    ``elapsed``, an op belonging to the slice it ended in: ``(width, latencies)``."""
-    width = elapsed / WINDOWS
-    slices: list[list[float]] = [[] for _ in range(WINDOWS)]
-    for end, latency in events:
-        slices[min(int(end / width), WINDOWS - 1)].append(latency)
-    return [(width, latencies) for latencies in slices]
+def window_metrics(timed: Timed) -> tuple[dict, dict]:
+    """End-to-end rate and latencies, scaled to the reference host.
 
-
-def windowed(windows: list[tuple[float, list]]) -> tuple[dict, dict]:
-    """End-to-end rate and latency metrics from ``(seconds, latencies)`` windows.
-
-    Returns ``(metrics, detail)``: the medians over the windows of each
-    window's rate and 50th/99th latency percentiles, and every window's own
-    figures plus the figures over all windows pooled.
+    ``ops_per_s`` and ``latency_p50_ms`` are medians over the windows of
+    each window's figure; ``latency_p99_ms`` is over every window's
+    latencies pooled, since one window has too few samples beyond its 99th
+    percentile.  Returns ``(metrics, detail)``; the detail keeps each
+    window's unscaled figures and speed factor.
     """
-    filled = [window for window in windows if window[1]]
-    per_window = [_rate_and_latency(latencies, seconds) for seconds, latencies in filled]
-    metrics = {name: statistics.median(figures[name] for figures in per_window)
-               for name in per_window[0]}
-    pooled = _rate_and_latency([latency for _, latencies in filled for latency in latencies],
-                               sum(seconds for seconds, _ in windows))
-    detail = {"windows": per_window, "ops": [len(latencies) for _, latencies in filled],
-              "pooled": pooled}
+    filled = [(elapsed, [sample[1] for sample in samples], speed)
+              for elapsed, samples, speed in timed.windows if samples]
+    scaled = [_figures([latency * speed for latency in latencies], elapsed * speed)
+              for elapsed, latencies, speed in filled]
+    pooled = [latency * speed for _, latencies, speed in filled for latency in latencies]
+    metrics = {
+        "ops_per_s": statistics.median(figures["ops_per_s"] for figures in scaled),
+        "latency_p50_ms": statistics.median(figures["latency_p50_ms"] for figures in scaled),
+        "latency_p99_ms": percentile(pooled, 0.99) * 1e3,
+    }
+    detail = {
+        "windows": [{"speed": speed, "ops": len(latencies), **_figures(latencies, elapsed)}
+                    for elapsed, latencies, speed in filled],
+        "samples": len(pooled),
+        "samples_beyond_p99": sum(1 for latency in pooled
+                                  if latency * 1e3 > metrics["latency_p99_ms"]),
+    }
     return metrics, detail
+
+
+# ---------------------------------------------------------------------------
+# Spawned children
+# ---------------------------------------------------------------------------
+
+
+def in_child(function, *args) -> dict:
+    """``function(*args)`` in a fresh spawned interpreter.
+
+    The in-process workloads run their timed and traced passes here: the
+    reference pass leaves the benchmark process holding every interned
+    type and coercion of the inputs, which would inflate its peak RSS and
+    live objects (and the heap a pool forks from).  The result gains the
+    child's live objects around the call and, unless ``function`` read its
+    own, the peak RSS of the child and of its children.
+    """
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as executor:
+        return executor.submit(_child, function, args).result()
+
+
+def _child(function, args: tuple) -> dict:
+    warnings.simplefilter("error", DeprecationWarning)
+    before = live_objects()
+    measured = function(*args)
+    measured.setdefault("live_objects", (before, live_objects()))
+    if measured.get("peak_rss_mb") is None:
+        measured["peak_rss_mb"] = max(peak_rss_mb(), peak_rss_mb(children=True))
+    return measured
+
+
+def traced_in_child(tracer: Tracer, function, *args) -> dict:
+    """:func:`in_child` for a traced pass ``function(*args, tracer)``; the
+    child's spans are added to ``tracer``."""
+    measured = in_child(_with_tracer, function, args)
+    tracer.spans.extend(measured.pop("spans"))
+    return measured
+
+
+def _with_tracer(function, args: tuple) -> dict:
+    tracer = Tracer()
+    measured = function(*args, tracer)
+    measured["spans"] = tracer.spans
+    return measured
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,9 @@ round trip adds the parent's thread scheduling, which on a busy host
 dominates its tail.  The reference is an inline (``workers=0``) sweep of
 the same plan.
 
-The timed and traced passes run in a fresh (spawned) process: the
-reference sweep leaves this process holding every interned type and
-coercion of the corpus, and pool workers forked from it would inherit that
-heap.  The child also reports the high-water RSS of itself and its pool
-workers, which no other process pollutes.
+The timed and traced passes run in a spawned child, so the pool workers
+fork from a process without the reference sweep's heap; the peak RSS is
+the largest of that child and its pool workers.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 
-from common import TIERS, Tracer, count_into, instrumented, live_objects, peak_rss_mb, usable_cpus, windowed
+from common import (TIERS, Tracer, count_into, in_child, instrumented, timed_windows, traced_in_child,
+                    usable_cpus, window_metrics)
 from pipeline import RunLayer, count_casts, run_stats
 
 WHY = ("configurations/s of the blame experiment: near-duplicate sources compiled "
@@ -33,6 +32,7 @@ WHY = ("configurations/s of the blame experiment: near-duplicate sources compile
 
 #: The corpus is ``programs`` generated programs, swept ``chunk`` at a time.
 SIZES = {"full": {"programs": 12, "chunk": 6}, "tiny": {"programs": 1, "chunk": 1}}
+
 
 def setup(seed: int, size: str) -> dict:
     from repro.experiment.driver import ExperimentConfig
@@ -125,63 +125,41 @@ def service_times(latencies: list):
         WorkerPool.execute = execute
 
 
-def _in_child(task: str, state: dict, expected: list, seconds: float) -> dict:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=context) as executor:
-        return executor.submit(_child, task, state, expected, seconds).result()
-
-
-def _child(task: str, state: dict, expected: list, seconds: float) -> dict:
-    import warnings
-
-    warnings.simplefilter("error", DeprecationWarning)
-    before = live_objects()
-    if task == "timed":
-        measured = _timed_here(state, expected, seconds)
-    else:
-        tracer = Tracer()
-        measured = _traced_here(state, expected, tracer)
-        measured["spans"] = tracer.spans
-    measured["live_objects"] = (before, live_objects())
-    measured["peak_rss_mb"] = max(peak_rss_mb(), peak_rss_mb(children=True))
-    return measured
-
-
 def timed(state: dict, expected: list, seconds: float) -> dict:
-    return _in_child("timed", state, expected, seconds)
+    return in_child(_timed_here, state, expected, seconds)
 
 
 def traced(state: dict, expected: list, seconds: float, tracer: Tracer) -> dict:
-    measured = _in_child("traced", state, expected, seconds)
-    tracer.spans.extend(measured.pop("spans"))
-    return measured
+    return traced_in_child(tracer, _traced_here, state, expected)
 
 
 def _timed_here(state: dict, expected: list, seconds: float) -> dict:
-    """Sweeps, cycling through the chunks, until ``seconds`` pass."""
+    """One sweep per window, cycling through the chunks, until ``seconds``
+    pass and every chunk has been swept."""
     latencies: list = []
-    windows = []
+    sweeps: list = []
+
+    def window(index: int, _deadline: float) -> list:
+        chunk = index % len(state["chunks"])
+        first = len(latencies)
+        sweeps.append((chunk, _sweep(state, chunk)[0]))
+        return [(chunk, latency, None) for latency in latencies[first:]]
+
+    with service_times(latencies):
+        region = timed_windows(seconds, window, minimum=len(state["chunks"]), spread=True)
     configurations = 0
     failures: list = []
-    started = time.perf_counter()
-    with service_times(latencies):
-        while time.perf_counter() - started < seconds or len(windows) < len(state["chunks"]):
-            chunk = len(windows) % len(state["chunks"])
-            first = len(latencies)
-            trails, elapsed = _sweep(state, chunk)
-            windows.append((elapsed, latencies[first:]))
-            count, bad = compare(trails, expected[chunk])
-            configurations += count
-            failures += bad
-    metrics, windows_detail = windowed(windows)
+    for chunk, trails in sweeps:
+        count, bad = compare(trails, expected[chunk])
+        configurations += count
+        failures += bad
+    metrics, windows = window_metrics(region)
     return {
         "attempted": configurations,
         "failed": len(failures),
         "metrics": metrics,
-        "detail": {"windows": windows_detail, "sweeps": len(windows),
+        "live_objects": region.live_objects,
+        "detail": {"windows": windows, "sweeps": len(region.windows),
                    "workers": state["config"].workers, "failures": failures[:5]},
     }
 

@@ -21,17 +21,18 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import ExitStack
 from itertools import accumulate
 
-from common import (ROOT, SRC, TIERS, WORK, BenchError, Tracer, corrupt, outcome_of_response,
-                    outcome_of_result, time_windows, usable_cpus, windowed)
+from common import (ROOT, SRC, TIERS, WORK, BenchError, Timed, Tracer, corrupt, outcome_of_response,
+                    outcome_of_result, timed_windows, usable_cpus, window_metrics)
 
 WHY = ("the only workload where the serve layers (wire, queue, IPC) dominate: a "
        "skewed stream over worker-resident, disk-cache and novel programs")
 
 SIZES = {
-    "full": {"hot": 256, "novel": 0.05, "zipf": 1.0},
-    "tiny": {"hot": 8, "novel": 0.2, "zipf": 1.0},
+    "full": {"hot": 256, "novel_every": 20, "zipf": 1.0},
+    "tiny": {"hot": 8, "novel_every": 5, "zipf": 1.0},
 }
 
 #: Seconds to wait for the ``ready`` line and for the drain on shutdown.
@@ -130,7 +131,13 @@ def reference(state: dict, corrupted: bool) -> dict:
 
 
 def _requests(state: dict, connection: int, phase: str):
-    """The seeded request stream of one connection: ``(program, source)``."""
+    """The seeded request stream of one connection: ``(program, source)``.
+
+    Requests draw Zipf over the hot set, except every ``novel_every``-th,
+    which is a novel program: a hot program drawn uniformly, so the compile
+    work does not hinge on which program the seed ranks first, with new
+    text (a trailing comment, so the expected outcome and blame lines are
+    unchanged)."""
     shape = SIZES[state["size"]]
     rng = random.Random(f"serve|{state['seed']}|{phase}|{connection}")
     hot = state["hot"]
@@ -138,79 +145,84 @@ def _requests(state: dict, connection: int, phase: str):
     index = 0
     while True:
         index += 1
-        name = rng.choices(hot, cum_weights=weights)[0]
-        source = state["programs"][name]
-        if rng.random() < shape["novel"]:
-            # A novel program: new text, same code, so the expected outcome
-            # is unchanged (the comment goes last; blame lines stay put).
-            source += f";; novel {phase}-{connection}-{index}\n"
-        yield name, source
+        if index % shape["novel_every"] == 0:
+            name = rng.choice(hot)
+            yield name, state["programs"][name] + f";; novel {phase}-{connection}-{index}\n"
+        else:
+            name = rng.choices(hot, cum_weights=weights)[0]
+            yield name, state["programs"][name]
 
 
-def closed_loop(state: dict, seconds: float, phase: str, tracer: Tracer | None = None) -> tuple:
+def closed_loop(state: dict, seconds: float, phase: str, tracer: Tracer | None = None) -> Timed:
     """One thread per connection, each sending its next request when the
-    previous answer arrives; returns ``(samples, elapsed)`` where a sample
-    is ``(program, end since the start, round trip s, response)``."""
+    previous answer arrives, in timed windows: at each window's end the
+    threads stop and the host-speed probe runs with the server idle.  A
+    sample is ``(program, round trip s, response)``."""
     server = state["server"]
     connections = server.ready.get("workers", 1)
-    samples: list = []
+    streams = [_requests(state, connection, phase) for connection in range(connections)]
     errors: list = []
+    clock = time.perf_counter
 
-    def drive(connection: int) -> None:
-        out = []
+    def drive(client, stream, deadline: float, out: list) -> None:
         try:
-            with server.client() as client:
-                for name, source in _requests(state, connection, phase):
-                    begin = time.perf_counter()
-                    if tracer is None:
+            for name, source in stream:
+                begin = clock()
+                if tracer is None:
+                    response = client.run(source)
+                else:
+                    with tracer.span("request", program=name) as span:
                         response = client.run(source)
-                    else:
-                        with tracer.span("request", program=name) as span:
-                            response = client.run(source)
-                        span["compile_s"] = response.get("compile_s", 0.0)
-                        span["run_s"] = response.get("run_s", 0.0)
-                        span["cache"] = response.get("cache")
-                    end = time.perf_counter()
-                    out.append((name, end - started, end - begin, response))
-                    if end - started >= seconds:
-                        break
+                    span["compile_s"] = response.get("compile_s", 0.0)
+                    span["run_s"] = response.get("run_s", 0.0)
+                    span["cache"] = response.get("cache")
+                end = clock()
+                out.append((name, end - begin, response))
+                if end >= deadline:
+                    return
         except (OSError, ConnectionError) as exc:
             errors.append(repr(exc))
-        samples.extend(out)
 
-    started = time.perf_counter()
-    threads = [threading.Thread(target=drive, args=(index,)) for index in range(connections)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    if errors:
-        raise BenchError(f"client connection failed: {errors[0]}")
-    return samples, elapsed
+    with ExitStack() as stack:
+        clients = [stack.enter_context(server.client()) for _ in range(connections)]
+
+        def window(_index: int, deadline: float) -> list:
+            outs: list = [[] for _ in clients]
+            threads = [threading.Thread(target=drive, args=(client, stream, deadline, out))
+                       for client, stream, out in zip(clients, streams, outs)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            if errors:
+                raise BenchError(f"client connection failed: {errors[0]}")
+            return [sample for out in outs for sample in out]
+
+        return timed_windows(seconds, window, spread=True)
 
 
 def _failures(samples: list, expected: dict) -> list:
-    return [(name, response) for name, _, _, response in samples
+    return [(name, response) for name, _, response in samples
             if outcome_of_response(response) != expected[name]]
 
 
 def _tiers(samples: list) -> dict:
     counts = {"warm": 0, "hit": 0, "miss": 0}
-    for _, _, _, response in samples:
+    for _, _, response in samples:
         counts[TIERS.get(response.get("cache"), "miss")] += 1
     return {tier: n / len(samples) for tier, n in counts.items()}
 
 
 def timed(state: dict, expected: dict, seconds: float) -> dict:
-    samples, elapsed = closed_loop(state, seconds, "timed")
+    region = closed_loop(state, seconds, "timed")
+    samples = region.samples()
     failures = _failures(samples, expected)
-    metrics, windows = windowed(time_windows(
-        [(end, rtt) for _, end, rtt, _ in samples], elapsed))
+    metrics, windows = window_metrics(region)
     return {
         "attempted": len(samples),
         "failed": len(failures),
         "metrics": metrics,
+        "live_objects": region.live_objects,
         "detail": {"windows": windows, "tiers": _tiers(samples),
                    "connections": state["server"].ready.get("workers"),
                    "failures": failures[:5]},
@@ -248,25 +260,25 @@ def traced(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
     server's ``stats`` before and after; the worker-reported compile/run
     times and the server's queue and latency histograms split each round
     trip into wire, queue, IPC, load and run."""
-    untraced, _ = closed_loop(state, seconds / 2, "untraced")
+    untraced = closed_loop(state, seconds / 2, "untraced").samples()
     with state["server"].client() as client:
         before = client.stats()
-        samples, _ = closed_loop(state, seconds / 2, "traced", tracer)
+        samples = closed_loop(state, seconds / 2, "traced", tracer).samples()
         after = client.stats()
     failures = _failures(untraced + samples, expected)
     n = len(samples)
-    rtt_s = sum(rtt for _, _, rtt, _ in samples)
+    rtt_s = sum(rtt for _, rtt, _ in samples)
     queue_s, _ = _histogram_delta(before, after, "serve.queue_s")
     latency_s, _ = _histogram_delta(before, after, "serve.latency_s")
-    compile_s = sum(response.get("compile_s", 0.0) for _, _, _, response in samples)
-    run_s = sum(response.get("run_s", 0.0) for _, _, _, response in samples)
-    load_s = sum(response.get("compile_s", 0.0) for _, _, _, response in samples
+    compile_s = sum(response.get("compile_s", 0.0) for _, _, response in samples)
+    run_s = sum(response.get("run_s", 0.0) for _, _, response in samples)
+    load_s = sum(response.get("compile_s", 0.0) for _, _, response in samples
                  if response.get("cache") == "hit")
     tiers = _tiers(samples)
     consulted = tiers["hit"] + tiers["miss"]
     # Serialization happens inside the workers, on misses; replay it here
     # on (up to 16 of) the programs that missed.
-    missed = list(dict.fromkeys(name for name, _, _, response in samples
+    missed = list(dict.fromkeys(name for name, _, response in samples
                                 if response.get("cache") == "miss"))[:16]
     serialize_s, serialize_bytes = _serialize_replay(
         [state["programs"][name] for name in missed or state["hot"][:1]])
@@ -281,16 +293,16 @@ def traced(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
         "serialize.bytes": serialize_bytes,
         "unattributed.self_s": (compile_s - load_s) / n,
         "run.self_s.coercion": run_s / n,
-        "run.steps.coercion": sum(r.get("steps", 0) for _, _, _, r in samples) / n,
+        "run.steps.coercion": sum(r.get("steps", 0) for _, _, r in samples) / n,
         "run.max_pending_mediators.coercion": max(
-            r.get("max_pending_mediators", 0) for _, _, _, r in samples),
+            r.get("max_pending_mediators", 0) for _, _, r in samples),
         "cache.hit_ratio": tiers["hit"] / consulted if consulted else 0.0,
         "serve.shed": shed,
         "pool.retries": after["pool"]["retries"],
         "pool.crashes": after["pool"]["crashes"],
         **{f"pool.tier.{tier}": share for tier, share in tiers.items()},
     }
-    untraced_rtt_s = sum(rtt for _, _, rtt, _ in untraced)
+    untraced_rtt_s = sum(rtt for _, rtt, _ in untraced)
     return {
         "attempted": len(untraced) + n,
         "failed": len(failures),

@@ -5,7 +5,8 @@ cache=True))`` against a cache directory filled during set-up, for four
 boundary-crossing programs under all four enforcement semantics.  The
 front end never runs; nearly all the time is dispatch and mediator
 merging, which is the paper's space-efficiency scenario.  The tail loops
-must also keep λS's space bound: at most one pending mediator.
+must also keep λS's space bound: at most one pending mediator.  The timed
+and traced passes run in a spawned child (``common.in_child``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import random
 import shutil
 import time
 
-from common import SEMANTICS, WORK, Tracer, corrupt, cycle_for, outcome_of_machine, outcome_of_result, time_windows, windowed
+from common import (SEMANTICS, WORK, Tracer, corrupt, count_into, cycle_for, in_child, instrumented,
+                    outcome_of_result, traced_in_child, window_metrics)
 from pipeline import RunLayer, run_stats
 
 WHY = ("cache-warm runs of boundary-crossing loops under all four semantics: load "
@@ -127,95 +129,99 @@ def _check(op, outcome: tuple, pending: int, expected: dict) -> str | None:
 
 
 def timed(state: dict, expected: dict, seconds: float) -> dict:
-    from repro.api import run
+    return in_child(_timed_here, state, expected, seconds)
+
+
+def traced(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
+    return traced_in_child(tracer, _traced_here, state, expected, seconds)
+
+
+def _perform(state: dict):
+    """One op: ``repro.api.run`` as users call it, and what it returned."""
+    import repro.api
 
     sources, configs = state["sources"], state["configs"]
 
     def perform(op):
         try:
-            result = run(sources[op[0]], configs[op[1]])
+            result = repro.api.run(sources[op[0]], configs[op[1]])
         except Exception as exc:  # an exception is a failed op, not a crash
             return ("exception", repr(exc), None), 0, None
         pending = (result.space_stats or {}).get("max_pending_mediators", 0)
         return outcome_of_result(result), pending, result.cache_status
 
-    samples, elapsed, rss = cycle_for(seconds, state["ops"], perform)
+    return perform
+
+
+def _failures(samples: list, expected: dict) -> list:
     failures = []
-    for op, _, _, (outcome, pending, _) in samples:
+    for op, _, (outcome, pending, _) in samples:
         reason = _check(op, outcome, pending, expected)
         if reason is not None:
             failures.append((op, reason))
-    hits = sum(1 for _, _, _, output in samples if output[2] == "hit")
-    metrics, windows = windowed(time_windows(
-        [(end, latency) for _, end, latency, _ in samples], elapsed))
+    return failures
+
+
+def _timed_here(state: dict, expected: dict, seconds: float) -> dict:
+    region = cycle_for(seconds, state["ops"], _perform(state))
+    samples = region.samples()
+    failures = _failures(samples, expected)
+    hits = sum(1 for _, _, output in samples if output[2] == "hit")
+    metrics, windows = window_metrics(region)
     return {
         "attempted": len(samples),
         "failed": len(failures),
         "metrics": metrics,
-        "peak_rss_mb": rss,
+        "peak_rss_mb": region.peak_rss_mb,
+        "live_objects": region.live_objects,
         "detail": {"windows": windows, "cache_hit_ratio": hits / len(samples),
                    "failures": failures[:5]},
     }
 
 
-def _traced_op(tracer: Tracer, source: str, config) -> tuple:
-    """One op through the cache lookup and the register VM, one span each."""
-    from repro.compiler.cache import cache_lookup
-    from repro.compiler.rvm import run_rcode
-    from repro.compiler.serialize import source_fingerprint
+def _traced_here(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
+    """Untraced and traced passes alternate over the same ops, all through
+    ``repro.api.run``; in the traced ones the cache lookup (``load``) and
+    the register VM (``run``) it calls are wrapped in spans."""
+    import repro.compiler.cache
+    import repro.compiler.rvm
 
-    with tracer.span("op") as op:
-        with tracer.span("load"):
-            image = cache_lookup(source_fingerprint(source), config.opt_level,
-                                 config.semantics, config.cache_dir, config.ir)
-        if image is None:
-            return None, 0.0, op
-        with tracer.span("run") as run_span:
-            outcome = run_rcode(image.rcode, config.fuel)
-    return outcome, run_span["end"] - run_span["start"], op
+    def keep_stats(outcome, record, _args):
+        record["stats"] = run_stats(outcome)
 
-
-def traced(state: dict, expected: dict, seconds: float, tracer: Tracer) -> dict:
-    """Untraced and traced cycles alternate over the same ops; each traced
-    op must reproduce the outcome ``repro.api.run`` gave."""
-    from repro.api import resolve_config, run
-
-    sources = state["sources"]
-    configs = {semantics: resolve_config(config) for semantics, config in state["configs"].items()}
+    points = [
+        (repro.compiler.cache, "cache_lookup", "load", count_into("hit", lambda image: image is not None)),
+        (repro.compiler.rvm, "run_rcode", "run", keep_stats),
+    ]
+    perform = _perform(state)
+    for op in state["ops"]:  # lazy imports, outside both passes
+        perform(op)
     untraced_s = traced_s = 0.0
-    attempted = lookups = hits = 0
-    failures = []
-    runs = RunLayer()
+    samples = []
     deadline = time.perf_counter() + seconds
     while True:
-        api_outcomes = {}
         for op in state["ops"]:
             begin = time.perf_counter()
-            api_outcomes[op] = outcome_of_result(run(sources[op[0]], configs[op[1]]))
+            samples.append((op, 0.0, perform(op)))
             untraced_s += time.perf_counter() - begin
-        for op in state["ops"]:
-            outcome, run_self, span = _traced_op(tracer, sources[op[0]], configs[op[1]])
-            traced_s += span["end"] - span["start"]
-            attempted += 2
-            lookups += 1
-            if outcome is None:
-                failures.append((op, "cache miss on a filled cache"))
-                continue
-            hits += 1
-            stats = run_stats(outcome)
-            got = outcome_of_machine(outcome)
-            reason = _check(op, got, stats["max_pending_mediators"], expected)
-            if reason is None and got != api_outcomes[op]:
-                reason = f"traced {got} != api {api_outcomes[op]}"
-            if reason is not None:
-                failures.append((op, reason))
-            runs.add(op[1], run_self, stats)
+        with instrumented(tracer, points):
+            for op in state["ops"]:
+                with tracer.span("op", semantics=op[1]) as span:
+                    samples.append((op, 0.0, perform(op)))
+                traced_s += span["end"] - span["start"]
         if time.perf_counter() >= deadline:
             break
+    failures = _failures(samples, expected)
+    by_id = {span["id"]: span for span in tracer.spans}
+    runs = RunLayer()
+    for span in tracer.spans:
+        if span["name"] == "run":
+            runs.add(by_id[span["parent"]]["semantics"], span["end"] - span["start"], span["stats"])
+    lookups = [span["hit"] for span in tracer.spans if span["name"] == "load"]
     return {
-        "attempted": attempted,
+        "attempted": len(samples),
         "failed": len(failures),
-        "metrics": {"cache.hit_ratio": hits / lookups, **runs.metrics()},
+        "metrics": {"cache.hit_ratio": sum(lookups) / len(lookups), **runs.metrics()},
         "ops": len(tracer.roots()),
         "untraced_s": untraced_s,
         "traced_s": traced_s,
