@@ -12,8 +12,8 @@ import gc
 import hashlib
 import json
 import math
-import multiprocessing
 import os
+import pickle
 import platform
 import resource
 import statistics
@@ -21,8 +21,6 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -30,8 +28,9 @@ from pathlib import Path
 
 from probe import probe, probe_cpus
 
-#: The checkout the benchmark runs in: the parent of this directory.
-ROOT = Path(__file__).resolve().parent.parent
+#: This directory, and the checkout the benchmark runs in: its parent.
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 SRC = ROOT / "src"
 #: Everything the benchmark writes (caches, sockets, spans, reports).
 WORK = ROOT / ".perfbench_work"
@@ -401,8 +400,13 @@ def window_metrics(timed: Timed) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 
+#: Seconds a child may take before it is killed: the timed region plus
+#: set-up, well inside the time one benchmark run is allowed.
+CHILD_TIMEOUT_S = 150
+
+
 def in_child(function, *args) -> dict:
-    """``function(*args)`` in a fresh spawned interpreter.
+    """``function(*args)`` in a fresh interpreter (``child.py``).
 
     The in-process workloads run their timed and traced passes here: the
     reference pass leaves the benchmark process holding every interned
@@ -410,14 +414,23 @@ def in_child(function, *args) -> dict:
     live objects (and the heap a pool forks from).  The result gains the
     child's live objects around the call and, unless ``function`` read its
     own, the peak RSS of the child and of its children.
+
+    The child is a plain subprocess that this call waits for, so no
+    process outlives the run (a ``multiprocessing`` spawn context would
+    leave its resource tracker running after the benchmark exits).
     """
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=context) as executor:
-        return executor.submit(_child, function, args).result()
+    done = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", str(HERE / "child.py")],
+        input=pickle.dumps((function, args)), stdout=subprocess.PIPE,
+        timeout=CHILD_TIMEOUT_S, check=False,
+    )
+    if done.returncode != 0:
+        raise BenchError(f"the measuring child exited with code {done.returncode}")
+    return pickle.loads(done.stdout)
 
 
-def _child(function, args: tuple) -> dict:
-    warnings.simplefilter("error", DeprecationWarning)
+def run_in_child(function, args: tuple) -> dict:
+    """The child's side of :func:`in_child`."""
     before = live_objects()
     measured = function(*args)
     measured.setdefault("live_objects", (before, live_objects()))
