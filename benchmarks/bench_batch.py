@@ -37,9 +37,10 @@ import pytest
 
 import harness
 
+from repro.api import RunConfig, run
 from repro.batch import run_batch
 from repro.compiler import compile_term, deserialize_image, serialize_image
-from repro.surface.interp import compile_source, run_source
+from repro.surface.interp import compile_source
 
 #: The shipped example corpus (every surface program in examples/programs).
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "examples" / "programs"
@@ -81,7 +82,7 @@ def build_suite(repeat: int) -> harness.Suite:
 
         # Prime the warm cache (and sanity-check every outcome once).
         for name, source in sources.items():
-            run_source(source, engine="vm", cache=True, cache_dir=dirs.warm())
+            run(source, engine="vm", cache=True, cache_dir=dirs.warm())
 
         # Per-program image load time: the warm path's only real work
         # besides executing.
@@ -99,14 +100,14 @@ def build_suite(repeat: int) -> harness.Suite:
         for name, source in sources.items():
             cold = suite.measure(
                 f"cold/{name}",
-                lambda source=source: run_source(
+                lambda source=source: run(
                     source, engine="vm", cache=True, cache_dir=dirs.fresh()
                 ),
                 program=name, cache="cold",
             )
             warm = suite.measure(
                 f"warm/{name}",
-                lambda source=source: run_source(
+                lambda source=source: run(
                     source, engine="vm", cache=True, cache_dir=dirs.warm()
                 ),
                 program=name, cache="warm",
@@ -121,7 +122,7 @@ def build_suite(repeat: int) -> harness.Suite:
         # Cold vs warm end-to-end, whole corpus — the acceptance bar.
         def run_corpus(cache_dir: str) -> None:
             for source in sources.values():
-                run_source(source, engine="vm", cache=True, cache_dir=cache_dir)
+                run(source, engine="vm", cache=True, cache_dir=cache_dir)
 
         corpus_cold = suite.measure(
             "corpus/cold", lambda: run_corpus(dirs.fresh()), cache="cold",
@@ -144,17 +145,18 @@ def build_suite(repeat: int) -> harness.Suite:
         )
 
         # The batch runner: cold cache, warm cache, 1 vs N workers.
-        corpus_args = dict(fuel=None, mediator="coercion", opt_level=2)
+        def corpus_config(cache_dir: str) -> RunConfig:
+            return RunConfig(engine="vm", semantics="coercion", opt_level=2,
+                             cache=True, cache_dir=cache_dir)
+
         suite.measure(
             "runner/cold-cache",
-            lambda: run_batch([CORPUS_DIR], workers=1,
-                              cache_dir=dirs.fresh(), **corpus_args),
+            lambda: run_batch([CORPUS_DIR], corpus_config(dirs.fresh()), workers=1),
             workers=1, cache="cold",
         )
         suite.measure(
             "runner/warm-1-worker",
-            lambda: run_batch([CORPUS_DIR], workers=1,
-                              cache_dir=dirs.warm(), **corpus_args),
+            lambda: run_batch([CORPUS_DIR], corpus_config(dirs.warm()), workers=1),
             workers=1, cache="warm",
         )
         import multiprocessing
@@ -162,8 +164,8 @@ def build_suite(repeat: int) -> harness.Suite:
         n_workers = min(4, max(2, multiprocessing.cpu_count()))
         suite.measure(
             f"runner/warm-{n_workers}-workers",
-            lambda: run_batch([CORPUS_DIR], workers=n_workers,
-                              cache_dir=dirs.warm(), **corpus_args),
+            lambda: run_batch([CORPUS_DIR], corpus_config(dirs.warm()),
+                              workers=n_workers),
             workers=n_workers, cache="warm", cpus=multiprocessing.cpu_count(),
         )
     finally:
@@ -184,17 +186,17 @@ def test_corpus_warm_start(benchmark, cache, tmp_path):
     warm_dir = str(tmp_path / "warm")
     counter = [0]
 
-    def run():
+    def run_all():
         if cache == "cold":
             counter[0] += 1
             cache_dir = str(tmp_path / f"cold{counter[0]}")
         else:
             cache_dir = warm_dir
         for source in sources:
-            run_source(source, engine="vm", cache=True, cache_dir=cache_dir)
+            run(source, engine="vm", cache=True, cache_dir=cache_dir)
 
-    run()  # prime (and, for cold, absorb first-use costs)
-    benchmark(run)
+    run_all()  # prime (and, for cold, absorb first-use costs)
+    benchmark(run_all)
     benchmark.extra_info["cache"] = cache
     benchmark.extra_info["programs"] = len(sources)
 

@@ -133,11 +133,11 @@ def _engine_comparison(suite: harness.Suite) -> None:
         pendings: dict[tuple[str, str], int] = {}
 
         for backend in SEMANTICS_NAMES:
-            outcome = run_on_machine(term, "S", mediator=backend)
+            outcome = run_on_machine(term, "S", semantics=backend)
             pendings[("machine", backend)] = outcome.stats["max_pending_mediators"]
             cells[("machine", backend)] = suite.measure(
                 f"machine/{backend}/{name}",
-                lambda backend=backend: run_on_machine(term, "S", mediator=backend),
+                lambda backend=backend: run_on_machine(term, "S", semantics=backend),
                 check=lambda r, outcome=outcome: r.kind == outcome.kind,
                 engine="machine", semantics=backend, workload=name,
                 boundary_heavy=boundary_heavy,
@@ -145,7 +145,7 @@ def _engine_comparison(suite: harness.Suite) -> None:
             )
 
         for backend in SEMANTICS_NAMES:
-            code = compile_term(term, mediator=backend)
+            code = compile_term(term, semantics=backend)
             outcome = run_code(code)
             pendings[("vm", backend)] = outcome.stats["max_pending_mediators"]
             cells[("vm", backend)] = suite.measure(
@@ -252,7 +252,7 @@ def test_random_pair_composition(benchmark, algorithm):
 @pytest.mark.parametrize("semantics", list(SEMANTICS_NAMES))
 def test_vm_under_each_semantics(benchmark, semantics):
     term = even_odd_boundary(400)
-    code = compile_term(term, mediator=semantics)
+    code = compile_term(term, semantics=semantics)
     outcome = benchmark(lambda: run_code(code))
     benchmark.extra_info["semantics"] = semantics
     assert outcome.is_value and outcome.python_value() is True

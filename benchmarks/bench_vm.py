@@ -54,6 +54,7 @@ from repro.gen.programs import (
     typed_loop_untyped_step,
 )
 from repro.machine import run_on_machine
+from repro.semantics import NATURAL_SEMANTICS_NAMES
 
 #: name -> (λB term, correctness check, is a tail-loop/boundary workload)
 VM_WORKLOADS = {
@@ -69,7 +70,6 @@ OPT_SPEEDUP_TARGET = 1.5  # -O2 vs -O0, geomean over boundary/tail workloads
 RVM_SPEEDUP_TARGET = 2.0  # rvm vs -O2 stack VM, geomean over boundary/tail
 
 OPT_LEVELS = (0, 1, 2)
-MEDIATORS = ("coercion", "threesome")
 
 
 def geomean(values: list[float]) -> float:
@@ -182,26 +182,26 @@ def build_suite(repeat: int) -> harness.Suite:
 
     # Ablation: every workload × opt level × mediator backend × VM.
     for name, (term_b, check, boundary) in VM_WORKLOADS.items():
-        for mediator in MEDIATORS:
+        for semantics in NATURAL_SEMANTICS_NAMES:
             for level in OPT_LEVELS:
-                code = compile_term(term_b, mediator=mediator, opt_level=level)
+                code = compile_term(term_b, semantics=semantics, opt_level=level)
                 suite.measure(
-                    f"ablation/{name}/{mediator}/O{level}",
+                    f"ablation/{name}/{semantics}/O{level}",
                     lambda code=code: run_code(code),
                     check=lambda outcome, check=check: (
                         outcome.is_value and check(outcome.python_value())
                     ),
-                    workload=name, mediator=mediator, opt_level=level,
+                    workload=name, semantics=semantics, opt_level=level,
                     tail_loop_or_boundary=boundary,
                 )
                 rcode = compile_registers(code)
                 suite.measure(
-                    f"ablation/{name}/{mediator}/rvm/O{level}",
+                    f"ablation/{name}/{semantics}/rvm/O{level}",
                     lambda rcode=rcode: run_rcode(rcode),
                     check=lambda outcome, check=check: (
                         outcome.is_value and check(outcome.python_value())
                     ),
-                    workload=name, mediator=mediator, opt_level=level,
+                    workload=name, semantics=semantics, opt_level=level,
                     engine="rvm", tail_loop_or_boundary=boundary,
                 )
     return suite

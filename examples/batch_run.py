@@ -24,6 +24,7 @@ import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.api import RunConfig, run  # noqa: E402
 from repro.batch import run_batch  # noqa: E402
 from repro.compiler import (  # noqa: E402
     compile_term,
@@ -33,7 +34,7 @@ from repro.compiler import (  # noqa: E402
     save_image,
     source_fingerprint,
 )
-from repro.surface.interp import compile_source, run_source  # noqa: E402
+from repro.surface.interp import compile_source  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parent / "programs"
 
@@ -51,7 +52,7 @@ def main() -> None:
         image = load_image(image_path)
         print(f"=== {program.name} -> {image_path.name} "
               f"({image_path.stat().st_size} bytes) ===")
-        print(f"provenance: mediator={image.info.mediator} "
+        print(f"provenance: semantics={image.info.semantics} "
               f"opt-level={image.info.opt_level} type={image.info.static_type}")
         assert disassemble(image.code) == disassemble(code), "round trip must be exact"
         fresh, loaded = run_code(code), run_code(image.code)
@@ -66,11 +67,11 @@ def main() -> None:
         corpus = sorted(CORPUS.glob("*.grad"))
         started = time.perf_counter()
         for path in corpus:
-            run_source(path.read_text(), engine="vm", cache=True, cache_dir=cache_dir)
+            run(path.read_text(), engine="vm", cache=True, cache_dir=cache_dir)
         cold = time.perf_counter() - started
         started = time.perf_counter()
         for path in corpus:
-            run_source(path.read_text(), engine="vm", cache=True, cache_dir=cache_dir)
+            run(path.read_text(), engine="vm", cache=True, cache_dir=cache_dir)
         warm = time.perf_counter() - started
         print(f"=== compile cache over {len(corpus)} programs ===")
         print(f"cold {cold * 1e3:6.2f} ms   warm {warm * 1e3:6.2f} ms   "
@@ -80,7 +81,7 @@ def main() -> None:
         # results.
         print("=== repro-gradual batch (2 workers) ===")
         results, aggregate = run_batch(
-            [CORPUS], workers=2, cache_dir=cache_dir,
+            [CORPUS], RunConfig(engine="vm", cache=True, cache_dir=cache_dir), workers=2,
             on_result=lambda result: print(
                 f"  {Path(result['program']).name:22s} {result['kind']:7s} "
                 f"steps={result.get('steps', 0):5d} "

@@ -130,11 +130,11 @@ def erasure_ceiling_gate() -> int:
     for name, term, boundary_heavy, _ in ENGINE_WORKLOADS:
         if not boundary_heavy:
             continue
-        code_natural = compile_term(term, mediator="coercion")
-        code_erased = compile_term(term, mediator="erasure")
+        code_natural = compile_term(term, semantics="coercion")
+        code_erased = compile_term(term, semantics="erasure")
         vm_ratio = _best(code_natural) / _best(code_erased)
         machine_ratio = _best(term, runner=lambda t: run_on_machine(t, "S")) / _best(
-            term, runner=lambda t: run_on_machine(t, "S", mediator="erasure"))
+            term, runner=lambda t: run_on_machine(t, "S", semantics="erasure"))
         ratios.extend([vm_ratio, machine_ratio])
         print(f"perf-smoke: erasure ceiling on {name}: vm {vm_ratio:.2f}x, "
               f"machine {machine_ratio:.2f}x")

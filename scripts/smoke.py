@@ -74,9 +74,9 @@ print("optimizer levels + disassembly round trip: ok")
 # The threesome mediator backend (machine and VM) agrees too.
 from repro.machine import run_on_machine
 
-print("machine threesome:", run_on_machine(term, "S", mediator="threesome"))
-print("vm threesome:", run_on_vm(term, mediator="threesome"))
-print("vm threesome bad:", run_on_vm(bad, mediator="threesome"))
+print("machine threesome:", run_on_machine(term, "S", semantics="threesome"))
+print("vm threesome:", run_on_vm(term, semantics="threesome"))
+print("vm threesome bad:", run_on_vm(bad, semantics="threesome"))
 
 from repro.properties.bisimulation import check_mediator_oracle
 
@@ -98,18 +98,18 @@ with tempfile.TemporaryDirectory() as tmp:
     spin = pathlib.Path(tmp) / "spin.grad"
     spin.write_text("(define (spin [n : int]) : int (spin n))\n(spin 0)\n")
     assert cli_main(["run", str(good)]) == 0
-    assert cli_main(["run", str(good), "--engine", "vm", "--mediator", "threesome"]) == 0
-    assert cli_main(["run", str(good), "--mediator", "threesome", "--show-space"]) == 0
-    assert cli_main(["compile", str(good), "--mediator", "threesome"]) == 0
+    assert cli_main(["run", str(good), "--engine", "vm", "--semantics", "threesome"]) == 0
+    assert cli_main(["run", str(good), "--semantics", "threesome", "--show-space"]) == 0
+    assert cli_main(["compile", str(good), "--semantics", "threesome"]) == 0
     assert cli_main(["run", str(spin), "--fuel", "5000"]) == 3
-    assert cli_main(["run", str(good), "--mediator", "threesome", "--calculus", "B"]) == 2
+    assert cli_main(["run", str(good), "--semantics", "threesome", "--calculus", "B"]) == 2
     # The optimizer flag: -O0 and -O2 agree end to end, on both subcommands.
     assert cli_main(["run", str(good), "--engine", "vm", "-O", "0"]) == 0
     assert cli_main(["run", str(good), "--engine", "vm", "-O", "2"]) == 0
     assert cli_main(["run", str(good), "--engine", "vm", "--opt-level", "1"]) == 0
     assert cli_main(["compile", str(good), "-O", "0"]) == 0
     assert cli_main(["compile", str(good), "-O", "2"]) == 0
-    assert cli_main(["compile", str(good), "-O", "2", "--mediator", "threesome"]) == 0
+    assert cli_main(["compile", str(good), "-O", "2", "--semantics", "threesome"]) == 0
     assert cli_main(["run", str(spin), "--engine", "vm", "-O", "0", "--fuel", "5000"]) == 3
     assert cli_main(["run", str(spin), "--engine", "vm", "-O", "2", "--fuel", "5000"]) == 3
 print("cli flags + exit codes: ok")
@@ -155,9 +155,11 @@ with tempfile.TemporaryDirectory() as tmp:
         assert run_code(loaded.code).python_value() == run_code(fresh_code).python_value()
         # The batch runner streams JSON-lines and exits 3 (timeout beats value).
         assert cli_main(["batch", str(corpus), "--workers", "2", "--fuel", "5000"]) == 3
+        from repro.api import RunConfig
         from repro.batch import run_batch
 
-        results, aggregate = run_batch([corpus], workers=1, fuel=5000)
+        config = RunConfig(engine="vm", fuel=5000, cache=True)
+        results, aggregate = run_batch([corpus], config, workers=1)
         json.dumps(results), json.dumps(aggregate)
         assert aggregate["outcomes"] == {"value": 1, "blame": 0, "timeout": 1, "error": 0}
         assert aggregate["cache"]["hit"] >= 1  # square was cached by the runs above

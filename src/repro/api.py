@@ -1,9 +1,8 @@
 """The one front door for running gradual programs: ``RunConfig`` in, ``RunResult`` out.
 
 Every execution entrypoint in the repo — ``repro-gradual run``, the batch
-runner, the serve protocol, the experiment driver, and the legacy
-``run_source``/``run_term`` kwarg shims in :mod:`repro.surface.interp` —
-builds on the same two functions here:
+runner, the serve protocol, and the experiment driver — builds on the
+functions here:
 
 * :func:`resolve_config` — the single validation path for the run knobs
   (engine, enforcement semantics, calculus, optimizer level, fuel, cache).
@@ -16,10 +15,31 @@ builds on the same two functions here:
   configuration and returns a :class:`RunResult` that *carries* that
   configuration (plus the compile-cache status), so every record downstream
   is self-describing.
+* :func:`run_image` — runs an already-compiled ``.gradb`` image on the
+  engine its IR fixes; :func:`run`, the CLI, the serve pool and the batch
+  runner all execute compiled code through it.
 
-The legacy ``mediator=`` spelling of the semantics axis funnels through
-exactly one deprecation site, :func:`reconcile_semantics`; nothing else in
-the codebase interprets ``mediator`` anymore.
+Backends are a triple of knobs:
+
+* ``engine`` — ``"vm"`` (the stack bytecode VM), ``"rvm"`` (the register
+  VM: packed-stream dispatch, the fastest engine), ``"machine"`` (the CEK
+  machine, the default and the oracle for both VMs), or ``"subst"`` (the
+  paper-faithful substitution reducers of Figures 1, 3 and 5);
+* ``calculus`` — ``"B"``, ``"C"``, or ``"S"``: which calculus the elaborated
+  program is translated into (the VMs support ``"S"`` only);
+* ``semantics`` — the *enforcement semantics* the λS machine and the VMs
+  run casts under, any entry of the :data:`~repro.semantics.SEMANTICS`
+  registry: ``"coercion"`` (default, Natural via canonical coercions merged
+  with ``#``), ``"threesome"`` (Natural via labeled types, §6.1, merged
+  with ``∘``), ``"transient"`` (shallow tag checks; blame may diverge from
+  Natural), or ``"erasure"`` (no enforcement, never blames).  The two
+  Natural backends are observationally equivalent
+  (``check_mediator_oracle``); the substitution oracle reduces coercion
+  terms literally and supports only ``"coercion"``.
+
+Fuel exhaustion is reported uniformly: every engine yields
+``RunResult(kind="timeout", steps=<fuel spent>)`` (the step *units* differ
+by engine: machine transitions, VM instructions, reduction steps).
 
 Example::
 
@@ -27,12 +47,11 @@ Example::
 
     cfg = RunConfig(engine="vm", semantics="threesome", opt_level=2)
     result = run("((lambda ([x : int]) (* x x)) 6)", cfg)
-    assert result.value == 36 and result.config.engine == "vm"
+    assert result.value == 36 and result.semantics == "threesome"
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from .compiler.opt import DEFAULT_OPT_LEVEL, OPT_LEVELS
@@ -77,13 +96,16 @@ DEFAULT_FUEL = {
 #: interpreters have none.
 IR_FOR_ENGINE = {"vm": "stack", "rvm": "register"}
 
+#: The engine a compiled image runs on: its IR fixes it.
+ENGINE_FOR_IR = {ir: engine for engine, ir in IR_FOR_ENGINE.items()}
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of one program run, as a frozen value.
 
     ``engine`` × ``semantics`` × ``calculus`` select the backend (see the
-    :mod:`repro.surface.interp` module docstring for the matrix);
+    module docstring for the matrix);
     ``opt_level`` is the bytecode optimizer's ``-O`` level; ``fuel`` is the
     step budget (``None`` = the engine's default, filled in by
     :func:`resolve_config`); ``cache``/``cache_dir`` route compiled engines
@@ -123,60 +145,23 @@ class RunConfig:
         }
 
 
-_MEDIATOR_KWARG_NOTE = (
-    "mediator= is deprecated; spell the enforcement semantics with "
-    "semantics= (or RunConfig.semantics)"
-)
-
-
-def reconcile_semantics(semantics: str | None, mediator: str | None, *,
-                        emit=None, conflict: str = "prefer-semantics") -> str | None:
-    """Collapse the legacy ``mediator`` spelling into ``semantics``.
-
-    This is the **only** place in the codebase that interprets the
-    deprecated spelling: the ``mediator=`` kwargs of ``run_source`` /
-    ``run_term`` / ``run_batch`` and the CLI ``--mediator`` flag all funnel
-    here.  Returns the semantics name, or ``None`` when neither was given
-    (callers apply their own default).
-
-    ``emit`` overrides how the deprecation is reported (the CLI prints to
-    stderr; the default is a :class:`DeprecationWarning`).  ``conflict``
-    selects what happens when both spellings are given and disagree:
-    ``"prefer-semantics"`` (the historical kwarg behavior — the new
-    spelling wins) or ``"error"`` (the CLI behavior — a
-    :class:`UsageError`).
-    """
-    if mediator is None:
-        return semantics
-    if emit is None:
-        warnings.warn(_MEDIATOR_KWARG_NOTE, DeprecationWarning, stacklevel=3)
-    else:
-        emit(mediator)
-    if semantics is not None and semantics != mediator:
-        if conflict == "error":
-            raise UsageError(
-                f"--mediator {mediator} contradicts --semantics {semantics}; "
-                "drop the deprecated --mediator flag"
-            )
-        return semantics
-    return mediator
-
-
 def resolve_config(config: RunConfig | None = None, **overrides) -> RunConfig:
     """Validate and complete a run configuration — the single validation path.
 
     Starts from ``config`` (or the default :class:`RunConfig`), applies any
-    keyword ``overrides`` (field name → value; ``None`` overrides are
-    ignored for the knobs whose ``None`` means "default"), and returns the
-    fully-resolved configuration: calculus uppercased, fuel filled from the
-    engine default, ``ir`` derived from the engine, and ``cache`` narrowed
-    to the engines that can actually cache.  Raises exactly the errors the
-    historical per-entrypoint validation raised: ``ValueError`` for an
-    unknown engine, :class:`UsageError` for everything else.
+    keyword ``overrides`` (field name → value; a ``None`` override means
+    "not given", so the field keeps its value from ``config`` or the
+    :class:`RunConfig` default — which lets an unset CLI flag pass straight
+    through), and returns the fully-resolved configuration: calculus
+    uppercased, fuel filled from the engine default, ``ir`` derived from
+    the engine, and ``cache`` narrowed to the engines that can actually
+    cache.  Raises ``ValueError`` for an unknown engine and
+    :class:`UsageError` for every other invalid knob.
     """
     base = config if config is not None else RunConfig()
-    if overrides:
-        base = replace(base, **overrides)
+    given = {name: value for name, value in overrides.items() if value is not None}
+    if given:
+        base = replace(base, **given)
 
     engine = base.engine or "machine"
     if engine not in ENGINES:
@@ -223,7 +208,9 @@ class RunResult:
     under (the engine actually used, the effective fuel and opt level) and
     ``cache_status`` the compile-cache disposition (``"hit"``, ``"miss"``,
     ``"recovered"``, or ``None`` when the run never touched the cache) — so
-    a result is self-describing without re-deriving what ran.
+    a result is self-describing without re-deriving what ran.  ``semantics``
+    is the enforcement semantics the run executed under (see
+    :data:`repro.semantics.SEMANTICS`).
     """
 
     kind: str  # 'value' | 'blame' | 'timeout'
@@ -232,17 +219,11 @@ class RunResult:
     type: Type | None = None
     calculus: str = "S"
     engine: str = "machine"
-    mediator: str = "coercion"
+    semantics: str = "coercion"
     space_stats: dict | None = None
     steps: int = 0
     cache_status: str | None = None
     config: RunConfig | None = None
-
-    @property
-    def semantics(self) -> str:
-        """The enforcement semantics this run executed under (see
-        :data:`repro.semantics.SEMANTICS`); an alias of ``mediator``."""
-        return self.mediator
 
     @property
     def is_value(self) -> bool:
@@ -265,7 +246,7 @@ class RunResult:
 
 
 def _from_machine_outcome(outcome, ty, calculus: str, engine: str,
-                          mediator: str = "coercion",
+                          semantics: str = "coercion",
                           config: RunConfig | None = None,
                           cache_status: str | None = None) -> RunResult:
     """Map a :class:`~repro.machine.cek.MachineOutcome` (machine or VM) to a
@@ -273,15 +254,45 @@ def _from_machine_outcome(outcome, ty, calculus: str, engine: str,
     steps = (outcome.stats or {}).get("steps", 0)
     if outcome.is_value:
         return RunResult("value", outcome.python_value(), type=ty, calculus=calculus,
-                         engine=engine, mediator=mediator, space_stats=outcome.stats,
+                         engine=engine, semantics=semantics, space_stats=outcome.stats,
                          steps=steps, cache_status=cache_status, config=config)
     if outcome.is_blame:
         return RunResult("blame", blame_label=outcome.label, type=ty, calculus=calculus,
-                         engine=engine, mediator=mediator, space_stats=outcome.stats,
+                         engine=engine, semantics=semantics, space_stats=outcome.stats,
                          steps=steps, cache_status=cache_status, config=config)
     return RunResult("timeout", type=ty, calculus=calculus, engine=engine,
-                     mediator=mediator, space_stats=outcome.stats, steps=steps,
+                     semantics=semantics, space_stats=outcome.stats, steps=steps,
                      cache_status=cache_status, config=config)
+
+
+def run_image(image, fuel: int | None = None, *, opcode_counts: dict | None = None,
+              metrics=None) -> RunResult:
+    """Run a loaded ``.gradb`` image on the engine its IR fixes.
+
+    A stack image runs on the vm engine and a register image on the rvm
+    engine, with that engine's default fuel unless ``fuel`` is given.  The
+    result reports the image's provenance (its semantics and static type).
+    ``opcode_counts`` is filled with per-opcode dispatch counts; ``metrics``
+    gets the ``run`` phase timer and the outcome counters.
+
+    The engine entry points are looked up on :mod:`repro.compiler.vm` and
+    :mod:`repro.compiler.rvm` at call time, so a caller that replaces
+    ``vm.run_code`` or ``rvm.run_rcode`` (to time or trace them) sees every
+    compiled run.
+    """
+    from .compiler import rvm, vm
+
+    info = image.info
+    engine = ENGINE_FOR_IR[info.ir]
+    if fuel is None:
+        fuel = DEFAULT_FUEL[engine]
+    with phase(metrics, "run"):
+        if engine == "rvm":
+            outcome = rvm.run_rcode(image.rcode, fuel, opcode_counts=opcode_counts)
+        else:
+            outcome = vm.run_code(image.code, fuel, opcode_counts=opcode_counts)
+    record_run(metrics, outcome.kind, outcome.stats, engine)
+    return _from_machine_outcome(outcome, info.static_type, "S", engine, info.semantics)
 
 
 def _maybe_tracing(trace: object, program: str | None):
@@ -318,105 +329,67 @@ def run(source_or_term, config: RunConfig | None = None, *,
     cfg = resolve_config(config, **overrides)
     with _maybe_tracing(cfg.trace, program_name):
         if isinstance(source_or_term, str):
-            return _run_source(source_or_term, cfg, opcode_counts)
+            return _execute_source(source_or_term, cfg, opcode_counts)
         if not isinstance(source_or_term, Term):
             raise TypeError(
                 "run() takes surface source (str) or an elaborated λB Term, "
                 f"got {source_or_term.__class__.__name__}"
             )
-        return _run_term(source_or_term, type, cfg, source_hash, opcode_counts)
+        return _execute_term(source_or_term, type, cfg, source_hash, opcode_counts)
 
 
-def _run_source(source: str, cfg: RunConfig, opcode_counts: dict | None) -> RunResult:
-    """The source path: warm-cache fast path, else front end + term path."""
-    # Late import both ways: interp imports this module for the shims, and
-    # the front end stays monkeypatchable at ``interp.compile_source``.
+def _execute_source(source: str, cfg: RunConfig, opcode_counts: dict | None) -> RunResult:
+    """The source path: through the compile cache when it is on (a hit
+    skips the whole front end), else front end + term path."""
+    # Late import: the front end stays monkeypatchable at
+    # ``interp.compile_source``.
     from .surface import interp
 
     metrics = cfg.metrics
-    if cfg.cache:
-        from .compiler.cache import cache_lookup
-        from .compiler.serialize import source_fingerprint
-
-        source_hash = source_fingerprint(source)
-        image = cache_lookup(source_hash, cfg.opt_level, cfg.semantics,
-                             cfg.cache_dir, cfg.ir, metrics=metrics)
-        if image is not None:
-            if cfg.engine == "rvm":
-                from .compiler.rvm import run_rcode
-
-                with phase(metrics, "run"):
-                    outcome = run_rcode(image.rcode, cfg.fuel,
-                                        opcode_counts=opcode_counts)
-            else:
-                from .compiler.vm import run_code
-
-                with phase(metrics, "run"):
-                    outcome = run_code(image.code, cfg.fuel,
-                                       opcode_counts=opcode_counts)
-            record_run(metrics, outcome.kind, outcome.stats, cfg.engine)
-            return _from_machine_outcome(outcome, image.info.static_type, "S",
-                                         cfg.engine, cfg.semantics, config=cfg,
-                                         cache_status="hit")
+    if not cfg.cache:
         term, ty = interp.compile_source(source, metrics)
-        return _run_term(term, ty, cfg, source_hash, opcode_counts)
-    term, ty = interp.compile_source(source, metrics)
-    return _run_term(term, ty, cfg, None, opcode_counts)
+        return _execute_term(term, ty, cfg, None, opcode_counts)
+    from .compiler.cache import cached_compile_source
+    from .compiler.serialize import source_fingerprint
+
+    found = cached_compile_source(
+        source_fingerprint(source), lambda: interp.compile_source(source, metrics),
+        cfg.semantics, cfg.opt_level, cfg.cache_dir, cfg.ir, metrics,
+    )
+    return _run_compiled(found.image, cfg, found.status, opcode_counts)
 
 
-def _run_term(term: Term, ty: Type | None, cfg: RunConfig,
-              source_hash: str | None, opcode_counts: dict | None) -> RunResult:
+def _run_compiled(image, cfg: RunConfig, cache_status: str | None,
+                  opcode_counts: dict | None) -> RunResult:
+    """Run a compiled image as ``cfg`` asks, recording its cache status."""
+    result = run_image(image, cfg.fuel, opcode_counts=opcode_counts, metrics=cfg.metrics)
+    return replace(result, config=cfg, cache_status=cache_status)
+
+
+def _execute_term(term: Term, ty: Type | None, cfg: RunConfig,
+                  source_hash: str | None, opcode_counts: dict | None) -> RunResult:
     """The term path: compiled engines (optionally through the cache), the
     CEK machine, or the substitution oracle — all validated already."""
     metrics = cfg.metrics
     engine, semantics, calculus, fuel = cfg.engine, cfg.semantics, cfg.calculus, cfg.fuel
 
     if engine in VM_ENGINES:
-        cache_status = None
         if cfg.cache:
             from .compiler.cache import cached_compile
 
-            found = cached_compile(term, source_hash=source_hash, static_type=ty,
-                                   mediator=semantics, opt_level=cfg.opt_level,
-                                   cache_dir=cfg.cache_dir, ir=cfg.ir,
-                                   metrics=metrics)
-            if ty is None:
-                ty = found.image.info.static_type
-            cache_status = found.status
-            if engine == "rvm":
-                from .compiler.rvm import run_rcode
+            found = cached_compile(term, source_hash, ty, semantics, cfg.opt_level,
+                                   cfg.cache_dir, cfg.ir, metrics)
+            return _run_compiled(found.image, cfg, found.status, opcode_counts)
+        from .compiler.cache import compile_image
 
-                with phase(metrics, "run"):
-                    outcome = run_rcode(found.image.rcode, fuel,
-                                        opcode_counts=opcode_counts)
-            else:
-                from .compiler.vm import run_code
-
-                with phase(metrics, "run"):
-                    outcome = run_code(found.image.code, fuel,
-                                       opcode_counts=opcode_counts)
-        elif engine == "rvm":
-            from .compiler.rvm import compile_term_registers, run_rcode
-
-            rcode = compile_term_registers(term, mediator=semantics,
-                                           opt_level=cfg.opt_level, metrics=metrics)
-            with phase(metrics, "run"):
-                outcome = run_rcode(rcode, fuel, opcode_counts=opcode_counts)
-        else:
-            from .compiler.vm import compile_term, run_code
-
-            code = compile_term(term, mediator=semantics, opt_level=cfg.opt_level,
-                                metrics=metrics)
-            with phase(metrics, "run"):
-                outcome = run_code(code, fuel, opcode_counts=opcode_counts)
-        record_run(metrics, outcome.kind, outcome.stats, engine)
-        return _from_machine_outcome(outcome, ty, calculus, engine, semantics,
-                                     config=cfg, cache_status=cache_status)
+        image = compile_image(term, source_hash or "", ty, semantics, cfg.opt_level,
+                              cfg.ir, metrics)
+        return _run_compiled(image, cfg, None, opcode_counts)
 
     if engine == "machine":
         # run_on_machine validates the calculus × semantics combination.
         with phase(metrics, "run"):
-            outcome = run_on_machine(term, calculus, fuel, mediator=semantics)
+            outcome = run_on_machine(term, calculus, fuel, semantics)
         record_run(metrics, outcome.kind, outcome.stats, engine)
         return _from_machine_outcome(outcome, ty, calculus, engine, semantics,
                                      config=cfg)
@@ -450,11 +423,12 @@ def _run_term(term: Term, ty: Type | None, cfg: RunConfig,
 __all__ = [
     "DEFAULT_FUEL",
     "ENGINES",
+    "ENGINE_FOR_IR",
     "IR_FOR_ENGINE",
     "RunConfig",
     "RunResult",
     "VM_ENGINES",
-    "reconcile_semantics",
     "resolve_config",
     "run",
+    "run_image",
 ]

@@ -83,139 +83,72 @@ def _compile_one(path: Path, config) -> tuple[bytes | None, dict]:
     """Phase 1 for one program: image bytes to ship, plus partial result.
 
     ``config`` is the resolved :class:`~repro.api.RunConfig` of the batch —
-    its ``semantics``, ``opt_level``, ``cache``, and ``cache_dir`` drive the
-    compile exactly as they would a single :func:`repro.api.run`.
+    its ``semantics``, ``opt_level``, ``ir``, ``cache``, and ``cache_dir``
+    drive the compile exactly as they would a single :func:`repro.api.run`.
     """
+    from ..compiler.cache import cached_compile_source, compile_image
     from ..compiler.serialize import serialize_image, source_fingerprint
-    from ..compiler.vm import compile_term
     from ..surface.interp import compile_source
 
-    mediator = config.semantics
-    opt_level = config.opt_level
-    cache_dir = config.cache_dir
     name = str(path)
     started = time.perf_counter()
     try:
         source = path.read_text()
     except OSError as exc:
         return None, {"program": name, "kind": "error", "error": f"unreadable: {exc}"}
+    source_hash = source_fingerprint(source)
     try:
         if config.cache:
-            from ..compiler.cache import cache_lookup, cache_path, cached_compile
-
-            source_hash = source_fingerprint(source)
-            entry = cache_path(source_hash, opt_level, mediator, cache_dir)
-            image = cache_lookup(source_hash, opt_level, mediator, cache_dir)
-            if image is not None:
-                # The exact bytes to ship are already on disk — no need to
-                # re-encode the image the lookup just validated.  (The
-                # re-serialize fallback covers a concurrent eviction.)
-                try:
-                    data = entry.read_bytes()
-                except OSError:
-                    data = serialize_image(
-                        image.code,
-                        source_hash=image.info.source_hash,
-                        static_type=image.info.static_type,
-                    )
-                return data, {
-                    "program": name,
-                    "cache": "hit",
-                    "compile_s": time.perf_counter() - started,
-                }
-            term, ty = compile_source(source)
-            found = cached_compile(term, source_hash=source_hash, static_type=ty,
-                                   mediator=mediator, opt_level=opt_level,
-                                   cache_dir=cache_dir)
+            found = cached_compile_source(source_hash, lambda: compile_source(source),
+                                          config.semantics, config.opt_level,
+                                          config.cache_dir, config.ir)
+            image, status = found.image, found.status
             try:
+                # The exact bytes to ship are already on disk.
                 data = found.path.read_bytes()
-            except OSError:  # the cache write failed (read-only/full disk)
-                data = serialize_image(found.image.code, source_hash=source_hash,
-                                       static_type=ty)
-            return data, {
-                "program": name,
-                "cache": found.status,
-                "compile_s": time.perf_counter() - started,
-            }
-        term, ty = compile_source(source)
-        code = compile_term(term, mediator=mediator, opt_level=opt_level)
-        data = serialize_image(code, source_hash=source_fingerprint(source),
-                               static_type=ty)
+            except OSError:  # a failed cache write, or a concurrent eviction
+                data = None
+        else:
+            term, ty = compile_source(source)
+            image = compile_image(term, source_hash, ty, config.semantics,
+                                  config.opt_level, config.ir)
+            status, data = "off", None
+        if data is None:
+            data = serialize_image(image.code, source_hash, image.info.static_type,
+                                   config.ir, rcode=image.rcode)
         return data, {
             "program": name,
-            "cache": "off",
+            "cache": status,
             "compile_s": time.perf_counter() - started,
         }
     except ReproError as exc:
         return None, {"program": name, "kind": "error", "error": str(exc)}
 
 
-def _execute_job(job: tuple[str, bytes, int]) -> dict:
-    """Phase 2, in a worker: deserialize the image and run it on the VM."""
-    from ..compiler.serialize import deserialize_image
-    from ..compiler.vm import run_code
-
-    name, data, fuel = job
-    started = time.perf_counter()
-    try:
-        # Built by phase 1 in the coordinating process — same trust domain,
-        # so the crafted-image bounds validation is skipped.
-        image = deserialize_image(data, validate=False)
-    except ReproError as exc:  # pragma: no cover - ships what phase 1 built
-        return {"program": name, "kind": "error", "error": str(exc)}
-    loaded = time.perf_counter()
-    outcome = run_code(image.code, fuel)
-    finished = time.perf_counter()
-    stats = outcome.stats or {}
-    result = {
-        "program": name,
-        "kind": outcome.kind,
-        "steps": stats.get("steps", 0),
-        "max_pending_mediators": stats.get("max_pending_mediators", 0),
-        "load_s": loaded - started,
-        "run_s": finished - loaded,
-    }
-    if outcome.is_value:
-        result["value"] = outcome.python_value()
-        if image.info.static_type is not None:
-            result["type"] = str(image.info.static_type)
-    elif outcome.is_blame:
-        result["blame"] = str(outcome.label)
-    return result
-
-
 def run_batch(
     paths: Sequence[str | Path],
+    config=None,
+    *,
     workers: int = 1,
-    fuel: int | None = None,
-    mediator: str | None = None,
-    opt_level: int = 2,
-    use_cache: bool = True,
-    cache_dir: str | None = None,
     on_result: Callable[[dict], None] | None = None,
     metrics=None,
     trace_sink=None,
-    semantics: str | None = None,
     faults: str | None = None,
-    config=None,
 ) -> tuple[list[dict], dict]:
     """Compile a corpus once and execute it across a worker pool.
 
-    ``config`` (a :class:`~repro.api.RunConfig`) is the preferred way to
-    select the run knobs; it is resolved through
+    ``config`` (a :class:`~repro.api.RunConfig`; default: the vm engine
+    through the compile cache) selects the run knobs and is resolved through
     :func:`repro.api.resolve_config` — the same validation path as every
-    other entrypoint.  The individual kwargs survive as a shim: ``semantics``
-    names the enforcement semantics (any entry of the
-    :data:`~repro.semantics.SEMANTICS` registry), overriding the deprecated
-    ``mediator`` spelling, which warns via
-    :func:`repro.api.reconcile_semantics`.
+    other entrypoint.  Its ``semantics`` names the enforcement semantics
+    (any entry of the :data:`~repro.semantics.SEMANTICS` registry).
 
-    Returns ``(results, aggregate)``: one dict per program (see
-    :func:`_execute_job` for the execution fields; front-end failures carry
-    ``kind="error"``) and the aggregated shard statistics.  ``on_result``
-    is invoked with each result as it completes — with ``workers > 1``
-    completion order is nondeterministic, so every result repeats its
-    program name.
+    Returns ``(results, aggregate)``: one dict per program (the execution
+    fields are those of :func:`repro.serve.pool.handle_job`'s ``run_image``
+    results; front-end failures carry ``kind="error"``) and the aggregated
+    shard statistics.  ``on_result`` is invoked with each result as it
+    completes — with ``workers > 1`` completion order is nondeterministic,
+    so every result repeats its program name.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) aggregates
     the shard results in the coordinating process — outcome and cache
@@ -232,24 +165,16 @@ def run_batch(
     environment variable) — the chaos tests use it to SIGKILL workers
     mid-corpus and assert every program still gets a terminal record.
     """
-    from ..api import RunConfig, reconcile_semantics, resolve_config
+    from ..api import RunConfig, resolve_config
+    from ..serve.pool import handle_job
 
-    if config is None:
-        config = RunConfig(
-            engine="vm",
-            semantics=reconcile_semantics(semantics, mediator) or "coercion",
-            opt_level=opt_level,
-            fuel=fuel,
-            cache=use_cache,
-            cache_dir=cache_dir,
-        )
-    config = resolve_config(config)  # fail fast on any invalid knob
+    config = resolve_config(config if config is not None
+                            else RunConfig(engine="vm", cache=True))
     wall_start = time.perf_counter()
     corpus = discover_programs(paths)
-    fuel = config.fuel  # resolve_config filled the engine default
 
     results: list[dict] = []
-    jobs: list[tuple[str, bytes, int]] = []
+    jobs: list[dict] = []
     compile_meta: dict[str, dict] = {}
 
     def note(result: dict) -> None:
@@ -272,7 +197,8 @@ def run_batch(
                 on_result(meta)
         else:
             compile_meta[meta["program"]] = meta
-            jobs.append((meta["program"], data, fuel))
+            jobs.append({"op": "run_image", "program": meta["program"], "image": data,
+                         "fuel": config.fuel})
 
     def finish(result: dict) -> None:
         result = {**compile_meta[result["program"]], **result}
@@ -281,6 +207,9 @@ def run_batch(
         if on_result is not None:
             on_result(result)
 
+    def run_inline(job: dict) -> None:
+        finish({**handle_job(job, {}), "program": job["program"]})
+
     if trace_sink is not None:
         from ..obs.trace import Tracer, activate, deactivate
 
@@ -288,14 +217,14 @@ def run_batch(
         activate(tracer)
         try:
             for job in jobs:
-                tracer.program = job[0]
-                finish(_execute_job(job))
+                tracer.program = job["program"]
+                run_inline(job)
         finally:
             deactivate()
             trace_sink.close()
     elif workers <= 1 or len(jobs) <= 1:
         for job in jobs:
-            finish(_execute_job(job))
+            run_inline(job)
     else:
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
@@ -303,13 +232,7 @@ def run_batch(
 
         size = min(workers, len(jobs))
         with WorkerPool(size, faults=faults) as pool, ThreadPoolExecutor(size) as dispatch:
-            futures = [
-                dispatch.submit(
-                    pool.execute,
-                    {"op": "run_image", "program": name, "image": data, "fuel": fuel},
-                )
-                for name, data, fuel in jobs
-            ]
+            futures = [dispatch.submit(pool.execute, job) for job in jobs]
             for future in as_completed(futures):
                 finish(future.result())
 

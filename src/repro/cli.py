@@ -8,10 +8,9 @@ Installed as ``repro-gradual``.  Subcommands:
   register VM with ``--engine rvm`` (packed-stream dispatch; fastest), or
   the substitution-based reference oracle; the enforcement semantics with
   ``--semantics``: λS coercions composed with ``#`` by default, threesomes
-  composed with labeled-type ``∘``, transient tag checks, or erasure
-  (``--mediator`` survives as a deprecated alias); and the VMs'
-  optimization level with ``-O {0,1,2}``, default ``-O2``).  ``FILE`` may
-  also be a serialized ``.gradb`` bytecode image, which runs directly —
+  composed with labeled-type ``∘``, transient tag checks, or erasure; and
+  the VMs' optimization level with ``-O {0,1,2}``, default ``-O2``).
+  ``FILE`` may also be a serialized ``.gradb`` bytecode image, which runs directly —
   no front end at all — on the engine its IR fixes (vm for stack images,
   rvm for register images).  The compiled engines compile through the
   on-disk compile cache (``~/.cache/repro-gradual``) unless ``--no-cache``;
@@ -47,12 +46,18 @@ Installed as ``repro-gradual``.  Subcommands:
 * ``space N``         — reproduce the space-efficiency experiment for the
   even/odd boundary workload at size ``N`` on all three machines.
 
+The run flags ``--semantics``, ``-O``, ``--fuel`` and ``--no-cache`` are
+declared once and shared by the subcommands that take them; a flag left
+unset takes its default from :func:`repro.api.resolve_config` (or, for
+``serve`` and ``experiment``, from ``ServeConfig``/``ExperimentConfig``).
+
 Exit codes (uniform across subcommands): **0** — the program ran to a value
 (or the subcommand succeeded); **1** — evaluation allocated blame; **2** — a
 static error (file not found, parse error, ill-typed program, bad
-engine/calculus/mediator combination, unreadable image); **3** — evaluation
-timed out (fuel exhausted).  ``batch`` reports the most severe per-program
-outcome: static error (2), then timeout (3), then blame (1), then value (0).
+engine/calculus/semantics combination, unreadable image, unknown flag);
+**3** — evaluation timed out (fuel exhausted).  ``batch`` reports the most
+severe per-program outcome: static error (2), then timeout (3), then blame
+(1), then value (0).
 Errors are single-line diagnostics on stderr carrying source locations when
 the front end provides them.
 
@@ -70,12 +75,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from .api import resolve_config, run, run_image
+from .compiler.opt import OPT_LEVELS
 from .core.errors import ParseError, ReproError, TypeCheckError
 from .core.pretty import term_to_str
 from .gen.programs import even_odd_boundary
 from .machine import run_on_machine
-from .api import run
-from .semantics import NATURAL_SEMANTICS_NAMES, SEMANTICS_NAMES
+from .semantics import SEMANTICS_NAMES
 from .surface.cast_insertion import elaborate_program
 from .surface.parser import parse_program
 from .translate import b_to_c, b_to_s
@@ -89,26 +95,10 @@ EXIT_TIMEOUT = 3
 _OUTCOME_EXIT_CODES = {"value": EXIT_VALUE, "blame": EXIT_BLAME, "timeout": EXIT_TIMEOUT}
 
 
-def _resolve_semantics(args: argparse.Namespace) -> str | None:
-    """The requested enforcement semantics, or ``None`` if neither flag was
-    given.  ``--mediator`` survives as a deprecated alias of ``--semantics``
-    (it predates the Transient/Erasure backends and names the two Natural
-    representations only); using it warns on stderr.  The reconciliation
-    itself lives in :func:`repro.api.reconcile_semantics` — the single shim
-    site — with the CLI supplying the stderr spelling and the
-    contradiction-is-an-error policy."""
-    from .api import reconcile_semantics
-
-    def emit(_mediator: str) -> None:
-        print(
-            "warning: --mediator is deprecated; use --semantics "
-            f"{{{','.join(SEMANTICS_NAMES)}}} instead",
-            file=sys.stderr,
-        )
-
-    return reconcile_semantics(getattr(args, "semantics", None),
-                               getattr(args, "mediator", None),
-                               emit=emit, conflict="error")
+def _given(**knobs) -> dict:
+    """The knobs whose flags were passed (an unset flag parses to ``None``),
+    so a config class's own defaults fill the rest."""
+    return {name: value for name, value in knobs.items() if value is not None}
 
 
 def _load_program(path: str):
@@ -192,24 +182,21 @@ def _run_image(args: argparse.Namespace) -> int:
     """Run a serialized image directly: no parsing, no lowering, no cache.
 
     An image fixes its calculus (λS), engine (vm for stack images, rvm for
-    register images), mediator backend, and optimization level at compile
-    time, so passing any of those flags alongside an image is a
+    register images), enforcement semantics, and optimization level at
+    compile time, so passing any of those flags alongside an image is a
     contradiction — rejected rather than silently ignored (a user comparing
     engines must not get VM results labeled as the machine's).
     """
-    from .api import _from_machine_outcome
-    from .compiler import load_image, run_code, run_rcode
+    from .api import ENGINE_FOR_IR
+    from .compiler import load_image
     from .core.errors import UsageError
-    from .core.fuel import DEFAULT_RVM_FUEL, DEFAULT_VM_FUEL
 
     image = load_image(args.file)
-    info = image.info
-    engine = "rvm" if info.ir == "register" else "vm"
+    engine = ENGINE_FOR_IR[image.info.ir]
     fixed = {
         "--engine": args.engine not in (None, engine),
         "--calculus": args.calculus is not None,
         "--semantics": args.semantics is not None,
-        "--mediator": args.mediator is not None,
         "-O/--opt-level": args.opt_level is not None,
         "--small-step": args.small_step,
     }
@@ -227,19 +214,8 @@ def _run_image(args: argparse.Namespace) -> int:
         from .obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-    from .obs.metrics import phase, record_run
-
     with _maybe_tracing(args.trace, args.file):
-        if engine == "rvm":
-            fuel = args.fuel if args.fuel is not None else DEFAULT_RVM_FUEL
-            with phase(metrics, "run"):
-                outcome = run_rcode(image.rcode, fuel, opcode_counts=counts)
-        else:
-            fuel = args.fuel if args.fuel is not None else DEFAULT_VM_FUEL
-            with phase(metrics, "run"):
-                outcome = run_code(image.code, fuel, opcode_counts=counts)
-    record_run(metrics, outcome.kind, outcome.stats, engine)
-    result = _from_machine_outcome(outcome, info.static_type, "S", engine, info.mediator)
+        result = run_image(image, args.fuel, opcode_counts=counts, metrics=metrics)
     if args.profile:
         _emit_profile(counts, result, engine, metrics)
     if args.metrics:
@@ -281,11 +257,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         metrics = MetricsRegistry()
     result = run(
         source,
-        calculus=args.calculus or "S",
+        calculus=args.calculus,
         engine=engine,
-        semantics=_resolve_semantics(args) or "coercion",
+        semantics=args.semantics,
         fuel=args.fuel,
-        opt_level=args.opt_level if args.opt_level is not None else 2,
+        opt_level=args.opt_level,
         cache=not args.no_cache,
         trace=args.trace,
         metrics=metrics,
@@ -325,10 +301,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             text += "\n" + disassemble_registers(image.rcode)
         print(text)
         return EXIT_VALUE
+    config = resolve_config(engine="rvm" if args.ir == "register" else "vm",
+                            semantics=args.semantics, opt_level=args.opt_level)
     source = Path(args.file).read_text()
     term, ty = elaborate_program(parse_program(source))
-    code = compile_term(term, mediator=_resolve_semantics(args) or "coercion",
-                        opt_level=args.opt_level)
+    code = compile_term(term, config.semantics, config.opt_level)
     if args.output is not None:
         save_image(code, args.output, source_hash=source_fingerprint(source),
                    static_type=ty, ir=args.ir)
@@ -343,6 +320,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
+    from .api import RunConfig
     from .batch import run_batch
 
     def emit(result: dict) -> None:
@@ -358,13 +336,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         from .obs import JsonLinesSink
 
         trace_sink = JsonLinesSink(args.trace)
+    config = resolve_config(RunConfig(engine="vm"), semantics=args.semantics,
+                            opt_level=args.opt_level, fuel=args.fuel,
+                            cache=not args.no_cache)
     results, aggregate = run_batch(
         args.paths,
+        config,
         workers=args.workers,
-        fuel=args.fuel,
-        semantics=_resolve_semantics(args) or "coercion",
-        opt_level=args.opt_level,
-        use_cache=not args.no_cache,
         on_result=emit,
         metrics=metrics,
         trace_sink=trace_sink,
@@ -393,10 +371,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         workers=args.workers,
         queue_limit=args.queue_limit,
-        semantics=_resolve_semantics(args) or "coercion",
-        opt_level=args.opt_level,
+        **_given(semantics=args.semantics, opt_level=args.opt_level, fuel=args.fuel),
         engine=args.engine,
-        fuel=args.fuel,
         deadline_s=args.deadline,
         use_cache=not args.no_cache,
         max_requests=args.max_requests,
@@ -450,11 +426,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         sink = timeline
     result = run(
         source,
-        calculus=args.calculus or "S",
+        calculus=args.calculus,
         engine=engine,
-        semantics=_resolve_semantics(args) or "coercion",
+        semantics=args.semantics,
         fuel=args.fuel,
-        opt_level=args.opt_level if args.opt_level is not None else 2,
+        opt_level=args.opt_level,
         cache=not args.no_cache,
         trace=sink,
         program_name=args.file,
@@ -552,8 +528,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         semantics=semantics,
         engine=args.engine,
-        opt_level=args.opt_level,
-        fuel=args.fuel,
+        **_given(opt_level=args.opt_level, fuel=args.fuel),
         workers=args.workers,
         max_configs=args.max_configs,
         starts_per_fault=args.starts,
@@ -577,6 +552,37 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_VALUE
 
 
+def _run_flags() -> dict[str, argparse.ArgumentParser]:
+    """The shared run flags, each declared once as an argparse parent.
+
+    Every one parses to ``None`` (``--no-cache``: ``False``) when unset, so
+    the default comes from :func:`repro.api.resolve_config` — or from
+    ``ServeConfig``/``ExperimentConfig`` for ``serve`` and ``experiment``.
+    """
+    semantics = argparse.ArgumentParser(add_help=False)
+    semantics.add_argument(
+        "--semantics", choices=list(SEMANTICS_NAMES), default=None,
+        help="enforcement semantics of the λS machine/VMs: coercion (Natural via "
+             "canonical coercions merged with #, the default), threesome (Natural "
+             "via labeled types merged with ∘), transient (shallow tag checks; "
+             "blame labels may differ from Natural), or erasure (no enforcement; "
+             "never blames)")
+    opt = argparse.ArgumentParser(add_help=False)
+    opt.add_argument(
+        "-O", "--opt-level", type=int, choices=list(OPT_LEVELS), default=None,
+        help="bytecode optimizer level of the compiled engines: 0 none, 1 static "
+             "coercion elision + pre-composition, 2 (default) superinstructions + "
+             "inline mediator caches")
+    fuel = argparse.ArgumentParser(add_help=False)
+    fuel.add_argument("--fuel", type=int, default=None,
+                      help="step budget of each run before it times out")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--no-cache", action="store_true",
+                       help="bypass the on-disk compile cache (vm/rvm engines; "
+                            "other engines never cache)")
+    return {"semantics": semantics, "opt": opt, "fuel": fuel, "cache": cache}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gradual",
@@ -584,14 +590,16 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 value, 1 blame, 2 static/parse error, 3 timeout",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = _run_flags()
+    all_run_flags = [flags["semantics"], flags["opt"], flags["fuel"], flags["cache"]]
 
     run_parser = sub.add_parser(
-        "run", help="run a gradual program",
+        "run", help="run a gradual program", parents=all_run_flags,
         epilog="exit codes: 0 value, 1 blame, 2 static/parse error, 3 timeout",
     )
     run_parser.add_argument("file")
-    # Defaults are resolved in _cmd_run (None = not passed), so running a
-    # compiled image can reject flags the image has already fixed.
+    # Unset flags stay None, so running a compiled image can reject flags
+    # the image has already fixed.
     run_parser.add_argument("--calculus", choices=["B", "C", "S", "b", "c", "s"], default=None,
                             help="calculus to evaluate (default S)")
     run_parser.add_argument("--engine", choices=["vm", "rvm", "machine", "subst"], default=None,
@@ -599,22 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "stack bytecode VM, the register VM (packed-stream "
                                  "dispatch; fastest), or the substitution-based "
                                  "reference oracle")
-    run_parser.add_argument("--semantics", choices=list(SEMANTICS_NAMES), default=None,
-                            help="enforcement semantics of the λS machine/VM: coercion "
-                                 "(Natural via canonical coercions merged with #, the "
-                                 "default), threesome (Natural via labeled types merged "
-                                 "with ∘), transient (shallow tag checks; blame labels "
-                                 "may differ from Natural), or erasure (no enforcement; "
-                                 "never exits 1)")
-    run_parser.add_argument("--mediator", choices=list(NATURAL_SEMANTICS_NAMES), default=None,
-                            help="deprecated alias for --semantics (Natural backends "
-                                 "only; warns on stderr)")
     run_parser.add_argument("--small-step", action="store_true",
                             help="alias for --engine subst (the paper-faithful small-step reducer)")
-    run_parser.add_argument("-O", "--opt-level", type=int, choices=[0, 1, 2], default=None,
-                            help="bytecode optimizer level for the vm engine: 0 none, "
-                                 "1 static coercion elision + pre-composition, "
-                                 "2 (default) superinstructions + inline mediator caches")
     run_parser.add_argument("--show-space", action="store_true", help="print space statistics")
     run_parser.add_argument("--profile", action="store_true",
                             help="dump dispatch counts (vm/rvm), inline-mediator-cache "
@@ -628,14 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--metrics", default=None, metavar="FILE",
                             help="write a metrics snapshot (counters, gauges, "
                                  "histograms, phase timings) as JSON into FILE")
-    run_parser.add_argument("--fuel", type=int, default=None)
-    run_parser.add_argument("--no-cache", action="store_true",
-                            help="bypass the on-disk compile cache (vm/rvm engines; "
-                                 "other engines never cache)")
     run_parser.set_defaults(handler=_cmd_run)
 
     trace_parser = sub.add_parser(
         "trace", help="run a program with mediator tracing and show the trace",
+        parents=all_run_flags,
         epilog="exit codes: 0 value, 1 blame, 2 static/parse error, 3 timeout",
     )
     trace_parser.add_argument("file")
@@ -644,13 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--engine", choices=["vm", "rvm", "machine"], default=None,
                               help="execution engine (default machine; the subst "
                                    "oracle has no mediator hooks and cannot trace)")
-    trace_parser.add_argument("--semantics", choices=list(SEMANTICS_NAMES), default=None,
-                              help="enforcement semantics to trace under (default coercion)")
-    trace_parser.add_argument("--mediator", choices=list(NATURAL_SEMANTICS_NAMES),
-                              default=None,
-                              help="deprecated alias for --semantics")
-    trace_parser.add_argument("-O", "--opt-level", type=int, choices=[0, 1, 2],
-                              default=None)
     trace_parser.add_argument("--format", choices=["jsonl", "chrome"], default="jsonl",
                               help="export format for -o: JSON lines (default) or a "
                                    "Chrome trace-event array for chrome://tracing "
@@ -660,26 +644,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--timeline", action="store_true",
                               help="print the steps × pending-mediators space "
                                    "timeline series as JSON")
-    trace_parser.add_argument("--fuel", type=int, default=None)
-    trace_parser.add_argument("--no-cache", action="store_true")
     trace_parser.set_defaults(handler=_cmd_trace)
 
     compile_parser = sub.add_parser(
         "compile", help="lower a program to λS bytecode: print the disassembly "
-                        "or write a serialized .gradb image"
+                        "or write a serialized .gradb image",
+        parents=[flags["semantics"], flags["opt"]],
     )
     compile_parser.add_argument("file")
-    compile_parser.add_argument("--semantics", choices=list(SEMANTICS_NAMES), default=None,
-                                help="enforcement semantics of the mediator pool: interned "
-                                     "canonical coercions (coercion, the default), "
-                                     "pre-translated threesomes, transient tag checks, or "
-                                     "the erased no-op token")
-    compile_parser.add_argument("--mediator", choices=list(NATURAL_SEMANTICS_NAMES),
-                                default=None,
-                                help="deprecated alias for --semantics")
-    compile_parser.add_argument("-O", "--opt-level", type=int, choices=[0, 1, 2], default=2,
-                                help="optimizer level to disassemble at (default 2; "
-                                     "compare against -O0 to see the rewrites)")
     compile_parser.add_argument("--ir", choices=["stack", "register"], default="stack",
                                 help="instruction representation: the stack bytecode "
                                      "(default) or the packed register streams the rvm "
@@ -692,6 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch_parser = sub.add_parser(
         "batch", help="compile a corpus once and run it across a worker pool",
+        parents=all_run_flags,
         epilog="per-program results stream as JSON lines, then one aggregate line; "
                "exit code is the most severe outcome (2 error, 3 timeout, 1 blame, 0 value)",
     )
@@ -700,16 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(one path per line), or program files")
     batch_parser.add_argument("--workers", type=int, default=1,
                               help="multiprocessing pool size (default 1: run inline)")
-    batch_parser.add_argument("--semantics", choices=list(SEMANTICS_NAMES), default=None,
-                              help="enforcement semantics to compile and run the corpus "
-                                   "under (default coercion)")
-    batch_parser.add_argument("--mediator", choices=list(NATURAL_SEMANTICS_NAMES),
-                              default=None,
-                              help="deprecated alias for --semantics")
-    batch_parser.add_argument("-O", "--opt-level", type=int, choices=[0, 1, 2], default=2)
-    batch_parser.add_argument("--fuel", type=int, default=None)
-    batch_parser.add_argument("--no-cache", action="store_true",
-                              help="bypass the on-disk compile cache")
     batch_parser.add_argument("--trace", default=None, metavar="FILE",
                               help="trace every program's run into FILE as JSON "
                                    "lines (forces inline execution: the tracer "
@@ -722,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.set_defaults(handler=_cmd_batch)
 
     serve_parser = sub.add_parser(
-        "serve", help="run the persistent evaluation service",
+        "serve", help="run the persistent evaluation service", parents=all_run_flags,
         epilog="prints one JSON 'ready' line (pid + bound address) when "
                "listening; SIGTERM drains gracefully (exit 0), a second "
                "SIGTERM force-exits 1",
@@ -740,20 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "with the 'overloaded' outcome (default 16)")
     serve_parser.add_argument("--engine", choices=["vm", "rvm"], default="vm",
                               help="default engine for requests that name none")
-    serve_parser.add_argument("--semantics", choices=list(SEMANTICS_NAMES), default=None,
-                              help="default enforcement semantics (default coercion)")
-    serve_parser.add_argument("--mediator", choices=list(NATURAL_SEMANTICS_NAMES),
-                              default=None,
-                              help="deprecated alias for --semantics")
-    serve_parser.add_argument("-O", "--opt-level", type=int, choices=[0, 1, 2], default=2)
-    serve_parser.add_argument("--fuel", type=int, default=None,
-                              help="default per-request fuel (engine steps before "
-                                   "a timeout outcome)")
     serve_parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                               help="default per-request wall-clock deadline "
                                    "(cooperative cancellation to a timeout outcome)")
-    serve_parser.add_argument("--no-cache", action="store_true",
-                              help="bypass the on-disk compile cache")
     serve_parser.add_argument("--max-requests", type=int, default=0,
                               help="recycle a worker after this many requests "
                                    "(0 = never; warm state re-seeds from the "
@@ -789,6 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser = sub.add_parser(
         "experiment",
         help="rational-programmer blame evaluation over migration lattices",
+        parents=[flags["opt"], flags["fuel"]],
         epilog=(
             "plants type-level faults, follows blame labels across typed/untyped "
             "splits of each program's bindings, and reports localization rates "
@@ -814,9 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument(
         "--engine", choices=["vm", "rvm"], default="vm")
     experiment_parser.add_argument(
-        "-O", "--opt-level", type=int, choices=[0, 1, 2], default=2)
-    experiment_parser.add_argument("--fuel", type=int, default=200_000)
-    experiment_parser.add_argument(
         "--max-configs", type=int, default=64,
         help="lattice cutoff: enumerate fully below, sample above")
     experiment_parser.add_argument(
@@ -841,7 +791,7 @@ def main(argv: list[str] | None = None) -> int:
 
     All static failures — unreadable files, parse errors (which carry
     line/column), type errors (which carry source locations), and invalid
-    engine/calculus/mediator combinations — are caught uniformly here and
+    engine/calculus/semantics combinations — are caught uniformly here and
     reported as one-line diagnostics on stderr with exit code 2.  Dynamic
     outcomes (blame = 1, timeout = 3) are exit codes, not exceptions.
     """

@@ -39,7 +39,7 @@ from .disasm import (
     register_streams,
 )
 from .lower import lower_program
-from .opt import DEFAULT_OPT_LEVEL, OPT_LEVELS, hot_pairs, optimize
+from .opt import DEFAULT_OPT_LEVEL, OPT_LEVELS, optimize
 from .regalloc import RCode, all_rcodes, compile_registers, register_fingerprint
 from .rvm import (
     RVM,
@@ -104,7 +104,6 @@ __all__ = [
     "DEFAULT_OPT_LEVEL",
     "OPT_LEVELS",
     "optimize",
-    "hot_pairs",
     "DEFAULT_VM_FUEL",
     "THE_VM",
     "VM",

@@ -231,7 +231,7 @@ class ConstantPool:
     identity of pool entries is therefore stable across compilations of the
     same program (tested by ``tests/test_compiler.py``).
 
-    ``mediator`` names the pool's enforcement semantics — and therefore the
+    ``semantics`` names the pool's enforcement semantics — and therefore the
     representation of every ``COERCE``/``COMPOSE`` operand the VM touches:
     each canonical coercion is pre-interned into the backend's runtime form
     by the :data:`~repro.semantics.SEMANTICS` registry's ``pre_intern`` hook
@@ -247,7 +247,7 @@ class ConstantPool:
     labels: list[Label] = field(default_factory=list)
     prims: list[tuple] = field(default_factory=list)  # (meaning, arity, result_type, name)
     codes: list["CodeObject"] = field(default_factory=list)
-    mediator: str = "coercion"
+    semantics: str = "coercion"
 
     def __post_init__(self) -> None:
         self._const_index: dict[object, int] = {}
@@ -268,7 +268,7 @@ class ConstantPool:
         return self.add_const(MConst(value, ty))
 
     def add_coercion(self, coercion: SpaceCoercion) -> int:
-        canon = resolve(self.mediator).pre_intern(intern_space(coercion))
+        canon = resolve(self.semantics).pre_intern(intern_space(coercion))
         return self.add_canonical_mediator(canon)
 
     def add_canonical_mediator(self, canon: object) -> int:

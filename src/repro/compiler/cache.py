@@ -2,24 +2,25 @@
 
 Compilation is pure: the image produced for a program depends only on the
 program text (equivalently, its elaborated term), the optimizer level, the
-mediator backend, and the toolchain's format/instruction-set version.  So a
-compiled image is cached under a key that is exactly that tuple, hashed::
+enforcement semantics, and the toolchain's format/instruction-set version.
+So a compiled image is cached under a key that is exactly that tuple, hashed::
 
     ~/.cache/repro-gradual/<k[:2]>/<k>.gradb
     k = sha256(format version ‖ opcode fingerprint ‖ [IR ‖ register
-               fingerprint] ‖ source hash ‖ opt level ‖ mediator)
+               fingerprint] ‖ source hash ‖ opt level ‖ semantics)
 
 (the IR axis — stack vs register — is keyed so register images never
-collide with stack images of the same source/level/mediator)
+collide with stack images of the same source/level/semantics)
 
 and a warm ``run`` deserializes the image instead of re-running the whole
 parse → type check → elaborate → translate → lower → optimize pipeline.
 There is no invalidation protocol: keys are content-addressed, so a changed
-program, a different ``-O`` level or mediator, or a new format/opcode-set
+program, a different ``-O`` level or semantics, or a new format/opcode-set
 version simply misses and compiles fresh.  Entries are written atomically
 (:func:`~repro.compiler.serialize.save_image` writes a temp sibling and
 ``os.replace``\\ s it), and a corrupt or truncated entry — detected by the
-image checksum on load — is deleted and recompiled rather than surfaced.
+image checksum on load — is deleted and recompiled rather than surfaced
+(status ``recovered``).
 
 The cache directory resolves, in order: an explicit ``cache_dir`` argument,
 ``$REPRO_GRADUAL_CACHE_DIR``, ``$XDG_CACHE_HOME/repro-gradual``, and
@@ -36,12 +37,14 @@ from pathlib import Path
 from ..core.terms import Term
 from ..core.types import Type
 from .bytecode import opcode_fingerprint
+from .opt import DEFAULT_OPT_LEVEL
 from .regalloc import register_fingerprint
 from .serialize import (
     FORMAT_VERSION,
     GRADB_MAGIC,
     GRADB_SUFFIX,
     ImageError,
+    ImageInfo,
     LoadedImage,
     load_image,
     save_image,
@@ -63,7 +66,7 @@ def default_cache_dir() -> Path:
     return base / "repro-gradual"
 
 
-def cache_key(source_hash: str, opt_level: int, mediator: str, ir: str = "stack") -> str:
+def cache_key(source_hash: str, opt_level: int, semantics: str, ir: str = "stack") -> str:
     """The content address of one compilation: hex SHA-256 over every input
     that can change the produced image.  ``ir`` is an axis of the key, so a
     register image never collides with a stack image of the same source —
@@ -79,7 +82,7 @@ def cache_key(source_hash: str, opt_level: int, mediator: str, ir: str = "stack"
         digest.update(register_fingerprint())
     # The enforcement-semantics axis comes from the registry, so renaming or
     # re-versioning a backend's key invalidates exactly its own entries.
-    axis = resolve(mediator).cache_key
+    axis = resolve(semantics).cache_key
     digest.update(f"\x00{source_hash}\x00{opt_level}\x00{axis}".encode())
     return digest.hexdigest()
 
@@ -87,14 +90,14 @@ def cache_key(source_hash: str, opt_level: int, mediator: str, ir: str = "stack"
 def cache_path(
     source_hash: str,
     opt_level: int,
-    mediator: str,
+    semantics: str,
     cache_dir: str | os.PathLike | None = None,
     ir: str = "stack",
 ) -> Path:
     """Where the image for this compilation lives (two-level fan-out, so a
     large cache does not pile every entry into one directory)."""
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    key = cache_key(source_hash, opt_level, mediator, ir)
+    key = cache_key(source_hash, opt_level, semantics, ir)
     return root / key[:2] / (key + GRADB_SUFFIX)
 
 
@@ -153,51 +156,79 @@ def _try_load(path: Path, metrics=None) -> LoadedImage | None:
 def cache_lookup(
     source_hash: str,
     opt_level: int,
-    mediator: str,
+    semantics: str,
     cache_dir: str | os.PathLike | None = None,
     ir: str = "stack",
     metrics=None,
 ) -> LoadedImage | None:
     """The cached image for this compilation, or ``None`` on a miss.
 
-    A corrupt entry counts as a miss (and is deleted); this is the warm
-    path of ``run_source``, which skips parsing, elaboration, lowering,
-    and optimization entirely when it returns an image.
+    A corrupt entry counts as a miss (and is deleted).  This is the warm
+    path of a source run, which skips parsing, elaboration, lowering, and
+    optimization entirely when it returns an image.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) gets the
     ``cache`` phase timer and the ``cache.hit``/``cache.corrupt`` counters;
-    the miss itself is counted by :func:`cached_compile`, which every miss
-    falls through to — so the two callers never double-count.
+    the miss itself is counted by the compile that every miss falls
+    through to, so a lookup and its compile never double-count.
     """
     from ..obs.metrics import phase
 
     with phase(metrics, "cache"):
         image = _try_load(
-            cache_path(source_hash, opt_level, mediator, cache_dir, ir), metrics
+            cache_path(source_hash, opt_level, semantics, cache_dir, ir), metrics
         )
     if image is not None and metrics is not None:
         metrics.counter("cache.hit").inc()
     return image
 
 
-def cached_compile(
+def compile_image(
     term: Term,
-    source_hash: str | None = None,
+    source_hash: str = "",
     static_type: Type | None = None,
-    mediator: str = "coercion",
+    semantics: str = "coercion",
+    opt_level: int = DEFAULT_OPT_LEVEL,
+    ir: str = "stack",
+    metrics=None,
+) -> LoadedImage:
+    """Compile a λB term into an in-memory image, without touching the cache.
+
+    The image carries the optimized stack code and, for ``ir="register"``,
+    the register code converted from it (once).  ``metrics`` gets the
+    ``lower``/``optimize`` phase timers and, for register images,
+    ``regalloc``.
+    """
+    from ..obs.metrics import phase
+    from .regalloc import compile_registers
+    from .vm import compile_term
+
+    code = compile_term(term, semantics, opt_level, metrics=metrics)
+    rcode = None
+    if ir == "register":
+        with phase(metrics, "regalloc"):
+            rcode = compile_registers(code)
+    info = ImageInfo(FORMAT_VERSION, source_hash, opt_level, semantics, static_type, ir)
+    return LoadedImage(code, info, rcode)
+
+
+def cached_compile_source(
+    source_hash: str,
+    front_end,
+    semantics: str = "coercion",
     opt_level: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     ir: str = "stack",
     metrics=None,
 ) -> CacheOutcome:
-    """Compile a λB term through the cache.
+    """The image of one program, through the cache.
 
-    ``source_hash`` identifies the program; when the caller has no source
-    text (the term-level API), the pretty-printed elaborated term stands in
-    — it is deterministic and captures exactly what is compiled.  On a hit
-    the stored image is deserialized (re-interned, ready to run); on a miss
-    — or after deleting a corrupt entry — the term is compiled, stored
-    atomically, and returned without a second round trip through disk.
+    ``front_end()`` returns the program's elaborated λB term and static
+    type; it runs only on a miss, so a hit skips parsing and elaboration
+    too.  On a miss the term is compiled, stored atomically, and returned
+    without a second round trip through disk.  The lookup is
+    :func:`cache_lookup`, which deletes a corrupt entry; the compile that
+    replaces it reports ``recovered`` instead of ``miss``.
 
     ``ir="register"`` caches (and on a hit returns) an image that carries
     the packed register streams too, under its own key.
@@ -207,49 +238,58 @@ def cached_compile(
     ``cache.{hit,miss,recovered,corrupt}`` counters.
     """
     from ..core.faults import current_plan
-    from ..core.pretty import term_to_str
     from ..obs.metrics import phase
-    from .opt import DEFAULT_OPT_LEVEL
-    from .vm import compile_term
 
     if opt_level is None:
         opt_level = DEFAULT_OPT_LEVEL
-    if source_hash is None:
-        source_hash = source_fingerprint(term_to_str(term))
-    path = cache_path(source_hash, opt_level, mediator, cache_dir, ir)
+    path = cache_path(source_hash, opt_level, semantics, cache_dir, ir)
     existed = path.exists()
-    with phase(metrics, "cache"):
-        image = _try_load(path, metrics)
+    image = cache_lookup(source_hash, opt_level, semantics, cache_dir, ir, metrics)
     if image is not None:
-        if metrics is not None:
-            metrics.counter("cache.hit").inc()
         return CacheOutcome(image, "hit", path)
 
+    term, static_type = front_end()
     plan = current_plan()
     if plan is not None:
         # Fault hook `slow_compile`: a compile that stalls (page cache
         # miss, contended CPU) — the serving layer's deadline must cover it.
         plan.delay("slow_compile", 0.1)
-    code = compile_term(term, mediator=mediator, opt_level=opt_level, metrics=metrics)
+    image = compile_image(term, source_hash, static_type, semantics, opt_level, ir, metrics)
     with phase(metrics, "cache"):
         try:
-            save_image(code, path, source_hash=source_hash,
-                       static_type=static_type, ir=ir)
+            save_image(image.code, path, source_hash=source_hash,
+                       static_type=static_type, ir=ir, rcode=image.rcode)
         except OSError:
             pass  # a read-only or full cache degrades to compile-always
-    from .serialize import ImageInfo
-
-    rcode = None
-    if ir == "register":
-        from .regalloc import compile_registers
-
-        with phase(metrics, "regalloc"):
-            rcode = compile_registers(code)
-    info = ImageInfo(FORMAT_VERSION, source_hash, opt_level, mediator, static_type, ir)
     status = "recovered" if existed else "miss"
     if metrics is not None:
         metrics.counter(f"cache.{status}").inc()
-    return CacheOutcome(LoadedImage(code, info, rcode), status, path)
+    return CacheOutcome(image, status, path)
+
+
+def cached_compile(
+    term: Term,
+    source_hash: str | None = None,
+    static_type: Type | None = None,
+    semantics: str = "coercion",
+    opt_level: int | None = None,
+    cache_dir: str | os.PathLike | None = None,
+    ir: str = "stack",
+    metrics=None,
+) -> CacheOutcome:
+    """Compile an elaborated λB term through the cache
+    (:func:`cached_compile_source` with the term already in hand).
+
+    ``source_hash`` identifies the program; when the caller has no source
+    text (the term-level API), the pretty-printed elaborated term stands in
+    — it is deterministic and captures exactly what is compiled.
+    """
+    from ..core.pretty import term_to_str
+
+    if source_hash is None:
+        source_hash = source_fingerprint(term_to_str(term))
+    return cached_compile_source(source_hash, lambda: (term, static_type), semantics,
+                                 opt_level, cache_dir, ir, metrics)
 
 
 def sweep_cache(

@@ -147,7 +147,7 @@ def disassemble_image(image) -> str:
     info = image.info
     lines = [
         f"; gradb image v{info.format_version}",
-        f"; mediator={info.mediator} opt-level={info.opt_level} ir={info.ir}",
+        f"; semantics={info.semantics} opt-level={info.opt_level} ir={info.ir}",
         f"; source-hash={info.source_hash or '-'}",
         f"; type={info.static_type if info.static_type is not None else '-'}",
         "",

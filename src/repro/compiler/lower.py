@@ -227,11 +227,11 @@ def _compile_closure(builder: _CodeBuilder, lam: Lam) -> None:
 
 
 def lower_program(
-    term_s: Term, name: str = "<main>", mediator: str = "coercion"
+    term_s: Term, name: str = "<main>", semantics: str = "coercion"
 ) -> CodeObject:
     """Compile a closed λS term to the entry code object of a program.
 
-    ``mediator`` names the enforcement semantics of the program's mediator
+    ``semantics`` names the enforcement semantics of the program's mediator
     pool (and hence of every ``COERCE``/``COMPOSE`` operand) — any entry of
     the :data:`~repro.semantics.SEMANTICS` registry: interned canonical
     coercions (``"coercion"``, the default), pre-translated interned
@@ -241,9 +241,9 @@ def lower_program(
     """
     from ..semantics import SEMANTICS
 
-    if mediator not in SEMANTICS:
-        raise CompileError(f"unknown mediator backend {mediator!r}")
-    pool = ConstantPool(mediator=mediator)
+    if semantics not in SEMANTICS:
+        raise CompileError(f"unknown semantics {semantics!r}")
+    pool = ConstantPool(semantics=semantics)
     builder = _CodeBuilder(name, pool, free=(), param=None)
     _compile(builder, term_s, tail=True)
     return builder.finish()

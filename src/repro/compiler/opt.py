@@ -27,9 +27,8 @@ surfaced as ``-O``/``--opt-level`` with ``-O2`` the default):
     a threesome pool — so both backends are optimized by the same pass.
 
 ``-O2`` — **peephole superinstructions + inline mediator caches.**
-    Statically adjacent pairs that a dynamic-frequency count (gathered via
-    ``MachineStats``/:func:`hot_pairs` over the ``bench_vm`` workloads)
-    showed hot are fused into the superinstructions of
+    Statically adjacent pairs that a dynamic-frequency count over the
+    ``bench_vm`` workloads showed hot are fused into the superinstructions of
     :data:`repro.compiler.bytecode.SUPERINSTRUCTIONS`, saving a dispatch
     and usually a stack round trip each.  ``-O2`` also allocates the
     per-site inline-cache cells (``CodeObject.caches``) that let the VM's
@@ -223,7 +222,7 @@ def optimize(code: CodeObject, level: int = DEFAULT_OPT_LEVEL) -> CodeObject:
     code.opt_level = level
     if level == 0:
         return code
-    policy = policy_for(code.pool.mediator)
+    policy = policy_for(code.pool.semantics)
     for obj in all_code_objects(code):
         while _elide_and_precompose(obj, policy):
             pass
@@ -232,24 +231,3 @@ def optimize(code: CodeObject, level: int = DEFAULT_OPT_LEVEL) -> CodeObject:
             obj.caches = [None] * len(obj.instructions)
         obj.opt_level = level
     return code
-
-
-# ---------------------------------------------------------------------------
-# The measurement tool behind the superinstruction set
-# ---------------------------------------------------------------------------
-
-
-def hot_pairs(code: CodeObject, fuel: int | None = None) -> list[tuple[tuple[int, int], int]]:
-    """Dynamic frequencies of statically adjacent opcode pairs in one run.
-
-    Runs the program on the VM with pair profiling on (the counts ride on
-    the run's ``MachineStats`` snapshot) and returns ``((op1, op2), count)``
-    sorted hottest first.  This is the measurement that chose the
-    :data:`~repro.compiler.bytecode.SUPERINSTRUCTIONS` set; it stays in the
-    tree so future opcode proposals can be justified the same way.
-    """
-    from .vm import DEFAULT_VM_FUEL, THE_VM
-
-    counts: dict[tuple[int, int], int] = {}
-    THE_VM.run(code, fuel if fuel is not None else DEFAULT_VM_FUEL, pair_counts=counts)
-    return sorted(counts.items(), key=lambda item: item[1], reverse=True)

@@ -155,7 +155,7 @@ class RVM:
         prims = pool.prims
         rcodes = getattr(pool, "rcodes", ())
 
-        policy = policy_for(pool.mediator)
+        policy = policy_for(pool.semantics)
         # The observability hook: fetched once per run, tested with one
         # `is not None` at mediator lifecycle sites only — never on the
         # per-dispatch path — so untraced runs pay ~nothing and traced
@@ -1073,7 +1073,7 @@ THE_RVM = RVM()
 
 
 def compile_term_registers(
-    term_b: Term, mediator: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
+    term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
 ) -> RCode:
     """Compile an elaborated λB term through the full pipeline — translate,
@@ -1085,8 +1085,7 @@ def compile_term_registers(
     from .regalloc import compile_registers
     from .vm import compile_term
 
-    code = compile_term(term_b, mediator=mediator, opt_level=opt_level,
-                        metrics=metrics)
+    code = compile_term(term_b, semantics, opt_level, metrics=metrics)
     with phase(metrics, "regalloc"):
         return compile_registers(code)
 
@@ -1094,12 +1093,12 @@ def compile_term_registers(
 def run_on_rvm(
     term_b: Term,
     fuel: int = DEFAULT_VM_FUEL,
-    mediator: str = "coercion",
+    semantics: str = "coercion",
     opt_level: int = DEFAULT_OPT_LEVEL,
     opcode_counts: dict | None = None,
 ) -> MachineOutcome:
     """Compile a λB term to register code and run it (λS semantics)."""
-    return THE_RVM.run(compile_term_registers(term_b, mediator=mediator, opt_level=opt_level),
+    return THE_RVM.run(compile_term_registers(term_b, semantics, opt_level),
                        fuel, opcode_counts=opcode_counts)
 
 

@@ -8,7 +8,7 @@ versioned binary image::
     │ magic  b"GRADB\\0"                                                │
     │ format version (varint)      — FORMAT_VERSION, checked on load   │
     │ opcode fingerprint (8 bytes) — bytecode.opcode_fingerprint()     │
-    │ provenance: mediator, opt level, source hash, static type        │
+    │ provenance: semantics, opt level, source hash, static type       │
     │ type table     — deduplicated, children before parents           │
     │ label table    — (name, polarity) pairs                          │
     │ const pool     — machine constants and bare types                │
@@ -115,7 +115,7 @@ class ImageInfo:
     format_version: int
     source_hash: str
     opt_level: int
-    mediator: str
+    semantics: str
     static_type: Type | None
     #: Which IR the image carries: ``"stack"`` or ``"register"`` (the latter
     #: includes the stack sections too).
@@ -476,18 +476,18 @@ def _tables_labeled_ref(tables: _Tables, p: LabeledType) -> int:
     return index
 
 
-def _write_mediator(out: bytearray, tables: _Tables, mediator: str, entry: object) -> None:
-    if mediator == "coercion":
+def _write_mediator(out: bytearray, tables: _Tables, semantics: str, entry: object) -> None:
+    if semantics == "coercion":
         if not isinstance(entry, SpaceCoercion):
             raise ImageError(f"coercion pool holds a non-coercion entry: {entry!r}")
         _write_varint(out, _tables_coercion_ref(tables, entry))
-    elif mediator == "threesome":
+    elif semantics == "threesome":
         if not isinstance(entry, Threesome):
             raise ImageError(f"threesome pool holds a non-threesome entry: {entry!r}")
         _write_varint(out, tables.type_ref(entry.source))
         _write_varint(out, _tables_labeled_ref(tables, entry.mid))
         _write_varint(out, tables.type_ref(entry.target))
-    elif mediator == "transient":
+    elif semantics == "transient":
         if not isinstance(entry, TransientCheck):
             raise ImageError(f"transient pool holds a non-check entry: {entry!r}")
         _write_varint(out, len(entry.checks))
@@ -495,12 +495,12 @@ def _write_mediator(out: bytearray, tables: _Tables, mediator: str, entry: objec
             _write_varint(out, tables.type_ref(ground))
             _write_varint(out, tables.label_ref(label))
         _write_opt_label(out, tables, entry.fail)
-    elif mediator == "erasure":
+    elif semantics == "erasure":
         if not isinstance(entry, ErasedMediator):
             raise ImageError(f"erasure pool holds a non-erased entry: {entry!r}")
         # The token carries no data; the entry count alone reconstructs it.
     else:
-        raise ImageError(f"cannot serialize mediator pool for semantics {mediator!r}")
+        raise ImageError(f"cannot serialize mediator pool for semantics {semantics!r}")
 
 
 def _write_const(out: bytearray, tables: _Tables, entry: object) -> None:
@@ -564,6 +564,8 @@ def serialize_image(
     source_hash: str = "",
     static_type: Type | None = None,
     ir: str = "stack",
+    *,
+    rcode: RCode | None = None,
 ) -> bytes:
     """Encode a compiled program as ``.gradb`` image bytes.
 
@@ -572,10 +574,12 @@ def serialize_image(
     and the program's static type, so a loaded image can report
     ``value : type`` without re-elaborating anything.
 
-    ``ir="register"`` additionally runs the register converter and appends a
-    packed register section per code object (plus the register-opcode
-    fingerprint to the header), so the loaded image is directly runnable on
-    the register VM without re-converting.
+    ``ir="register"`` additionally appends a packed register section per
+    code object (plus the register-opcode fingerprint to the header), so the
+    loaded image is directly runnable on the register VM without
+    re-converting.  ``rcode`` is the program's register code when the caller
+    has already converted ``code`` (its children are ``code.pool.rcodes``);
+    otherwise the register converter runs here.
     """
     if ir not in IMAGE_IRS:
         raise ImageError(f"unknown image IR: {ir!r} (expected one of {IMAGE_IRS})")
@@ -590,7 +594,7 @@ def serialize_image(
         _write_const(payload, tables, entry)
     _write_varint(payload, len(pool.coercions))
     for entry in pool.coercions:
-        _write_mediator(payload, tables, pool.mediator, entry)
+        _write_mediator(payload, tables, pool.semantics, entry)
     _write_varint(payload, len(pool.labels))
     for lbl in pool.labels:
         _write_varint(payload, tables.label_ref(lbl))
@@ -602,7 +606,7 @@ def serialize_image(
         _write_code(payload, tables, child)
     _write_code(payload, tables, code)
     if ir == "register":
-        entry_rcode = compile_registers(code)
+        entry_rcode = rcode if rcode is not None else compile_registers(code)
         for child_rcode in pool.rcodes:
             _write_rcode(payload, child_rcode)
         _write_rcode(payload, entry_rcode)
@@ -611,7 +615,7 @@ def serialize_image(
     out.extend(GRADB_MAGIC)
     _write_varint(out, FORMAT_VERSION)
     out.extend(opcode_fingerprint())
-    _write_str(out, pool.mediator)
+    _write_str(out, pool.semantics)
     _write_str(out, ir)
     if ir == "register":
         out.extend(register_fingerprint())
@@ -998,11 +1002,11 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
             "instruction set than this library executes"
         )
 
-    mediator = reader.string()
-    if mediator not in SEMANTICS_NAMES:
+    semantics = reader.string()
+    if semantics not in SEMANTICS_NAMES:
         raise ImageError(
             f"enforcement-semantics mismatch: image carries semantics id "
-            f"{mediator!r}, this library reads {SEMANTICS_NAMES}"
+            f"{semantics!r}, this library reads {SEMANTICS_NAMES}"
         )
     ir = reader.string()
     if ir not in IMAGE_IRS:
@@ -1031,14 +1035,14 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
     # Rebuild the pool.  Constants are appended directly (the VM only ever
     # indexes them); mediators go through add_canonical_mediator so the
     # identity-keyed dedup index is populated exactly as at compile time.
-    pool = ConstantPool(mediator=mediator)
+    pool = ConstantPool(semantics=semantics)
     consts = pool.consts
     for _ in range(reader.varint()):
         consts.append(_read_const(reader, types))
     for index in range(reader.varint()):
-        if mediator == "coercion":
+        if semantics == "coercion":
             entry: object = _table_ref(reader, coercion_nodes, "coercion")
-        elif mediator == "threesome":
+        elif semantics == "threesome":
             source = _table_ref(reader, types, "type")
             mid = _table_ref(reader, labeled_nodes, "labeled type")
             target = _table_ref(reader, types, "type")
@@ -1046,7 +1050,7 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
                 ("3some", id(source), id(mid), id(target)),
                 lambda: Threesome(source, mid, target), intern_threesome,
             )
-        elif mediator == "transient":
+        elif semantics == "transient":
             checks = []
             for _ in range(reader.varint()):
                 ground = _table_ref(reader, types, "type")
@@ -1090,7 +1094,7 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
                 _validate_registers(robj)
     return LoadedImage(
         entry_code,
-        ImageInfo(version, source_hash, opt_level, mediator, static_type, ir),
+        ImageInfo(version, source_hash, opt_level, semantics, static_type, ir),
         entry_rcode,
     )
 
@@ -1164,6 +1168,8 @@ def save_image(
     source_hash: str = "",
     static_type: Type | None = None,
     ir: str = "stack",
+    *,
+    rcode: RCode | None = None,
 ) -> Path:
     """Serialize a compiled program to ``path``, atomically.
 
@@ -1176,11 +1182,14 @@ def save_image(
     *without* the atomic rename — simulating a crash mid-``os.replace`` on a
     filesystem that does not order the data and rename.  The cache's
     recovery path must treat the result as corrupt and recompile.
+
+    ``rcode`` is passed through to :func:`serialize_image`.
     """
     from ..core.faults import current_plan
 
     path = Path(path)
-    data = serialize_image(code, source_hash=source_hash, static_type=static_type, ir=ir)
+    data = serialize_image(code, source_hash=source_hash, static_type=static_type, ir=ir,
+                           rcode=rcode)
     path.parent.mkdir(parents=True, exist_ok=True)
     plan = current_plan()
     if plan is not None and plan.fires("torn_write"):

@@ -52,9 +52,9 @@ mirroring ``run_on_machine``.
 
 The enforcement *semantics* is pluggable (the
 :data:`~repro.semantics.SEMANTICS` registry, selected by the constant
-pool's ``mediator`` field): Natural via canonical coercions merged with the
+pool's ``semantics`` field): Natural via canonical coercions merged with the
 memoised ``#`` (the default), Natural via threesomes merged with ``∘``
-(``compile_term(term, mediator="threesome")``), Transient's shallow tag
+(``compile_term(term, "threesome")``), Transient's shallow tag
 checks, or Erasure's no-ops.  Every backend is a
 :class:`~repro.machine.policy.MediationPolicy` shared with the CEK machine,
 so the space discipline above is representation-independent — asserted end
@@ -194,19 +194,12 @@ class VM:
         self,
         code: CodeObject,
         fuel: int = DEFAULT_VM_FUEL,
-        pair_counts: dict | None = None,
         opcode_counts: dict | None = None,
     ) -> MachineOutcome:
         stats = MachineStats()
-        profile = pair_counts is not None
-        if profile:
-            stats.opcode_pairs = pair_counts
         counts = opcode_counts
         if counts is not None:
             stats.opcode_counts = counts
-        prev_insns = None
-        prev_pc = -2
-        prev_op = -1
         pool = code.pool
         consts = pool.consts
         coercions = pool.coercions
@@ -216,7 +209,7 @@ class VM:
 
         # The pool declares which enforcement semantics its entries use;
         # hoist that backend's policy methods into loop locals.
-        policy = policy_for(pool.mediator)
+        policy = policy_for(pool.semantics)
         # The observability hook: fetched once per run, tested with a single
         # `is not None` at mediator lifecycle sites only — never on the
         # per-dispatch path — so untraced runs pay ~nothing and the tracer
@@ -254,13 +247,6 @@ class VM:
                 op, operand = insns[pc]
                 if counts is not None:
                     counts[op] = counts.get(op, 0) + 1
-                if profile:
-                    # Count *statically adjacent* dynamic pairs only: those
-                    # are the pairs a peephole pass could fuse.
-                    if insns is prev_insns and pc == prev_pc + 1:
-                        pair = (prev_op, op)
-                        pair_counts[pair] = pair_counts.get(pair, 0) + 1
-                    prev_insns, prev_pc, prev_op = insns, pc, op
                 pc += 1
 
                 if op == LOAD:
@@ -683,15 +669,16 @@ THE_VM = VM()
 
 
 def compile_term(
-    term_b: Term, mediator: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
+    term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
 ) -> CodeObject:
     """Compile an elaborated λB term: translate ``|·|BC`` then ``|·|CS``, lower,
     optimize.
 
-    ``mediator`` picks the pool representation the VM will execute —
-    ``"coercion"`` (canonical coercions, ``#``) or ``"threesome"`` (labeled
-    types, ``∘``); ``opt_level`` is the ``-O`` level (0 none, 1 static
+    ``semantics`` picks the enforcement semantics, and so the pool
+    representation the VM will execute (any entry of the
+    :data:`~repro.semantics.SEMANTICS` registry); ``opt_level`` is the
+    ``-O`` level (0 none, 1 static
     mediator elision/pre-composition, 2 — the default — superinstructions
     and inline caches too; see :mod:`repro.compiler.opt`).  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) gets the ``lower`` (which
@@ -702,7 +689,7 @@ def compile_term(
     from .lower import lower_program
 
     with phase(metrics, "lower"):
-        code = lower_program(c_to_s(b_to_c(term_b)), mediator=mediator)
+        code = lower_program(c_to_s(b_to_c(term_b)), "<main>", semantics)
     with phase(metrics, "optimize"):
         return optimize(code, opt_level)
 
@@ -710,12 +697,12 @@ def compile_term(
 def run_on_vm(
     term_b: Term,
     fuel: int = DEFAULT_VM_FUEL,
-    mediator: str = "coercion",
+    semantics: str = "coercion",
     opt_level: int = DEFAULT_OPT_LEVEL,
     opcode_counts: dict | None = None,
 ) -> MachineOutcome:
     """Compile a λB term to bytecode and run it on the VM (λS semantics)."""
-    return THE_VM.run(compile_term(term_b, mediator=mediator, opt_level=opt_level),
+    return THE_VM.run(compile_term(term_b, semantics, opt_level),
                       fuel, opcode_counts=opcode_counts)
 
 

@@ -7,7 +7,7 @@ a CLI default, an engine default, and an oracle default disagreeing means
 the same program "times out" after different amounts of work depending on
 which entry point ran it.  All defaults now live here and are imported
 everywhere (``repro.compiler.vm``, ``repro.machine.cek``,
-``repro.surface.interp``, the reducers), so changing a budget is a one-line
+``repro.api``, the reducers), so changing a budget is a one-line
 edit with one observable meaning.
 
 The budgets are deliberately different numbers: a VM instruction is much

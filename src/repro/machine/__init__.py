@@ -47,32 +47,16 @@ MACHINE_S = CEKMachine(SPACE_POLICY)
 MACHINES = {"B": MACHINE_B, "C": MACHINE_C, "S": MACHINE_S}
 
 
-def __getattr__(name: str):
-    # Backed by the enforcement-semantics registry, resolved lazily: the
-    # registry imports this package's submodules, so a top-level import here
-    # would be circular.  ``MACHINE_S_THREESOME`` and ``MEDIATORS`` remain
-    # importable for compatibility, but the registry is the source of truth.
-    if name == "MACHINE_S_THREESOME":
-        from ..semantics import SEMANTICS
-
-        return SEMANTICS["threesome"].machine
-    if name == "MEDIATORS":
-        from ..semantics import NATURAL_SEMANTICS_NAMES
-
-        return NATURAL_SEMANTICS_NAMES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def run_on_machine(
     term_b: Term,
     calculus: str = "S",
     fuel: int = DEFAULT_MACHINE_FUEL,
-    mediator: str = "coercion",
+    semantics: str = "coercion",
 ) -> MachineOutcome:
     """Run a λB term on the machine of the chosen calculus.
 
     The term is translated with ``|·|BC`` (and ``|·|CS``) as required; pass
-    ``"B"`` to run the casts directly.  ``mediator`` names the enforcement
+    ``"B"`` to run the casts directly.  ``semantics`` names the enforcement
     semantics of the λS machine — any entry of the
     :data:`~repro.semantics.SEMANTICS` registry (``"coercion"`` the Natural
     default, ``"threesome"``, ``"transient"``, ``"erasure"``); λB and λC
@@ -81,10 +65,10 @@ def run_on_machine(
     from ..semantics import resolve
 
     calculus = calculus.upper()
-    semantics = resolve(mediator)
-    if mediator != "coercion" and calculus != "S":
+    entry = resolve(semantics)
+    if semantics != "coercion" and calculus != "S":
         raise UsageError(
-            f"the {mediator!r} enforcement semantics implements λS only "
+            f"the {semantics!r} enforcement semantics implements λS only "
             f"(requested calculus {calculus!r})"
         )
     if calculus == "B":
@@ -93,7 +77,7 @@ def run_on_machine(
     if calculus == "C":
         return MACHINE_C.run(term_c, fuel)
     if calculus == "S":
-        return semantics.machine.run(c_to_s(term_c), fuel)
+        return entry.machine.run(c_to_s(term_c), fuel)
     raise ValueError(f"unknown calculus {calculus!r}; expected 'B', 'C', or 'S'")
 
 
@@ -115,9 +99,7 @@ __all__ = [
     "MACHINE_B",
     "MACHINE_C",
     "MACHINE_S",
-    "MACHINE_S_THREESOME",
     "MACHINES",
-    "MEDIATORS",
     "run_on_machine",
     "Environment",
     "MachineValue",

@@ -32,10 +32,6 @@ class MachineStats:
     pending_size: int = field(default=0, repr=False)
     merges: int = 0
     mediator_applications: int = 0
-    #: Dynamic frequencies of statically adjacent opcode pairs, filled only
-    #: when the VM runs with pair profiling on (``(op1, op2) -> count``).
-    #: This is the measurement behind the optimizer's superinstruction set.
-    opcode_pairs: dict | None = field(default=None, repr=False)
     #: Per-opcode dispatch counts (``op -> count``), filled only when a VM
     #: runs with ``--profile`` on.  Keys are opcode numbers of the running
     #: IR (stack or register); the CLI maps them to names before printing.
@@ -83,8 +79,6 @@ class MachineStats:
             "merges": self.merges,
             "mediator_applications": self.mediator_applications,
         }
-        if self.opcode_pairs is not None:
-            result["opcode_pairs"] = dict(self.opcode_pairs)
         if self.inline_caches or self.cache_hits or self.cache_misses:
             result["cache_hits"] = self.cache_hits
             result["cache_misses"] = self.cache_misses

@@ -1,7 +1,7 @@
 """The metrics registry: counters, gauges, histograms, and phase timers.
 
 This is the structured replacement for ad-hoc stderr dumps: the pipeline
-(``run_source``/``run_term``), the compile cache, the batch runner, and the
+(:func:`repro.api.run`), the compile cache, the batch runner, and the
 CLI's ``--profile``/``--metrics`` all record into one
 :class:`MetricsRegistry` and export one JSON-ready snapshot.
 

@@ -21,11 +21,12 @@ event carries a small integer reference.
 
 Usage::
 
+    from repro.api import run
     from repro.obs import ListSink, tracing
 
     sink = ListSink()
     with tracing(sink):
-        result = run_source(source, engine="rvm")
+        result = run(source, engine="rvm")
     events = sink.events
 
 This module must stay importable by the engines without a cycle: nothing

@@ -473,8 +473,8 @@ def check_mediator_oracle(
     def steps(outcome) -> int:
         return (outcome.stats or {}).get("steps", 0)
 
-    coercion_m = run_on_machine(term_b, "S", machine_fuel, mediator="coercion")
-    threesome_m = run_on_machine(term_b, "S", machine_fuel, mediator="threesome")
+    coercion_m = run_on_machine(term_b, "S", machine_fuel, semantics="coercion")
+    threesome_m = run_on_machine(term_b, "S", machine_fuel, semantics="threesome")
     report = _compare_outcomes(
         coercion_m, threesome_m, steps(coercion_m), steps(threesome_m),
         "machine/coercion", "machine/threesome", term_b, strict_timeouts=True,
@@ -491,8 +491,8 @@ def check_mediator_oracle(
     if not check_vm:
         return report
 
-    coercion_v = run_on_vm(term_b, vm_fuel, mediator="coercion")
-    threesome_v = run_on_vm(term_b, vm_fuel, mediator="threesome")
+    coercion_v = run_on_vm(term_b, vm_fuel, semantics="coercion")
+    threesome_v = run_on_vm(term_b, vm_fuel, semantics="threesome")
     report = _compare_outcomes(
         coercion_v, threesome_v, steps(coercion_v), steps(threesome_v),
         "VM/coercion", "VM/threesome", term_b, strict_timeouts=True,
@@ -509,7 +509,7 @@ def check_mediator_oracle(
     # -O0 against -O2, per backend (the optimized stream takes fewer steps,
     # so a one-sided timeout is inconclusive rather than a failure).
     for backend, optimized in (("coercion", coercion_v), ("threesome", threesome_v)):
-        unopt = run_on_vm(term_b, vm_fuel, mediator=backend, opt_level=0)
+        unopt = run_on_vm(term_b, vm_fuel, semantics=backend, opt_level=0)
         report = _compare_outcomes(
             optimized, unopt, steps(optimized), steps(unopt),
             f"VM/{backend}/-O2", f"VM/{backend}/-O0", term_b, strict_timeouts=False,
@@ -526,8 +526,8 @@ def check_mediator_oracle(
     if check_rvm:
         from ..compiler import run_on_rvm
 
-        coercion_r = run_on_rvm(term_b, vm_fuel, mediator="coercion")
-        threesome_r = run_on_rvm(term_b, vm_fuel, mediator="threesome")
+        coercion_r = run_on_rvm(term_b, vm_fuel, semantics="coercion")
+        threesome_r = run_on_rvm(term_b, vm_fuel, semantics="threesome")
         report = _compare_outcomes(
             coercion_r, threesome_r, steps(coercion_r), steps(threesome_r),
             "rVM/coercion", "rVM/threesome", term_b, strict_timeouts=True,
@@ -636,7 +636,7 @@ def check_mediator_oracle(
     for backend in ("transient", "erasure"):
         sem = SEMANTICS[backend]
         outcome_m = run_lenient(
-            lambda: run_on_machine(term_b, "S", machine_fuel, mediator=backend))
+            lambda: run_on_machine(term_b, "S", machine_fuel, semantics=backend))
         failure = check_against_natural(sem, outcome_m, coercion_m,
                                         f"machine/{backend}", "machine/coercion")
         if failure is not None:
@@ -644,7 +644,7 @@ def check_mediator_oracle(
         if not check_vm:
             continue
         outcome_v = run_lenient(
-            lambda: run_on_vm(term_b, vm_fuel, mediator=backend))
+            lambda: run_on_vm(term_b, vm_fuel, semantics=backend))
         failure = check_against_natural(sem, outcome_v, coercion_v,
                                         f"VM/{backend}", "VM/coercion")
         if failure is not None:
@@ -655,7 +655,7 @@ def check_mediator_oracle(
         # held to the Natural baseline on its own instead — elision moves
         # *where* an unguarded fault surfaces, so levels are not compared.
         unopt = run_lenient(
-            lambda: run_on_vm(term_b, vm_fuel, mediator=backend, opt_level=0))
+            lambda: run_on_vm(term_b, vm_fuel, semantics=backend, opt_level=0))
         failure = check_against_natural(sem, unopt, coercion_v,
                                         f"VM/{backend}/-O0", "VM/coercion")
         if failure is not None:
@@ -681,7 +681,7 @@ def check_mediator_oracle(
             from ..compiler import run_on_rvm
 
             outcome_r = run_lenient(
-                lambda: run_on_rvm(term_b, vm_fuel, mediator=backend))
+                lambda: run_on_rvm(term_b, vm_fuel, semantics=backend))
             failure = check_against_natural(sem, outcome_r, coercion_r,
                                             f"rVM/{backend}", "rVM/coercion")
             if failure is not None:

@@ -141,7 +141,7 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
 #: All semantics names, in registry order.
 SEMANTICS_NAMES: tuple[str, ...] = tuple(SEMANTICS)
 
-#: The Natural (λS-observable) subset — the historical ``MEDIATORS`` pair.
+#: The Natural (λS-observable) subset: coercions and threesomes.
 NATURAL_SEMANTICS_NAMES: tuple[str, ...] = tuple(
     name for name, sem in SEMANTICS.items() if sem.natural
 )
@@ -152,7 +152,7 @@ def resolve(name: str) -> EnforcementSemantics:
     sem = SEMANTICS.get(name)
     if sem is None:
         raise UsageError(
-            f"unknown mediator/semantics {name!r}; expected one of {SEMANTICS_NAMES}"
+            f"unknown semantics {name!r}; expected one of {SEMANTICS_NAMES}"
         )
     return sem
 

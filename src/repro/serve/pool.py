@@ -113,7 +113,8 @@ def _obtain_image(job: dict, memo: dict):
     cache), or ``"off"`` (caching disabled).  Raises ``ReproError`` for
     front-end failures and unknown hashes.
     """
-    from ..compiler.cache import cache_lookup, cached_compile
+    from ..api import IR_FOR_ENGINE
+    from ..compiler.cache import cached_compile_source, compile_image
     from ..compiler.serialize import source_fingerprint
     from ..core.errors import ReproError
     from ..surface.interp import compile_source
@@ -121,7 +122,7 @@ def _obtain_image(job: dict, memo: dict):
     source = job.get("source")
     semantics = job["semantics"]
     opt_level = job["opt_level"]
-    ir = "register" if job["engine"] == "rvm" else "stack"
+    ir = IR_FOR_ENGINE[job["engine"]]
     source_hash = job.get("source_hash")
     if source_hash is None:
         source_hash = source_fingerprint(source)
@@ -130,40 +131,22 @@ def _obtain_image(job: dict, memo: dict):
     if image is not None:
         return image, "warm"
 
-    use_cache = job.get("use_cache", True)
-    cache_dir = job.get("cache_dir")
-    status = None
-    if use_cache:
-        image = cache_lookup(source_hash, opt_level, semantics, cache_dir, ir)
-        if image is not None:
-            status = "hit"
-    if image is None:
+    def front_end():
         if source is None:
             raise ReproError(
                 f"source_hash {source_hash[:12]}… is not in the compile cache "
                 "and the request carried no source"
             )
-        term, ty = compile_source(source)
-        if use_cache:
-            found = cached_compile(
-                term, source_hash=source_hash, static_type=ty,
-                mediator=semantics, opt_level=opt_level,
-                cache_dir=cache_dir, ir=ir,
-            )
-            image, status = found.image, found.status
-        else:
-            from ..compiler.serialize import FORMAT_VERSION, ImageInfo, LoadedImage
-            from ..compiler.vm import compile_term
+        return compile_source(source)
 
-            code = compile_term(term, mediator=semantics, opt_level=opt_level)
-            rcode = None
-            if ir == "register":
-                from ..compiler.regalloc import compile_registers
-
-                rcode = compile_registers(code)
-            info = ImageInfo(FORMAT_VERSION, source_hash, opt_level, semantics, ty, ir)
-            image = LoadedImage(code, info, rcode)
-            status = "off"
+    if job.get("use_cache", True):
+        found = cached_compile_source(source_hash, front_end, semantics, opt_level,
+                                      job.get("cache_dir"), ir)
+        image, status = found.image, found.status
+    else:
+        term, ty = front_end()
+        image = compile_image(term, source_hash, ty, semantics, opt_level, ir)
+        status = "off"
 
     if len(memo) >= _IMAGE_MEMO_CAP:
         memo.pop(next(iter(memo)))
@@ -171,38 +154,36 @@ def _obtain_image(job: dict, memo: dict):
     return image, status
 
 
-def _run_image(image, engine: str, fuel: int | None) -> dict:
+def _run_image(image, fuel: int | None) -> dict:
     """Execute a loaded image and shape the batch-runner result fields."""
-    from ..core.fuel import DEFAULT_RVM_FUEL, DEFAULT_VM_FUEL
+    from ..api import run_image
 
     started = time.perf_counter()
-    if engine == "rvm":
-        from ..compiler.rvm import run_rcode
-
-        outcome = run_rcode(image.rcode, fuel if fuel is not None else DEFAULT_RVM_FUEL)
-    else:
-        from ..compiler.vm import run_code
-
-        outcome = run_code(image.code, fuel if fuel is not None else DEFAULT_VM_FUEL)
+    result = run_image(image, fuel)
     finished = time.perf_counter()
-    stats = outcome.stats or {}
-    result = {
-        "kind": outcome.kind,
-        "steps": stats.get("steps", 0),
-        "max_pending_mediators": stats.get("max_pending_mediators", 0),
+    fields = {
+        "kind": result.kind,
+        "steps": result.steps,
+        "max_pending_mediators": (result.space_stats or {}).get("max_pending_mediators", 0),
         "run_s": finished - started,
     }
-    if outcome.is_value:
-        result["value"] = outcome.python_value()
-        if image.info.static_type is not None:
-            result["type"] = str(image.info.static_type)
-    elif outcome.is_blame:
-        result["blame"] = str(outcome.label)
-    return result
+    if result.is_value:
+        fields["value"] = result.value
+        if result.type is not None:
+            fields["type"] = str(result.type)
+    elif result.is_blame:
+        fields["blame"] = str(result.blame_label)
+    return fields
 
 
-def _handle_job(job: dict, memo: dict) -> dict:
-    """One job to one result dict, inside the worker."""
+def handle_job(job: dict, memo: dict) -> dict:
+    """One job to one result dict: what a worker does with each job it
+    receives (and what the batch runner's inline mode does in-process).
+
+    ``run_image`` jobs carry serialized image bytes; ``run_source`` jobs
+    carry source text or a cache address (see :func:`_obtain_image`).
+    ``memo`` is the worker's hot-image memo.
+    """
     from ..core.errors import ReproError
 
     op = job.get("op")
@@ -216,7 +197,7 @@ def _handle_job(job: dict, memo: dict) -> dict:
             except ReproError as exc:
                 return {"kind": "error", "error": str(exc)}
             loaded = time.perf_counter()
-            result = _run_image(image, job.get("engine", "vm"), job.get("fuel"))
+            result = _run_image(image, job.get("fuel"))
         result["load_s"] = loaded - started
         return result
     if op == "run_source":
@@ -227,7 +208,7 @@ def _handle_job(job: dict, memo: dict) -> dict:
             except ReproError as exc:
                 return {"kind": "error", "error": str(exc), "cache": None}
             loaded = time.perf_counter()
-            result = _run_image(image, job["engine"], job.get("fuel"))
+            result = _run_image(image, job.get("fuel"))
         result["cache"] = status
         result["compile_s"] = loaded - started
         return result
@@ -257,7 +238,7 @@ def _worker_main(conn, slot: int, faults_spec: str, seed: int) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
         served += 1
         try:
-            result = _handle_job(job, memo)
+            result = handle_job(job, memo)
         except _DeadlineExceeded:
             result = {
                 "kind": "timeout",

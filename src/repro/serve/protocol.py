@@ -88,7 +88,10 @@ def normalize_run_request(obj: dict, defaults: dict) -> dict:
     engine = obj.get("engine", defaults["engine"])
     if engine not in SERVE_ENGINES:
         raise ValueError(f"unknown engine {engine!r} (expected one of {SERVE_ENGINES})")
-    semantics = obj.get("semantics", obj.get("mediator", defaults["semantics"]))
+    if "mediator" in obj:
+        raise ValueError("unknown request field 'mediator'; name the enforcement "
+                         "semantics with 'semantics'")
+    semantics = obj.get("semantics", defaults["semantics"])
     opt_level = obj.get("opt_level", defaults["opt_level"])
     if not isinstance(opt_level, int) or isinstance(opt_level, bool):
         raise ValueError(f"opt_level must be 0, 1, or 2, got {opt_level!r}")

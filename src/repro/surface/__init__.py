@@ -26,7 +26,7 @@ from .cast_insertion import (
     insert_casts,
 )
 from .consistency import branch_join, consistent, fun_match, prod_match
-from .interp import RunResult, compile_source, run_source, run_term
+from .interp import compile_source
 from .parser import parse, parse_program, parse_type
 from .typecheck import (
     static_errors,
@@ -61,10 +61,7 @@ __all__ = [
     "consistent",
     "fun_match",
     "prod_match",
-    "RunResult",
     "compile_source",
-    "run_source",
-    "run_term",
     "parse",
     "parse_program",
     "parse_type",

@@ -1,63 +1,14 @@
-"""Run surface programs end to end: parse → type check → insert casts → evaluate.
+"""The surface front end as one call: parse → type check → insert casts.
 
-Three engines share one result type:
-
-* ``engine="vm"`` — the **bytecode VM** (:mod:`repro.compiler`): elaborated
-  terms are lowered to a flat instruction stream with pre-interned coercions,
-  optimized (``opt_level``: identity elision, static pre-composition with
-  ``#``/``∘``, peephole superinstructions and inline mediator caches at the
-  default ``-O2``), and executed by an integer-dispatch loop whose single
-  pending-coercion slot per frame preserves λS's space guarantee.  λS only;
-  the fastest engine.
-* ``engine="machine"`` (default) — the CEK machine (:mod:`repro.machine`):
-  interned types and coercions, memoised ``#``, available for all three
-  calculi, and the *oracle for the VM*.
-* ``engine="subst"`` — the paper-faithful substitution reducers (the literal
-  reduction rules of Figures 1, 3 and 5), the reference oracle for both.
-
-Fuel exhaustion is reported **uniformly**: every engine yields
-``RunResult(kind="timeout", steps=<fuel spent>)`` — the same outcome type
-with the engine's step count, never an engine-specific exception or value.
-(The step *units* differ by engine: machine transitions, VM instructions,
-reduction steps.)
-
-Backends are therefore a triple of knobs:
-
-* ``calculus`` — ``"B"``, ``"C"``, or ``"S"``: which calculus the elaborated
-  program is translated into (the VM supports ``"S"`` only);
-* ``engine`` — ``"vm"``, ``"rvm"``, ``"machine"`` (default), or ``"subst"``;
-* ``semantics`` — the *enforcement semantics* the λS machine and the VMs
-  run casts under, any entry of the :data:`~repro.semantics.SEMANTICS`
-  registry: ``"coercion"`` (default, Natural via canonical coercions merged
-  with ``#``), ``"threesome"`` (Natural via labeled types, §6.1, merged
-  with ``∘``), ``"transient"`` (shallow tag checks; blame may diverge from
-  Natural), or ``"erasure"`` (no enforcement, never blames).  The two
-  Natural backends are observationally equivalent
-  (``check_mediator_oracle``); the substitution oracle reduces coercion
-  terms literally and supports only ``"coercion"``.
-
-.. deprecated::
-   :func:`run_source` and :func:`run_term` survive as thin kwarg shims over
-   :func:`repro.api.run`; new code should build a
-   :class:`repro.api.RunConfig` and call ``repro.api.run`` directly.  The
-   legacy ``mediator=`` kwarg warns (via
-   :func:`repro.api.reconcile_semantics`, the single deprecation site) —
-   spell the axis ``semantics=``.
+:func:`compile_source` turns program text into the closed λB term and static
+type that every engine starts from.  Running the result is
+:func:`repro.api.run`'s job: build a :class:`repro.api.RunConfig` (engine,
+calculus, enforcement semantics, ``-O`` level, fuel, cache) and pass the
+source or the term to it.
 """
 
 from __future__ import annotations
 
-from ..api import (  # noqa: F401  (re-exported: the historical home of these names)
-    DEFAULT_FUEL,
-    ENGINES,
-    VM_ENGINES,
-    RunConfig,
-    RunResult,
-    _from_machine_outcome,
-    reconcile_semantics,
-)
-from ..api import run as _api_run
-from ..compiler.opt import DEFAULT_OPT_LEVEL
 from ..core.terms import Term
 from ..core.types import Type
 from ..obs.metrics import phase
@@ -76,98 +27,3 @@ def compile_source(source: str, metrics=None) -> tuple[Term, Type]:
         program = parse_program(source)
     with phase(metrics, "elaborate"):
         return elaborate_program(program)
-
-
-def _resolve_engine(engine: str | None, use_machine: bool | None) -> str:
-    if use_machine is not None:  # legacy knob, kept for compatibility
-        return "machine" if use_machine else "subst"
-    resolved = engine or "machine"
-    if resolved not in ENGINES:
-        raise ValueError(f"unknown engine {resolved!r}; expected one of {ENGINES}")
-    return resolved
-
-
-def run_source(
-    source: str,
-    calculus: str = "S",
-    use_machine: bool | None = None,
-    fuel: int | None = None,
-    engine: str = "machine",
-    mediator: str | None = None,
-    opt_level: int = DEFAULT_OPT_LEVEL,
-    cache: bool = False,
-    cache_dir: str | None = None,
-    opcode_counts: dict | None = None,
-    metrics=None,
-    semantics: str | None = None,
-) -> RunResult:
-    """Run a surface program and report its outcome.
-
-    .. deprecated:: kwarg shim over :func:`repro.api.run` — new code should
-       pass a :class:`repro.api.RunConfig`.  ``mediator=`` (deprecated)
-       warns and is reconciled into ``semantics=`` at the single shim site.
-
-    With ``cache=True`` (vm/rvm engines only) the compiled bytecode image is
-    looked up in — and stored to — the on-disk compile cache
-    (:mod:`repro.compiler.cache`), keyed on the *source text*: a warm run
-    deserializes the ``.gradb`` image and skips parsing, type checking,
-    elaboration, lowering, and optimization entirely.  ``opcode_counts``
-    (vm/rvm engines) is an optional dict the run fills with per-opcode
-    dispatch counts; ``metrics`` collects per-phase pipeline timings and
-    outcome counters.
-    """
-    resolved_semantics = reconcile_semantics(semantics, mediator) or "coercion"
-    return _api_run(
-        source,
-        engine=_resolve_engine(engine, use_machine),
-        semantics=resolved_semantics,
-        calculus=calculus,
-        fuel=fuel,
-        opt_level=opt_level,
-        cache=cache,
-        cache_dir=cache_dir,
-        metrics=metrics,
-        opcode_counts=opcode_counts,
-    )
-
-
-def run_term(
-    term: Term,
-    ty: Type | None = None,
-    calculus: str = "S",
-    use_machine: bool | None = None,
-    fuel: int | None = None,
-    engine: str = "machine",
-    mediator: str | None = None,
-    opt_level: int = DEFAULT_OPT_LEVEL,
-    cache: bool = False,
-    cache_dir: str | None = None,
-    source_hash: str | None = None,
-    opcode_counts: dict | None = None,
-    metrics=None,
-    semantics: str | None = None,
-) -> RunResult:
-    """Run an elaborated λB term on the chosen calculus, engine, and
-    enforcement semantics.
-
-    .. deprecated:: kwarg shim over :func:`repro.api.run` — new code should
-       pass a :class:`repro.api.RunConfig`.  ``semantics`` overrides the
-       legacy ``mediator`` spelling when both are given; ``mediator=``
-       warns from the single shim site
-       (:func:`repro.api.reconcile_semantics`).
-    """
-    resolved_semantics = reconcile_semantics(semantics, mediator) or "coercion"
-    return _api_run(
-        term,
-        engine=_resolve_engine(engine, use_machine),
-        semantics=resolved_semantics,
-        calculus=calculus,
-        fuel=fuel,
-        opt_level=opt_level,
-        cache=cache,
-        cache_dir=cache_dir,
-        metrics=metrics,
-        type=ty,
-        source_hash=source_hash,
-        opcode_counts=opcode_counts,
-    )

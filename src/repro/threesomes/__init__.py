@@ -3,7 +3,7 @@
 Originally the §6.1 baseline (representation + composition, validated against
 λS's ``#``); :mod:`repro.threesomes.runtime` additionally makes threesomes a
 first-class *runtime* mediator backend for the CEK machine and the bytecode
-VM (``mediator="threesome"``), interned and memoised exactly like canonical
+VM (``semantics="threesome"``), interned and memoised exactly like canonical
 coercions.
 """
 

@@ -2,15 +2,12 @@
 
 Every entrypoint (CLI run, batch, serve, experiment driver) resolves its
 knobs through :func:`repro.api.resolve_config` and executes through
-:func:`repro.api.run`; the old keyword entrypoints survive as deprecating
-shims.  These tests pin the resolution rules, the one-site ``mediator=``
-deprecation, and the result metadata (``RunResult.config`` /
-``cache_status``).
+:func:`repro.api.run`.  These tests pin the resolution rules, the result
+metadata (``RunResult.config`` / ``semantics`` / ``cache_status``), and the
+rejection of the retired ``mediator`` spelling at the wire protocol.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -18,7 +15,6 @@ from repro.api import (
     DEFAULT_FUEL,
     RunConfig,
     RunResult,
-    reconcile_semantics,
     resolve_config,
     run,
 )
@@ -84,50 +80,13 @@ class TestResolveConfig:
 
         json.dumps(resolve_config(engine="vm").describe())
 
-
-class TestMediatorShim:
-    def test_mediator_alone_warns_and_wins(self):
-        with pytest.warns(DeprecationWarning, match="mediator= is deprecated"):
-            assert reconcile_semantics(None, "threesome") == "threesome"
-
-    def test_semantics_alone_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert reconcile_semantics("transient", None) == "transient"
-
-    def test_neither_returns_none(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert reconcile_semantics(None, None) is None
-
-    def test_conflict_prefers_semantics(self):
-        with pytest.warns(DeprecationWarning):
-            assert reconcile_semantics("coercion", "threesome") == "coercion"
-
-    def test_conflict_mode_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(UsageError, match="contradicts"):
-                reconcile_semantics("coercion", "threesome", conflict="error")
-
-    def test_run_source_shim_warns_once(self):
-        from repro.surface.interp import run_source
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run_source(SQUARE, engine="vm", mediator="threesome")
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert result.is_value and result.value == 36
-        assert result.semantics == "threesome"
-
-    def test_run_source_without_mediator_is_silent(self):
-        from repro.surface.interp import run_source
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = run_source(SQUARE, engine="vm", semantics="coercion")
-        assert result.is_value and result.value == 36
+    def test_none_overrides_use_the_defaults(self):
+        assert resolve_config(opt_level=None, semantics=None) == resolve_config()
+        cfg = resolve_config(RunConfig(engine="vm", semantics="threesome"),
+                             semantics=None, opt_level=None, fuel=None, calculus=None)
+        assert cfg.semantics == "threesome"
+        assert cfg.opt_level == 2
+        assert cfg.fuel == DEFAULT_FUEL["vm"]
 
 
 class TestRun:
@@ -176,6 +135,32 @@ class TestRun:
         }
         assert set(values.values()) == {36}
 
+    @pytest.mark.parametrize("engine", ["vm", "rvm", "machine", "subst"])
+    def test_semantics_round_trips_on_every_engine(self, engine):
+        names = ["coercion"] if engine == "subst" else ["coercion", "threesome",
+                                                        "transient", "erasure"]
+        for semantics in names:
+            result = run(SQUARE, RunConfig(engine=engine, semantics=semantics))
+            assert result.semantics == semantics == result.config.semantics
+            assert result.is_value and result.value == 36
+
+    @pytest.mark.parametrize("engine", ["vm", "rvm"])
+    def test_corrupt_cache_entry_is_recovered(self, engine, tmp_path):
+        from repro.compiler.cache import cache_path
+        from repro.compiler.serialize import source_fingerprint
+
+        cfg = RunConfig(engine=engine, cache=True, cache_dir=str(tmp_path))
+        assert run(SQUARE, cfg).cache_status == "miss"
+        entry = cache_path(source_fingerprint(SQUARE), 2, "coercion", tmp_path,
+                           resolve_config(cfg).ir)
+        data = bytearray(entry.read_bytes())
+        data[-1] ^= 0xFF  # break the CRC trailer
+        entry.write_bytes(bytes(data))
+        recovered = run(SQUARE, cfg)
+        assert recovered.cache_status == "recovered"
+        assert recovered.is_value and recovered.value == 36
+        assert run(SQUARE, cfg).cache_status == "hit"
+
 
 class TestServeValidationSharesPath:
     def test_bad_semantics_rejected(self):
@@ -191,7 +176,7 @@ class TestServeValidationSharesPath:
                 {"source": SQUARE, "semantics": "laissez-faire"}, defaults
             )
 
-    def test_legacy_mediator_key_still_accepted(self):
+    def test_legacy_mediator_key_is_rejected(self):
         from repro.serve.protocol import normalize_run_request
 
         defaults = {
@@ -199,7 +184,7 @@ class TestServeValidationSharesPath:
             "fuel": None, "deadline_s": None, "cache_dir": None,
             "use_cache": False,
         }
-        job = normalize_run_request(
-            {"source": SQUARE, "mediator": "threesome"}, defaults
-        )
-        assert job["semantics"] == "threesome"
+        with pytest.raises(ValueError, match="'semantics'"):
+            normalize_run_request(
+                {"source": SQUARE, "mediator": "threesome"}, defaults
+            )

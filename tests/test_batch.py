@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RunConfig
 from repro.batch import aggregate_results, discover_programs, run_batch
 from repro.cli import main
 
@@ -14,6 +15,12 @@ SQUARE = "(define (square [x : int]) : int (* x x))\n(square (: 6 ?))\n"
 BLAME = "(define lib : ? (lambda (x) #t))\n(+ 1 ((: lib (-> int int)) 3))\n"
 SPIN = "(define (spin [n : int]) : int (spin n))\n(spin 0)\n"
 ILL_TYPED = "(+ 1 #t)\n"
+
+
+def vm_config(tmp_path: Path) -> RunConfig:
+    """The batch default (vm engine, through the cache) with a short fuel
+    budget and a private cache directory."""
+    return RunConfig(engine="vm", fuel=5_000, cache=True, cache_dir=str(tmp_path / "cache"))
 
 
 @pytest.fixture
@@ -60,8 +67,7 @@ class TestRunBatch:
     def test_inline_outcomes_and_aggregate(self, corpus, tmp_path):
         streamed: list[dict] = []
         results, aggregate = run_batch(
-            [corpus], workers=1, fuel=5_000,
-            cache_dir=str(tmp_path / "cache"), on_result=streamed.append,
+            [corpus], vm_config(tmp_path), workers=1, on_result=streamed.append,
         )
         assert streamed == results
         by_name = {Path(r["program"]).name: r for r in results}
@@ -79,26 +85,22 @@ class TestRunBatch:
         assert aggregate["workers"] == 1
 
     def test_second_run_hits_the_cache(self, corpus, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        run_batch([corpus], fuel=5_000, cache_dir=cache_dir)
-        _, aggregate = run_batch([corpus], fuel=5_000, cache_dir=cache_dir)
+        run_batch([corpus], vm_config(tmp_path))
+        _, aggregate = run_batch([corpus], vm_config(tmp_path))
         assert aggregate["cache"]["hit"] == 3
         assert aggregate["cache"]["miss"] == 0
 
     def test_front_end_errors_become_error_results(self, corpus, tmp_path):
         (corpus / "d_bad.grad").write_text(ILL_TYPED)
-        results, aggregate = run_batch([corpus], fuel=5_000,
-                                       cache_dir=str(tmp_path / "cache"))
+        results, aggregate = run_batch([corpus], vm_config(tmp_path))
         by_name = {Path(r["program"]).name: r for r in results}
         assert by_name["d_bad.grad"]["kind"] == "error"
         assert "int" in by_name["d_bad.grad"]["error"]
         assert aggregate["outcomes"]["error"] == 1
 
     def test_workers_agree_with_inline_execution(self, corpus, tmp_path):
-        inline, _ = run_batch([corpus], workers=1, fuel=5_000,
-                              cache_dir=str(tmp_path / "cache"))
-        pooled, aggregate = run_batch([corpus], workers=2, fuel=5_000,
-                                      cache_dir=str(tmp_path / "cache"))
+        inline, _ = run_batch([corpus], vm_config(tmp_path), workers=1)
+        pooled, aggregate = run_batch([corpus], vm_config(tmp_path), workers=2)
         key = lambda r: r["program"]  # noqa: E731 - tiny sort key
         for a, b in zip(sorted(inline, key=key), sorted(pooled, key=key)):
             assert a["program"] == b["program"]
@@ -115,8 +117,7 @@ class TestRunBatch:
         an ``error`` with ``"reason": "worker-lost"`` and the shard stats
         count it."""
         results, aggregate = run_batch(
-            [corpus], workers=2, fuel=5_000, cache_dir=str(tmp_path / "cache"),
-            faults="worker_kill:1.0",
+            [corpus], vm_config(tmp_path), workers=2, faults="worker_kill:1.0",
         )
         assert len(results) == 3  # every program has exactly one record
         for result in results:
@@ -127,11 +128,9 @@ class TestRunBatch:
     def test_killed_worker_is_retried_transparently(self, corpus, tmp_path):
         """A kill scoped to one dispatch: the retry succeeds and the corpus
         result is indistinguishable from an undisturbed run."""
-        inline, _ = run_batch([corpus], workers=1, fuel=5_000,
-                              cache_dir=str(tmp_path / "cache"))
+        inline, _ = run_batch([corpus], vm_config(tmp_path), workers=1)
         chaotic, aggregate = run_batch(
-            [corpus], workers=2, fuel=5_000, cache_dir=str(tmp_path / "cache"),
-            faults="worker_kill:1.0:1",
+            [corpus], vm_config(tmp_path), workers=2, faults="worker_kill:1.0:1",
         )
         key = lambda r: r["program"]  # noqa: E731 - tiny sort key
         for a, b in zip(sorted(inline, key=key), sorted(chaotic, key=key)):
@@ -145,13 +144,11 @@ class TestRunBatch:
                                                  monkeypatch):
         monkeypatch.setenv("REPRO_GRADUAL_FAULTS", "worker_kill:1.0")
         monkeypatch.setenv("REPRO_GRADUAL_FAULTS_SEED", "20150613")
-        results, _ = run_batch([corpus], workers=2, fuel=5_000,
-                               cache_dir=str(tmp_path / "cache"))
+        results, _ = run_batch([corpus], vm_config(tmp_path), workers=2)
         assert all(r["reason"] == "worker-lost" for r in results)
 
     def test_results_are_json_serializable(self, corpus, tmp_path):
-        results, aggregate = run_batch([corpus], fuel=5_000,
-                                       cache_dir=str(tmp_path / "cache"))
+        results, aggregate = run_batch([corpus], vm_config(tmp_path))
         for result in results:
             json.dumps(result)
         json.dumps(aggregate)
@@ -196,7 +193,7 @@ class TestBatchCommand:
         root.mkdir()
         (root / "one.grad").write_text(SQUARE)
         assert main(["batch", str(root), "--workers", "1", "-O", "0",
-                     "--mediator", "threesome", "--no-cache"]) == 0
+                     "--semantics", "threesome", "--no-cache"]) == 0
         lines = self._lines(capsys)
         assert Path(lines[0]["program"]).name == "one.grad"
         assert lines[0]["kind"] == "value"

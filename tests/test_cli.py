@@ -158,37 +158,39 @@ class TestExitCodeScheme:
 
 
 class TestMediatorFlag:
+    """The threesome mediator backend, selected with ``--semantics``."""
+
     @pytest.mark.parametrize("engine", ["machine", "vm"])
     def test_threesome_backend_runs_values(self, square_program, engine, capsys):
         assert main(["run", square_program, "--engine", engine,
-                     "--mediator", "threesome"]) == 0
+                     "--semantics", "threesome"]) == 0
         assert "36" in capsys.readouterr().out
 
     @pytest.mark.parametrize("engine", ["machine", "vm"])
     def test_threesome_backend_reports_blame(self, blame_program, engine, capsys):
         assert main(["run", blame_program, "--engine", engine,
-                     "--mediator", "threesome"]) == 1
+                     "--semantics", "threesome"]) == 1
         assert "blame" in capsys.readouterr().out
 
     def test_threesome_backend_preserves_the_space_story(self, capsys):
         assert main(["run", str(EXAMPLES / "tail_loop.grad"),
-                     "--mediator", "threesome", "--show-space"]) == 0
+                     "--semantics", "threesome", "--show-space"]) == 0
         out = capsys.readouterr().out
         line = [ln for ln in out.splitlines() if "pending-mediators" in ln][0]
         assert "max=1" in line or "max=2" in line or "max=3" in line
 
     def test_threesome_backend_rejects_non_s_calculus(self, square_program, capsys):
-        assert main(["run", square_program, "--mediator", "threesome",
+        assert main(["run", square_program, "--semantics", "threesome",
                      "--calculus", "B"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_threesome_backend_rejects_subst_engine(self, square_program, capsys):
-        assert main(["run", square_program, "--mediator", "threesome",
+        assert main(["run", square_program, "--semantics", "threesome",
                      "--engine", "subst"]) == 2
         assert "error" in capsys.readouterr().err
 
     def test_compile_with_threesome_pool(self, square_program, capsys):
-        assert main(["compile", square_program, "--mediator", "threesome"]) == 0
+        assert main(["compile", square_program, "--semantics", "threesome"]) == 0
         out = capsys.readouterr().out
         assert "pool coercions" in out
         assert "<=" in out  # threesome entries print as <T <=P= S>
@@ -196,7 +198,7 @@ class TestMediatorFlag:
     def test_compile_threesome_disassembly_round_trips(self, square_program, capsys):
         from repro.compiler.disasm import parse_disassembly
 
-        assert main(["compile", square_program, "--mediator", "threesome"]) == 0
+        assert main(["compile", square_program, "--semantics", "threesome"]) == 0
         streams = parse_disassembly(capsys.readouterr().out)
         assert streams and all(streams)
 
@@ -235,28 +237,22 @@ class TestSemanticsFlag:
         assert "blame" not in out
         assert "2" in out
 
-    def test_mediator_flag_warns_but_still_works(self, square_program, capsys):
-        assert main(["run", square_program, "--mediator", "threesome"]) == 0
-        captured = capsys.readouterr()
-        assert "36" in captured.out
-        assert "--mediator is deprecated" in captured.err
-        assert "--semantics" in captured.err
+    @pytest.mark.parametrize("command", ["run", "trace", "compile"])
+    def test_mediator_flag_is_rejected(self, square_program, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, square_program, "--mediator", "threesome"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mediator" in capsys.readouterr().err
 
     def test_semantics_flag_does_not_warn(self, square_program, capsys):
         assert main(["run", square_program, "--semantics", "threesome"]) == 0
         assert "deprecated" not in capsys.readouterr().err
 
     def test_contradicting_flags_are_rejected(self, square_program, capsys):
-        assert main(["run", square_program, "--mediator", "threesome",
-                     "--semantics", "erasure"]) == 2
-        assert "contradicts" in capsys.readouterr().err
-
-    def test_mediator_choices_stay_the_natural_pair(self, square_program, capsys):
-        # The deprecated alias never learned the new backends; spelling one
-        # through it is an argparse error, pushing users to --semantics.
-        with pytest.raises(SystemExit):
-            main(["run", square_program, "--mediator", "transient"])
-        capsys.readouterr()
+        # The VMs implement λS only, whatever the semantics.
+        assert main(["run", square_program, "--semantics", "threesome",
+                     "--engine", "rvm", "--calculus", "C"]) == 2
+        assert "λS only" in capsys.readouterr().err
 
     def test_compile_accepts_semantics(self, square_program, capsys):
         assert main(["compile", square_program, "--semantics", "transient"]) == 0
@@ -336,23 +332,23 @@ class TestImageWorkflow:
 
     def test_compile_shows_image_provenance(self, square_program, tmp_path, capsys):
         image = str(tmp_path / "square.gradb")
-        assert main(["compile", square_program, "-o", image, "--mediator", "threesome",
+        assert main(["compile", square_program, "-o", image, "--semantics", "threesome",
                      "-O", "1"]) == 0
         capsys.readouterr()
         assert main(["compile", image]) == 0
         out = capsys.readouterr().out
-        assert "mediator=threesome opt-level=1" in out
+        assert "semantics=threesome opt-level=1" in out
         assert "code 0 <main>" in out
 
     def test_image_rejects_flags_fixed_at_compile_time(self, square_program, tmp_path,
                                                        capsys):
-        # Regression: --engine/--calculus/--mediator/-O/--small-step used
+        # Regression: --engine/--calculus/--semantics/-O/--small-step used
         # to be silently ignored when FILE was an image.
         image = str(tmp_path / "square.gradb")
         assert main(["compile", square_program, "-o", image]) == 0
         capsys.readouterr()
         for flags in (["--engine", "machine"], ["--engine", "subst"],
-                      ["--calculus", "B"], ["--mediator", "threesome"],
+                      ["--calculus", "B"], ["--semantics", "threesome"],
                       ["-O", "0"], ["--small-step"]):
             assert main(["run", image, *flags]) == 2, flags
             assert "compile time" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from repro.api import run
 from repro.compiler import (
     CodeObject,
     VMClosure,
@@ -56,7 +57,6 @@ from repro.gen.programs import (
 from repro.lambda_s.coercions import is_interned_space
 from repro.machine import run_on_machine
 from repro.properties.bisimulation import check_vm_oracle
-from repro.surface.interp import run_source
 from repro.translate import b_to_s
 
 from .strategies import lambda_b_programs
@@ -131,14 +131,14 @@ class TestVMOnExamplePrograms:
     @pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.grad")), ids=lambda p: p.stem)
     def test_vm_agrees_with_machine_on_grad_files(self, path):
         source = path.read_text()
-        vm = run_source(source, engine="vm")
-        machine = run_source(source, engine="machine")
+        vm = run(source, engine="vm")
+        machine = run(source, engine="machine")
         assert vm.kind == machine.kind
         assert vm.value == machine.value
         assert vm.blame_label == machine.blame_label
 
     def test_engine_vm_is_exposed_by_run_source(self):
-        result = run_source("(: (: 21 ?) int)", engine="vm")
+        result = run("(: (: 21 ?) int)", engine="vm")
         assert result.is_value and result.value == 21
         assert result.engine == "vm"
         assert result.space_stats is not None
@@ -313,7 +313,7 @@ class TestUniformTimeouts:
 
     @pytest.mark.parametrize("engine", ["vm", "machine", "subst"])
     def test_timeout_outcome_shape_is_engine_independent(self, engine):
-        result = run_source(self.DIVERGING, engine=engine, fuel=2_000)
+        result = run(self.DIVERGING, engine=engine, fuel=2_000)
         assert result.kind == "timeout"
         assert result.is_timeout
         assert result.value is None and result.blame_label is None
@@ -321,7 +321,7 @@ class TestUniformTimeouts:
         assert result.engine == engine
 
     def test_vm_timeout_reports_stats(self):
-        result = run_source(self.DIVERGING, engine="vm", fuel=500)
+        result = run(self.DIVERGING, engine="vm", fuel=500)
         assert result.is_timeout and result.space_stats is not None
         assert result.space_stats["steps"] == 500
 
@@ -334,7 +334,7 @@ class TestUniformTimeouts:
 class TestVMDetails:
     def test_vm_rejects_non_s_calculus_through_interp(self):
         with pytest.raises(ValueError):
-            run_source("(: 1 ?)", engine="vm", calculus="B")
+            run("(: 1 ?)", engine="vm", calculus="B")
 
     def test_vm_closure_projects_as_function(self):
         outcome = run_on_vm(Lam("x", INT, Var("x")))

@@ -75,11 +75,11 @@ def test_corpus_programs_agree_across_engines_and_images():
     for path in sorted((EXAMPLES_DIR / "programs").glob("*.grad")):
         term, ty = compile_source(path.read_text())
         oracle = run_on_machine(term, "S")
-        for mediator in ("coercion", "threesome"):
+        for semantics in ("coercion", "threesome"):
             for opt_level in (0, 2):
-                code = compile_term(term, mediator=mediator, opt_level=opt_level)
+                code = compile_term(term, semantics=semantics, opt_level=opt_level)
                 outcome = run_code(code)
-                assert outcome.kind == oracle.kind, (path.name, mediator, opt_level)
+                assert outcome.kind == oracle.kind, (path.name, semantics, opt_level)
                 if oracle.is_value:
                     assert outcome.python_value() == oracle.python_value()
                 elif oracle.is_blame:

@@ -229,27 +229,21 @@ class TestEngineAgainstOracle:
 
 class TestEngineSelection:
     def test_run_term_engines_agree(self):
-        from repro.surface.interp import run_source
+        from repro.api import run
 
         source = "((lambda ([x : int]) (* x x)) (: 7 ?))"
         for calculus in ("B", "C", "S"):
-            machine = run_source(source, calculus, engine="machine")
-            oracle = run_source(source, calculus, engine="subst")
+            machine = run(source, calculus=calculus, engine="machine")
+            oracle = run(source, calculus=calculus, engine="subst")
             assert machine.engine == "machine" and oracle.engine == "subst"
             assert machine.is_value and oracle.is_value
             assert machine.value == oracle.value == 49
 
     def test_unknown_engine_rejected(self):
-        from repro.surface.interp import run_source
+        from repro.api import run
 
         with pytest.raises(ValueError):
-            run_source("1", engine="warp-drive")
-
-    def test_legacy_use_machine_flag_still_works(self):
-        from repro.surface.interp import run_source
-
-        assert run_source("(+ 1 2)", use_machine=False).engine == "subst"
-        assert run_source("(+ 1 2)", use_machine=True).engine == "machine"
+            run("1", engine="warp-drive")
 
     def test_cli_engine_flag(self, tmp_path, capsys):
         from repro.cli import main

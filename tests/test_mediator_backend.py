@@ -4,7 +4,7 @@ The paper's §6.1 claims threesomes and space-efficient coercions are two
 presentations of the same thing.  PRs 1–2 validated the claim statically
 (``compose_labeled`` against ``#`` through the representation maps); this
 suite validates it *dynamically*: the λS CEK machine and the bytecode VM,
-running with ``mediator="threesome"``, must be observationally
+running with ``semantics="threesome"``, must be observationally
 indistinguishable from the coercion backend — values, blame labels,
 timeouts, and the constant pending-mediator footprint — on the boundary
 workloads, the shipped example programs, and hypothesis-generated programs
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from repro.api import run
 from repro.compiler import compile_term, run_on_vm
 from repro.core.errors import UsageError
 from repro.gen.programs import (
@@ -32,9 +33,10 @@ from repro.gen.programs import (
     untyped_client_bad_argument,
     untyped_library_bad_result,
 )
-from repro.machine import MACHINE_S_THREESOME, run_on_machine
+from repro.machine import run_on_machine
 from repro.properties.bisimulation import check_mediator_oracle
-from repro.surface.interp import compile_source, run_term
+from repro.semantics import SEMANTICS
+from repro.surface.interp import compile_source
 from repro.threesomes import Threesome, threesome_of_coercion
 from repro.threesomes.labeled_types import LBase
 
@@ -45,23 +47,23 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "programs"
 
 class TestThreesomeMachineBackend:
     def test_runs_values_through_the_threesome_policy(self):
-        outcome = run_on_machine(even_odd_boundary(8), "S", mediator="threesome")
+        outcome = run_on_machine(even_odd_boundary(8), "S", semantics="threesome")
         assert outcome.is_value and outcome.python_value() is True
 
     def test_blame_labels_survive_the_representation_change(self):
-        coercion = run_on_machine(untyped_library_bad_result(), "S", mediator="coercion")
-        threesome = run_on_machine(untyped_library_bad_result(), "S", mediator="threesome")
+        coercion = run_on_machine(untyped_library_bad_result(), "S", semantics="coercion")
+        threesome = run_on_machine(untyped_library_bad_result(), "S", semantics="threesome")
         assert coercion.is_blame and threesome.is_blame
         assert coercion.label == threesome.label
 
     def test_boundary_tail_loop_keeps_one_pending_mediator(self):
-        outcome = run_on_machine(tail_countdown_boundary(200), "S", mediator="threesome")
+        outcome = run_on_machine(tail_countdown_boundary(200), "S", semantics="threesome")
         assert outcome.is_value
         assert outcome.stats["max_pending_mediators"] == 1
 
     def test_pending_footprint_is_constant_in_the_iteration_count(self):
-        small = run_on_machine(tail_countdown_boundary(10), "S", mediator="threesome")
-        large = run_on_machine(tail_countdown_boundary(300), "S", mediator="threesome")
+        small = run_on_machine(tail_countdown_boundary(10), "S", semantics="threesome")
+        large = run_on_machine(tail_countdown_boundary(300), "S", semantics="threesome")
         assert (
             small.stats["max_pending_mediators"]
             == large.stats["max_pending_mediators"]
@@ -83,30 +85,30 @@ class TestThreesomeMachineBackend:
 
         for node in coerce_nodes(term_s):
             assert isinstance(THREESOME_POLICY.term_mediator(node), Threesome)
-        assert MACHINE_S_THREESOME.policy is THREESOME_POLICY
+        assert SEMANTICS["threesome"].machine.policy is THREESOME_POLICY
 
     def test_rejects_non_s_calculi(self):
         with pytest.raises(UsageError):
-            run_on_machine(even_odd_boundary(2), "B", mediator="threesome")
+            run_on_machine(even_odd_boundary(2), "B", semantics="threesome")
         with pytest.raises(UsageError):
-            run_on_machine(even_odd_boundary(2), "C", mediator="threesome")
+            run_on_machine(even_odd_boundary(2), "C", semantics="threesome")
 
     def test_rejects_unknown_mediators(self):
         with pytest.raises(UsageError):
-            run_on_machine(even_odd_boundary(2), "S", mediator="foursome")
+            run_on_machine(even_odd_boundary(2), "S", semantics="foursome")
 
 
 class TestThreesomeVMBackend:
     def test_pool_entries_are_threesomes(self):
-        code = compile_term(even_odd_boundary(2), mediator="threesome")
-        assert code.pool.mediator == "threesome"
+        code = compile_term(even_odd_boundary(2), semantics="threesome")
+        assert code.pool.semantics == "threesome"
         assert code.pool.coercions  # boundary program has real mediators
         assert all(isinstance(entry, Threesome) for entry in code.pool.coercions)
 
     def test_pool_entries_are_interned(self):
         from repro.threesomes import is_interned_threesome
 
-        code = compile_term(even_odd_boundary(2), mediator="threesome")
+        code = compile_term(even_odd_boundary(2), semantics="threesome")
         assert all(is_interned_threesome(entry) for entry in code.pool.coercions)
 
     def test_identity_coercions_are_still_dropped(self):
@@ -116,22 +118,22 @@ class TestThreesomeVMBackend:
         from repro.compiler import instruction_streams
 
         for term in (even_odd_boundary(3), fib_boundary(5), pair_boundary_swap()):
-            coercion_code = compile_term(term, mediator="coercion")
-            threesome_code = compile_term(term, mediator="threesome")
+            coercion_code = compile_term(term, semantics="coercion")
+            threesome_code = compile_term(term, semantics="threesome")
             assert instruction_streams(coercion_code) == instruction_streams(threesome_code)
 
     def test_vm_runs_values_blame_and_space(self):
         # -O0 keeps the boundary mediators at run time: exactly one pending
         # threesome, composed in place.  At the default -O2 the optimizer
         # pre-composes this workload's chain away entirely (still ≤ 1).
-        value = run_on_vm(tail_countdown_boundary(100), mediator="threesome", opt_level=0)
+        value = run_on_vm(tail_countdown_boundary(100), semantics="threesome", opt_level=0)
         assert value.is_value and value.python_value() is True
         assert value.stats["max_pending_mediators"] == 1
-        optimized = run_on_vm(tail_countdown_boundary(100), mediator="threesome")
+        optimized = run_on_vm(tail_countdown_boundary(100), semantics="threesome")
         assert optimized.is_value and optimized.stats["max_pending_mediators"] <= 1
 
-        blame = run_on_vm(untyped_client_bad_argument(), mediator="threesome")
-        reference = run_on_vm(untyped_client_bad_argument(), mediator="coercion")
+        blame = run_on_vm(untyped_client_bad_argument(), semantics="threesome")
+        reference = run_on_vm(untyped_client_bad_argument(), semantics="coercion")
         assert blame.is_blame and blame.label == reference.label
 
     def test_vm_timeout_is_uniform_across_backends(self):
@@ -140,8 +142,8 @@ class TestThreesomeVMBackend:
 
         omega = App(Lam("x", DYN, App(Var("x"), Var("x"))),
                     Lam("x", DYN, App(Var("x"), Var("x"))))
-        coercion = run_on_vm(omega, fuel=5_000, mediator="coercion")
-        threesome = run_on_vm(omega, fuel=5_000, mediator="threesome")
+        coercion = run_on_vm(omega, fuel=5_000, semantics="coercion")
+        threesome = run_on_vm(omega, fuel=5_000, semantics="threesome")
         assert coercion.is_timeout and threesome.is_timeout
         assert coercion.stats["steps"] == threesome.stats["steps"] == 5_000
 
@@ -195,16 +197,16 @@ class TestSurfaceMediatorKnob:
     def test_run_term_threads_the_mediator_through(self):
         term, ty = compile_source("(: (: 21 ?) int)")
         for engine in ("machine", "vm"):
-            result = run_term(term, ty, engine=engine, mediator="threesome")
+            result = run(term, type=ty, engine=engine, semantics="threesome")
             assert result.is_value and result.value == 21
-            assert result.mediator == "threesome"
+            assert result.semantics == "threesome"
 
     def test_subst_engine_has_no_threesome_backend(self):
         term, ty = compile_source("(: (: 21 ?) int)")
         with pytest.raises(UsageError):
-            run_term(term, ty, engine="subst", mediator="threesome")
+            run(term, type=ty, engine="subst", semantics="threesome")
 
     def test_unknown_mediator_is_rejected(self):
         term, ty = compile_source("1")
         with pytest.raises(UsageError):
-            run_term(term, ty, mediator="nonesuch")
+            run(term, type=ty, semantics="nonesuch")

@@ -54,7 +54,7 @@ from repro.obs.events import (
     RunEnd,
     RunStart,
 )
-from repro.surface.interp import run_term
+from repro.api import run
 
 from .strategies import lambda_b_programs
 
@@ -202,23 +202,17 @@ class TestMetrics:
         record_run(None, "value", {}, "vm")  # None is the off switch
 
     def test_pipeline_phases_recorded(self):
-        from repro.surface.interp import run_source
-
         m = MetricsRegistry()
-        result = run_source("(+ 1 2)", engine="rvm", metrics=m)
+        result = run("(+ 1 2)", engine="rvm", metrics=m)
         assert result.is_value and result.value == 3
         phases = m.snapshot()["phases"]
         assert {"parse", "elaborate", "lower", "optimize", "regalloc",
                 "run"} <= set(phases)
 
     def test_cache_counters(self, tmp_path):
-        from repro.surface.interp import run_source
-
         m = MetricsRegistry()
-        run_source("(+ 1 2)", engine="vm", cache=True, cache_dir=str(tmp_path),
-                   metrics=m)
-        run_source("(+ 1 2)", engine="vm", cache=True, cache_dir=str(tmp_path),
-                   metrics=m)
+        run("(+ 1 2)", engine="vm", cache=True, cache_dir=str(tmp_path), metrics=m)
+        run("(+ 1 2)", engine="vm", cache=True, cache_dir=str(tmp_path), metrics=m)
         counters = m.snapshot()["counters"]
         assert counters["cache.miss"] == 1 and counters["cache.hit"] == 1
 
@@ -295,7 +289,7 @@ class TestBlameTrail:
     def test_trail_identifies_failing_mediator(self, engine):
         sink = ListSink()
         with tracing(sink):
-            result = run_term(untyped_library_bad_result(), engine=engine)
+            result = run(untyped_library_bad_result(), engine=engine)
         assert result.is_blame
         trail = blame_trail(sink.events)
         assert trail is not None
@@ -309,7 +303,7 @@ class TestBlameTrail:
     def test_trail_reconstructs_composition_chain(self):
         sink = ListSink()
         with tracing(sink):
-            result = run_term(untyped_library_bad_result(), engine="rvm",
+            result = run(untyped_library_bad_result(), engine="rvm",
                               opt_level=2)
         assert result.is_blame
         trail = blame_trail(sink.events)
@@ -345,19 +339,19 @@ def _outcome_key(result):
 
 class TestNonPerturbation:
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("mediator", ["coercion", "threesome"])
+    @pytest.mark.parametrize("semantics", ["coercion", "threesome"])
     @pytest.mark.parametrize("opt_level", [0, 2])
-    def test_boundary_workloads(self, engine, mediator, opt_level):
+    def test_boundary_workloads(self, engine, semantics, opt_level):
         for term, expect in (
             (even_odd_boundary(12), "value"),
             (untyped_library_bad_result(), "blame"),
             (untyped_client_bad_argument(), "blame"),
         ):
-            untraced = run_term(term, engine=engine, mediator=mediator,
+            untraced = run(term, engine=engine, semantics=semantics,
                                 opt_level=opt_level)
             sink = ListSink()
             with tracing(sink):
-                traced = run_term(term, engine=engine, mediator=mediator,
+                traced = run(term, engine=engine, semantics=semantics,
                                   opt_level=opt_level)
             assert traced.kind == untraced.kind == expect
             assert _outcome_key(traced) == _outcome_key(untraced)
@@ -368,7 +362,7 @@ class TestNonPerturbation:
         n = 10
         for engine in ENGINES:
             with tracing(ListSink()):
-                result = run_term(even_odd_boundary(n), engine=engine)
+                result = run(even_odd_boundary(n), engine=engine)
             assert result.is_value and result.value == even_odd_expected(n)
 
     @given(lambda_b_programs())
@@ -376,12 +370,12 @@ class TestNonPerturbation:
     def test_generated_programs(self, program):
         term, _ty = program
         for engine in ENGINES:
-            for mediator in ("coercion", "threesome"):
-                untraced = run_term(term, engine=engine, mediator=mediator,
+            for semantics in ("coercion", "threesome"):
+                untraced = run(term, engine=engine, semantics=semantics,
                                     fuel=20_000)
                 sink = RingBufferSink(capacity=512)
                 with tracing(sink):
-                    traced = run_term(term, engine=engine, mediator=mediator,
+                    traced = run(term, engine=engine, semantics=semantics,
                                       fuel=20_000)
                 assert _outcome_key(traced) == _outcome_key(untraced)
 
@@ -401,18 +395,18 @@ class TestSnapshotCacheCounters:
     def test_o2_snapshot_carries_zero_counters(self):
         # A -O2 run whose caches were never consulted must still report
         # hits/misses (both zero) — the dropped-keys bug this PR fixes.
-        result = run_term(untyped_library_bad_result(), engine="vm", opt_level=2)
+        result = run(untyped_library_bad_result(), engine="vm", opt_level=2)
         assert result.space_stats["cache_hits"] >= 0
         assert "cache_misses" in result.space_stats
 
     @pytest.mark.parametrize("engine", ["vm", "rvm"])
     def test_o0_snapshot_omits_counters(self, engine):
-        result = run_term(even_odd_boundary(4), engine=engine, opt_level=0)
+        result = run(even_odd_boundary(4), engine=engine, opt_level=0)
         assert "cache_hits" not in result.space_stats
 
     @pytest.mark.parametrize("engine", ["vm", "rvm"])
     def test_o2_snapshot_always_has_counters(self, engine):
-        result = run_term(even_odd_boundary(4), engine=engine, opt_level=2)
+        result = run(even_odd_boundary(4), engine=engine, opt_level=2)
         assert "cache_hits" in result.space_stats
         assert "cache_misses" in result.space_stats
 

@@ -20,7 +20,6 @@ from repro.compiler import (
     all_code_objects,
     compile_term,
     disassemble,
-    hot_pairs,
     instruction_streams,
     lower_program,
     optimize,
@@ -60,7 +59,7 @@ from repro.gen.programs import (
     untyped_library_bad_result,
 )
 from repro.lambda_s.coercions import identity_for
-from repro.machine import MEDIATORS
+from repro.semantics import NATURAL_SEMANTICS_NAMES
 from repro.translate import b_to_s
 
 from .strategies import lambda_b_programs
@@ -82,7 +81,7 @@ def _outcome_key(outcome):
 
 
 class TestLevelsAgree:
-    @pytest.mark.parametrize("mediator", MEDIATORS)
+    @pytest.mark.parametrize("semantics", NATURAL_SEMANTICS_NAMES)
     @pytest.mark.parametrize(
         "builder, size",
         [
@@ -94,9 +93,9 @@ class TestLevelsAgree:
             (twice_boundary, 5),
         ],
     )
-    def test_levels_agree_on_workloads(self, builder, size, mediator):
+    def test_levels_agree_on_workloads(self, builder, size, semantics):
         outcomes = [
-            run_code(compile_term(builder(size), mediator=mediator, opt_level=level))
+            run_code(compile_term(builder(size), semantics=semantics, opt_level=level))
             for level in (0, 1, 2)
         ]
         keys = [_outcome_key(o) for o in outcomes]
@@ -104,13 +103,13 @@ class TestLevelsAgree:
         pendings = [o.stats["max_pending_mediators"] for o in outcomes]
         assert pendings[2] <= pendings[1] <= pendings[0]
 
-    @pytest.mark.parametrize("mediator", MEDIATORS)
+    @pytest.mark.parametrize("semantics", NATURAL_SEMANTICS_NAMES)
     @pytest.mark.parametrize(
         "term", [untyped_library_bad_result(), untyped_client_bad_argument()]
     )
-    def test_blame_labels_survive_optimization(self, term, mediator):
-        o0 = run_on_vm(term, mediator=mediator, opt_level=0)
-        o2 = run_on_vm(term, mediator=mediator, opt_level=2)
+    def test_blame_labels_survive_optimization(self, term, semantics):
+        o0 = run_on_vm(term, semantics=semantics, opt_level=0)
+        o2 = run_on_vm(term, semantics=semantics, opt_level=2)
         assert o0.is_blame and o2.is_blame
         assert o0.label == o2.label
 
@@ -118,10 +117,10 @@ class TestLevelsAgree:
         sizes = {"deep_cast_chain": 6}
         for name, builder in WORKLOADS.items():
             term = builder(sizes.get(name, 12))
-            for mediator in MEDIATORS:
-                o0 = run_on_vm(term, mediator=mediator, opt_level=0)
-                o2 = run_on_vm(term, mediator=mediator, opt_level=2)
-                assert _outcome_key(o0) == _outcome_key(o2), (name, mediator)
+            for semantics in NATURAL_SEMANTICS_NAMES:
+                o0 = run_on_vm(term, semantics=semantics, opt_level=0)
+                o2 = run_on_vm(term, semantics=semantics, opt_level=2)
+                assert _outcome_key(o0) == _outcome_key(o2), (name, semantics)
 
     def test_timeouts_report_fuel_at_every_level(self):
         omega = App(Lam("x", DYN, App(Var("x"), Var("x"))),
@@ -137,10 +136,10 @@ class TestLevelsAgree:
         """The satellite property: -O2 agrees with -O0 on outcome, blame
         label, timeout step count, and space profile, under both mediators."""
         term, _ = program
-        for mediator in MEDIATORS:
-            o0 = run_on_vm(term, mediator=mediator, opt_level=0)
-            o2 = run_on_vm(term, mediator=mediator, opt_level=2)
-            assert o0.kind == o2.kind, mediator
+        for semantics in NATURAL_SEMANTICS_NAMES:
+            o0 = run_on_vm(term, semantics=semantics, opt_level=0)
+            o2 = run_on_vm(term, semantics=semantics, opt_level=2)
+            assert o0.kind == o2.kind, semantics
             if o0.is_value:
                 assert o0.python_value() == o2.python_value()
             elif o0.is_blame:
@@ -149,10 +148,10 @@ class TestLevelsAgree:
                 assert o0.stats["steps"] == o2.stats["steps"]
             assert (
                 o2.stats["max_pending_mediators"] <= o0.stats["max_pending_mediators"]
-            ), mediator
+            ), semantics
             assert (
                 o2.stats["max_pending_mediators"] <= o2.stats["max_kont_depth"] + 1
-            ), mediator
+            ), semantics
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +363,13 @@ class TestInlineCaches:
     def test_caches_are_backend_private(self):
         # The same program compiled per backend gets distinct code objects,
         # so cache cells never mix coercions and threesomes.
-        coercion = compile_term(even_odd_boundary(20), mediator="coercion")
-        threesome = compile_term(even_odd_boundary(20), mediator="threesome")
+        coercion = compile_term(even_odd_boundary(20), semantics="coercion")
+        threesome = compile_term(even_odd_boundary(20), semantics="threesome")
         run_code(coercion), run_code(threesome)
         for obj in all_code_objects(coercion):
-            assert obj.pool.mediator == "coercion"
+            assert obj.pool.semantics == "coercion"
         for obj in all_code_objects(threesome):
-            assert obj.pool.mediator == "threesome"
+            assert obj.pool.semantics == "threesome"
 
     def test_proxy_call_cache_preserves_higher_order_results(self):
         outcome0 = run_on_vm(twice_boundary(3), opt_level=0)
@@ -384,21 +383,6 @@ class TestInlineCaches:
 
 
 class TestProfilingAndDefaults:
-    def test_hot_pairs_reports_adjacent_pairs(self):
-        code = compile_term(even_odd_boundary(10), opt_level=0)
-        pairs = hot_pairs(code)
-        assert pairs and all(count > 0 for _, count in pairs)
-        assert (LOAD, LOAD) in dict(pairs)
-
-    def test_pair_counts_ride_on_stats(self):
-        from repro.compiler import THE_VM
-
-        counts: dict = {}
-        outcome = THE_VM.run(compile_term(even_odd_boundary(4)), pair_counts=counts)
-        assert outcome.stats["opcode_pairs"] == counts
-        # Profiling never perturbs the outcome.
-        assert outcome.python_value() is run_on_vm(even_odd_boundary(4)).python_value()
-
     def test_default_opt_level_is_two(self):
         assert DEFAULT_OPT_LEVEL == 2
         code = compile_term(const_int(1))
@@ -412,13 +396,13 @@ class TestProfilingAndDefaults:
         from repro.core import fuel
         from repro.compiler import vm
         from repro.machine import cek
+        from repro import api
         from repro.lambda_b import reduction as reduction_b
-        from repro.surface import interp
 
         assert vm.DEFAULT_VM_FUEL is fuel.DEFAULT_VM_FUEL
         assert cek.DEFAULT_MACHINE_FUEL is fuel.DEFAULT_MACHINE_FUEL
         assert reduction_b.DEFAULT_FUEL is fuel.DEFAULT_REDUCTION_FUEL
-        assert interp.DEFAULT_FUEL == {
+        assert api.DEFAULT_FUEL == {
             "vm": fuel.DEFAULT_VM_FUEL,
             "rvm": fuel.DEFAULT_RVM_FUEL,
             "machine": fuel.DEFAULT_MACHINE_FUEL,

@@ -19,6 +19,7 @@ import zlib
 import pytest
 from hypothesis import given, settings
 
+from repro import api
 from repro.cli import main as cli_main
 from repro.compiler import (
     FORMAT_VERSION,
@@ -51,8 +52,8 @@ from repro.gen.programs import (
     untyped_client_bad_argument,
     untyped_library_bad_result,
 )
-from repro.machine import MEDIATORS
-from repro.surface.interp import compile_source, run_source
+from repro.semantics import NATURAL_SEMANTICS_NAMES
+from repro.surface.interp import compile_source
 
 from .strategies import lambda_b_programs
 
@@ -90,22 +91,22 @@ def _assert_same_outcome(rvm, vm) -> None:
 
 
 class TestAgreement:
-    @pytest.mark.parametrize("mediator", MEDIATORS)
+    @pytest.mark.parametrize("semantics", NATURAL_SEMANTICS_NAMES)
     @pytest.mark.parametrize("opt_level", OPT_LEVELS)
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_workloads_agree(self, name, mediator, opt_level):
+    def test_workloads_agree(self, name, semantics, opt_level):
         term = WORKLOADS[name]
-        rvm = run_on_rvm(term, mediator=mediator, opt_level=opt_level)
-        vm = run_on_vm(term, mediator=mediator, opt_level=opt_level)
+        rvm = run_on_rvm(term, semantics=semantics, opt_level=opt_level)
+        vm = run_on_vm(term, semantics=semantics, opt_level=opt_level)
         _assert_same_outcome(rvm, vm)
 
     @settings(max_examples=40, deadline=None)
     @given(lambda_b_programs())
     def test_generated_programs_agree_both_mediators(self, program):
         term, _ = program
-        for mediator in MEDIATORS:
-            rvm = run_on_rvm(term, mediator=mediator)
-            vm = run_on_vm(term, mediator=mediator)
+        for semantics in NATURAL_SEMANTICS_NAMES:
+            rvm = run_on_rvm(term, semantics=semantics)
+            vm = run_on_vm(term, semantics=semantics)
             _assert_same_outcome(rvm, vm)
 
     def test_timeouts_report_uniformly(self):
@@ -115,15 +116,15 @@ class TestAgreement:
 
 
 class TestSpaceGuarantee:
-    @pytest.mark.parametrize("mediator", MEDIATORS)
-    def test_boundary_tail_loops_hold_one_pending_mediator(self, mediator):
+    @pytest.mark.parametrize("semantics", NATURAL_SEMANTICS_NAMES)
+    def test_boundary_tail_loops_hold_one_pending_mediator(self, semantics):
         """The λS guarantee survives register compilation: the pending
         footprint is at most 1 (composed, never stacked — at ``-O2`` the
         optimizer may statically elide it to 0, as the stack VM does) and
         *constant in the iteration count*."""
         for build in (even_odd_boundary, tail_countdown_boundary):
-            small = run_on_rvm(build(60), mediator=mediator)
-            large = run_on_rvm(build(400), mediator=mediator)
+            small = run_on_rvm(build(60), semantics=semantics)
+            large = run_on_rvm(build(400), semantics=semantics)
             assert small.stats["max_pending_mediators"] <= 1
             assert (small.stats["max_pending_mediators"]
                     == large.stats["max_pending_mediators"])
@@ -131,7 +132,7 @@ class TestSpaceGuarantee:
                     == large.stats["max_pending_size"])
             # At -O0 nothing is elided: the raw boundary loop holds exactly
             # one composed pending mediator, never a stack of them.
-            raw = run_on_rvm(build(60), mediator=mediator, opt_level=0)
+            raw = run_on_rvm(build(60), semantics=semantics, opt_level=0)
             assert raw.stats["max_pending_mediators"] == 1
 
 
@@ -163,14 +164,14 @@ class TestDisassembly:
 
 
 class TestRegisterImages:
-    def _compile(self, mediator="coercion", opt_level=2):
+    def _compile(self, semantics="coercion", opt_level=2):
         term, ty = compile_source(SQUARE)
-        return compile_term(term, mediator=mediator, opt_level=opt_level), ty
+        return compile_term(term, semantics=semantics, opt_level=opt_level), ty
 
-    @pytest.mark.parametrize("mediator", MEDIATORS)
+    @pytest.mark.parametrize("semantics", NATURAL_SEMANTICS_NAMES)
     @pytest.mark.parametrize("opt_level", OPT_LEVELS)
-    def test_register_image_round_trips_and_runs(self, tmp_path, mediator, opt_level):
-        code, ty = self._compile(mediator, opt_level)
+    def test_register_image_round_trips_and_runs(self, tmp_path, semantics, opt_level):
+        code, ty = self._compile(semantics, opt_level)
         path = tmp_path / "square.gradb"
         save_image(code, path, static_type=ty, ir="register")
         image = load_image(path)
@@ -217,6 +218,25 @@ class TestCacheIRKey:
         register = cache_path(source_hash, 2, "coercion", tmp_path, ir="register")
         assert stack != register
 
+    def test_register_cache_miss_converts_once(self, tmp_path, monkeypatch):
+        import repro.compiler.regalloc as regalloc
+        import repro.compiler.serialize as serialize
+
+        calls = []
+        convert = regalloc.compile_registers
+
+        def counting(code):
+            calls.append(code)
+            return convert(code)
+
+        monkeypatch.setattr(regalloc, "compile_registers", counting)
+        monkeypatch.setattr(serialize, "compile_registers", counting)
+        result = api.run(SQUARE, engine="rvm", cache=True, cache_dir=str(tmp_path))
+        assert result.cache_status == "miss" and result.value == 36
+        assert len(calls) == 1
+        warm = api.run(SQUARE, engine="rvm", cache=True, cache_dir=str(tmp_path))
+        assert warm.cache_status == "hit" and len(calls) == 1
+
     def test_cached_compile_register_hits_with_register_code(self, tmp_path):
         term, ty = compile_source(SQUARE)
         miss = cached_compile(term, static_type=ty, cache_dir=tmp_path, ir="register")
@@ -229,8 +249,8 @@ class TestCacheIRKey:
                              run_rcode(miss.image.rcode))
 
     def test_run_source_warm_rvm_equals_cold(self, tmp_path):
-        cold = run_source(SQUARE, engine="rvm", cache=True, cache_dir=str(tmp_path))
-        warm = run_source(SQUARE, engine="rvm", cache=True, cache_dir=str(tmp_path))
+        cold = api.run(SQUARE, engine="rvm", cache=True, cache_dir=str(tmp_path))
+        warm = api.run(SQUARE, engine="rvm", cache=True, cache_dir=str(tmp_path))
         assert (warm.kind, warm.value, str(warm.type)) == (
             cold.kind, cold.value, str(cold.type))
         assert warm.engine == "rvm"

@@ -80,7 +80,8 @@ from repro.semantics.transient import (
     intern_transient,
     transient_of_coercion,
 )
-from repro.surface.interp import compile_source, run_source, run_term
+from repro import api
+from repro.surface.interp import compile_source
 
 from .strategies import lambda_b_programs
 
@@ -107,7 +108,7 @@ class TestRegistry:
 
     def test_resolve_returns_the_entry_and_rejects_unknowns(self):
         assert resolve("transient") is SEMANTICS["transient"]
-        with pytest.raises(UsageError, match="unknown mediator/semantics"):
+        with pytest.raises(UsageError, match="unknown semantics"):
             resolve("wrapsome")
 
     def test_policies_are_the_backend_singletons(self):
@@ -129,12 +130,6 @@ class TestRegistry:
 
         assert not hasattr(opt, "_POLICIES")
         assert not hasattr(vm, "VM_BACKENDS")
-
-    def test_legacy_machine_names_still_resolve_lazily(self):
-        from repro.machine import MACHINE_S_THREESOME, MEDIATORS
-
-        assert MEDIATORS == NATURAL_SEMANTICS_NAMES
-        assert MACHINE_S_THREESOME is SEMANTICS["threesome"].machine
 
 
 class TestTransientDerivation:
@@ -258,9 +253,9 @@ BLAMING_SOURCE = "(: (: 21 ?) bool)"
 
 def _engines():
     return (
-        ("machine", lambda term, sem: run_on_machine(term, "S", mediator=sem)),
-        ("vm", lambda term, sem: run_on_vm(term, mediator=sem)),
-        ("rvm", lambda term, sem: run_on_rvm(term, mediator=sem)),
+        ("machine", lambda term, sem: run_on_machine(term, "S", semantics=sem)),
+        ("vm", lambda term, sem: run_on_vm(term, semantics=sem)),
+        ("rvm", lambda term, sem: run_on_rvm(term, semantics=sem)),
     )
 
 
@@ -268,7 +263,7 @@ class TestFourByThreeMatrix:
     def test_all_semantics_and_engines_agree_on_safe_programs(self):
         for source in SAFE_SOURCES:
             term, _ = compile_source(source)
-            expected = run_on_machine(term, "S", mediator="coercion").python_value()
+            expected = run_on_machine(term, "S", semantics="coercion").python_value()
             for engine, run in _engines():
                 for sem in SEMANTICS_NAMES:
                     outcome = run(term, sem)
@@ -289,8 +284,8 @@ class TestFourByThreeMatrix:
         # tag under the same label, so the labels coincide here even though
         # they may diverge on higher-order programs.
         term, _ = compile_source(BLAMING_SOURCE)
-        natural = run_on_vm(term, mediator="coercion")
-        transient = run_on_vm(term, mediator="transient")
+        natural = run_on_vm(term, semantics="coercion")
+        transient = run_on_vm(term, semantics="transient")
         assert natural.label == transient.label
 
     def test_erasure_never_blames_the_known_blamers(self):
@@ -306,7 +301,7 @@ class TestErasureElision:
         for source in SAFE_SOURCES + (BLAMING_SOURCE,):
             term, _ = compile_source(source)
             for opt_level in (1, 2):
-                code = compile_term(term, mediator="erasure", opt_level=opt_level)
+                code = compile_term(term, semantics="erasure", opt_level=opt_level)
                 for obj in all_code_objects(code):
                     ops = {op for op, _ in obj.instructions}
                     assert not (ops & mediation), f"-O{opt_level}: {source}"
@@ -315,21 +310,21 @@ class TestErasureElision:
         # Unoptimized code still carries the mediation instructions; the
         # pool entries are all the ERASED singleton and apply as identity.
         term, _ = compile_source(BLAMING_SOURCE)
-        code = compile_term(term, mediator="erasure", opt_level=0)
+        code = compile_term(term, semantics="erasure", opt_level=0)
         assert all(entry is ERASED for entry in code.pool.coercions)
-        outcome = run_on_vm(term, mediator="erasure", opt_level=0)
+        outcome = run_on_vm(term, semantics="erasure", opt_level=0)
         assert outcome.is_value and outcome.python_value() == 21
 
 
 class TestSpaceBounds:
     def test_transient_pending_stays_within_the_one_slot_discipline(self):
         for program in (tail_countdown_boundary(200), even_odd_boundary(100)):
-            outcome = run_on_vm(program, mediator="transient")
+            outcome = run_on_vm(program, semantics="transient")
             assert outcome.is_value
             assert outcome.stats["max_pending_mediators"] <= 1
 
     def test_erasure_has_no_pending_mediators_after_elision(self):
-        outcome = run_on_vm(even_odd_boundary(100), mediator="erasure")
+        outcome = run_on_vm(even_odd_boundary(100), semantics="erasure")
         assert outcome.is_value
         assert outcome.stats["max_pending_mediators"] == 0
 
@@ -357,9 +352,9 @@ class TestExtendedOracle:
 
 
 class TestImageRoundTrips:
-    def _roundtrip(self, source: str, mediator: str, opt_level: int = 0):
+    def _roundtrip(self, source: str, semantics: str, opt_level: int = 0):
         term, ty = compile_source(source)
-        code = compile_term(term, mediator=mediator, opt_level=opt_level)
+        code = compile_term(term, semantics=semantics, opt_level=opt_level)
         data = serialize_image(
             code, source_hash=source_fingerprint(source), static_type=ty
         )
@@ -367,7 +362,7 @@ class TestImageRoundTrips:
 
     def test_transient_images_reintern_their_checks(self):
         code, image = self._roundtrip(BLAMING_SOURCE, "transient")
-        assert image.info.mediator == "transient"
+        assert image.info.semantics == "transient"
         for original, loaded in zip(code.pool.coercions, image.code.pool.coercions):
             assert loaded is original  # structural interning restores identity
         from repro.compiler.vm import run_code
@@ -385,7 +380,7 @@ class TestImageRoundTrips:
 
     def test_erasure_images_round_trip_to_the_singleton(self):
         code, image = self._roundtrip(BLAMING_SOURCE, "erasure")
-        assert image.info.mediator == "erasure"
+        assert image.info.semantics == "erasure"
         assert all(entry is ERASED for entry in image.code.pool.coercions)
         from repro.compiler.vm import run_code
 
@@ -407,22 +402,21 @@ class TestCacheKeys:
 class TestSurfaceSemanticsKnob:
     def test_run_source_accepts_the_semantics_spelling(self):
         for sem in SEMANTICS_NAMES:
-            result = run_source("(: (: 21 ?) int)", engine="vm", semantics=sem)
+            result = api.run("(: (: 21 ?) int)", engine="vm", semantics=sem)
             assert result.is_value and result.value == 21
             assert result.semantics == sem
-            assert result.mediator == sem
 
     def test_run_term_threads_transient_and_erasure_through(self):
         term, ty = compile_source(BLAMING_SOURCE)
-        blamed = run_term(term, ty, engine="vm", semantics="transient")
+        blamed = api.run(term, type=ty, engine="vm", semantics="transient")
         assert blamed.is_blame
-        erased = run_term(term, ty, engine="rvm", semantics="erasure")
+        erased = api.run(term, type=ty, engine="rvm", semantics="erasure")
         assert erased.is_value and erased.value == 21
 
     def test_subst_engine_supports_only_the_coercion_semantics(self):
         term, ty = compile_source("(: (: 21 ?) int)")
         with pytest.raises(UsageError):
-            run_term(term, ty, engine="subst", semantics="erasure")
+            api.run(term, type=ty, engine="subst", semantics="erasure")
 
 
 class TestErasureAgreesWithNaturalProperty:
@@ -437,7 +431,7 @@ class TestErasureAgreesWithNaturalProperty:
         natural = run_on_vm(term)
         for run in (run_on_vm, run_on_rvm):
             try:
-                erased = run(term, mediator="erasure")
+                erased = run(term, semantics="erasure")
             except EvaluationError:
                 # The elided guard would have intercepted this as blame — a
                 # dynamic type error is only legitimate when Natural did not

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from repro import api
 from repro.compiler import (
     FORMAT_VERSION,
     GRADB_MAGIC,
@@ -38,8 +39,8 @@ from repro.compiler import (
 )
 from repro.compiler.bytecode import PUSH_CONST, CodeObject, ConstantPool
 from repro.lambda_s.coercions import is_interned_space
-from repro.machine import MEDIATORS
-from repro.surface.interp import compile_source, run_source
+from repro.semantics import NATURAL_SEMANTICS_NAMES
+from repro.surface.interp import compile_source
 from repro.threesomes.runtime import is_interned_threesome
 
 from .strategies import lambda_b_programs
@@ -53,9 +54,9 @@ BLAME = "(define lib : ? (lambda (x) #t))\n(+ 1 ((: lib (-> int int)) 3))\n"
 SPIN = "(define (spin [n : int]) : int (spin n))\n(spin 0)\n"
 
 
-def _compile(source: str, mediator: str = "coercion", opt_level: int = 2):
+def _compile(source: str, semantics: str = "coercion", opt_level: int = 2):
     term, ty = compile_source(source)
-    return compile_term(term, mediator=mediator, opt_level=opt_level), ty
+    return compile_term(term, semantics=semantics, opt_level=opt_level), ty
 
 
 def _assert_same_outcome(a, b) -> None:
@@ -79,12 +80,12 @@ def _recrc(data: bytes) -> bytes:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("mediator", MEDIATORS)
+    @pytest.mark.parametrize("semantics", NATURAL_SEMANTICS_NAMES)
     @pytest.mark.parametrize("opt_level", [0, 1, 2])
-    def test_examples_round_trip_exactly(self, mediator, opt_level):
+    def test_examples_round_trip_exactly(self, semantics, opt_level):
         for example in EXAMPLES:
             source = example.read_text()
-            code, ty = _compile(source, mediator, opt_level)
+            code, ty = _compile(source, semantics, opt_level)
             image = deserialize_image(
                 serialize_image(code, source_hash=source_fingerprint(source), static_type=ty)
             )
@@ -93,7 +94,7 @@ class TestRoundTrip:
             # Oracle-identical behavior, including the space profile.
             _assert_same_outcome(run_code(code), run_code(image.code))
             assert image.info.format_version == FORMAT_VERSION
-            assert image.info.mediator == mediator
+            assert image.info.semantics == semantics
             assert image.info.opt_level == opt_level
             assert image.info.static_type == ty
             assert image.info.source_hash == source_fingerprint(source)
@@ -252,9 +253,9 @@ class TestCompileCache:
     def test_key_separates_opt_level_and_mediator(self, tmp_path):
         term, ty = compile_source(SQUARE)
         paths = {
-            cached_compile(term, static_type=ty, mediator=mediator,
+            cached_compile(term, static_type=ty, semantics=semantics,
                            opt_level=opt_level, cache_dir=tmp_path).path
-            for mediator in MEDIATORS
+            for semantics in NATURAL_SEMANTICS_NAMES
             for opt_level in (0, 2)
         }
         assert len(paths) == 4
@@ -277,21 +278,21 @@ class TestCompileCache:
     def test_run_source_hit_equals_miss(self, tmp_path):
         """Cache-hit and cache-miss runs are indistinguishable in RunResult."""
         for source in (SQUARE, BLAME):
-            cold = run_source(source, engine="vm", cache=True, cache_dir=str(tmp_path))
-            warm = run_source(source, engine="vm", cache=True, cache_dir=str(tmp_path))
+            cold = api.run(source, engine="vm", cache=True, cache_dir=str(tmp_path))
+            warm = api.run(source, engine="vm", cache=True, cache_dir=str(tmp_path))
             assert cold.kind == warm.kind
             assert cold.value == warm.value
             assert cold.blame_label == warm.blame_label
             assert str(cold.type) == str(warm.type)
             assert cold.steps == warm.steps
             assert cold.space_stats == warm.space_stats
-        timeout = run_source(SPIN, engine="vm", cache=True, cache_dir=str(tmp_path),
+        timeout = api.run(SPIN, engine="vm", cache=True, cache_dir=str(tmp_path),
                              fuel=5_000)
         assert timeout.is_timeout and timeout.steps == 5_000
 
     def test_warm_run_skips_the_front_end(self, tmp_path, monkeypatch):
         """A warm-cache run must not parse, elaborate, lower, or optimize."""
-        run_source(SQUARE, engine="vm", cache=True, cache_dir=str(tmp_path))
+        api.run(SQUARE, engine="vm", cache=True, cache_dir=str(tmp_path))
 
         import repro.surface.interp as interp
 
@@ -302,12 +303,12 @@ class TestCompileCache:
 
         monkeypatch.setattr(interp, "compile_source", explode)
         monkeypatch.setattr(vm, "compile_term", explode)
-        warm = run_source(SQUARE, engine="vm", cache=True, cache_dir=str(tmp_path))
+        warm = api.run(SQUARE, engine="vm", cache=True, cache_dir=str(tmp_path))
         assert warm.is_value and warm.value == 36
 
     def test_cache_respects_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_GRADUAL_CACHE_DIR", str(tmp_path / "via-env"))
-        result = run_source(SQUARE, engine="vm", cache=True)
+        result = api.run(SQUARE, engine="vm", cache=True)
         assert result.is_value
         stored = list((tmp_path / "via-env").rglob("*.gradb"))
         assert len(stored) == 1
@@ -327,10 +328,10 @@ class TestRoundTripProperty:
         outcome, blame, steps, and space profile, under both mediators at
         -O0 and -O2."""
         term, ty = program
-        for mediator in MEDIATORS:
+        for semantics in NATURAL_SEMANTICS_NAMES:
             for opt_level in (0, 2):
-                code = compile_term(term, mediator=mediator, opt_level=opt_level)
+                code = compile_term(term, semantics=semantics, opt_level=opt_level)
                 data = serialize_image(code, static_type=ty)
                 image = deserialize_image(data)
-                assert disassemble(image.code) == disassemble(code), (mediator, opt_level)
+                assert disassemble(image.code) == disassemble(code), (semantics, opt_level)
                 _assert_same_outcome(run_code(code), run_code(image.code))

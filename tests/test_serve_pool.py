@@ -75,6 +75,25 @@ class TestWorkerPool:
             result = pool.execute(job(SQUARE, engine="rvm"))
             assert (result["kind"], result["value"]) == ("value", 36)
 
+    @pytest.mark.parametrize("engine", ["vm", "rvm"])
+    def test_corrupt_cache_entry_is_recovered(self, tmp_path, engine):
+        from repro.api import IR_FOR_ENGINE
+        from repro.compiler.cache import cache_path
+        from repro.compiler.serialize import source_fingerprint
+
+        cached = job(SQUARE, engine=engine, cache_dir=str(tmp_path))
+        with WorkerPool(1) as pool:
+            assert pool.execute(cached)["cache"] == "miss"
+        entry = cache_path(source_fingerprint(SQUARE), 2, "coercion", tmp_path,
+                           IR_FOR_ENGINE[engine])
+        data = bytearray(entry.read_bytes())
+        data[-1] ^= 0xFF  # break the CRC trailer
+        entry.write_bytes(bytes(data))
+        with WorkerPool(1) as pool:  # a fresh worker: no resident image
+            result = pool.execute(cached)
+        assert result["cache"] == "recovered"
+        assert (result["kind"], result["value"]) == ("value", 36)
+
     def test_front_end_error_is_an_error_result(self):
         with WorkerPool(1) as pool:
             result = pool.execute(job("(+ 1 #t)"))

@@ -79,6 +79,8 @@ class TestProtocol:
         assert client.request({"op": "nope"})["kind"] == "error"
         assert client.run(SQUARE, engine="cek")["kind"] == "error"
         assert client.run(SQUARE, semantics="nope")["kind"] == "error"
+        legacy = client.run(SQUARE, mediator="threesome")
+        assert legacy["kind"] == "error" and "'semantics'" in legacy["error"]
         assert client.run(SQUARE, opt_level=9)["kind"] == "error"
         assert client.run(SQUARE, fuel=-1)["kind"] == "error"
         assert client.run(SQUARE, deadline_s=0)["kind"] == "error"

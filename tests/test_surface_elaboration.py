@@ -9,7 +9,8 @@ from repro.core.types import BOOL, DYN, INT, FunType, ProdType
 from repro.lambda_b.typecheck import type_of as type_b
 from repro.surface.cast_insertion import ElaborationError, elaborate, elaborate_program
 from repro.surface.consistency import branch_join, consistent, fun_match, prod_match
-from repro.surface.interp import compile_source, run_source
+from repro.api import run
+from repro.surface.interp import compile_source
 from repro.surface.parser import parse, parse_program
 from repro.surface.typecheck import (
     static_errors,
@@ -157,14 +158,14 @@ def _all_casts(term):
 
 class TestEndToEndExecution:
     def test_fully_typed_program(self):
-        result = run_source("((lambda ([x : int]) (* x x)) 7)")
+        result = run("((lambda ([x : int]) (* x x)) 7)")
         assert result.is_value and result.value == 49
 
     def test_gradual_program_runs_on_every_backend(self):
         source = "((lambda ([x : int]) (* x x)) (: 7 ?))"
         for calculus in ("B", "C", "S"):
-            assert run_source(source, calculus).value == 49
-            assert run_source(source, calculus, use_machine=False).value == 49
+            assert run(source, calculus=calculus).value == 49
+            assert run(source, calculus=calculus, engine="subst").value == 49
 
     def test_recursive_program(self):
         source = """
@@ -172,7 +173,7 @@ class TestEndToEndExecution:
           (if (zero? n) 0 (+ n (sum (- n 1)))))
         (sum 10)
         """
-        assert run_source(source).value == 55
+        assert run(source).value == 55
 
     def test_dynamically_typed_recursion(self):
         source = """
@@ -180,7 +181,7 @@ class TestEndToEndExecution:
                   (lambda (n) (if (zero? n) 0 (count (- n 1))))])
           (count 25))
         """
-        result = run_source(source)
+        result = run(source)
         assert result.is_value and result.value == 0
 
     def test_untyped_library_typed_client_blames_the_library(self):
@@ -189,7 +190,7 @@ class TestEndToEndExecution:
         (define use : (-> int int) (: lib (-> int int)))
         (+ 1 (use 3))
         """
-        result = run_source(source)
+        result = run(source)
         assert result.is_blame
         assert "3:" in result.blame_label.name  # the ascription on line 3
 
@@ -199,7 +200,7 @@ class TestEndToEndExecution:
         (define client : ? (lambda (f) (f #t)))
         (client (: inc ?))
         """
-        result = run_source(source)
+        result = run(source)
         assert result.is_blame
         assert not result.blame_label.positive
 
@@ -212,8 +213,8 @@ class TestEndToEndExecution:
           (if (zero? n) #t (: (: (loop (- n 1)) ?) bool)))
         (loop 300)
         """
-        result_s = run_source(source, "S")
-        result_b = run_source(source, "B")
+        result_s = run(source, calculus="S")
+        result_b = run(source, calculus="B")
         assert result_s.value is True and result_b.value is True
         assert result_s.space_stats["max_pending_mediators"] <= 4
         assert result_b.space_stats["max_pending_mediators"] >= 300
