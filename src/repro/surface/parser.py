@@ -18,8 +18,9 @@ Grammar (informally)::
     type     ::= int | bool | str | unit | ? | dyn
                | (-> type+ type) | (* type type)
 
-Every cast inserted by elaboration carries a blame label derived from the
-source location of the expression that required it.
+Brackets nest at most :data:`MAX_NESTING` deep.  Every cast inserted by
+elaboration carries a blame label derived from the source location of the
+expression that required it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ from .ast import (
     SVar,
 )
 from .lexer import Token, tokenize
+
+#: The deepest bracket nesting a program may have.  Elaboration, the
+#: translations and lowering recurse once per level, so this keeps every
+#: later pass well inside Python's default recursion limit.
+MAX_NESTING = 200
 
 _KEYWORDS = {
     "lambda",
@@ -79,53 +85,50 @@ _TYPE_NAMES = {
 # ---------------------------------------------------------------------------
 
 
-class _SExpr:
-    """Either an atom (a token) or a list of s-expressions with a location."""
+class _Form(list):
+    """A bracketed form: its items, and where its opening bracket is.
 
-    __slots__ = ("items", "token", "location")
+    An s-expression is either a :class:`Token` (an atom) or a ``_Form``.
+    """
 
-    def __init__(self, items=None, token: Token | None = None, location: SourceLocation | None = None):
-        self.items = items
-        self.token = token
-        self.location = location if location is not None else (token.location if token else None)
-
-    @property
-    def is_atom(self) -> bool:
-        return self.token is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.is_atom:
-            return f"Atom({self.token.text})"
-        return f"List({self.items})"
+    __slots__ = ("line", "column")
 
 
-def _read_all(tokens: list[Token]) -> list[_SExpr]:
-    position = 0
+#: Opening bracket kind → the kind that closes it.
+_CLOSER = {"lparen": "rparen", "lbracket": "rbracket"}
 
-    def read() -> _SExpr:
-        nonlocal position
-        if position >= len(tokens):
-            raise ParseError("unexpected end of input")
-        token = tokens[position]
-        if token.kind in ("lparen", "lbracket"):
-            closing = "rparen" if token.kind == "lparen" else "rbracket"
-            position += 1
-            items: list[_SExpr] = []
-            while position < len(tokens) and tokens[position].kind != closing:
-                items.append(read())
-            if position >= len(tokens):
-                raise ParseError("missing closing parenthesis", token.location.line, token.location.column)
-            position += 1  # consume the closing delimiter
-            return _SExpr(items=items, location=token.location)
-        if token.kind in ("rparen", "rbracket"):
-            raise ParseError("unexpected closing parenthesis", token.location.line, token.location.column)
-        position += 1
-        return _SExpr(token=token)
 
-    forms: list[_SExpr] = []
-    while position < len(tokens):
-        forms.append(read())
+def _read_all(tokens: list[Token]) -> list[Token | _Form]:
+    """Group tokens into s-expressions with an explicit stack of open forms."""
+    forms: list[Token | _Form] = []
+    items, closer = forms, None
+    enclosing: list[tuple[list, str | None]] = []
+    for token in tokens:
+        kind = token.kind
+        if kind in _CLOSER:  # an opening bracket
+            if len(enclosing) == MAX_NESTING:
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", token.line, token.column)
+            form = _Form()
+            form.line = token.line
+            form.column = token.column
+            items.append(form)
+            enclosing.append((items, closer))
+            items, closer = form, _CLOSER[kind]
+        elif kind == "rparen" or kind == "rbracket":
+            if kind != closer:
+                raise ParseError("unexpected closing parenthesis", token.line, token.column)
+            items, closer = enclosing.pop()
+        else:
+            items.append(token)
+    if enclosing:
+        raise ParseError("missing closing parenthesis", items.line, items.column)
     return forms
+
+
+def _head_name(form: _Form) -> str | None:
+    """The text of a form's first item, if that is an atom."""
+    head = form[0]
+    return head.text if isinstance(head, Token) else None
 
 
 # ---------------------------------------------------------------------------
@@ -133,29 +136,29 @@ def _read_all(tokens: list[Token]) -> list[_SExpr]:
 # ---------------------------------------------------------------------------
 
 
-def parse_type_sexpr(sexpr: _SExpr) -> Type:
-    if sexpr.is_atom:
-        name = sexpr.token.text
+def parse_type_sexpr(sexpr: Token | _Form) -> Type:
+    if isinstance(sexpr, Token):
+        name = sexpr.text
         if name in _TYPE_NAMES:
             return _TYPE_NAMES[name]
-        raise ParseError(f"unknown type {name!r}", sexpr.location.line, sexpr.location.column)
-    if not sexpr.items:
-        raise ParseError("empty type", sexpr.location.line, sexpr.location.column)
-    head = sexpr.items[0]
-    if head.is_atom and head.token.text == "->":
-        parts = [parse_type_sexpr(item) for item in sexpr.items[1:]]
+        raise ParseError(f"unknown type {name!r}", sexpr.line, sexpr.column)
+    if not sexpr:
+        raise ParseError("empty type", sexpr.line, sexpr.column)
+    head_name = _head_name(sexpr)
+    if head_name == "->":
+        parts = list(map(parse_type_sexpr, sexpr[1:]))
         if len(parts) < 2:
-            raise ParseError("-> needs at least two types", sexpr.location.line, sexpr.location.column)
+            raise ParseError("-> needs at least two types", sexpr.line, sexpr.column)
         result = parts[-1]
         for dom in reversed(parts[:-1]):
             result = FunType(dom, result)
         return result
-    if head.is_atom and head.token.text == "*":
-        parts = [parse_type_sexpr(item) for item in sexpr.items[1:]]
+    if head_name == "*":
+        parts = list(map(parse_type_sexpr, sexpr[1:]))
         if len(parts) != 2:
-            raise ParseError("* needs exactly two types", sexpr.location.line, sexpr.location.column)
+            raise ParseError("* needs exactly two types", sexpr.line, sexpr.column)
         return ProdType(parts[0], parts[1])
-    raise ParseError("malformed type", sexpr.location.line, sexpr.location.column)
+    raise ParseError("malformed type", sexpr.line, sexpr.column)
 
 
 def parse_type(source: str) -> Type:
@@ -171,103 +174,107 @@ def parse_type(source: str) -> Type:
 # ---------------------------------------------------------------------------
 
 
-def _parse_param(sexpr: _SExpr) -> tuple[str, Type]:
-    if sexpr.is_atom:
-        return sexpr.token.text, DYN
-    items = sexpr.items
-    if len(items) == 3 and items[1].is_atom and items[1].token.text == ":":
-        if not items[0].is_atom:
-            raise ParseError("parameter name must be a symbol", sexpr.location.line, sexpr.location.column)
-        return items[0].token.text, parse_type_sexpr(items[2])
-    raise ParseError("malformed parameter (expected name or [name : type])",
-                     sexpr.location.line, sexpr.location.column)
+def _parse_param(sexpr: Token | _Form) -> tuple[str, Type]:
+    if isinstance(sexpr, Token):
+        return sexpr.text, DYN
+    if len(sexpr) == 3 and isinstance(sexpr[1], Token) and sexpr[1].text == ":":
+        if not isinstance(sexpr[0], Token):
+            raise ParseError("parameter name must be a symbol", sexpr.line, sexpr.column)
+        return sexpr[0].text, parse_type_sexpr(sexpr[2])
+    raise ParseError("malformed parameter (expected name or [name : type])", sexpr.line, sexpr.column)
 
 
-def parse_expr_sexpr(sexpr: _SExpr) -> SurfaceExpr:
-    location = sexpr.location or SourceLocation(0, 0)
+def _parse_atom(token: Token) -> SurfaceExpr:
+    location = SourceLocation(token.line, token.column)
+    kind = token.kind
+    if kind == "int":
+        try:
+            value = int(token.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError("integer literal too long", token.line, token.column) from None
+        return SConst(value, location)
+    if kind == "bool":
+        return SConst(token.text in ("#t", "true"), location)
+    if kind == "string":
+        return SConst(token.text, location)
+    if token.text == "unit":
+        return SConst(None, location)
+    return SVar(token.text, location)
 
-    if sexpr.is_atom:
-        token = sexpr.token
-        if token.kind == "int":
-            return SConst(int(token.text), location)
-        if token.kind == "bool":
-            return SConst(token.text in ("#t", "true"), location)
-        if token.kind == "string":
-            return SConst(token.text, location)
-        if token.text == "unit":
-            return SConst(None, location)
-        return SVar(token.text, location)
 
-    if not sexpr.items:
-        raise ParseError("empty expression", location.line, location.column)
+def parse_expr_sexpr(sexpr: Token | _Form) -> SurfaceExpr:
+    if isinstance(sexpr, Token):
+        return _parse_atom(sexpr)
 
-    head = sexpr.items[0]
-    rest = sexpr.items[1:]
-    head_name = head.token.text if head.is_atom else None
+    line, column = sexpr.line, sexpr.column
+    if not sexpr:
+        raise ParseError("empty expression", line, column)
+    location = SourceLocation(line, column)
+    head_name = _head_name(sexpr)
+    rest = sexpr[1:]
 
     if head_name == "lambda":
-        if len(rest) != 2 or rest[0].is_atom:
-            raise ParseError("lambda expects a parameter list and a body", location.line, location.column)
-        params = tuple(_parse_param(p) for p in rest[0].items)
+        if len(rest) != 2 or isinstance(rest[0], Token):
+            raise ParseError("lambda expects a parameter list and a body", line, column)
+        params = tuple(map(_parse_param, rest[0]))
         if not params:
-            raise ParseError("lambda needs at least one parameter", location.line, location.column)
+            raise ParseError("lambda needs at least one parameter", line, column)
         return SLam(params, parse_expr_sexpr(rest[1]), location)
 
     if head_name == "let":
-        if len(rest) != 2 or rest[0].is_atom:
-            raise ParseError("let expects a binding list and a body", location.line, location.column)
+        if len(rest) != 2 or isinstance(rest[0], Token):
+            raise ParseError("let expects a binding list and a body", line, column)
         bindings = []
-        for binding in rest[0].items:
-            if binding.is_atom or len(binding.items) != 2 or not binding.items[0].is_atom:
-                raise ParseError("malformed let binding", location.line, location.column)
-            bindings.append((binding.items[0].token.text, parse_expr_sexpr(binding.items[1])))
+        for binding in rest[0]:
+            if isinstance(binding, Token) or len(binding) != 2 or not isinstance(binding[0], Token):
+                raise ParseError("malformed let binding", line, column)
+            bindings.append((binding[0].text, parse_expr_sexpr(binding[1])))
         return SLet(tuple(bindings), parse_expr_sexpr(rest[1]), location)
 
     if head_name == "letrec":
-        if len(rest) != 2 or rest[0].is_atom or len(rest[0].items) != 1:
-            raise ParseError("letrec expects exactly one binding and a body", location.line, location.column)
-        binding = rest[0].items[0]
-        if binding.is_atom or len(binding.items) != 4 or not binding.items[0].is_atom:
-            raise ParseError("letrec binding must be [name : type expr]", location.line, location.column)
-        if not (binding.items[1].is_atom and binding.items[1].token.text == ":"):
-            raise ParseError("letrec binding must be [name : type expr]", location.line, location.column)
-        name = binding.items[0].token.text
-        annotation = parse_type_sexpr(binding.items[2])
-        bound = parse_expr_sexpr(binding.items[3])
-        return SLetRec(name, annotation, bound, parse_expr_sexpr(rest[1]), location)
+        if len(rest) != 2 or isinstance(rest[0], Token) or len(rest[0]) != 1:
+            raise ParseError("letrec expects exactly one binding and a body", line, column)
+        binding = rest[0][0]
+        if isinstance(binding, Token) or len(binding) != 4 or not isinstance(binding[0], Token):
+            raise ParseError("letrec binding must be [name : type expr]", line, column)
+        if not (isinstance(binding[1], Token) and binding[1].text == ":"):
+            raise ParseError("letrec binding must be [name : type expr]", line, column)
+        annotation = parse_type_sexpr(binding[2])
+        bound = parse_expr_sexpr(binding[3])
+        return SLetRec(binding[0].text, annotation, bound, parse_expr_sexpr(rest[1]), location)
 
     if head_name == "if":
         if len(rest) != 3:
-            raise ParseError("if expects three subexpressions", location.line, location.column)
-        return SIf(*(parse_expr_sexpr(r) for r in rest), location)
+            raise ParseError("if expects three subexpressions", line, column)
+        return SIf(*map(parse_expr_sexpr, rest), location)
 
     if head_name in ("pair", "cons"):
         if len(rest) != 2:
-            raise ParseError("pair expects two subexpressions", location.line, location.column)
+            raise ParseError("pair expects two subexpressions", line, column)
         return SPair(parse_expr_sexpr(rest[0]), parse_expr_sexpr(rest[1]), location)
 
     if head_name == "fst":
         if len(rest) != 1:
-            raise ParseError("fst expects one subexpression", location.line, location.column)
+            raise ParseError("fst expects one subexpression", line, column)
         return SFst(parse_expr_sexpr(rest[0]), location)
 
     if head_name == "snd":
         if len(rest) != 1:
-            raise ParseError("snd expects one subexpression", location.line, location.column)
+            raise ParseError("snd expects one subexpression", line, column)
         return SSnd(parse_expr_sexpr(rest[0]), location)
 
     if head_name in (":", "ann"):
         if len(rest) != 2:
-            raise ParseError("ascription expects an expression and a type", location.line, location.column)
+            raise ParseError("ascription expects an expression and a type", line, column)
         return SAscribe(parse_expr_sexpr(rest[0]), parse_type_sexpr(rest[1]), location)
 
     if head_name is not None and op_exists(head_name) and head_name not in _KEYWORDS:
-        return SOp(head_name, tuple(parse_expr_sexpr(r) for r in rest), location)
+        return SOp(head_name, tuple(map(parse_expr_sexpr, rest)), location)
 
     # Application.
     if not rest:
-        raise ParseError("application needs at least one argument", location.line, location.column)
-    return SApp(parse_expr_sexpr(head), tuple(parse_expr_sexpr(r) for r in rest), location)
+        raise ParseError("application needs at least one argument", line, column)
+    return SApp(parse_expr_sexpr(sexpr[0]), tuple(map(parse_expr_sexpr, rest)), location)
 
 
 # ---------------------------------------------------------------------------
@@ -275,28 +282,29 @@ def parse_expr_sexpr(sexpr: _SExpr) -> SurfaceExpr:
 # ---------------------------------------------------------------------------
 
 
-def _parse_define(sexpr: _SExpr) -> Definition:
-    location = sexpr.location
-    items = sexpr.items[1:]
+def _parse_define(sexpr: _Form) -> Definition:
+    line, column = sexpr.line, sexpr.column
+    location = SourceLocation(line, column)
+    items = sexpr[1:]
     if not items:
-        raise ParseError("empty define", location.line, location.column)
+        raise ParseError("empty define", line, column)
 
     # (define (name param*) [: type] body)  — function shorthand.
-    if not items[0].is_atom:
-        header = items[0].items
-        if not header or not header[0].is_atom:
-            raise ParseError("malformed define header", location.line, location.column)
-        name = header[0].token.text
-        params = tuple(_parse_param(p) for p in header[1:])
+    if not isinstance(items[0], Token):
+        header = items[0]
+        if not header or not isinstance(header[0], Token):
+            raise ParseError("malformed define header", line, column)
+        name = header[0].text
+        params = tuple(map(_parse_param, header[1:]))
         rest = items[1:]
         return_type: Type = DYN
-        if len(rest) == 3 and rest[0].is_atom and rest[0].token.text == ":":
+        if len(rest) == 3 and isinstance(rest[0], Token) and rest[0].text == ":":
             return_type = parse_type_sexpr(rest[1])
             body = parse_expr_sexpr(rest[2])
         elif len(rest) == 1:
             body = parse_expr_sexpr(rest[0])
         else:
-            raise ParseError("malformed define", location.line, location.column)
+            raise ParseError("malformed define", line, column)
         if params:
             fun_type: Type = return_type
             for _, param_type in reversed(params):
@@ -305,13 +313,13 @@ def _parse_define(sexpr: _SExpr) -> Definition:
         return Definition(name, return_type, body, location)
 
     # (define name [: type] body)
-    name = items[0].token.text
+    name = items[0].text
     rest = items[1:]
-    if len(rest) == 3 and rest[0].is_atom and rest[0].token.text == ":":
+    if len(rest) == 3 and isinstance(rest[0], Token) and rest[0].text == ":":
         return Definition(name, parse_type_sexpr(rest[1]), parse_expr_sexpr(rest[2]), location)
     if len(rest) == 1:
         return Definition(name, None, parse_expr_sexpr(rest[0]), location)
-    raise ParseError("malformed define", location.line, location.column)
+    raise ParseError("malformed define", line, column)
 
 
 def parse_program(source: str) -> Program:
@@ -321,14 +329,8 @@ def parse_program(source: str) -> Program:
         raise ParseError("empty program")
     definitions: list[Definition] = []
     main: SurfaceExpr | None = None
-    for index, form in enumerate(forms):
-        is_define = (
-            not form.is_atom
-            and form.items
-            and form.items[0].is_atom
-            and form.items[0].token.text == "define"
-        )
-        if is_define:
+    for form in forms:
+        if not isinstance(form, Token) and form and _head_name(form) == "define":
             if main is not None:
                 raise ParseError("definitions must precede the main expression")
             definitions.append(_parse_define(form))

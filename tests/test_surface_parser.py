@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import sys
+from pathlib import Path
 
-from repro.core.errors import ParseError
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import RunConfig, RunResult, run
+from repro.cli import main
+from repro.core.errors import ParseError, ReproError
 from repro.core.types import BOOL, DYN, INT, STR, UNIT, FunType, ProdType
 from repro.surface.ast import (
     SApp,
@@ -20,8 +27,15 @@ from repro.surface.ast import (
     SSnd,
     SVar,
 )
+from repro.gen.surface_programs import generate_corpus
+from repro.surface.cast_insertion import ElaborationError
 from repro.surface.lexer import tokenize
-from repro.surface.parser import parse, parse_program, parse_type
+from repro.surface.parser import MAX_NESTING, parse, parse_program, parse_type
+
+from . import reference_frontend as reference
+from .strategies import surface_sources
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "programs"
 
 
 class TestLexer:
@@ -214,3 +228,136 @@ class TestProgramParsing:
     def test_parse_rejects_programs_with_definitions(self):
         with pytest.raises(ParseError):
             parse("(define x 1) x")
+
+
+class TestIntegerLiterals:
+    def test_superscript_digits_are_a_symbol(self):
+        # "²".isdigit() holds but int("²") fails: it is not a decimal digit.
+        assert [t.kind for t in tokenize("² -²")] == ["symbol", "symbol"]
+        with pytest.raises(ElaborationError, match="unbound variable"):
+            run("²")
+
+    def test_unicode_decimal_digits_are_an_integer(self):
+        assert [t.kind for t in tokenize("١٢ -١٢")] == ["int", "int"]
+        assert run("(+ ١٢ -٢)").value == 10
+
+    def test_literal_with_more_digits_than_int_reads_is_a_parse_error(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ParseError, match="integer literal too long") as info:
+                parse_program("(+ 1\n  " + "7" * 4301 + ")")
+            assert (info.value.line, info.value.column) == (2, 3)
+            assert parse("7" * 4300).value == int("7" * 4300)
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+
+def _operator_nest(depth: int) -> str:
+    """``(+ 1 (+ 1 … 0))`` with ``depth`` nested brackets."""
+    return "(+ 1 " * depth + "0" + ")" * depth
+
+
+def _annotation_nest(depth: int) -> str:
+    """An identity ascribed ``(-> int (-> int … int))`` and applied, ``depth`` brackets deep."""
+    arrows = depth - 2
+    return "((: (lambda (x) x) " + "(-> int " * arrows + "int" + ")" * arrows + ") 1)"
+
+
+def _first_too_deep(source: str) -> int:
+    """The column of the first bracket nested deeper than the limit (one-line sources)."""
+    depth = 0
+    for column, char in enumerate(source, 1):
+        if char in "([":
+            depth += 1
+            if depth > MAX_NESTING:
+                return column
+        elif char in ")]":
+            depth -= 1
+    raise AssertionError("not nested past the limit")
+
+
+NESTS = [_operator_nest, _annotation_nest]
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("nest", NESTS)
+    def test_programs_at_the_limit_run_on_every_engine(self, nest):
+        source = nest(MAX_NESTING)
+        results = [run(source, RunConfig(engine=engine)) for engine in ("machine", "vm", "rvm")]
+        assert len({(r.kind, r.value, str(r.blame_label)) for r in results}) == 1, results
+        assert results[0].kind in ("value", "blame")
+
+    @pytest.mark.parametrize("nest", NESTS)
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1000])
+    @pytest.mark.parametrize("engine", ["machine", "vm", "rvm", "subst"])
+    def test_past_the_limit_is_a_parse_error(self, nest, depth, engine):
+        source = nest(depth)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}") as info:
+            run(source, RunConfig(engine=engine))
+        assert (info.value.line, info.value.column) == (1, _first_too_deep(source))
+
+    @pytest.mark.parametrize("nest", NESTS)
+    def test_the_cli_exits_2_with_one_line(self, nest, tmp_path, capsys):
+        path = tmp_path / "deep.grad"
+        path.write_text(nest(MAX_NESTING + 1) + "\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1, err
+
+
+def _tokens_of(tokenizer, source: str):
+    """The token sequence as (kind, text, line, column), or the ParseError."""
+    try:
+        return [(t.kind, t.text, t.location.line, t.location.column) for t in tokenizer(source)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+def _program_of(parser, source: str):
+    """The parsed program's repr, locations included, or the ParseError."""
+    try:
+        return repr(parser(source))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+def _assert_matches_reference(source: str) -> None:
+    assert _tokens_of(tokenize, source) == _tokens_of(reference.tokenize, source)
+    assert _program_of(parse_program, source) == _program_of(reference.parse_program, source)
+
+
+class TestAgainstReference:
+    """The regex lexer and explicit-stack reader against the character-at-a-
+    time tokenizer and recursive reader they replaced (``reference_frontend``)."""
+
+    def test_shipped_and_generated_programs(self):
+        sources = [path.read_text() for path in sorted(EXAMPLES.glob("*.grad"))]
+        for seed in range(4):
+            sources += [source for _, source in generate_corpus(16, seed=seed, bindings=6)]
+        for source in sources:
+            _assert_matches_reference(source)
+
+    @pytest.mark.parametrize("source", [
+        '"a\\\nb" later', '"x\\\n\\\ny" tok', '"a\nb"', '"oops', '"a\\', "(f [x)", "(f", ")",
+        "x\f y\u00a0z", "a\rb\r\n  c", "; only a comment", "(+ 1 2) ; trailing", "#t#f -3x 1.5",
+    ])
+    def test_edge_cases(self, source):
+        _assert_matches_reference(source)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(surface_sources())
+    def test_grammar_biased_sources(self, source):
+        _assert_matches_reference(source)
+
+
+class TestTotality:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.text() | surface_sources())
+    def test_any_text_gives_a_result_or_a_repro_error(self, source):
+        for engine in ("machine", "rvm"):
+            try:
+                result = run(source, RunConfig(engine=engine, fuel=500))
+            except ReproError:
+                continue
+            assert isinstance(result, RunResult)
