@@ -11,7 +11,10 @@ arbitrarily slower or faster than the machine that recorded the baseline,
 but the ratio between two runs of the same VMs on the same box is stable.
 If either current ratio slips more than ``SLIP_TOLERANCE`` (25%) below the
 committed one — someone pessimised the optimizer, the VM's fast paths, or
-the register dispatch core — exit non-zero and fail the build.
+the register dispatch core — exit non-zero and fail the build.  The
+``regalloc`` gate is measured the same way, without a committed baseline:
+register conversion time over lower+optimize time on the shipped example
+programs, against :data:`REGALLOC_RATIO`.
 
 Usage::
 
@@ -39,6 +42,11 @@ REPEAT = 5
 #: The observability hooks' budget: with no tracer active, the vm/rvm hot
 #: loops may not be more than 2% slower than the committed baseline.
 TRACE_OVERHEAD_TOLERANCE = 0.02
+
+#: Register conversion time over lower+optimize time, both ``-O2`` on the
+#: shipped example programs, as measured once conversion became one pass
+#: (CPython 3.11, 2-vCPU host).  The gate fails ``SLIP_TOLERANCE`` above it.
+REGALLOC_RATIO = 0.70
 
 
 def _best(code, runner=run_code, repeat: int = REPEAT) -> float:
@@ -109,7 +117,47 @@ def main() -> int:
             status = 1
     status |= trace_overhead_gate(by_name, fastest)
     status |= erasure_ceiling_gate()
+    status |= regalloc_gate()
     return status
+
+
+def regalloc_gate() -> int:
+    """Gate: register conversion may not grow against the compile work it
+    follows.
+
+    Both sides are timed in this process on the same programs — the shipped
+    examples, translated to λS once — so the ratio is machine-stable like
+    the speedups above: lower+optimize (the register pipeline's shared
+    ``-O2`` passes, :func:`repro.compiler.opt.optimize`) against converting
+    their output with ``compile_registers``.  Best of ``3 * REPEAT`` passes
+    over the whole set each.
+    """
+    from repro.compiler.lower import lower_program
+    from repro.compiler.opt import optimize
+    from repro.surface.interp import compile_source
+    from repro.translate import b_to_c, c_to_s
+
+    programs = sorted((REPO / "examples" / "programs").glob("*.grad"))
+    terms = [c_to_s(b_to_c(compile_source(path.read_text())[0])) for path in programs]
+
+    def lower_and_optimize(terms: list) -> list:
+        return [optimize(lower_program(term), 2) for term in terms]
+
+    def convert(codes: list) -> list:
+        return [compile_registers(code) for code in codes]
+
+    front = _best(terms, runner=lower_and_optimize, repeat=3 * REPEAT)
+    regalloc = _best(lower_and_optimize(terms), runner=convert, repeat=3 * REPEAT)
+    ratio = regalloc / front
+    ceiling = REGALLOC_RATIO * (1 + SLIP_TOLERANCE)
+    if ratio <= ceiling:
+        print(f"perf-smoke: regalloc over lower+optimize {ratio:.2f}x "
+              f"(recorded {REGALLOC_RATIO:.2f}x, ceiling {ceiling:.2f}x): ok")
+        return 0
+    print(f"perf-smoke: regalloc REGRESSION: register conversion takes {ratio:.2f}x "
+          f"lower+optimize on the same programs (recorded {REGALLOC_RATIO:.2f}x, "
+          f"ceiling {ceiling:.2f}x)")
+    return 1
 
 
 def erasure_ceiling_gate() -> int:

@@ -69,6 +69,7 @@ from .lambda_b import reduction as reduction_b
 from .lambda_c import reduction as reduction_c
 from .lambda_s import reduction as reduction_s
 from .machine import run_on_machine
+from .machine.values import repr_value
 from .obs.metrics import phase, record_run
 from .semantics import SEMANTICS_NAMES
 from .translate import b_to_c, c_to_s
@@ -239,7 +240,7 @@ class RunResult:
 
     def __str__(self) -> str:  # pragma: no cover - presentation
         if self.kind == "value":
-            return f"{self.value!r} : {self.type}"
+            return f"{repr_value(self.value)} : {self.type}"
         if self.kind == "blame":
             return f"blame {self.blame_label}"
         return f"timeout after {self.steps} {self.engine} steps"

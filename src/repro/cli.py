@@ -277,7 +277,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .compiler import (
-        compile_registers,
+        compile_register_program,
         compile_term,
         disassemble,
         disassemble_image,
@@ -305,13 +305,17 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                             semantics=args.semantics, opt_level=args.opt_level)
     source = Path(args.file).read_text()
     term, ty = elaborate_program(parse_program(source))
-    code = compile_term(term, config.semantics, config.opt_level)
+    rcode = None
+    if args.ir == "register":
+        code, rcode = compile_register_program(term, config.semantics, config.opt_level)
+    else:
+        code = compile_term(term, config.semantics, config.opt_level)
     if args.output is not None:
         save_image(code, args.output, source_hash=source_fingerprint(source),
-                   static_type=ty, ir=args.ir)
+                   static_type=ty, ir=args.ir, rcode=rcode)
         print(f"wrote {args.output}")
-    elif args.ir == "register":
-        print(disassemble_registers(compile_registers(code)))
+    elif rcode is not None:
+        print(disassemble_registers(rcode))
     else:
         print(disassemble(code))
     return EXIT_VALUE

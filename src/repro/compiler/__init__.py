@@ -9,7 +9,9 @@ The pipeline (surface → λB → λC → λS → bytecode → VM)::
         │  repro.compiler.lower      lexical addressing, pre-interned coercions
         ▼
     CodeObject over a ConstantPool   (repro.compiler.bytecode)
-        │  repro.compiler.vm         integer dispatch, pending-coercion slot
+        │  repro.compiler.opt        identity elision, static pre-composition
+        │  repro.compiler.vm         superinstructions, integer dispatch,
+        │                            pending-coercion slot
         │  repro.compiler.regalloc   stack → register IR, packed word streams
         ▼                            (repro.compiler.rvm: the fastest engine)
     MachineOutcome (value / blame / timeout) with space statistics
@@ -45,6 +47,7 @@ from .rvm import (
     RVM,
     THE_RVM,
     RClosure,
+    compile_register_program,
     compile_term_registers,
     run_on_rvm,
     run_rcode,
@@ -118,6 +121,7 @@ __all__ = [
     "RVM",
     "THE_RVM",
     "RClosure",
+    "compile_register_program",
     "compile_term_registers",
     "run_on_rvm",
     "run_rcode",

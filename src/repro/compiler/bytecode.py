@@ -42,8 +42,8 @@ the live frame instead of pushing a stack frame whose only job is to apply
 it, so boundary-crossing tail loops run in constant space — the VM-level
 image of the λS machine's merged ``KMediate`` frames.
 
-**Superinstructions** (emitted by the optimizer, :mod:`repro.compiler.opt`,
-at ``-O2``): each fuses one statically adjacent pair that a dynamic
+**Superinstructions** (emitted by the stack VM's optimizer,
+:func:`repro.compiler.vm.optimize`, at ``-O2``): each fuses one statically adjacent pair that a dynamic
 frequency count over the benchmark workloads showed hot, saving a dispatch
 — and usually a stack round trip — per execution.  When both halves carry
 an operand the two indices are packed into one int as
@@ -101,8 +101,9 @@ PAIR = 14
 FST = 15
 SND = 16
 
-# Superinstructions (see the module docstring table).  Only the optimizer
-# emits these; the lowering pass sticks to the base set.
+# Superinstructions (see the module docstring table), numbered above every
+# base opcode.  Only the stack VM's optimizer emits these; the lowering
+# pass and the shared optimizer passes stick to the base set.
 LOAD2 = 17
 LOAD_PUSH = 18
 LOAD_COERCE = 19
@@ -154,7 +155,7 @@ OPCODES_BY_NAME = {name: code for code, name in OPCODE_NAMES.items()}
 NO_OPERAND = frozenset({CALL, TAILCALL, RETURN, PAIR, FST, SND})
 
 #: Which base pair each superinstruction fuses, in stream order.  The
-#: optimizer's peephole pass and the disassembler's operand decoding both
+#: stack VM's peephole pass and the disassembler's operand decoding both
 #: key off this table, so adding a fusion is one entry here plus a dispatch
 #: arm in the VM.
 SUPERINSTRUCTIONS = {
@@ -344,9 +345,9 @@ class CodeObject:
         self.param = param
         self.local_names = local_names
         # Set by the optimizer: per-site inline-cache cells (a list parallel
-        # to `instructions`, None until `-O2` allocates it; the VM leaves the
-        # caches off — the PR-3 baseline — when this is None) and the level
-        # the program was optimized at.
+        # to `instructions`, None until the stack VM's `-O2` allocates it;
+        # the VM leaves the caches off — the PR-3 baseline — when this is
+        # None) and the level the program was optimized at.
         self.caches: list | None = None
         self.opt_level = 0
 

@@ -194,20 +194,22 @@ def compile_image(
 ) -> LoadedImage:
     """Compile a λB term into an in-memory image, without touching the cache.
 
-    The image carries the optimized stack code and, for ``ir="register"``,
-    the register code converted from it (once).  ``metrics`` gets the
-    ``lower``/``optimize`` phase timers and, for register images,
-    ``regalloc``.
+    A stack image carries the stack VM's optimized code
+    (:func:`~repro.compiler.vm.compile_term`); a register image carries the
+    register pipeline's output (:func:`~repro.compiler.rvm.compile_register_program`):
+    the register code plus the unfused stack code it was converted from.
+    ``metrics`` gets the ``lower``/``optimize`` phase timers and, for
+    register images, ``regalloc``.
     """
-    from ..obs.metrics import phase
-    from .regalloc import compile_registers
-    from .vm import compile_term
-
-    code = compile_term(term, semantics, opt_level, metrics=metrics)
-    rcode = None
     if ir == "register":
-        with phase(metrics, "regalloc"):
-            rcode = compile_registers(code)
+        from .rvm import compile_register_program
+
+        code, rcode = compile_register_program(term, semantics, opt_level, metrics)
+    else:
+        from .vm import compile_term
+
+        code = compile_term(term, semantics, opt_level, metrics=metrics)
+        rcode = None
     info = ImageInfo(FORMAT_VERSION, source_hash, opt_level, semantics, static_type, ir)
     return LoadedImage(code, info, rcode)
 

@@ -247,3 +247,15 @@ def lower_program(
     builder = _CodeBuilder(name, pool, free=(), param=None)
     _compile(builder, term_s, tail=True)
     return builder.finish()
+
+
+def lower_term(term_b: Term, semantics: str = "coercion", metrics=None) -> CodeObject:
+    """Translate an elaborated λB term with ``|·|BC`` then ``|·|CS`` and lower
+    the result: the unoptimized program both compiled engines start from.
+    ``metrics`` gets the ``lower`` phase timer (which covers the two
+    translations too)."""
+    from ..obs.metrics import phase
+    from ..translate import b_to_c, c_to_s
+
+    with phase(metrics, "lower"):
+        return lower_program(c_to_s(b_to_c(term_b)), "<main>", semantics)

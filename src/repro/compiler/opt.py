@@ -1,14 +1,16 @@
-"""The bytecode optimizer: static mediator work + peephole superinstructions.
+"""The shared bytecode optimizer: static mediator work on the stack IR.
 
-This stage sits between :mod:`repro.compiler.lower` and the VM and moves
-work out of the hot loop, at three levels (``optimize(code, level)``,
-surfaced as ``-O``/``--opt-level`` with ``-O2`` the default):
+This stage sits between :mod:`repro.compiler.lower` and the two compiled
+engines and moves mediator work out of the hot loop.  Its passes are the
+ones both IRs need; ``optimize(code, level)`` (surfaced as
+``-O``/``--opt-level``, ``-O2`` the default) runs them and records the level
+on every code object:
 
 ``-O0``
     Nothing: the instruction stream exactly as lowered (the PR-2/PR-3
     baseline, kept runnable as the optimizer's own oracle).
 
-``-O1`` — **static coercion elision and pre-composition.**
+``-O1`` and up — **static coercion elision and pre-composition.**
     The paper's point is that composition ``#`` is a *compile-time-friendly*
     operator: it is total, canonical, and associative.  So whatever the
     compiler can already see, it composes ahead of execution:
@@ -24,57 +26,36 @@ surfaced as ``-O``/``--opt-level`` with ``-O2`` the default):
 
     Both rewrites go through the pool's own mediator representation — the
     memoised ``#`` for canonical coercions, threesome composition ``∘`` for
-    a threesome pool — so both backends are optimized by the same pass.
+    a threesome pool — so every backend is optimized by the same pass.
 
-``-O2`` — **peephole superinstructions + inline mediator caches.**
-    Statically adjacent pairs that a dynamic-frequency count over the
-    ``bench_vm`` workloads showed hot are fused into the superinstructions of
-    :data:`repro.compiler.bytecode.SUPERINSTRUCTIONS`, saving a dispatch
-    and usually a stack round trip each.  ``-O2`` also allocates the
-    per-site inline-cache cells (``CodeObject.caches``) that let the VM's
-    mediator opcodes replace policy calls and memo-dictionary lookups with
-    pointer compares on interned mediator identity (see
-    :mod:`repro.compiler.vm`).
+``-O2`` — **fusion and inline mediator caches, per engine.**
+    What ``-O2`` adds belongs to the engine that runs the code, so it is
+    not done here.  The stack VM's superinstructions
+    (:data:`repro.compiler.bytecode.SUPERINSTRUCTIONS`) and its per-site
+    inline-cache cells (``CodeObject.caches``) are added by
+    :func:`repro.compiler.vm.optimize`, the optimizer ``vm.compile_term``
+    runs.  The register pipeline converts this pass's output directly;
+    :mod:`repro.compiler.regalloc` fuses register pairs and the register
+    VM's code allocates its own cache cells.
 
-Jumps are remapped across every rewrite; a pair is never fused when its
-second instruction is a jump target (control could enter between the
-halves).  The optimizer never changes observables — values, blame labels,
-λS's space guarantee (a tail loop's ``max_pending_mediators`` stays 1; an
-elided identity can only *shrink* the footprint) — which
-``check_vm_oracle``/``check_mediator_oracle`` assert by running ``-O0``
-against ``-O2`` on both mediator backends.
+Jumps are remapped across every rewrite.  The optimizer never changes
+observables — values, blame labels, λS's space guarantee (a tail loop's
+``max_pending_mediators`` stays 1; an elided identity can only *shrink*
+the footprint) — which ``check_vm_oracle``/``check_mediator_oracle``
+assert by running ``-O0`` against ``-O2`` on both mediator backends.
 """
 
 from __future__ import annotations
 
 from ..machine.policy import MediationPolicy
 from ..semantics import policy_for
-from .bytecode import (
-    COERCE,
-    COMPOSE,
-    FUSED_LIMIT,
-    JUMP,
-    JUMP_IF_FALSE,
-    NO_OPERAND,
-    PRIM_JUMP_IF_FALSE,
-    PUSH_PRIM,
-    SUPERINSTRUCTIONS,
-    CodeObject,
-    all_code_objects,
-    pack_operands,
-)
+from .bytecode import COERCE, COMPOSE, JUMP, JUMP_IF_FALSE, CodeObject, all_code_objects
 
 #: Optimization levels understood by ``optimize`` (and ``-O`` on the CLI).
 OPT_LEVELS = (0, 1, 2)
 
 #: The default level everywhere: full optimization.
 DEFAULT_OPT_LEVEL = 2
-
-#: ``(op1, op2) -> fused`` — the peephole table, inverted from the opcode
-#: metadata so the two stay in sync by construction.
-_FUSIONS: dict[tuple[int, int], int] = {
-    pair: fused for fused, pair in SUPERINSTRUCTIONS.items()
-}
 
 _JUMPS = (JUMP, JUMP_IF_FALSE)
 
@@ -142,71 +123,6 @@ def _elide_and_precompose(code: CodeObject, policy: MediationPolicy) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# -O2: peephole superinstruction fusion
-# ---------------------------------------------------------------------------
-
-
-def _fusable(code: CodeObject, i: int, targets: set[int]) -> int | None:
-    """The fused opcode for the pair at ``i``, or None."""
-    insns = code.instructions
-    op1, a = insns[i]
-    op2, b = insns[i + 1]
-    fused = _FUSIONS.get((op1, op2))
-    if fused is None or (i + 1) in targets:
-        return None
-    # Both halves carry an operand: they must fit the packing.  (Remapped
-    # jump targets only shrink, so checking the old values is safe.)
-    if op1 not in NO_OPERAND and op2 not in NO_OPERAND:
-        if a >= FUSED_LIMIT or b >= FUSED_LIMIT:
-            return None
-    # The fully inlined primitive superinstructions handle unary and binary
-    # operators (the whole registry today); leave anything else unfused.
-    if fused == PUSH_PRIM and code.pool.prims[b][1] > 2:
-        return None
-    if fused == PRIM_JUMP_IF_FALSE and code.pool.prims[a][1] > 2:
-        return None
-    return fused
-
-
-def _fuse_superinstructions(code: CodeObject) -> None:
-    insns = code.instructions
-    targets = _jump_targets(insns)
-    n = len(insns)
-
-    # Phase 1: greedy left-to-right pairing decisions.
-    decisions: list[tuple[int, int | None]] = []  # (old index, fused opcode | None)
-    i = 0
-    while i < n:
-        fused = _fusable(code, i, targets) if i + 1 < n else None
-        decisions.append((i, fused))
-        i += 2 if fused is not None else 1
-
-    # Phase 2: the old→new pc map (a fused pair's second half maps to the
-    # fused instruction; no jump can target it — _fusable guaranteed that).
-    old2new = [0] * (n + 1)
-    for new_index, (old_index, fused) in enumerate(decisions):
-        old2new[old_index] = new_index
-        if fused is not None:
-            old2new[old_index + 1] = new_index
-    old2new[n] = len(decisions)
-
-    # Phase 3: emit, remapping jump operands (packed or plain).
-    new: list[tuple[int, int]] = []
-    for old_index, fused in decisions:
-        op1, a = insns[old_index]
-        if op1 in _JUMPS:
-            a = old2new[a]
-        if fused is None:
-            new.append((op1, a))
-            continue
-        op2, b = insns[old_index + 1]
-        if op2 in _JUMPS:
-            b = old2new[b]
-        new.append((fused, pack_operands(op1, a, op2, b)))
-    code.instructions = new
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -214,20 +130,16 @@ def _fuse_superinstructions(code: CodeObject) -> None:
 def optimize(code: CodeObject, level: int = DEFAULT_OPT_LEVEL) -> CodeObject:
     """Optimize a compiled program in place (entry + nested codes); returns it.
 
-    ``level`` is clamped to :data:`OPT_LEVELS`; level 0 returns the program
-    untouched (and un-cached: exactly what the lowering pass produced).
+    ``level`` must be one of :data:`OPT_LEVELS`.  Level 0 leaves the
+    instructions exactly as lowered; levels 1 and 2 run the same passes
+    here and differ in what each engine adds on top at ``-O2``.
     """
     if level not in OPT_LEVELS:
         raise ValueError(f"unknown optimization level {level!r}; expected one of {OPT_LEVELS}")
-    code.opt_level = level
-    if level == 0:
-        return code
-    policy = policy_for(code.pool.semantics)
+    policy = policy_for(code.pool.semantics) if level else None
     for obj in all_code_objects(code):
-        while _elide_and_precompose(obj, policy):
-            pass
-        if level >= 2:
-            _fuse_superinstructions(obj)
-            obj.caches = [None] * len(obj.instructions)
+        if policy is not None:
+            while _elide_and_precompose(obj, policy):
+                pass
         obj.opt_level = level
     return code

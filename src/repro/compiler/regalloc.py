@@ -31,12 +31,11 @@ relative to the stack IR, each removing per-instruction Python-object work:
 * **structural and peephole fusion.**  A primitive reads both inputs and
   writes its destination in one instruction, and a primitive feeding a
   conditional branch is one compare-and-branch (``BR_PRIM2``) — fusions the
-  stack VM needs dynamic profiling and superinstructions for.  On top of
-  that, at ``-O2`` the hottest *register-level* adjacent pairs are fused
-  into two-in-one instructions (:data:`R_FUSIONS`) — e.g.
-  ``COMPOSE;COERCE`` and ``PRIM2;TAILCALL``, the inner-loop shapes of
-  boundary-crossing tail recursion — halving dispatches per iteration
-  again.
+  stack VM needs superinstructions for.  On top of that, at ``-O2`` the
+  hottest *register-level* adjacent pairs are fused into two-in-one
+  instructions (:data:`R_FUSIONS`) — e.g. ``COMPOSE;COERCE`` and
+  ``PRIM2;TAILCALL``, the inner-loop shapes of boundary-crossing tail
+  recursion — halving dispatches per iteration again.
 
 The mediator discipline is untouched: ``COMPOSE``/``COERCE``/call-site
 proxy unwrapping convert 1:1 (same pool indices, same order), so the single
@@ -45,16 +44,25 @@ pending-coercion slot per frame, the memoised ``#``/``∘`` merges, and the
 still runs with ``max_pending_mediators == 1`` (asserted against the stack
 VM by ``check_vm_oracle``/``check_mediator_oracle``).
 
-Stack superinstruction input is accepted: an ``-O2`` stack stream is first
-expanded back into base pairs (:func:`unfuse`), because the register IR
-subsumes those fusions structurally.  Conversion is deterministic, so a
-``.gradb`` image may either carry the register words (``ir="register"``) or
-be converted after load.
+**One pass.**  Conversion walks each code object's stack instructions
+once and emits final words: a pair in :data:`R_FUSIONS` is fused as its
+second half is emitted (unless a branch lands on that half), and the two
+operand kinds that are not known yet — branch targets and pinned constant
+registers — are recorded by position and patched when the walk ends.  The
+register pipeline (:func:`repro.compiler.rvm.compile_register_program`)
+feeds it the output of the shared optimizer passes, which contains no
+stack superinstructions.  Fused ``-O2`` stack code from the stack VM's
+optimizer (a stack image, ``vm.compile_term``) is still accepted: it is
+first expanded back into base pairs (:func:`unfuse`), because the register
+IR subsumes those fusions structurally.  Conversion is deterministic, and
+fused or unfused input gives the same words, so a ``.gradb`` image may
+either carry the register words (``ir="register"``) or be converted after
+load.
 
 **Instruction signatures.**  Every opcode's operand layout is a signature
 string (:data:`R_SIGS`), one character per operand word — the single
-source of truth for widths, disassembly, image validation, and the fusion
-pass:
+source of truth for widths, disassembly, image validation, and which
+operands the converter pins:
 
 =====  =======================================================
 char   operand word
@@ -185,7 +193,7 @@ R_FUSED = {
     R_COERCE_COERCE: (R_COERCE, R_COERCE),
 }
 
-#: Adjacent pair → fused opcode, the peephole table of :func:`fuse_stream`.
+#: Adjacent pair → fused opcode, the peephole table of the converter.
 R_FUSIONS = {halves: fused for fused, halves in R_FUSED.items()}
 
 _BASE_NAMES = {
@@ -266,24 +274,6 @@ def instruction_width(op: int, words, pc: int) -> int:
             if ch == "n":
                 offset += words[pc + offset - 1]
     return width
-
-
-def _operand_offsets(op: int, words, pc: int, kind: str) -> list[int]:
-    """Word offsets (relative to ``pc``) of every ``kind`` operand of the
-    instruction at ``pc``, expanding ``n`` source lists when ``kind == 's'``."""
-    offsets = []
-    offset = 1
-    for ch in R_SIGS[op]:
-        if ch == "n":
-            count = words[pc + offset]
-            if kind == "s":
-                offsets.extend(range(offset + 1, offset + 1 + count))
-            offset += 1 + count
-        else:
-            if ch == kind:
-                offsets.append(offset)
-            offset += 1
-    return offsets
 
 
 @lru_cache(maxsize=1)
@@ -386,8 +376,6 @@ def unfuse(insns: list[tuple[int, int]]) -> list[tuple[int, int]]:
     conversion.  Jump targets are remapped; no jump can target the second
     half of a fused pair (the optimizer guaranteed that when it fused).
     """
-    if not any(op in SUPERINSTRUCTIONS for op, _ in insns):
-        return list(insns)
     expanded: list[tuple[int, int]] = []
     old2new = []
     for op, operand in insns:
@@ -412,9 +400,23 @@ def unfuse(insns: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 #: During conversion, a symbolic source ``w`` at or above this base names
 #: pool constant ``w - RK`` (below it, register ``w``).  The tag never
-#: reaches the final stream: :func:`_pin_constants` rewrites every tagged
-#: word to the constant's pinned register.
+#: reaches the final stream: every tagged word is rewritten to the
+#: constant's pinned register once the register file's size is known.
 RK = 1 << 18
+
+#: Base opcode → operand slots (0-based, after the opcode word) holding a
+#: source register; for the ``n`` opcodes, the slot the source list starts
+#: at instead (every operand from there on is a source).
+_SOURCE_SLOTS = {
+    op: tuple(slot for slot, ch in enumerate(sig) if ch == "s")
+    for op, sig in _BASE_SIGS.items()
+    if "n" not in sig
+}
+_SOURCES_FROM = {op: sig.index("n") + 1 for op, sig in _BASE_SIGS.items() if "n" in sig}
+
+#: Stack superinstructions are numbered above every base opcode, so one
+#: ``max`` over a stream tells whether it holds any.
+_FIRST_SUPERINSTRUCTION = min(SUPERINSTRUCTIONS)
 
 
 class _RBuilder:
@@ -434,9 +436,39 @@ class _RBuilder:
         self.fixups: list[int] = []
         # stack pc -> the canonical symbolic stack entering that join.
         self.saved: dict[int, list[int]] = {}
+        # Index into words of every RK-tagged source, in stream order.
+        self.const_sites: list[int] = []
+        # -O2 pair fusion: the opcode and pc of the previous instruction
+        # while it may still become a fused pair's first half (-1 when it
+        # may not), and the word pc a branch last landed on.
+        self.fuse = obj.opt_level >= 2
+        self.last_op = -1
+        self.last_pc = -1
+        self.landing = -1
 
-    def emit(self, *ws: int) -> None:
-        self.words.extend(ws)
+    def emit(self, op: int, *operands: int) -> None:
+        """Append one base instruction.  At ``-O2`` it fuses into the
+        previous one when the pair is in :data:`R_FUSIONS` and no branch
+        lands on it; a fused pair's second half never opens another pair."""
+        words = self.words
+        pc = len(words)
+        fused = R_FUSIONS.get((self.last_op, op)) if pc != self.landing else None
+        if fused is not None:
+            words[self.last_pc] = fused
+            self.last_op = -1
+        else:
+            words.append(op)
+            if self.fuse:
+                self.last_op = op
+                self.last_pc = pc
+        start = len(words)
+        words.extend(operands)
+        slots = _SOURCE_SLOTS.get(op)
+        if slots is None:
+            slots = range(_SOURCES_FROM[op], len(operands))
+        for slot in slots:
+            if operands[slot] >= RK:
+                self.const_sites.append(start + slot)
 
     def emit_jump_operand(self, stack_target: int) -> None:
         self.fixups.append(len(self.words))
@@ -458,34 +490,49 @@ class _RBuilder:
 
 
 def _convert_code(obj: CodeObject, pool) -> RCode:
-    b = _RBuilder(obj, unfuse(obj.instructions))
-    insns = b.insns
+    """Convert one stack code object in a single pass over its instructions.
+
+    Words come out final except for two kinds of placeholder, patched by
+    position at the end: branch operands (a stack pc until every target's
+    word pc is known) and constant sources (``RK``-tagged until the size of
+    the register file, and so the first pinned register, is known).
+    """
+    insns = obj.instructions
+    if insns and max(insns)[0] >= _FIRST_SUPERINSTRUCTION:
+        insns = unfuse(insns)
+    b = _RBuilder(obj, insns)
     n = len(insns)
     prims = pool.prims
+    targets = b.targets
+    saved = b.saved
+    word_of = b.word_of
+    words = b.words
+    emit = b.emit
     stack: list[int] | None = []
     i = 0
     while i < n:
-        if i in b.targets:
+        if i in targets:
+            recorded = saved.get(i)
             if stack is not None:
                 b.canonicalize(stack)
-                recorded = b.saved.get(i)
                 if recorded is None:
-                    b.saved[i] = list(stack)
+                    saved[i] = list(stack)
                 elif recorded != stack:  # pragma: no cover - compiler invariant
                     raise CompileError(
                         f"inconsistent stack shapes at join {i} in {obj.name}"
                     )
-            else:
-                recorded = b.saved.get(i)
-                if recorded is not None:
-                    stack = list(recorded)
-                # No recorded shape means every jump here sits in a dead
-                # region itself (jumps are forward-only), so the target is
-                # just as unreachable — leave ``stack`` as None and skip on.
+            elif recorded is not None:
+                stack = list(recorded)
+            # No recorded shape with no live stack means every jump here
+            # sits in a dead region itself (jumps are forward-only), so the
+            # target is just as unreachable — ``stack`` stays None.
+            if recorded is not None:
+                # A branch lands here: no pair fuses across this pc.
+                b.landing = len(words)
         if stack is None:
             i += 1  # unreachable (after RETURN/BLAME/JUMP/TAILCALL)
             continue
-        b.word_of.setdefault(i, len(b.words))
+        word_of[i] = len(words)
         op, operand = insns[i]
 
         if op == LOAD:
@@ -496,30 +543,30 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
             src = stack.pop()
             _flush_slot(b, stack, operand)
             if src != operand:
-                b.emit(R_MOVE, operand, src)
+                emit(R_MOVE, operand, src)
         elif op == PRIM:
             arity = prims[operand][1]
             srcs = stack[len(stack) - arity:]
             del stack[len(stack) - arity:]
-            nxt = insns[i + 1] if i + 1 < n and (i + 1) not in b.targets else None
+            nxt = insns[i + 1] if i + 1 < n and (i + 1) not in targets else None
             if nxt is not None and nxt[0] == JUMP_IF_FALSE and arity <= 2:
                 # Fuse compare-and-branch: the inner-loop shape.
                 b.canonicalize(stack)
-                b.saved.setdefault(nxt[1], list(stack))
+                saved.setdefault(nxt[1], list(stack))
                 if arity == 1:
-                    b.emit(R_BR_PRIM1, operand, srcs[0])
+                    emit(R_BR_PRIM1, operand, srcs[0])
                 else:
-                    b.emit(R_BR_PRIM2, operand, srcs[0], srcs[1])
+                    emit(R_BR_PRIM2, operand, srcs[0], srcs[1])
                 b.emit_jump_operand(nxt[1])
                 i += 2
                 continue
             dst, skip = _dest(b, stack, i)
             if arity == 1:
-                b.emit(R_PRIM1, dst, operand, srcs[0])
+                emit(R_PRIM1, dst, operand, srcs[0])
             elif arity == 2:
-                b.emit(R_PRIM2, dst, operand, srcs[0], srcs[1])
+                emit(R_PRIM2, dst, operand, srcs[0], srcs[1])
             else:
-                b.emit(R_PRIMN, dst, operand, arity, *srcs)
+                emit(R_PRIMN, dst, operand, arity, *srcs)
             if not skip:
                 stack.append(dst)
             i += 1 + skip
@@ -527,20 +574,20 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
         elif op == JUMP_IF_FALSE:
             cond = stack.pop()
             b.canonicalize(stack)
-            b.saved.setdefault(operand, list(stack))
-            b.emit(R_BR_FALSE, cond)
+            saved.setdefault(operand, list(stack))
+            emit(R_BR_FALSE, cond)
             b.emit_jump_operand(operand)
         elif op == JUMP:
             b.canonicalize(stack)
-            b.saved.setdefault(operand, list(stack))
-            b.emit(R_JUMP)
+            saved.setdefault(operand, list(stack))
+            emit(R_JUMP)
             b.emit_jump_operand(operand)
             stack = None
         elif op == CALL:
             arg = stack.pop()
             fun = stack.pop()
             dst, skip = _dest(b, stack, i)
-            b.emit(R_CALL, dst, fun, arg)
+            emit(R_CALL, dst, fun, arg)
             if not skip:
                 stack.append(dst)
             i += 1 + skip
@@ -548,28 +595,28 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
         elif op == TAILCALL:
             arg = stack.pop()
             fun = stack.pop()
-            b.emit(R_TAILCALL, fun, arg)
+            emit(R_TAILCALL, fun, arg)
             stack = None
         elif op == RETURN:
-            b.emit(R_RETURN, stack.pop())
+            emit(R_RETURN, stack.pop())
             stack = None
         elif op == COERCE:
             src = stack.pop()
             dst, skip = _dest(b, stack, i)
-            b.emit(R_COERCE, dst, src, operand)
+            emit(R_COERCE, dst, src, operand)
             if not skip:
                 stack.append(dst)
             i += 1 + skip
             continue
         elif op == COMPOSE:
-            b.emit(R_COMPOSE, operand)
+            emit(R_COMPOSE, operand)
         elif op == MAKE_CLOSURE:
             n_free = pool.codes[operand].n_free
             srcs = stack[len(stack) - n_free:] if n_free else []
             if n_free:
                 del stack[len(stack) - n_free:]
             dst, skip = _dest(b, stack, i)
-            b.emit(R_CLOSURE, dst, operand, n_free, *srcs)
+            emit(R_CLOSURE, dst, operand, n_free, *srcs)
             if not skip:
                 stack.append(dst)
             i += 1 + skip
@@ -577,7 +624,7 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
         elif op == MAKE_FIX:
             src = stack.pop()
             dst, skip = _dest(b, stack, i)
-            b.emit(R_FIX, dst, src, operand)
+            emit(R_FIX, dst, src, operand)
             if not skip:
                 stack.append(dst)
             i += 1 + skip
@@ -586,7 +633,7 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
             right = stack.pop()
             left = stack.pop()
             dst, skip = _dest(b, stack, i)
-            b.emit(R_PAIR, dst, left, right)
+            emit(R_PAIR, dst, left, right)
             if not skip:
                 stack.append(dst)
             i += 1 + skip
@@ -594,33 +641,39 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
         elif op == FST or op == SND:
             src = stack.pop()
             dst, skip = _dest(b, stack, i)
-            b.emit(R_FST if op == FST else R_SND, dst, src)
+            emit(R_FST if op == FST else R_SND, dst, src)
             if not skip:
                 stack.append(dst)
             i += 1 + skip
             continue
         elif op == BLAME:
-            b.emit(R_BLAME, operand)
+            emit(R_BLAME, operand)
             stack = None
         else:  # pragma: no cover - defensive
             raise CompileError(f"cannot register-allocate stack opcode {op}")
         i += 1
 
-    b.word_of.setdefault(n, len(b.words))
+    word_of.setdefault(n, len(words))
     for index in b.fixups:
-        b.words[index] = b.word_of[b.words[index]]
-    words = b.words
-    base_regs = b.base + b.max_depth
-    words, const_regs = _pin_constants(words, base_regs)
-    if obj.opt_level >= 2:
-        words = fuse_stream(words)
+        words[index] = word_of[words[index]]
+    # Pin every distinct constant the code reads to one register above the
+    # locals and temporaries (at least 1, the file's minimum size), in
+    # order of first use; RCode pre-fills the frame template with them.
+    base = max(b.base + b.max_depth, 1)
+    reg_of: dict[int, int] = {}
+    for index in b.const_sites:
+        w = words[index]
+        reg = reg_of.get(w)
+        if reg is None:
+            reg = reg_of[w] = base + len(reg_of)
+        words[index] = reg
     return RCode(
         obj.name,
         array("I", words),
         pool,
         obj.n_free,
-        max(base_regs, 1) + len(const_regs),
-        const_regs,
+        base + len(reg_of),
+        tuple(w - RK for w in reg_of),
         obj.param,
         obj.local_names,
         opt_level=obj.opt_level,
@@ -657,85 +710,6 @@ def _dest(b: _RBuilder, stack: list[int], i: int) -> tuple[int, int]:
     return dst, 0
 
 
-def _pin_constants(words: list[int], base: int) -> tuple[list[int], tuple[int, ...]]:
-    """Rewrite ``RK``-tagged source words to pinned constant registers.
-
-    Every distinct pool constant the code reads gets one register above the
-    locals and temporaries (``base`` is the first free number — at least 1,
-    matching the file's minimum size); the returned pool-index tuple, in
-    register order, is what :class:`RCode` pre-fills the frame template
-    with.
-    """
-    base = max(base, 1)
-    words = list(words)
-    reg_of: dict[int, int] = {}
-    pc = 0
-    n = len(words)
-    while pc < n:
-        op = words[pc]
-        for offset in _operand_offsets(op, words, pc, "s"):
-            w = words[pc + offset]
-            if w >= RK:
-                reg = reg_of.get(w)
-                if reg is None:
-                    reg = base + len(reg_of)
-                    reg_of[w] = reg
-                words[pc + offset] = reg
-        pc += instruction_width(op, words, pc)
-    return words, tuple(w - RK for w in reg_of)
-
-
-def fuse_stream(words: list[int]) -> list[int]:
-    """Fuse statically adjacent hot pairs (:data:`R_FUSIONS`) into two-in-one
-    instructions.  A pair is only fused when no branch lands on its second
-    half; branch targets are remapped to the fused layout.  Deterministic,
-    so the two mediator backends (and a reserialized image) fuse
-    identically."""
-    # First pass: instruction starts and the set of branch-target pcs.
-    starts = []
-    targets = set()
-    pc = 0
-    n = len(words)
-    while pc < n:
-        op = words[pc]
-        starts.append(pc)
-        for offset in _operand_offsets(op, words, pc, "t"):
-            targets.add(words[pc + offset])
-        pc += instruction_width(op, words, pc)
-    # Second pass: greedy left-to-right pairing.
-    out: list[int] = []
-    new_of: dict[int, int] = {}
-    index = 0
-    count = len(starts)
-    while index < count:
-        pc = starts[index]
-        op = words[pc]
-        width = instruction_width(op, words, pc)
-        new_of[pc] = len(out)
-        if index + 1 < count:
-            nxt_pc = starts[index + 1]
-            fused = R_FUSIONS.get((op, words[nxt_pc]))
-            if fused is not None and nxt_pc not in targets:
-                nxt_width = instruction_width(words[nxt_pc], words, nxt_pc)
-                out.append(fused)
-                out.extend(words[pc + 1 : pc + width])
-                out.extend(words[nxt_pc + 1 : nxt_pc + nxt_width])
-                index += 2
-                continue
-        out.extend(words[pc : pc + width])
-        index += 1
-    new_of[n] = len(out)
-    # Third pass: remap branch targets.
-    pc = 0
-    n = len(out)
-    while pc < n:
-        op = out[pc]
-        for offset in _operand_offsets(op, out, pc, "t"):
-            out[pc + offset] = new_of[out[pc + offset]]
-        pc += instruction_width(op, out, pc)
-    return out
-
-
 def compile_registers(code: CodeObject) -> RCode:
     """Convert an optimized stack program into the register IR.
 
@@ -743,8 +717,9 @@ def compile_registers(code: CodeObject) -> RCode:
     pool; the converted children are attached as ``pool.rcodes`` (parallel
     to ``pool.codes``, so ``CLOSURE`` operands keep their indices) and the
     converted entry code is returned.  Conversion is deterministic and
-    accepts any ``-O`` level (stack superinstructions are expanded first;
-    register-level fusion and inline caches come back at ``-O2``).
+    accepts any ``-O`` level, with or without the stack VM's
+    superinstructions (they are expanded first); register-level fusion and
+    inline caches come back at ``-O2``.
     """
     pool = code.pool
     pool.rcodes = [_convert_code(child, pool) for child in pool.codes]

@@ -55,6 +55,7 @@ from ..machine.policy import MachineBlame
 from ..machine.profiler import MachineStats
 from ..machine.values import MConst, MFixWrap, MFunctionValue, MPair, MProxy
 from ..obs.trace import current_tracer
+from .bytecode import CodeObject
 from .opt import DEFAULT_OPT_LEVEL
 from .regalloc import (
     R_BLAME,
@@ -1072,22 +1073,38 @@ def _store_stats(
 THE_RVM = RVM()
 
 
+def compile_register_program(
+    term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
+    metrics=None,
+) -> tuple[CodeObject, RCode]:
+    """The register pipeline: translate and lower, run the shared optimizer
+    passes (:func:`repro.compiler.opt.optimize` — no stack superinstructions
+    or stack cache cells, which only the stack VM runs), then convert.
+
+    Returns the stack code the conversion read (what a register image
+    stores beside the register words) and the register code, ready for
+    :func:`run_rcode`.  ``metrics`` gets the ``lower``, ``optimize`` and
+    ``regalloc`` phase timers.
+    """
+    from ..obs.metrics import phase
+    from .lower import lower_term
+    from .opt import optimize
+    from .regalloc import compile_registers
+
+    code = lower_term(term_b, semantics, metrics)
+    with phase(metrics, "optimize"):
+        optimize(code, opt_level)
+    with phase(metrics, "regalloc"):
+        return code, compile_registers(code)
+
+
 def compile_term_registers(
     term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
 ) -> RCode:
-    """Compile an elaborated λB term through the full pipeline — translate,
-    lower, optimize (``opt_level`` shapes elision, fusion, and cache
-    allocation), then register-allocate — into code ready for
-    :func:`run_rcode`.  ``metrics`` gets the ``lower``/``optimize`` phases
-    (via :func:`~repro.compiler.vm.compile_term`) plus ``regalloc``."""
-    from ..obs.metrics import phase
-    from .regalloc import compile_registers
-    from .vm import compile_term
-
-    code = compile_term(term_b, semantics, opt_level, metrics=metrics)
-    with phase(metrics, "regalloc"):
-        return compile_registers(code)
+    """Compile an elaborated λB term through the register pipeline
+    (:func:`compile_register_program`) into code ready for :func:`run_rcode`."""
+    return compile_register_program(term_b, semantics, opt_level, metrics)[1]
 
 
 def run_on_rvm(

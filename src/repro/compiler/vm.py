@@ -26,13 +26,25 @@ shared :class:`~repro.machine.profiler.MachineStats` accounting makes this
 directly comparable with the CEK machine's numbers (and is asserted by
 ``tests/test_compiler.py`` and ``benchmarks/bench_vm.py``).
 
+**Superinstructions.**  At ``-O2`` this module's :func:`optimize` — the
+optimizer :func:`compile_term` runs — adds the stack VM's own work to the
+shared passes of :func:`repro.compiler.opt.optimize`: statically adjacent
+pairs that a dynamic-frequency count over the ``bench_vm`` workloads showed
+hot are fused into the superinstructions of
+:data:`repro.compiler.bytecode.SUPERINSTRUCTIONS`, saving a dispatch and
+usually a stack round trip each.  A pair is never fused when its second
+instruction is a jump target (control could enter between the halves).
+The register pipeline skips this step: the register IR fuses at its own
+level.
+
 **Inline mediator caches.**  At ``-O2`` every instruction site owns a cache
-cell (``CodeObject.caches``), and the mediator opcodes become monomorphic
-inline caches keyed on *interned mediator identity*: a boundary tail loop
-re-applies and re-merges the same canonical mediators every iteration, so
-after the first trip each ``COERCE``/``COMPOSE``/proxy-unwrap/``RETURN``
-does a pointer compare plus a cached result instead of a policy isinstance
-ladder and a memo-dictionary lookup.  Cache layout per site kind:
+cell (``CodeObject.caches``, also allocated by :func:`optimize`), and the
+mediator opcodes become monomorphic inline caches keyed on *interned
+mediator identity*: a boundary tail loop re-applies and re-merges the same
+canonical mediators every iteration, so after the first trip each
+``COERCE``/``COMPOSE``/proxy-unwrap/``RETURN`` does a pointer compare plus
+a cached result instead of a policy isinstance ladder and a
+memo-dictionary lookup.  Cache layout per site kind:
 
 * coerce sites (``COERCE``/``LOAD_COERCE``): ``[proxy_mediator, composed,
   action]`` for proxied subjects; non-proxy subjects use the pool-parallel
@@ -79,6 +91,7 @@ from .bytecode import (
     COERCE,
     COMPOSE,
     FST,
+    FUSED_LIMIT,
     FUSED_MASK,
     FUSED_SHIFT,
     JUMP,
@@ -94,6 +107,7 @@ from .bytecode import (
     LOAD_TAILCALL,
     MAKE_CLOSURE,
     MAKE_FIX,
+    NO_OPERAND,
     PAIR,
     PRIM,
     PRIM_JUMP_IF_FALSE,
@@ -103,12 +117,98 @@ from .bytecode import (
     RETURN,
     SND,
     STORE,
+    SUPERINSTRUCTIONS,
     TAILCALL,
     CodeObject,
     ConstantPool,
+    all_code_objects,
+    pack_operands,
 )
 from ..semantics import policy_for
-from .opt import DEFAULT_OPT_LEVEL, optimize
+from . import opt
+from .opt import _JUMPS, DEFAULT_OPT_LEVEL, _jump_targets
+
+# ---------------------------------------------------------------------------
+# -O2: superinstructions and inline-cache cells
+# ---------------------------------------------------------------------------
+
+#: ``(op1, op2) -> fused`` — the peephole table, inverted from the opcode
+#: metadata so the two stay in sync by construction.
+_FUSIONS: dict[tuple[int, int], int] = {
+    pair: fused for fused, pair in SUPERINSTRUCTIONS.items()
+}
+
+
+def _fusable(code: CodeObject, i: int, targets: set[int]) -> int | None:
+    """The fused opcode for the pair at ``i``, or None."""
+    insns = code.instructions
+    op1, a = insns[i]
+    op2, b = insns[i + 1]
+    fused = _FUSIONS.get((op1, op2))
+    if fused is None or (i + 1) in targets:
+        return None
+    # Both halves carry an operand: they must fit the packing.  (Remapped
+    # jump targets only shrink, so checking the old values is safe.)
+    if op1 not in NO_OPERAND and op2 not in NO_OPERAND:
+        if a >= FUSED_LIMIT or b >= FUSED_LIMIT:
+            return None
+    # The fully inlined primitive superinstructions handle unary and binary
+    # operators (the whole registry today); leave anything else unfused.
+    if fused == PUSH_PRIM and code.pool.prims[b][1] > 2:
+        return None
+    if fused == PRIM_JUMP_IF_FALSE and code.pool.prims[a][1] > 2:
+        return None
+    return fused
+
+
+def _fuse_superinstructions(code: CodeObject) -> None:
+    insns = code.instructions
+    targets = _jump_targets(insns)
+    n = len(insns)
+
+    # Phase 1: greedy left-to-right pairing decisions.
+    decisions: list[tuple[int, int | None]] = []  # (old index, fused opcode | None)
+    i = 0
+    while i < n:
+        fused = _fusable(code, i, targets) if i + 1 < n else None
+        decisions.append((i, fused))
+        i += 2 if fused is not None else 1
+
+    # Phase 2: the old→new pc map (a fused pair's second half maps to the
+    # fused instruction; no jump can target it — _fusable guaranteed that).
+    old2new = [0] * (n + 1)
+    for new_index, (old_index, fused) in enumerate(decisions):
+        old2new[old_index] = new_index
+        if fused is not None:
+            old2new[old_index + 1] = new_index
+    old2new[n] = len(decisions)
+
+    # Phase 3: emit, remapping jump operands (packed or plain).
+    new: list[tuple[int, int]] = []
+    for old_index, fused in decisions:
+        op1, a = insns[old_index]
+        if op1 in _JUMPS:
+            a = old2new[a]
+        if fused is None:
+            new.append((op1, a))
+            continue
+        op2, b = insns[old_index + 1]
+        if op2 in _JUMPS:
+            b = old2new[b]
+        new.append((fused, pack_operands(op1, a, op2, b)))
+    code.instructions = new
+
+
+def optimize(code: CodeObject, level: int = DEFAULT_OPT_LEVEL) -> CodeObject:
+    """The stack VM's optimizer, in place: the shared passes of
+    :func:`repro.compiler.opt.optimize`, then at ``-O2`` superinstruction
+    fusion and one inline-cache cell per instruction site."""
+    opt.optimize(code, level)
+    if level >= 2:
+        for obj in all_code_objects(code):
+            _fuse_superinstructions(obj)
+            obj.caches = [None] * len(obj.instructions)
+    return code
 
 
 class VMClosure(MFunctionValue):
@@ -680,16 +780,14 @@ def compile_term(
     :data:`~repro.semantics.SEMANTICS` registry); ``opt_level`` is the
     ``-O`` level (0 none, 1 static
     mediator elision/pre-composition, 2 — the default — superinstructions
-    and inline caches too; see :mod:`repro.compiler.opt`).  ``metrics`` (a
+    and inline caches too; see :func:`optimize`).  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) gets the ``lower`` (which
     covers the two translations too) and ``optimize`` phase timers.
     """
     from ..obs.metrics import phase
-    from ..translate import b_to_c, c_to_s
-    from .lower import lower_program
+    from .lower import lower_term
 
-    with phase(metrics, "lower"):
-        code = lower_program(c_to_s(b_to_c(term_b)), "<main>", semantics)
+    code = lower_term(term_b, semantics, metrics)
     with phase(metrics, "optimize"):
         return optimize(code, opt_level)
 

@@ -57,6 +57,24 @@ def _total_mod(a: int, b: int) -> int:
     return 0 if b == 0 else a % b
 
 
+def int_to_decimal(n: int) -> str:
+    """``str(n)`` for every int, including one with more digits than
+    CPython's int→str limit (``sys.get_int_max_str_digits()``, 4,300 by
+    default) converts.  Such an int is split near its middle digit and the
+    halves converted separately, so the interpreter-wide limit is left as
+    it is.  This is the meaning of ``int->string``."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    # A little under half the digits (log10 2 > 3/10): both halves shrink.
+    half = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**half)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(half)
+
+
 def _build_registry() -> dict[str, OpSpec]:
     specs = [
         # Integer arithmetic.
@@ -89,7 +107,7 @@ def _build_registry() -> dict[str, OpSpec]:
         OpSpec("string-append", (STR, STR), STR, lambda a, b: a + b),
         OpSpec("string-length", (STR,), INT, len),
         OpSpec("string=", (STR, STR), BOOL, lambda a, b: a == b),
-        OpSpec("int->string", (INT,), STR, str),
+        OpSpec("int->string", (INT,), STR, int_to_decimal),
         # Unit.
         OpSpec("unit", (), UNIT, lambda: None),
     ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..core.ops import int_to_decimal
 from ..core.terms import Term
 from ..core.types import FunType, Type
 
@@ -125,3 +126,28 @@ def machine_value_to_python(value: MachineValue) -> object:
     if isinstance(value, MFunctionValue):
         return "<function>"
     raise TypeError(f"unknown machine value: {value!r}")
+
+
+def repr_value(value: object) -> str:
+    """``repr`` of a value :func:`machine_value_to_python` reports, total on
+    ints too long for ``repr`` (CPython's int→str digit limit)."""
+    if type(value) is int:
+        return int_to_decimal(value)
+    if type(value) is tuple:
+        return "(" + ", ".join(map(repr_value, value)) + ")"
+    return repr(value)
+
+
+def json_value(value: object) -> object:
+    """A reported value as JSON-ready data.  An int too long for ``json`` to
+    write (or ``int()`` to read back) under CPython's int→str digit limit
+    becomes its decimal string; everything else is unchanged."""
+    if type(value) is int:
+        try:
+            str(value)
+        except ValueError:
+            return int_to_decimal(value)
+        return value
+    if type(value) is tuple:
+        return tuple(map(json_value, value))
+    return value

@@ -155,8 +155,10 @@ def _obtain_image(job: dict, memo: dict):
 
 
 def _run_image(image, fuel: int | None) -> dict:
-    """Execute a loaded image and shape the batch-runner result fields."""
+    """Execute a loaded image and shape the batch-runner result fields
+    (JSON-ready: serve and ``batch`` write them as they are)."""
     from ..api import run_image
+    from ..machine.values import json_value
 
     started = time.perf_counter()
     result = run_image(image, fuel)
@@ -168,7 +170,7 @@ def _run_image(image, fuel: int | None) -> dict:
         "run_s": finished - started,
     }
     if result.is_value:
-        fields["value"] = result.value
+        fields["value"] = json_value(result.value)
         if result.type is not None:
             fields["type"] = str(result.type)
     elif result.is_blame:

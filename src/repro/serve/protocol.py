@@ -21,7 +21,8 @@ request's ``id`` (``null`` when the request carried none).  Operations:
 
     The response is the batch runner's JSON record (``kind``, ``value`` /
     ``blame``, ``steps``, ``max_pending_mediators``, ``cache``, timings)
-    plus ``id``.  ``kind`` is always one of :data:`TERMINAL_KINDS`:
+    plus ``id``.  An int ``value`` past CPython's int→str digit limit is
+    sent as its decimal string (``type`` still says ``int``).  ``kind`` is always one of :data:`TERMINAL_KINDS`:
     ``value``, ``blame``, ``timeout``, ``error``, or ``overloaded`` (the
     load-shed outcome — the request was rejected at admission, not queued).
 

@@ -188,6 +188,21 @@ class TestBatchCommand:
             "value": 1, "blame": 1, "timeout": 1, "error": 1,
         }
 
+    def test_int_past_the_digit_limit_is_a_decimal_string(self, tmp_path, capsys):
+        # json cannot write (nor read back) an int of more than 4,300 digits.
+        from repro.core.ops import int_to_decimal
+
+        long = "7" * 3000
+        root = tmp_path / "long"
+        root.mkdir()
+        (root / "long.grad").write_text(f"(* {long} {long})\n")
+        (root / "pair.grad").write_text(f"(cons 1 (* {long} {long}))\n")
+        assert main(["batch", str(root), "--no-cache"]) == 0
+        by_name = {Path(line["program"]).name: line for line in self._lines(capsys)[:-1]}
+        product = int_to_decimal(int(long) ** 2)
+        assert (by_name["long.grad"]["value"], by_name["long.grad"]["type"]) == (product, "int")
+        assert by_name["pair.grad"]["value"] == [1, product]
+
     def test_streams_one_json_line_per_program(self, tmp_path, capsys):
         root = tmp_path / "ok"
         root.mkdir()

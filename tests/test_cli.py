@@ -52,6 +52,17 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "36" in out
 
+    def test_run_prints_an_int_past_the_digit_limit(self, tmp_path, capsys):
+        # The product has 6,000 digits, past CPython's 4,300-digit int→str
+        # limit: printing it must not crash (exit 1 would read as blame).
+        from repro.core.ops import int_to_decimal
+
+        long = "7" * 3000
+        path = tmp_path / "long.grad"
+        path.write_text(f"(* {long} {long})\n")
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == f"{int_to_decimal(int(long) ** 2)} : int\n"
+
     def test_run_on_each_calculus(self, square_program, capsys):
         for calculus in ("B", "C", "S"):
             assert main(["run", square_program, "--calculus", calculus]) == 0

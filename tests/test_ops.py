@@ -7,8 +7,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.errors import EvaluationError, TypeCheckError
-from repro.core.ops import OPS, check_constant, constant_type, op_exists, op_spec
+from repro.core.ops import (
+    OPS,
+    check_constant,
+    constant_type,
+    int_to_decimal,
+    op_exists,
+    op_spec,
+)
 from repro.core.types import BOOL, INT, STR, UNIT
+
+#: A literal just under CPython's 4,300-digit int→str limit; its square is
+#: well past it.
+LONG = "7" * 3000
+
+
+def from_decimal(text: str) -> int:
+    """Parse a decimal string of any length, 1,000 digits at a time (each
+    chunk is under CPython's str→int limit)."""
+    sign = -1 if text.startswith("-") else 1
+    digits = text.lstrip("-")
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
 
 
 class TestRegistry:
@@ -87,6 +110,33 @@ class TestMeaningFunctions:
 
     def test_unit_operator(self):
         assert op_spec("unit").apply(()) is None
+
+
+class TestLongIntegers:
+    """``int->string`` is total past CPython's int→str digit limit, which
+    stays as it was."""
+
+    @pytest.mark.parametrize("digits", [1, 4299, 4300, 4301, 6000, 9001, 30000])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_to_decimal_round_trips(self, digits, sign):
+        import sys
+
+        limit = sys.get_int_max_str_digits()
+        value = sign * (10**digits - 7 * 10 ** (digits // 2) - 1)
+        text = int_to_decimal(value)
+        assert from_decimal(text) == value
+        assert len(text.lstrip("-")) == digits
+        if digits <= limit:
+            assert text == str(value)
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("engine", ["machine", "vm", "rvm"])
+    def test_int_to_string_of_a_long_product(self, engine):
+        from repro.api import RunConfig, run
+
+        result = run(f"(int->string (* {LONG} {LONG}))\n", RunConfig(engine=engine))
+        assert result.is_value
+        assert from_decimal(result.value) == int(LONG) ** 2
 
 
 class TestConstants:

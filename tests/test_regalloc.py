@@ -1,0 +1,92 @@
+"""Differential tests for the one-pass stack → register converter.
+
+The register pipeline converts the shared optimizer's output
+(:func:`repro.compiler.rvm.compile_register_program`), and
+``compile_registers`` still accepts the stack VM's fused ``-O2`` code.
+Either way every code object's register words, pinned constants and
+register count must be exactly what the old multi-pass converter produced
+(kept in ``tests/reference_regalloc.py``): register images and the
+register fingerprint depend on it.  Programs are drawn from the shipped
+examples, :mod:`repro.gen`'s surface programs (fully annotated and as
+partly untyped lattice configurations) and random λB terms, under every
+semantics at every ``-O`` level.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.compiler import (
+    OPT_LEVELS,
+    SUPERINSTRUCTIONS,
+    all_code_objects,
+    all_rcodes,
+    compile_register_program,
+    compile_registers,
+    compile_term,
+)
+from repro.compiler.bytecode import OPCODE_NAMES
+from repro.experiment.lattice import ProgramLattice, render_configuration
+from repro.gen.surface_programs import generate_program
+from repro.semantics import SEMANTICS_NAMES
+from repro.surface.interp import compile_source
+
+from .reference_regalloc import reference_streams
+from .strategies import lambda_b_programs
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples" / "programs").glob("*.grad"))
+
+
+def _streams(rcode) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    return [(tuple(r.words), r.const_regs, r.n_regs) for r in all_rcodes(rcode)]
+
+
+def _assert_converts_like_the_reference(term) -> None:
+    """Both inputs, every semantics and level: identical register output."""
+    for semantics in SEMANTICS_NAMES:
+        for level in OPT_LEVELS:
+            fused = compile_term(term, semantics, level)
+            expected = reference_streams(fused)
+            assert _streams(compile_registers(fused)) == expected, (semantics, level)
+
+            code, rcode = compile_register_program(term, semantics, level)
+            assert _streams(rcode) == expected, (semantics, level)
+            for obj in all_code_objects(code):
+                # The register pipeline builds nothing only the stack VM runs.
+                assert not any(op in SUPERINSTRUCTIONS for op, _ in obj.instructions)
+                assert obj.caches is None
+                assert obj.opt_level == level
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_shipped_examples_convert_like_the_reference(path):
+    _assert_converts_like_the_reference(compile_source(path.read_text())[0])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    bindings=st.integers(min_value=2, max_value=6),
+    untyped=st.sets(st.integers(min_value=0, max_value=5)),
+)
+def test_generated_programs_convert_like_the_reference(seed, bindings, untyped):
+    lattice = ProgramLattice.from_source(generate_program(seed, bindings))
+    names = lattice.typeable_names
+    source, _ = render_configuration(lattice, {names[i] for i in untyped if i < len(names)})
+    _assert_converts_like_the_reference(compile_source(source)[0])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lambda_b_programs())
+def test_random_terms_convert_like_the_reference(program):
+    _assert_converts_like_the_reference(program[0])
+
+
+def test_superinstructions_number_above_the_base_opcodes():
+    # The converter finds fused input with one ``max`` over the opcodes.
+    base = OPCODE_NAMES.keys() - SUPERINSTRUCTIONS.keys()
+    assert min(SUPERINSTRUCTIONS) > max(base)

@@ -219,6 +219,29 @@ class TestChaos:
         assert sweep_cache(cache_dir)[1] == 0  # …so nothing corrupt remains
 
 
+class TestLongIntegers:
+    def test_int_past_the_digit_limit_gets_one_response(self, tmp_path):
+        """A 6,000-digit value is past CPython's 4,300-digit int→str limit:
+        it comes back as one terminal response carrying its decimal string,
+        and the connection stays usable."""
+        from repro.core.ops import int_to_decimal
+
+        long = "7" * 3000
+        product = int_to_decimal(int(long) ** 2)
+        proc, ready = start_server(tmp_path)
+        client = ServeClient.from_ready(ready)
+        for engine in ("vm", "rvm"):
+            response = client.run(f"(* {long} {long})\n", id=engine, engine=engine)
+            assert (response["id"], response["kind"]) == (engine, "value")
+            assert (response["value"], response["type"]) == (product, "int")
+            # The next line answers the next request: there was no second
+            # response, and the connection is still open.
+            pong = client.ping()
+            assert pong["ok"] is True and "kind" not in pong
+        assert client.run(SQUARE, id="after")["value"] == 36
+        stop(proc, client)
+
+
 class TestDrain:
     def test_sigterm_drains_inflight_and_exits_zero(self, tmp_path):
         proc, ready = start_server(tmp_path)
