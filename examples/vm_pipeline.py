@@ -1,5 +1,5 @@
-"""The compiler pipeline, end to end: surface → λB → λC → λS → bytecode →
-optimizer → VM.
+"""The compiler pipeline, end to end: surface → λB → bytecode (each cast
+lowered through |·|BS) → optimizer → VM.
 
 Compiles the boundary-crossing tail loop, prints its disassembly at ``-O0``
 (watch for ``COMPOSE`` + ``TAILCALL`` — the two-opcode space-efficiency

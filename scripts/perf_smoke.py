@@ -14,7 +14,9 @@ committed one — someone pessimised the optimizer, the VM's fast paths, or
 the register dispatch core — exit non-zero and fail the build.  The
 ``regalloc`` gate is measured the same way, without a committed baseline:
 register conversion time over lower+optimize time on the shipped example
-programs, against :data:`REGALLOC_RATIO`.
+programs, against :data:`REGALLOC_RATIO`.  So is the ``lower`` gate:
+lowering the examples' λB terms directly over translating them to λS and
+lowering that, against :data:`LOWER_RATIO`.
 
 Usage::
 
@@ -47,6 +49,12 @@ TRACE_OVERHEAD_TOLERANCE = 0.02
 #: shipped example programs, as measured once conversion became one pass
 #: (CPython 3.11, 2-vCPU host).  The gate fails ``SLIP_TOLERANCE`` above it.
 REGALLOC_RATIO = 0.70
+
+#: Lowering λB directly over translating (``|·|BC`` then ``|·|CS``) and
+#: lowering the λS image, on the shipped example programs, as measured when
+#: lowering began to translate each cast in place (CPython 3.11, 2-vCPU
+#: host).  The gate fails ``SLIP_TOLERANCE`` above it.
+LOWER_RATIO = 0.63
 
 
 def _best(code, runner=run_code, repeat: int = REPEAT) -> float:
@@ -118,6 +126,7 @@ def main() -> int:
     status |= trace_overhead_gate(by_name, fastest)
     status |= erasure_ceiling_gate()
     status |= regalloc_gate()
+    status |= lower_gate()
     return status
 
 
@@ -156,6 +165,52 @@ def regalloc_gate() -> int:
         return 0
     print(f"perf-smoke: regalloc REGRESSION: register conversion takes {ratio:.2f}x "
           f"lower+optimize on the same programs (recorded {REGALLOC_RATIO:.2f}x, "
+          f"ceiling {ceiling:.2f}x)")
+    return 1
+
+
+def lower_gate() -> int:
+    """Gate: lowering a λB term must stay cheaper than the translations it
+    replaced.
+
+    Both sides are timed in this process on the same programs, the shipped
+    examples' elaborated λB terms: ``lower_term`` against
+    ``lower_program(c_to_s(b_to_c(term)))``, which produces the same code.
+    Passes alternate between the two sides, so a slow stretch of a shared
+    host falls on both; best of ``3 * REPEAT`` passes over the whole set
+    each.
+    """
+    from repro.compiler.lower import lower_program, lower_term
+    from repro.surface.interp import compile_source
+    from repro.translate import b_to_c, c_to_s
+
+    programs = sorted((REPO / "examples" / "programs").glob("*.grad"))
+    terms = [compile_source(path.read_text())[0] for path in programs]
+
+    def direct() -> None:
+        for term in terms:
+            lower_term(term)
+
+    def translated() -> None:
+        for term in terms:
+            lower_program(c_to_s(b_to_c(term)))
+
+    best = {direct: float("inf"), translated: float("inf")}
+    for runner in best:
+        runner()  # warmup
+    for _ in range(3 * REPEAT):
+        for runner in best:
+            start = time.perf_counter()
+            runner()
+            best[runner] = min(best[runner], time.perf_counter() - start)
+    ratio = best[direct] / best[translated]
+    ceiling = LOWER_RATIO * (1 + SLIP_TOLERANCE)
+    if ratio <= ceiling:
+        print(f"perf-smoke: lower over translate+lower {ratio:.2f}x "
+              f"(recorded {LOWER_RATIO:.2f}x, ceiling {ceiling:.2f}x): ok")
+        return 0
+    print(f"perf-smoke: lower REGRESSION: lowering λB takes {ratio:.2f}x "
+          f"translating to λS and lowering that (recorded {LOWER_RATIO:.2f}x, "
           f"ceiling {ceiling:.2f}x)")
     return 1
 

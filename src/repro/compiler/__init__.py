@@ -1,12 +1,11 @@
 """Bytecode compiler and coercion-aware VM — the fast λS engine.
 
-The pipeline (surface → λB → λC → λS → bytecode → VM)::
+The pipeline (surface → λB → bytecode → VM)::
 
     elaborated λB term
-        │  b_to_c, c_to_s            (Figures 4 & 6)
-        ▼
-    λS term
-        │  repro.compiler.lower      lexical addressing, pre-interned coercions
+        │  repro.compiler.lower      each cast through |·|BS where it is found
+        │                            (Section 5.2), lexical addressing,
+        │                            pre-interned coercions
         ▼
     CodeObject over a ConstantPool   (repro.compiler.bytecode)
         │  repro.compiler.opt        identity elision, static pre-composition
@@ -16,6 +15,9 @@ The pipeline (surface → λB → λC → λS → bytecode → VM)::
         ▼                            (repro.compiler.rvm: the fastest engine)
     MachineOutcome (value / blame / timeout) with space statistics
 
+No λC or λS tree is built on the way: the translations ``b_to_c`` and
+``c_to_s`` (Figures 4 & 6) stay the paper's executable reference, and
+lowering a λB term gives exactly the code of lowering its λS image.
 The CEK machine (:mod:`repro.machine`) remains the oracle for both VMs:
 ``repro.properties.bisimulation.check_vm_oracle`` runs them against both
 the machine and the substitution reducers and compares observables.

@@ -1,6 +1,6 @@
 """The flat bytecode IR executed by the coercion-aware VM.
 
-The lowering pass (:mod:`repro.compiler.lower`) turns an elaborated λS term
+The lowering pass (:mod:`repro.compiler.lower`) turns an elaborated λB term
 into a :class:`CodeObject`: a flat instruction stream over a shared
 :class:`ConstantPool`.  Everything a mediator needs at run time — constants,
 canonical coercions, blame labels, operator meaning functions, nested code

@@ -13,7 +13,7 @@ So a compiled image is cached under a key that is exactly that tuple, hashed::
 collide with stack images of the same source/level/semantics)
 
 and a warm ``run`` deserializes the image instead of re-running the whole
-parse → type check → elaborate → translate → lower → optimize pipeline.
+parse → type check → elaborate → lower → optimize pipeline.
 There is no invalidation protocol: keys are content-addressed, so a changed
 program, a different ``-O`` level or semantics, or a new format/opcode-set
 version simply misses and compiles fresh.  Entries are written atomically

@@ -1,4 +1,4 @@
-"""Lowering: elaborated λS terms → flat bytecode (:mod:`repro.compiler.bytecode`).
+"""Lowering: elaborated λB (or λS) terms → flat bytecode (:mod:`repro.compiler.bytecode`).
 
 The compiler walks the term once, tracking *tail position* so that the space
 discipline of λS survives the change of representation:
@@ -17,15 +17,18 @@ no environment dictionaries exist at run time.  Closures capture the values
 of their free variables at ``MAKE_CLOSURE`` time, which is sound because
 bindings are immutable in this language.
 
-Only λS terms are compilable: λB casts and λC coercions must be translated
-first (``run_on_vm`` does this), mirroring how ``run_on_machine`` translates
-per calculus.  Identity coercions (``id?``, ``idι``) are dropped at compile
-time — applying them is a no-op on every machine value.
+A λB cast is lowered where the walk finds it, as its canonical coercion
+``|A ⇒p B|BS`` (:func:`~repro.translate.b_to_s.cast_to_space`; Section 5.2
+defines the composite translation cast by cast), so an elaborated λB term
+compiles to the same code as its λS image ``|M|BS`` without either
+translation rebuilding the term.  λC coercions are not compilable.
+Identity coercions (``id?``, ``idι``) are dropped at compile time —
+applying them is a no-op on every machine value.
 """
 
 from __future__ import annotations
 
-from ..core.errors import CompileError
+from ..core.errors import CompileError, TypeCheckError
 from ..core.intern import intern_type
 from ..core.terms import (
     App,
@@ -46,6 +49,8 @@ from ..core.terms import (
     free_vars,
 )
 from ..lambda_s.coercions import IdBase, IdDyn, SpaceCoercion, intern_space
+from ..translate.b_to_c import NOT_LAMBDA_B
+from ..translate.b_to_s import cast_to_space
 from .bytecode import (
     BLAME,
     CALL,
@@ -72,9 +77,13 @@ from .bytecode import (
 class _CodeBuilder:
     """Mutable state for one code object under construction."""
 
-    def __init__(self, name: str, pool: ConstantPool, free: tuple[str, ...], param: str | None):
+    def __init__(self, name: str, pool: ConstantPool, free: tuple[str, ...], param: str | None,
+                 lambda_b: bool):
         self.name = name
         self.pool = pool
+        # Set when the program is a λB term: a coercion node is then an
+        # error, as in |·|BC.
+        self.lambda_b = lambda_b
         self.instructions: list[tuple[int, int]] = []
         # Scope entries are (name, slot); resolution searches from the end so
         # the latest binding of a shadowed name wins.
@@ -144,30 +153,20 @@ def _compile(builder: _CodeBuilder, term: Term, tail: bool) -> None:
         builder.emit(BLAME, pool.add_label(term.label))
         return
     if isinstance(term, Coerce):
+        if builder.lambda_b:
+            raise TypeCheckError(NOT_LAMBDA_B)
         coercion = term.coercion
         if not isinstance(coercion, SpaceCoercion):
             raise CompileError(
-                f"the VM compiles λS terms only; found a λC coercion {coercion!r} "
+                f"the VM compiles λB and λS terms only; found a λC coercion {coercion!r} "
                 "(translate with c_to_s first)"
             )
-        canon = intern_space(coercion)
-        if _is_identity(canon):
-            _compile(builder, term.subject, tail)
-            return
-        if tail:
-            # Merge into the frame's pending slot *before* entering the
-            # subject: its tail call then reuses the frame and the composed
-            # coercion is applied once, on the way out.
-            builder.emit(COMPOSE, pool.add_coercion(canon))
-            _compile(builder, term.subject, tail=True)
-        else:
-            _compile(builder, term.subject, tail=False)
-            builder.emit(COERCE, pool.add_coercion(canon))
+        _compile_mediated(builder, term.subject, intern_space(coercion), tail)
         return
     if isinstance(term, Cast):
-        raise CompileError(
-            "the VM compiles λS terms only; found a λB cast (translate with b_to_s first)"
-        )
+        canon = intern_space(cast_to_space(term.source, term.label, term.target))
+        _compile_mediated(builder, term.subject, canon, tail)
+        return
     if isinstance(term, App):
         _compile(builder, term.fun, tail=False)
         _compile(builder, term.arg, tail=False)
@@ -215,9 +214,26 @@ def _compile(builder: _CodeBuilder, term: Term, tail: bool) -> None:
     raise CompileError(f"cannot lower unknown term node: {term!r}")
 
 
+def _compile_mediated(builder: _CodeBuilder, subject: Term, canon: SpaceCoercion,
+                      tail: bool) -> None:
+    """``subject`` under the interned canonical coercion ``canon``."""
+    if _is_identity(canon):
+        _compile(builder, subject, tail)
+        return
+    if tail:
+        # Merge into the frame's pending slot *before* entering the
+        # subject: its tail call then reuses the frame and the composed
+        # coercion is applied once, on the way out.
+        builder.emit(COMPOSE, builder.pool.add_coercion(canon))
+        _compile(builder, subject, tail=True)
+    else:
+        _compile(builder, subject, tail=False)
+        builder.emit(COERCE, builder.pool.add_coercion(canon))
+
+
 def _compile_closure(builder: _CodeBuilder, lam: Lam) -> None:
     free = tuple(sorted(free_vars(lam)))
-    child = _CodeBuilder(f"λ{lam.param}", builder.pool, free, lam.param)
+    child = _CodeBuilder(f"λ{lam.param}", builder.pool, free, lam.param, builder.lambda_b)
     _compile(child, lam.body, tail=True)
     code = child.finish()
     index = builder.pool.add_code(code)
@@ -227,9 +243,14 @@ def _compile_closure(builder: _CodeBuilder, lam: Lam) -> None:
 
 
 def lower_program(
-    term_s: Term, name: str = "<main>", semantics: str = "coercion"
+    term: Term, name: str = "<main>", semantics: str = "coercion", *, lambda_b: bool = False
 ) -> CodeObject:
-    """Compile a closed λS term to the entry code object of a program.
+    """Compile a closed λS or λB term to the entry code object of a program.
+
+    Each λB cast is lowered as its canonical coercion ``|A ⇒p B|BS``, so a
+    λB term and its image under ``|·|BS`` compile to the same code.
+    ``lambda_b=True`` holds the term to λB, as ``|·|BC`` does: a coercion
+    node raises :class:`~repro.core.errors.TypeCheckError`.
 
     ``semantics`` names the enforcement semantics of the program's mediator
     pool (and hence of every ``COERCE``/``COMPOSE`` operand) — any entry of
@@ -244,18 +265,16 @@ def lower_program(
     if semantics not in SEMANTICS:
         raise CompileError(f"unknown semantics {semantics!r}")
     pool = ConstantPool(semantics=semantics)
-    builder = _CodeBuilder(name, pool, free=(), param=None)
-    _compile(builder, term_s, tail=True)
+    builder = _CodeBuilder(name, pool, free=(), param=None, lambda_b=lambda_b)
+    _compile(builder, term, tail=True)
     return builder.finish()
 
 
 def lower_term(term_b: Term, semantics: str = "coercion", metrics=None) -> CodeObject:
-    """Translate an elaborated λB term with ``|·|BC`` then ``|·|CS`` and lower
-    the result: the unoptimized program both compiled engines start from.
-    ``metrics`` gets the ``lower`` phase timer (which covers the two
-    translations too)."""
+    """Lower an elaborated λB term, each cast through ``|·|BS`` where it is
+    found: the unoptimized program both compiled engines start from.
+    ``metrics`` gets the ``lower`` phase timer."""
     from ..obs.metrics import phase
-    from ..translate import b_to_c, c_to_s
 
     with phase(metrics, "lower"):
-        return lower_program(c_to_s(b_to_c(term_b)), "<main>", semantics)
+        return lower_program(term_b, "<main>", semantics, lambda_b=True)

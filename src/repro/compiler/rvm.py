@@ -1077,7 +1077,7 @@ def compile_register_program(
     term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
 ) -> tuple[CodeObject, RCode]:
-    """The register pipeline: translate and lower, run the shared optimizer
+    """The register pipeline: lower the λB term, run the shared optimizer
     passes (:func:`repro.compiler.opt.optimize` — no stack superinstructions
     or stack cache cells, which only the stack VM runs), then convert.
 

@@ -772,7 +772,7 @@ def compile_term(
     term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
 ) -> CodeObject:
-    """Compile an elaborated λB term: translate ``|·|BC`` then ``|·|CS``, lower,
+    """Compile an elaborated λB term: lower it (each cast through ``|·|BS``),
     optimize.
 
     ``semantics`` picks the enforcement semantics, and so the pool
@@ -781,8 +781,8 @@ def compile_term(
     ``-O`` level (0 none, 1 static
     mediator elision/pre-composition, 2 — the default — superinstructions
     and inline caches too; see :func:`optimize`).  ``metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) gets the ``lower`` (which
-    covers the two translations too) and ``optimize`` phase timers.
+    :class:`~repro.obs.metrics.MetricsRegistry`) gets the ``lower`` and
+    ``optimize`` phase timers.
     """
     from ..obs.metrics import phase
     from .lower import lower_term

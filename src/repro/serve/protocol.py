@@ -2,7 +2,10 @@
 
 One JSON object per line in each direction.  A client sends *requests*; the
 server answers each with exactly one *response* object echoing the
-request's ``id`` (``null`` when the request carried none).  Operations:
+request's ``id`` (``null`` when the request carried none).  A request line
+longer than 1 MiB (:data:`repro.serve.server.MAX_LINE_BYTES`) is answered
+with one ``error`` response with a ``null`` ``id``, and the next line is
+the next request.  Operations:
 
 ``run`` (the default when ``op`` is absent)
     Evaluate a program.  Fields:

@@ -35,6 +35,11 @@ from ..obs.metrics import MetricsRegistry
 from .pool import DEFAULT_GRACE_S, WorkerPool
 from .protocol import decode_line, encode_line, error_response, normalize_run_request
 
+#: The longest request line read, newline excluded.  A longer line gets one
+#: ``error`` response; the rest of it is discarded and the connection
+#: serves on.
+MAX_LINE_BYTES = 1 << 20
+
 
 @dataclass
 class ServeConfig:
@@ -185,17 +190,22 @@ class Server:
         self._metric("counter", "serve.connections")
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line is None:
+                    response = error_response(
+                        None, f"bad request: line longer than {MAX_LINE_BYTES} bytes"
+                    )
+                elif not line:
                     break
-                if not line.strip():
+                elif not line.strip():
                     continue
-                try:
-                    obj = decode_line(line)
-                except ValueError as exc:
-                    response = error_response(None, f"bad request: {exc}")
                 else:
-                    response = await self._dispatch(obj)
+                    try:
+                        obj = decode_line(line)
+                    except ValueError as exc:
+                        response = error_response(None, f"bad request: {exc}")
+                    else:
+                        response = await self._dispatch(obj)
                 writer.write(encode_line(response))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -245,12 +255,12 @@ class Server:
         )
         if config.socket_path is not None:
             self._asyncio_server = await asyncio.start_unix_server(
-                self._handle_connection, path=config.socket_path
+                self._handle_connection, path=config.socket_path, limit=MAX_LINE_BYTES
             )
             self.address = ("unix", config.socket_path)
         else:
             self._asyncio_server = await asyncio.start_server(
-                self._handle_connection, config.host, config.port
+                self._handle_connection, config.host, config.port, limit=MAX_LINE_BYTES
             )
             bound = self._asyncio_server.sockets[0].getsockname()
             self.address = ("tcp", bound[0], bound[1])
@@ -295,6 +305,23 @@ class Server:
                     file=sys.stderr,
                 )
         return 0
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line (``b""`` at end of stream), or ``None`` for a
+    line longer than the reader's limit, which is read to its end, however
+    long, and dropped."""
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            too_long = True
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if too_long else line
 
 
 def serve(config: ServeConfig, announce=None) -> int:

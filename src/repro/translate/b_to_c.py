@@ -79,13 +79,17 @@ def cast_to_coercion(source: Type, label: Label, target: Type) -> Coercion:
     raise TypeCheckError(f"no translation for cast {source} => {target}")  # pragma: no cover
 
 
+#: The error a coercion node in a λB input raises.
+NOT_LAMBDA_B = "the input to |·|BC must be a λB term (no coercions)"
+
+
 def term_to_lambda_c(term: Term) -> Term:
     """Translate a λB term to λC by compiling every cast to a coercion."""
     if isinstance(term, Cast):
         subject = term_to_lambda_c(term.subject)
         return Coerce(subject, cast_to_coercion(term.source, term.label, term.target))
     if isinstance(term, Coerce):
-        raise TypeCheckError("the input to |·|BC must be a λB term (no coercions)")
+        raise TypeCheckError(NOT_LAMBDA_B)
     return map_children(term, term_to_lambda_c)
 
 

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from repro.core.labels import Label
 from repro.core.types import BOOL, DYN, INT, FunType, ProdType
+from repro.experiment.lattice import ProgramLattice, render_configuration
 from repro.gen.coercions_gen import (
     random_coercion,
     random_composable_space_pair,
     random_space_coercion,
 )
+from repro.gen.surface_programs import generate_program
 from repro.gen.terms_gen import TermGenerator
 from repro.gen.types_gen import random_compatible_type, random_type
 
@@ -95,6 +97,18 @@ def lambda_b_programs(draw, max_depth: int = 4):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     generator = TermGenerator(random.Random(seed), max_depth=max_depth)
     return generator.program()
+
+
+@st.composite
+def lattice_configurations(draw):
+    """The source of a generated surface program with a random set of its
+    bindings left unannotated: a configuration of its migration lattice."""
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    bindings = draw(st.integers(min_value=2, max_value=6))
+    untyped = draw(st.sets(st.integers(min_value=0, max_value=5)))
+    lattice = ProgramLattice.from_source(generate_program(seed, bindings))
+    names = lattice.typeable_names
+    return render_configuration(lattice, {names[i] for i in untyped if i < len(names)})[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ rejection of the retired ``mediator`` spelling at the wire protocol.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.api import (
@@ -143,6 +145,20 @@ class TestRun:
             result = run(SQUARE, RunConfig(engine=engine, semantics=semantics))
             assert result.semantics == semantics == result.config.semantics
             assert result.is_value and result.value == 36
+
+    @pytest.mark.parametrize("engine", ["vm", "rvm", "machine"])
+    def test_coercion_in_a_lambda_b_term_is_rejected(self, engine):
+        # The machine's |·|BC and the compiled engines' direct lowering
+        # reject it alike, here inside a closure body.
+        from repro.core.errors import TypeCheckError
+        from repro.core.terms import App, Coerce, Lam, Var, const_int
+        from repro.core.types import INT
+        from repro.lambda_s.coercions import identity_for
+
+        term = App(Lam("x", INT, Coerce(Var("x"), identity_for(INT))), const_int(6))
+        message = "the input to |·|BC must be a λB term (no coercions)"
+        with pytest.raises(TypeCheckError, match=re.escape(message)):
+            run(term, engine=engine)
 
     @pytest.mark.parametrize("engine", ["vm", "rvm"])
     def test_corrupt_cache_entry_is_recovered(self, engine, tmp_path):

@@ -252,9 +252,27 @@ class TestConstantPool:
 
 
 class TestLowering:
-    def test_rejects_lambda_b_casts(self):
-        with pytest.raises(CompileError):
-            lower_program(Cast(const_int(1), INT, DYN, P))
+    @pytest.mark.parametrize(
+        "term, opcode",
+        [
+            # int ⇒ ? ⇒ int under +: two COERCEs on the value just computed.
+            (Op("+", (Cast(Cast(const_int(1), INT, DYN, P), DYN, INT, P), const_int(2))),
+             COERCE),
+            # An identity cast emits nothing.
+            (Cast(const_int(1), INT, INT, P), None),
+            # A cast in tail position is COMPOSEd before the tail call.
+            (Let("f", Lam("x", INT, Var("x")), Cast(App(Var("f"), const_int(1)), INT, DYN, P)),
+             COMPOSE),
+        ],
+        ids=["non-identity", "identity", "tail"],
+    )
+    def test_lambda_b_casts_lower_to_their_b_to_s_image(self, term, opcode):
+        code, expected = lower_program(term), lower_program(b_to_s(term))
+        assert instruction_streams(code) == instruction_streams(expected)
+        assert len(code.pool.coercions) == len(expected.pool.coercions)
+        assert all(a is b for a, b in zip(code.pool.coercions, expected.pool.coercions))
+        opcodes = {op for op, _ in code.instructions}
+        assert opcodes & {COERCE, COMPOSE} == ({opcode} if opcode else set())
 
     def test_rejects_lambda_c_coercions(self):
         from repro.lambda_c.coercions import Identity

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.compiler import (
     OPT_LEVELS,
@@ -30,13 +29,11 @@ from repro.compiler import (
     compile_term,
 )
 from repro.compiler.bytecode import OPCODE_NAMES
-from repro.experiment.lattice import ProgramLattice, render_configuration
-from repro.gen.surface_programs import generate_program
 from repro.semantics import SEMANTICS_NAMES
 from repro.surface.interp import compile_source
 
 from .reference_regalloc import reference_streams
-from .strategies import lambda_b_programs
+from .strategies import lambda_b_programs, lattice_configurations
 
 EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples" / "programs").glob("*.grad"))
 
@@ -68,15 +65,8 @@ def test_shipped_examples_convert_like_the_reference(path):
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    bindings=st.integers(min_value=2, max_value=6),
-    untyped=st.sets(st.integers(min_value=0, max_value=5)),
-)
-def test_generated_programs_convert_like_the_reference(seed, bindings, untyped):
-    lattice = ProgramLattice.from_source(generate_program(seed, bindings))
-    names = lattice.typeable_names
-    source, _ = render_configuration(lattice, {names[i] for i in untyped if i < len(names)})
+@given(lattice_configurations())
+def test_generated_programs_convert_like_the_reference(source):
     _assert_converts_like_the_reference(compile_source(source)[0])
 
 

@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.serve.client import ServeClient
-from repro.serve.protocol import TERMINAL_KINDS
+from repro.serve.protocol import TERMINAL_KINDS, encode_line
+from repro.serve.server import MAX_LINE_BYTES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -202,7 +203,12 @@ class TestChaos:
         )
         client = ServeClient.from_ready(ready)
         order = [name for _ in range(10) for name in ("sq", "id", "bl")]
+        order.insert(len(order) // 2, "long")  # one line past the line limit
         for index, name in enumerate(order):
+            if name == "long":
+                response = client.run(" " * MAX_LINE_BYTES + SQUARE, id="long")
+                assert (response["id"], response["kind"]) == (None, "error")
+                continue
             response = client.run(sources[name], id=f"{name}-{index}")
             assert response["id"] == f"{name}-{index}"
             assert response["kind"] in TERMINAL_KINDS
@@ -214,9 +220,35 @@ class TestChaos:
                 if value is not None:
                     assert response["value"] == value
         stats = client.stats()
-        assert stats["metrics"]["counters"]["serve.requests"] == len(order)
+        assert stats["metrics"]["counters"]["serve.requests"] == len(order) - 1
         stop(proc, client)  # graceful drain sweeps the cache…
         assert sweep_cache(cache_dir)[1] == 0  # …so nothing corrupt remains
+
+
+class TestLongLines:
+    def test_a_100kb_source_runs(self, tmp_path):
+        proc, ready = start_server(tmp_path)
+        client = ServeClient.from_ready(ready)
+        source = ";; " + "x" * 100_000 + "\n" + SQUARE
+        assert client.run(source, id="big")["value"] == 36
+        _, err = stop(proc, client)
+        assert err == ""
+
+    def test_over_limit_line_gets_one_error_and_the_connection_serves_on(self, tmp_path):
+        """A 2 MiB line, with the next request pipelined behind it: one
+        error for the long line, then the next request's own response."""
+        proc, ready = start_server(tmp_path)
+        client = ServeClient.from_ready(ready)
+        long_line = encode_line({"op": "run", "id": "long", "source": "x" * (2 << 20)})
+        client._sock.sendall(long_line + encode_line({"op": "run", "id": "next", "source": SQUARE}))
+        error = json.loads(client._reader.readline())
+        assert (error["id"], error["kind"]) == (None, "error")
+        assert f"longer than {MAX_LINE_BYTES} bytes" in error["error"]
+        after = json.loads(client._reader.readline())
+        assert (after["id"], after["kind"], after["value"]) == ("next", "value", 36)
+        assert client.ping()["ok"] is True
+        _, err = stop(proc, client)
+        assert err == ""  # no traceback
 
 
 class TestLongIntegers:
