@@ -5,10 +5,12 @@ The package splits along the process boundary:
 * :mod:`repro.serve.protocol` — the newline-delimited JSON wire format and
   request validation (shared by server and client);
 * :mod:`repro.serve.pool` — the persistent worker pool: warm interned
-  tables and hot images, crash detection with bounded retry, cooperative
-  deadlines, worker recycling, and the ``worker_kill`` fault hook;
-* :mod:`repro.serve.server` — the asyncio front end: admission control
-  with load shedding, metrics, and graceful SIGTERM drain;
+  tables and hot images, crash detection with bounded retry on a
+  pre-forked spare, cooperative deadlines, worker recycling, and the
+  ``worker_kill`` fault hook;
+* :mod:`repro.serve.server` — the asyncio front end, whose event loop owns
+  the worker pipes: admission control with load shedding, metrics, and
+  graceful SIGTERM drain;
 * :mod:`repro.serve.client` — a small synchronous client (tests, smoke,
   benchmarks).
 """

@@ -15,36 +15,54 @@ process holding the state that makes requests cheap the second time:
 The robustness contract, which the chaos tests hold the pool to:
 
 * **Every job gets exactly one terminal result.**  A worker crash
-  (detected via pipe EOF / process death) triggers at-most-``retries``
-  re-dispatches with exponential backoff on a fresh worker; past that the
-  job fails as an ``error`` result with ``"reason": "worker-lost"`` —
-  never silently dropped, never hung (the failure mode of a bare
+  (detected via pipe EOF / process death) swaps the pre-forked spare
+  worker into the crashed worker's place and re-dispatches the job at
+  once; a job that crashes again backs off (``backoff_s``, doubling)
+  before each further attempt.  Past ``retries`` re-dispatches the job
+  fails as an ``error`` result with ``"reason": "worker-lost"`` — never
+  silently dropped, never hung (the failure mode of a bare
   ``multiprocessing.Pool``, whose ``imap_unordered`` waits forever for a
   SIGKILLed worker's task).
 * **Deadlines are cooperative first, forceful second.**  The worker arms
   ``SIGALRM`` for the job's ``deadline_s`` and turns expiry into a
   ``timeout`` result (exit-3 semantics preserved, worker survives with its
   warm tables).  If the worker stays silent past ``deadline_s + grace_s``
-  the parent kills and replaces it, still reporting ``timeout``.
+  the parent kills it and swaps in the spare, still reporting ``timeout``.
 * **Workers are recycled, not leaked.**  After ``max_requests`` jobs or
   when the worker's RSS exceeds ``max_rss_mb``, the parent retires it
-  gracefully and spawns a replacement whose warm state re-seeds from the
+  gracefully and swaps in the spare, whose warm state re-seeds from the
   on-disk compile cache on first touch.
+* **Recovery stays off the request path.**  A swap never forks: the next
+  spare is forked after the following dispatch (for a crash, after the
+  retry is on its way), and a stopped worker is reaped once its sentinel
+  shows it has exited, never by waiting for it.
 * **Faults are injected deterministically.**  The coordinator draws
   ``worker_kill`` per dispatch from its own seeded stream (so a kill
   scoped ``worker_kill:1.0:1`` fires on exactly one dispatch and the retry
   survives); workers install the same spec with a per-slot salt, which
   arms the ``slow_compile``/``torn_write`` hooks inside the compile cache
   and the image writer.
+
+A job is waited for in one of two ways, and only the waiting differs
+between them.  The blocking :meth:`WorkerPool.execute` (batch and the
+experiment, from any number of threads) waits once per reply on
+``multiprocessing.connection.wait``.  :meth:`WorkerPool.checkout` and
+:meth:`WorkerPool.run` (the serve front end) wait on the server's event
+loop: an ``add_reader`` callback on the worker's pipe or process sentinel
+completes a future, and a ``call_later`` timer enforces the hard deadline.
+Every decision — retry, backoff, timeout, recycle — is made in
+:meth:`WorkerPool._job`, which both ways step.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import queue
 import signal
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 
 from ..core.faults import FAULTS_ENV, FaultPlan
@@ -53,7 +71,8 @@ from ..core.faults import FAULTS_ENV, FaultPlan
 #: the parent only ever observes the SIGKILL).
 _KILL_FLAG = "_kill"
 
-#: Sentinel results from the parent-side await loop.
+#: What a wait yields instead of a reply: the worker died, or it stayed
+#: silent past the job's hard deadline.
 _CRASHED = object()
 _HUNG = object()
 
@@ -61,7 +80,7 @@ _HUNG = object()
 #: declares the worker hung and replaces it.
 DEFAULT_GRACE_S = 5.0
 
-#: Hot deserialized images kept per worker (insertion-order eviction).
+#: Hot deserialized images kept per worker (least-recently-used eviction).
 _IMAGE_MEMO_CAP = 64
 
 
@@ -127,8 +146,9 @@ def _obtain_image(job: dict, memo: dict):
     if source_hash is None:
         source_hash = source_fingerprint(source)
     key = (source_hash, semantics, opt_level, ir)
-    image = memo.get(key)
+    image = memo.pop(key, None)
     if image is not None:
+        memo[key] = image  # most recently used: evicted last
         return image, "warm"
 
     def front_end():
@@ -273,13 +293,12 @@ def _worker_main(conn, slot: int, faults_spec: str, seed: int) -> None:
 class _Worker:
     """Parent-side handle: the process, its pipe, and its request count."""
 
-    __slots__ = ("slot", "process", "conn", "served")
+    __slots__ = ("process", "conn", "served")
 
     def __init__(self, slot: int, faults_spec: str, seed: int):
         import multiprocessing
 
         parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        self.slot = slot
         self.conn = parent_conn
         self.served = 0
         self.process = multiprocessing.Process(
@@ -291,40 +310,81 @@ class _Worker:
         self.process.start()
         child_conn.close()
 
-    def kill(self) -> None:
-        try:
-            self.process.kill()
-        except (OSError, ValueError):
-            pass
-        self.process.join(timeout=1.0)
+    def stop(self, *, force: bool) -> None:
+        """SIGKILL the process (``force``) or send it the shutdown sentinel,
+        and close the pipe.  Never waits: the pool reaps the process."""
+        if force:
+            self.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
         try:
             self.conn.close()
         except OSError:
             pass
 
-    def retire(self, timeout: float = 1.0) -> None:
-        """Graceful stop: shutdown sentinel, short join, then force."""
+    def kill(self) -> None:
         try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
+            self.process.kill()
+        except (OSError, ValueError):
             pass
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.kill()
-        else:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
+
+
+def _reply(worker: _Worker, conn_ready: bool):
+    """What a worker whose pipe (``conn_ready``) or else sentinel is ready
+    has to say: its result, or ``_CRASHED`` when the pipe is at EOF or the
+    process exited without sending one."""
+    try:
+        if conn_ready or worker.conn.poll():
+            return worker.conn.recv()
+    except (EOFError, OSError):
+        pass
+    return _CRASHED
+
+
+def _wait_reply(worker: _Worker, timeout: float | None):
+    """Block until ``worker`` replies or exits; ``_HUNG`` after ``timeout``."""
+    from multiprocessing.connection import wait
+
+    ready = wait([worker.conn, worker.process.sentinel], timeout)
+    if not ready:
+        return _HUNG
+    return _reply(worker, worker.conn in ready)
+
+
+def _reply_future(worker: _Worker, timeout: float | None) -> asyncio.Future:
+    """A future the running loop completes with ``worker``'s reply, from an
+    ``add_reader`` callback on its pipe or its sentinel, or with ``_HUNG``
+    from a ``call_later`` timer after ``timeout`` seconds."""
+    loop = asyncio.get_running_loop()
+    future = loop.create_future()
+    conn_fd, sentinel = worker.conn.fileno(), worker.process.sentinel
+
+    def settle(conn_ready: bool | None) -> None:
+        loop.remove_reader(conn_fd)
+        loop.remove_reader(sentinel)
+        if timer is not None:
+            timer.cancel()
+        if not future.done():
+            future.set_result(_HUNG if conn_ready is None else _reply(worker, conn_ready))
+
+    timer = None if timeout is None else loop.call_later(timeout, settle, None)
+    loop.add_reader(conn_fd, settle, True)
+    loop.add_reader(sentinel, settle, False)
+    return future
 
 
 class WorkerPool:
     """A fixed-size pool of persistent workers with crash recovery.
 
-    Thread-safe: ``execute`` may be called from many threads (the serve
-    front end runs one executor thread per worker); each call checks a
-    worker out of the free queue for the duration of the job, including
-    retries and replacement after a crash.
+    ``size`` workers serve jobs and one more waits as the spare that a
+    crash, a hard-deadline kill or a recycle swaps in.  A pool is driven
+    one of two ways, never both: :meth:`execute` blocks the calling thread
+    and may be called from many threads at once (batch and the
+    experiment); :meth:`checkout` and :meth:`run` wait on one asyncio event
+    loop (the serve front end).
 
     ``faults`` is a spec string for :class:`~repro.core.faults.FaultPlan`
     (default: the ``REPRO_GRADUAL_FAULTS`` environment variable).  The
@@ -333,8 +393,9 @@ class WorkerPool:
     hooks.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) receives
-    the ``serve.worker.*`` counters and the ``serve.inflight`` gauges;
-    updates are lock-guarded, so one registry can serve the whole server.
+    the ``serve.worker.*`` counters and the ``serve.inflight`` gauges from
+    whichever thread drives the job; the serve front end drives every job
+    on its loop, so it shares the registry without a lock.
     """
 
     def __init__(
@@ -349,7 +410,6 @@ class WorkerPool:
         max_requests: int = 0,
         max_rss_mb: int = 0,
         metrics=None,
-        poll_interval_s: float = 0.02,
     ) -> None:
         from ..core.faults import _env_seed
 
@@ -364,7 +424,6 @@ class WorkerPool:
         self.max_requests = max_requests
         self.max_rss_kb = max_rss_mb * 1024
         self.metrics = metrics
-        self.poll_interval_s = poll_interval_s
         self._faults_spec = faults
         self._seed = seed if seed is not None else _env_seed()
         self._plan = (
@@ -373,9 +432,6 @@ class WorkerPool:
             else None
         )
         self._lock = threading.Lock()
-        #: Shared with the serving front end: every update of ``metrics``
-        #: (which is not itself thread-safe) happens under this one lock.
-        self.metrics_lock = self._lock
         self._closed = False
         self._inflight = 0
         self.counters: dict[str, int] = {
@@ -383,11 +439,17 @@ class WorkerPool:
             "lost": 0, "deadline_kills": 0,
         }
         self._free: queue.Queue[_Worker] = queue.Queue()
-        self._workers: list[_Worker] = []
-        for slot in range(size):
-            worker = _Worker(slot, self._faults_spec, self._seed)
-            self._workers.append(worker)
+        #: Loop futures waiting in :meth:`checkout`, served first on checkin.
+        self._waiters: deque[asyncio.Future] = deque()
+        self._workers = [self._fork(slot) for slot in range(size)]
+        for worker in self._workers:
             self._free.put(worker)
+        self._spare: _Worker | None = self._fork(size)
+        #: Stopped workers whose processes have not been reaped yet.
+        self._stopped: list[_Worker] = []
+
+    def _fork(self, slot: int) -> _Worker:
+        return _Worker(slot, self._faults_spec, self._seed)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -404,58 +466,62 @@ class WorkerPool:
                 self.metrics.gauge("serve.inflight").set(self._inflight)
                 self.metrics.gauge("serve.inflight.high").high(self._inflight)
 
-    def _replace(self, worker: _Worker, *, force: bool) -> _Worker:
-        """Retire or kill ``worker`` and return a fresh one in its slot."""
-        if force:
-            worker.kill()
-        else:
-            worker.retire()
-        fresh = _Worker(worker.slot, self._faults_spec, self._seed)
+    def _swap(self, worker: _Worker, *, force: bool) -> _Worker:
+        """Stop ``worker`` and put the spare in its place (a fresh fork only
+        when the spare is already in use); returns the worker now there."""
+        worker.stop(force=force)
         with self._lock:
+            fresh, self._spare = self._spare, None
+            if fresh is None:
+                fresh = self._fork(self.size)
             self._workers[self._workers.index(worker)] = fresh
+            self._stopped.append(worker)
         return fresh
 
-    # -- the job loop -------------------------------------------------------
+    def _restock(self) -> None:
+        """Fork a new spare if the last one was swapped in, and reap the
+        stopped workers that have exited, waiting on none of them."""
+        if self._spare is not None:
+            return
+        from multiprocessing.connection import wait
 
-    def _await_result(self, worker: _Worker, hard_deadline: float | None):
-        """Poll for one result; ``_CRASHED``/``_HUNG`` on failure."""
-        start = time.monotonic()
-        while True:
-            if hard_deadline is not None:
-                remaining = hard_deadline - (time.monotonic() - start)
-                if remaining <= 0:
-                    return _HUNG
-                interval = min(self.poll_interval_s, remaining)
-            else:
-                interval = self.poll_interval_s
-            try:
-                if worker.conn.poll(interval):
-                    return worker.conn.recv()
-            except (EOFError, OSError):
-                return _CRASHED
-            if not worker.process.is_alive():
-                # Drain a result sent in the instant before death.
-                try:
-                    if worker.conn.poll(0):
-                        return worker.conn.recv()
-                except (EOFError, OSError):
-                    pass
-                return _CRASHED
+        with self._lock:
+            if self._spare is None and not self._closed:
+                self._spare = self._fork(self.size)
+            exited = wait([worker.process.sentinel for worker in self._stopped], 0)
+            for worker in [w for w in self._stopped if w.process.sentinel in exited]:
+                worker.process.join()  # its sentinel is ready: this returns at once
+                self._stopped.remove(worker)
 
-    def execute(self, job: dict) -> dict:
-        """Run one job to exactly one terminal result dict.
+    def _checkin(self, worker: _Worker) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(worker)
+                return
+        self._free.put(worker)
 
-        Crash → at-most-``retries`` re-dispatches (exponential backoff),
-        then an ``error`` result with ``"reason": "worker-lost"``.  A
-        worker silent past ``deadline_s + grace_s`` is killed and the job
-        reported as ``timeout`` (a hang is not retried: it would hang
-        again).
+    # -- the job: every decision, however the caller waits ------------------
+
+    def _job(self, job: dict, worker: _Worker):
+        """Run ``job`` on the checked-out ``worker`` to exactly one terminal
+        result, then check the worker it ended on back in.
+
+        A generator that :meth:`execute` and :meth:`run` step.  It yields
+        ``(worker, timeout)`` when it needs that worker's reply (the caller
+        sends back the result dict, ``_CRASHED``, or ``_HUNG`` once
+        ``timeout`` seconds pass) and ``(None, seconds)`` to back off; it
+        returns the result.
+
+        A crash swaps in the spare and retries at once; a job that crashes
+        again backs off (``backoff_s``, doubling) before each further
+        attempt, and after ``retries`` re-dispatches fails as an ``error``
+        result with ``"reason": "worker-lost"``.  A worker silent past
+        ``deadline_s + grace_s`` is killed and the job reported as
+        ``timeout`` (a hang is not retried: it would hang again).
         """
-        if self._closed:
-            raise RuntimeError("worker pool is shut down")
         deadline_s = job.get("deadline_s")
-        hard_deadline = None if deadline_s is None else deadline_s + self.grace_s
-        worker = self._free.get()
+        hard_s = None if deadline_s is None else deadline_s + self.grace_s
         self._track_inflight(1)
         attempts = 0
         try:
@@ -464,15 +530,16 @@ class WorkerPool:
                 dispatch = job
                 if self._plan is not None and self._plan.fires("worker_kill"):
                     dispatch = {**job, _KILL_FLAG: True}
-                crashed = False
                 try:
                     worker.conn.send(dispatch)
                 except (BrokenPipeError, OSError):
-                    crashed = True
-                result = self._await_result(worker, hard_deadline) if not crashed else _CRASHED
-                if result is _HUNG:
+                    reply = _CRASHED
+                else:
+                    self._restock()
+                    reply = yield worker, hard_s
+                if reply is _HUNG:
                     self._count("deadline_kills")
-                    worker = self._replace(worker, force=True)
+                    worker = self._swap(worker, force=True)
                     self._count("served")
                     return {
                         "kind": "timeout",
@@ -483,9 +550,9 @@ class WorkerPool:
                         "attempts": attempts,
                         **({"program": job["program"]} if "program" in job else {}),
                     }
-                if result is _CRASHED:
+                if reply is _CRASHED:
                     self._count("crashes")
-                    worker = self._replace(worker, force=True)
+                    worker = self._swap(worker, force=True)
                     if attempts > self.retries:
                         self._count("lost")
                         self._count("served")
@@ -500,49 +567,110 @@ class WorkerPool:
                             **({"program": job["program"]} if "program" in job else {}),
                         }
                     self._count("retries")
-                    time.sleep(self.backoff_s * (2 ** (attempts - 1)))
+                    if attempts > 1:
+                        yield None, self.backoff_s * 2 ** (attempts - 2)
                     continue
-                worker.served = result.pop("served", worker.served + 1)
-                rss_kb = result.pop("rss_kb", 0)
+                worker.served = reply.pop("served", worker.served + 1)
+                rss_kb = reply.pop("rss_kb", 0)
                 if attempts > 1:
-                    result["attempts"] = attempts
+                    reply["attempts"] = attempts
                 if (self.max_requests and worker.served >= self.max_requests) or (
                     self.max_rss_kb and rss_kb > self.max_rss_kb
                 ):
                     self._count("recycled")
-                    worker = self._replace(worker, force=False)
+                    worker = self._swap(worker, force=False)
                 self._count("served")
-                return result
+                return reply
         finally:
             self._track_inflight(-1)
-            self._free.put(worker)
+            self._checkin(worker)
+
+    # -- the two ways to wait ----------------------------------------------
+
+    def execute(self, job: dict) -> dict:
+        """Run one job to exactly one terminal result dict, blocking the
+        calling thread until a worker is free and has replied (see
+        :meth:`_job` for the retry, timeout and recycle rules)."""
+        if self._closed:
+            raise RuntimeError("worker pool is shut down")
+        steps = self._job(job, self._free.get())
+        reply = None
+        try:
+            while True:
+                worker, seconds = steps.send(reply)
+                if worker is None:
+                    time.sleep(seconds)
+                    reply = None
+                else:
+                    reply = _wait_reply(worker, seconds)
+        except StopIteration as done:
+            return done.value
+
+    async def checkout(self) -> _Worker:
+        """An idle worker for :meth:`run`, waiting on the running loop until
+        one is checked back in if none is idle."""
+        if self._closed:
+            raise RuntimeError("worker pool is shut down")
+        try:
+            return self._free.get_nowait()
+        except queue.Empty:
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+            return await waiter
+
+    async def run(self, job: dict, worker: _Worker) -> dict:
+        """:meth:`execute` on the running loop, for a ``worker`` from
+        :meth:`checkout`: the same decisions, with every wait a loop future
+        or timer, so the loop never blocks on a worker."""
+        steps = self._job(job, worker)
+        reply = None
+        try:
+            while True:
+                worker, seconds = steps.send(reply)
+                if worker is None:
+                    reply = await asyncio.sleep(seconds)
+                else:
+                    reply = await _reply_future(worker, seconds)
+        except StopIteration as done:
+            return done.value
 
     # -- lifecycle ----------------------------------------------------------
 
+    def _all_workers(self) -> list[_Worker]:
+        with self._lock:
+            spare = [self._spare] if self._spare is not None else []
+            return [*self._workers, *spare, *self._stopped]
+
     def info(self) -> dict:
-        """JSON-ready pool statistics (the ``stats`` request's ``pool``)."""
+        """JSON-ready pool statistics (the ``stats`` request's ``pool``):
+        ``alive`` counts the serving workers, ``spare`` the ready spare."""
         with self._lock:
             alive = sum(1 for w in self._workers if w.process.is_alive())
-            return {"size": self.size, "alive": alive, **self.counters}
+            spare = int(self._spare is not None and self._spare.process.is_alive())
+            return {"size": self.size, "alive": alive, "spare": spare, **self.counters}
 
     def kill_all(self) -> None:
-        """SIGKILL every worker immediately — the force-exit path, where
-        orphaned workers must not outlive the server (they hold its stdio
-        pipes open, among other things)."""
+        """SIGKILL every worker, the spare included, immediately — the
+        force-exit path, where orphaned workers must not outlive the server
+        (they hold its stdio pipes open, among other things)."""
         self._closed = True
-        for worker in list(self._workers):
-            try:
-                worker.process.kill()
-            except (OSError, ValueError):
-                pass
+        for worker in self._all_workers():
+            worker.kill()
 
     def shutdown(self) -> None:
-        """Retire every worker.  Callers must have drained in-flight jobs."""
+        """Retire every worker, the spare included.  Callers must have
+        drained in-flight jobs."""
         if self._closed:
             return
         self._closed = True
-        for worker in self._workers:
-            worker.retire()
+        workers = self._all_workers()
+        for worker in workers:
+            worker.stop(force=False)
+        for worker in workers:
+            worker.process.join(timeout=1.0)
+            if worker.process.is_alive():
+                worker.kill()
+                worker.process.join(timeout=1.0)
 
     def __enter__(self) -> "WorkerPool":
         return self

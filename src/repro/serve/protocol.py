@@ -18,9 +18,15 @@ the next request.  Operations:
     * ``semantics`` — an enforcement-semantics name (default from the
       server's ``--semantics``).
     * ``opt_level`` — 0/1/2 (default from the server).
-    * ``fuel`` — engine steps before a ``timeout`` outcome.
+    * ``fuel`` — engine steps before a ``timeout`` outcome (a positive
+      integer).
     * ``deadline_s`` — wall-clock seconds before cooperative cancellation
-      (also a ``timeout`` outcome — exit-3 semantics are preserved).
+      (also a ``timeout`` outcome — exit-3 semantics are preserved): a
+      finite positive number, at most :data:`MAX_DEADLINE_S`.
+
+    A ``null`` field means the server's default.  A request with a field
+    out of range is answered with an ``error`` response and never reaches
+    a worker.
 
     The response is the batch runner's JSON record (``kind``, ``value`` /
     ``blame``, ``steps``, ``max_pending_mediators``, ``cache``, timings)
@@ -53,6 +59,33 @@ OPS = ("run", "ping", "stats", "shutdown")
 
 #: Engines a request may name (the serving pipeline is compiled-only).
 SERVE_ENGINES = ("vm", "rvm")
+
+#: The longest deadline a request or the server may set, in seconds.  A day
+#: is ample, and it keeps every deadline within what the worker's interval
+#: timer and the parent's waits accept.
+MAX_DEADLINE_S = 86400.0
+
+
+def check_fuel(fuel: object) -> None:
+    """Raise ``ValueError`` unless ``fuel`` is ``None`` (the engine's
+    default) or a positive int (not a bool)."""
+    if fuel is not None and (not isinstance(fuel, int) or isinstance(fuel, bool) or fuel <= 0):
+        raise ValueError(f"fuel must be a positive integer, got {fuel!r}")
+
+
+def check_deadline(deadline_s: object) -> None:
+    """Raise ``ValueError`` unless ``deadline_s`` is ``None`` (no deadline)
+    or a number (not a bool) of seconds in ``(0, MAX_DEADLINE_S]``, which
+    rules out NaN and infinity."""
+    if deadline_s is not None and not (
+        isinstance(deadline_s, (int, float))
+        and not isinstance(deadline_s, bool)
+        and 0 < deadline_s <= MAX_DEADLINE_S
+    ):
+        raise ValueError(
+            f"deadline_s must be a finite number of seconds in (0, {MAX_DEADLINE_S:g}], "
+            f"got {deadline_s!r}"
+        )
 
 
 def encode_line(obj: dict) -> bytes:
@@ -89,14 +122,17 @@ def normalize_run_request(obj: dict, defaults: dict) -> dict:
     if source_hash is not None and not isinstance(source_hash, str):
         raise ValueError("'source_hash' must be a string")
 
-    engine = obj.get("engine", defaults["engine"])
+    def field(name: str):
+        value = obj.get(name)
+        return defaults[name] if value is None else value
+
+    engine = field("engine")
     if engine not in SERVE_ENGINES:
         raise ValueError(f"unknown engine {engine!r} (expected one of {SERVE_ENGINES})")
     if "mediator" in obj:
         raise ValueError("unknown request field 'mediator'; name the enforcement "
                          "semantics with 'semantics'")
-    semantics = obj.get("semantics", defaults["semantics"])
-    opt_level = obj.get("opt_level", defaults["opt_level"])
+    opt_level = field("opt_level")
     if not isinstance(opt_level, int) or isinstance(opt_level, bool):
         raise ValueError(f"opt_level must be 0, 1, or 2, got {opt_level!r}")
     # The shared validation path: the same checks every other entrypoint
@@ -105,25 +141,22 @@ def normalize_run_request(obj: dict, defaults: dict) -> dict:
     from ..core.errors import UsageError
 
     try:
-        resolve_config(engine=engine, semantics=semantics, opt_level=opt_level)
+        config = resolve_config(engine=engine, semantics=field("semantics"),
+                                opt_level=opt_level)
     except (UsageError, ValueError) as exc:
         raise ValueError(str(exc)) from None
-    fuel = obj.get("fuel", defaults["fuel"])
-    if fuel is not None and (not isinstance(fuel, int) or fuel <= 0):
-        raise ValueError(f"fuel must be a positive integer, got {fuel!r}")
-    deadline_s = obj.get("deadline_s", defaults["deadline_s"])
-    if deadline_s is not None and (
-        not isinstance(deadline_s, (int, float)) or deadline_s <= 0
-    ):
-        raise ValueError(f"deadline_s must be a positive number, got {deadline_s!r}")
+    fuel = field("fuel")
+    check_fuel(fuel)
+    deadline_s = field("deadline_s")
+    check_deadline(deadline_s)
 
     return {
         "op": "run_source",
         "source": source,
         "source_hash": source_hash,
-        "engine": engine,
-        "semantics": semantics,
-        "opt_level": opt_level,
+        "engine": config.engine,
+        "semantics": config.semantics,
+        "opt_level": config.opt_level,
         "fuel": fuel,
         "deadline_s": deadline_s,
         "cache_dir": defaults["cache_dir"],

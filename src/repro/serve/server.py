@@ -1,18 +1,21 @@
 """The ``repro-gradual serve`` front end: asyncio over the worker pool.
 
 One asyncio event loop accepts connections (TCP or a Unix socket), parses
-newline-delimited JSON requests, and dispatches ``run`` jobs to the
-persistent :class:`~repro.serve.pool.WorkerPool` through a thread-pool
-executor sized to the worker count.  Requests on one connection are handled
-serially (a response is written before the next line is read — which is
-what makes single-connection chaos runs deterministic); concurrency comes
-from concurrent connections.
+newline-delimited JSON requests, and runs ``run`` jobs on the persistent
+:class:`~repro.serve.pool.WorkerPool`.  The loop owns the worker pipes: a
+run request checks out an idle worker, sends it the job, and awaits a
+future that an ``add_reader`` callback on the worker's pipe or process
+sentinel completes, with the hard deadline a ``call_later`` timer.  No
+thread is involved, so the metrics registry is updated without a lock.
+Requests on one connection are handled serially (a response is written
+before the next line is read — which is what makes single-connection chaos
+runs deterministic); concurrency comes from concurrent connections.
 
 Admission control is a counted gate, not a real queue: at most
-``queue_limit`` run requests may be admitted (waiting for an executor
-thread or executing) at once; a request beyond that is *shed* immediately
-with the ``overloaded`` terminal kind — the client learns it was never
-attempted, rather than waiting behind an unbounded backlog.
+``queue_limit`` run requests may be admitted (waiting for a worker or
+executing) at once; a request beyond that is *shed* immediately with the
+``overloaded`` terminal kind — the client learns it was never attempted,
+rather than waiting behind an unbounded backlog.
 
 Shutdown is a drain: the first SIGTERM/SIGINT (or a ``shutdown`` request)
 stops accepting connections and new run requests, lets admitted requests
@@ -28,12 +31,13 @@ import os
 import signal
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from ..core.errors import UsageError
 from ..obs.metrics import MetricsRegistry
 from .pool import DEFAULT_GRACE_S, WorkerPool
-from .protocol import decode_line, encode_line, error_response, normalize_run_request
+from .protocol import (MAX_DEADLINE_S, check_deadline, check_fuel, decode_line, encode_line,
+                       error_response, normalize_run_request)
 
 #: The longest request line read, newline excluded.  A longer line gets one
 #: ``error`` response; the rest of it is discarded and the connection
@@ -66,12 +70,37 @@ class ServeConfig:
     faults_seed: int | None = None
 
 
+def _check_settings(config: ServeConfig) -> None:
+    """Raise :class:`UsageError` for the first numeric setting out of range;
+    the default deadline passes the same check as a request's."""
+    for name, least in (("port", 0), ("workers", 1), ("queue_limit", 1),
+                        ("max_requests", 0), ("max_rss_mb", 0), ("retries", 0)):
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
+    if config.port > 65535:
+        raise UsageError(f"port must be at most 65535, got {config.port}")
+    try:
+        check_fuel(config.fuel)
+        check_deadline(config.deadline_s)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    for name in ("grace_s", "backoff_s"):
+        value = getattr(config, name)
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and 0 <= value <= MAX_DEADLINE_S):
+            raise UsageError(
+                f"{name} must be a number of seconds in [0, {MAX_DEADLINE_S:g}], got {value!r}"
+            )
+
+
 class Server:
-    """One serving process: pool, executor, listener, and drain logic."""
+    """One serving process: pool, listener, and drain logic."""
 
     def __init__(self, config: ServeConfig, metrics: MetricsRegistry | None = None):
         from ..api import resolve_config
 
+        _check_settings(config)
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Fail fast at startup through the shared validation path: the same
@@ -95,7 +124,6 @@ class Server:
             "use_cache": run_defaults.cache,
         }
         self._pool: WorkerPool | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._admitted = 0
@@ -103,26 +131,7 @@ class Server:
         self._drain_event: asyncio.Event | None = None
         self.address: tuple | None = None  # set once listening
 
-    # -- metrics (the registry is shared with pool threads) -----------------
-
-    def _metric(self, kind: str, name: str, value=None) -> None:
-        with self._pool.metrics_lock:
-            if kind == "counter":
-                self.metrics.counter(name).inc()
-            elif kind == "gauge":
-                self.metrics.gauge(name).set(value)
-            else:
-                self.metrics.histogram(name).observe(value)
-
     # -- request handling ---------------------------------------------------
-
-    def _run_in_thread(self, job: dict) -> dict:
-        # Executor thread: note when the job left the admission queue, so
-        # the event loop can split queue wait from service time.
-        started = time.perf_counter()
-        result = self._pool.execute(job)
-        result["_dequeued_s"] = started
-        return result
 
     async def _dispatch(self, obj: dict) -> dict:
         request_id = obj.get("id")
@@ -130,12 +139,10 @@ class Server:
         if op == "ping":
             return {"id": request_id, "ok": True, "draining": self._draining}
         if op == "stats":
-            with self._pool.metrics_lock:
-                snapshot = self.metrics.snapshot()
             return {
                 "id": request_id,
                 "ok": True,
-                "metrics": snapshot,
+                "metrics": self.metrics.snapshot(),
                 "pool": self._pool.info(),
             }
         if op == "shutdown":
@@ -150,11 +157,12 @@ class Server:
         except ValueError as exc:
             return error_response(request_id, str(exc))
 
-        self._metric("counter", "serve.requests")
+        metrics = self.metrics
+        metrics.counter("serve.requests").inc()
         if self._admitted >= self.config.queue_limit:
             # Shed at admission: the job was never queued, never attempted.
-            self._metric("counter", "serve.shed")
-            self._metric("counter", "serve.outcome.overloaded")
+            metrics.counter("serve.shed").inc()
+            metrics.counter("serve.outcome.overloaded").inc()
             return {
                 "id": request_id,
                 "kind": "overloaded",
@@ -164,22 +172,32 @@ class Server:
                 ),
             }
         self._admitted += 1
-        self._metric("gauge", "serve.queue.depth", self._admitted)
-        queued_s = time.perf_counter()
-        loop = asyncio.get_running_loop()
+        metrics.gauge("serve.queue.depth").set(self._admitted)
+        admitted_s = time.perf_counter()
         try:
-            result = await loop.run_in_executor(self._executor, self._run_in_thread, job)
+            worker = await self._pool.checkout()
+            checked_out_s = time.perf_counter()
+            result = await self._pool.run(job, worker)
         finally:
             self._admitted -= 1
-            self._metric("gauge", "serve.queue.depth", self._admitted)
+            metrics.gauge("serve.queue.depth").set(self._admitted)
         done_s = time.perf_counter()
-        dequeued_s = result.pop("_dequeued_s", queued_s)
-        self._metric("counter", f"serve.outcome.{result.get('kind', 'error')}")
-        self._metric("histogram", "serve.queue_s", dequeued_s - queued_s)
-        self._metric("histogram", "serve.latency_s", done_s - queued_s)
-        for key, metric in (("compile_s", "serve.compile_s"), ("run_s", "serve.run_s")):
-            if key in result:
-                self._metric("histogram", metric, result[key])
+        queue_s = checked_out_s - admitted_s
+        latency_s = done_s - admitted_s
+        compile_s = result.get("compile_s", 0.0)
+        run_s = result.get("run_s", 0.0)
+        metrics.counter(f"serve.outcome.{result.get('kind', 'error')}").inc()
+        metrics.histogram("serve.queue_s").observe(queue_s)
+        metrics.histogram("serve.latency_s").observe(latency_s)
+        # What the worker did not spend compiling or running: the pipe, the
+        # pickling and the loop's turn-around.
+        metrics.histogram("serve.ipc_s").observe(latency_s - queue_s - compile_s - run_s)
+        if "compile_s" in result:
+            metrics.histogram("serve.compile_s").observe(compile_s)
+            if result.get("cache") == "hit":
+                metrics.histogram("serve.load_s").observe(compile_s)
+        if "run_s" in result:
+            metrics.histogram("serve.run_s").observe(run_s)
         result["id"] = request_id
         return result
 
@@ -187,7 +205,7 @@ class Server:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._writers.add(writer)
-        self._metric("counter", "serve.connections")
+        self.metrics.counter("serve.connections").inc()
         try:
             while True:
                 line = await _read_line(reader)
@@ -250,9 +268,6 @@ class Server:
             max_rss_mb=config.max_rss_mb,
             metrics=self.metrics,
         )
-        self._executor = ThreadPoolExecutor(
-            max_workers=config.workers, thread_name_prefix="serve"
-        )
         if config.socket_path is not None:
             self._asyncio_server = await asyncio.start_unix_server(
                 self._handle_connection, path=config.socket_path, limit=MAX_LINE_BYTES
@@ -292,7 +307,6 @@ class Server:
         await asyncio.sleep(0.05)
         for writer in list(self._writers):
             writer.close()
-        self._executor.shutdown(wait=True)
         self._pool.shutdown()
         if config.use_cache:
             from ..compiler.cache import sweep_cache

@@ -1,8 +1,10 @@
 """Tests for the persistent worker pool (:mod:`repro.serve.pool`).
 
-The pool is exercised directly (no asyncio front end): warm-image reuse,
-crash detection and retry, the ``worker-lost`` terminal error, cooperative
-deadlines, worker recycling, and the chaos property — under seeded
+The pool is exercised directly (no server front end): warm-image reuse and
+its least-recently-used eviction, crash detection and retry on the spare,
+the ``worker-lost`` terminal error, cooperative deadlines, the hard
+deadline both blocking and on an event loop, worker recycling,
+and the chaos property — under seeded
 ``worker_kill``/``slow_compile``/``torn_write`` faults, every job gets
 exactly one terminal result and non-faulted results match a fault-free run
 bit for bit.
@@ -10,7 +12,11 @@ bit for bit.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
+import multiprocessing
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +136,31 @@ class TestWorkerPool:
             info = pool.info()
             assert info["crashes"] == 0 and info["alive"] == 1
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched module")
+    @pytest.mark.parametrize("waiting", ["blocking", "loop"])
+    def test_silent_worker_is_killed_at_the_hard_deadline(self, monkeypatch, waiting):
+        """With the cooperative deadline disarmed in the (forked) workers,
+        only the parent's hard deadline ends the job: the worker is killed,
+        the spare takes its place, and the job reports ``timeout``."""
+        import repro.serve.pool as pool_module
+
+        monkeypatch.setattr(pool_module, "_deadline", lambda _seconds: contextlib.nullcontext())
+        jobs = [job(SPIN, fuel=10**12, deadline_s=0.1), job(SQUARE)]
+
+        async def on_the_loop(pool):
+            return [await pool.run(each, await pool.checkout()) for each in jobs]
+
+        with WorkerPool(1, grace_s=0.1) as pool:
+            if waiting == "blocking":
+                hung, after = [pool.execute(each) for each in jobs]
+            else:
+                hung, after = asyncio.run(on_the_loop(pool))
+            assert (hung["kind"], hung["reason"]) == ("timeout", "deadline")
+            assert after["value"] == 36
+            info = pool.info()
+            assert (info["deadline_kills"], info["alive"], info["spare"]) == (1, 1, 1)
+
     def test_crash_is_retried_and_succeeds(self):
         with WorkerPool(1, faults="worker_kill:1.0:1", backoff_s=0.01) as pool:
             result = pool.execute(job(SQUARE))
@@ -138,6 +169,18 @@ class TestWorkerPool:
             info = pool.info()
             assert info["crashes"] == 1 and info["retries"] == 1
             assert info["lost"] == 0 and info["alive"] == 1
+
+    def test_first_crash_is_retried_at_once_on_the_spare(self):
+        """Backoff applies only when the same job crashes again: a single
+        crash costs a swap to the pre-forked spare, not a 30 s sleep."""
+        started = time.monotonic()
+        with WorkerPool(1, faults="worker_kill:1.0:1", backoff_s=30) as pool:
+            result = pool.execute(job(SQUARE))
+            assert (result["kind"], result["value"], result["attempts"]) == ("value", 36, 2)
+            assert time.monotonic() - started < 5.0
+            # The retry went out first; then a new spare was forked.
+            info = pool.info()
+            assert (info["alive"], info["spare"], info["crashes"]) == (1, 1, 1)
 
     def test_worker_lost_after_retry_budget(self):
         with WorkerPool(1, faults="worker_kill:1.0", retries=1,
@@ -194,6 +237,25 @@ class TestWorkerPool:
         with WorkerPool(1, backoff_s=0.01) as pool:
             result = pool.execute(job(SQUARE))
             assert result["value"] == 36 and result["attempts"] == 2
+
+
+class TestImageMemo:
+    def test_memo_evicts_the_least_recently_used_image(self):
+        """Fill the memo, touch its oldest entry, insert one more: the
+        touched image stays warm and the next-oldest is the one evicted."""
+        from repro.serve.pool import _IMAGE_MEMO_CAP, handle_job
+
+        memo: dict = {}
+
+        def cache(index: int) -> str:
+            return handle_job(job(f"(+ {index} 1)\n", use_cache=False), memo)["cache"]
+
+        assert [cache(i) for i in range(_IMAGE_MEMO_CAP)] == ["off"] * _IMAGE_MEMO_CAP
+        assert cache(0) == "warm"
+        assert cache(_IMAGE_MEMO_CAP) == "off"
+        assert len(memo) == _IMAGE_MEMO_CAP
+        assert cache(0) == "warm"
+        assert cache(1) == "off"
 
 
 class TestChaosProperty:

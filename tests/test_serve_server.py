@@ -1,12 +1,14 @@
 """End-to-end tests for ``repro-gradual serve`` (:mod:`repro.serve.server`).
 
-Each test starts a real server subprocess on a Unix socket (ephemeral TCP
-for the TCP test), talks the newline-delimited JSON protocol through
-:class:`~repro.serve.client.ServeClient`, and asserts on the process's
+Most tests start a real server subprocess on a Unix socket (ephemeral TCP
+for the TCP test), talk the newline-delimited JSON protocol through
+:class:`~repro.serve.client.ServeClient`, and assert on the process's
 exit code.  Covered: request/response basics, parity with inline batch
 results, warm-vs-cold caching, load shedding, chaos under injected faults,
-and the graceful-drain contract (SIGTERM drains and exits 0; a second
-SIGTERM force-exits 1).
+the graceful-drain contract (SIGTERM drains and exits 0; a second
+SIGTERM force-exits 1), and validation: out-of-range request fields are
+protocol errors (a property over arbitrary JSON), and out-of-range
+settings stop ``serve`` at startup with exit 2.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.semantics import SEMANTICS_NAMES
 from repro.serve.client import ServeClient
-from repro.serve.protocol import TERMINAL_KINDS, encode_line
+from repro.serve.protocol import (MAX_DEADLINE_S, SERVE_ENGINES, TERMINAL_KINDS, encode_line,
+                                  normalize_run_request)
 from repro.serve.server import MAX_LINE_BYTES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,6 +38,34 @@ SQUARE = "(define (square [x : int]) : int (* x x))\n(square (: 6 ?))\n"
 BLAME = "(define lib : ? (lambda (x) #t))\n(+ 1 ((: lib (-> int int)) 3))\n"
 SPIN = "(define (spin [n : int]) : int (spin n))\n(spin 0)\n"
 IDENT = "((lambda ([x : int]) x) 42)\n"
+
+
+#: Any JSON value a client could send, half of them on the edge of a check:
+#: non-finite, bool, huge, negative or zero.
+JSON_VALUES = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 1e308, 10**400, -(10**400), 2**63,
+     True, False, None, 0, -1, 0.0, 86400, 86400.5, "", "vm"]
+) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: Per request field: values it accepts.
+REQUEST_FIELDS = {
+    "source": st.just(SQUARE),
+    "source_hash": st.just("ab" * 32),
+    "engine": st.sampled_from(SERVE_ENGINES),
+    "semantics": st.sampled_from(SEMANTICS_NAMES),
+    "opt_level": st.sampled_from([0, 1, 2]),
+    "fuel": st.integers(min_value=1),
+    "deadline_s": st.floats(min_value=1e-3, max_value=MAX_DEADLINE_S),
+}
+
+SERVER_DEFAULTS = {
+    "semantics": "coercion", "opt_level": 2, "engine": "vm", "fuel": None,
+    "deadline_s": None, "cache_dir": None, "use_cache": True,
+}
 
 
 def start_server(tmp_path, *extra_args, env_extra=None, tcp=False):
@@ -93,6 +127,44 @@ class TestProtocol:
         assert stats["metrics"]["counters"]["serve.outcome.value"] == 1
         stop(proc, client)
 
+    def test_out_of_range_fields_never_reach_a_worker(self, tmp_path):
+        proc, ready = start_server(tmp_path)
+        client = ServeClient.from_ready(ready)
+        assert client.run(SQUARE)["value"] == 36
+        for bad in ({"deadline_s": float("nan")}, {"deadline_s": float("inf")},
+                    {"deadline_s": 1e308}, {"deadline_s": True}, {"fuel": True}):
+            response = client.run(SQUARE, id="bad", **bad)
+            assert (response["id"], response["kind"]) == ("bad", "error"), bad
+            assert "worker exception" not in response["error"], bad
+        assert client.stats()["pool"]["served"] == 1
+        # A null field is the server's default, and the job carries it.
+        assert client.run(BLAME, semantics=None)["kind"] == "blame"
+        assert client.stats()["pool"]["served"] == 2
+        stop(proc, client)
+
+    def test_stats_report_ipc_and_load(self, tmp_path):
+        """``serve.ipc_s`` is observed once per dispatched run and
+        ``serve.load_s`` once per disk-cache hit, from the responses'
+        own ``compile_s``/``run_s``."""
+        # Recycling after every job makes each repeat a disk-cache hit.
+        proc, ready = start_server(tmp_path, "--max-requests", "1")
+        client = ServeClient.from_ready(ready)
+        responses = [client.run(source) for source in (SQUARE, SQUARE, IDENT, SQUARE, "(+ 1 #t)")]
+        assert client.run(SQUARE, fuel=0)["kind"] == "error"  # rejected, not dispatched
+        histograms = client.stats()["metrics"]["histograms"]
+        hits = [r for r in responses if r.get("cache") == "hit"]
+        assert [r["cache"] for r in responses[:4]] == ["miss", "hit", "miss", "hit"]
+        assert histograms["serve.ipc_s"]["count"] == len(responses)
+        assert histograms["serve.load_s"]["count"] == len(hits)
+        assert histograms["serve.load_s"]["sum"] == pytest.approx(
+            sum(r["compile_s"] for r in hits))
+        worker_s = sum(r.get("compile_s", 0.0) + r.get("run_s", 0.0) for r in responses)
+        latency = histograms["serve.latency_s"]["sum"]
+        queue = histograms["serve.queue_s"]["sum"]
+        assert histograms["serve.ipc_s"]["sum"] == pytest.approx(latency - queue - worker_s)
+        assert histograms["serve.ipc_s"]["min"] >= 0
+        stop(proc, client)
+
     def test_tcp_transport(self, tmp_path):
         proc, ready = start_server(tmp_path, tcp=True)
         client = ServeClient.connect_tcp(ready["host"], ready["port"])
@@ -152,6 +224,48 @@ class TestProtocol:
         deadline = client.run(SPIN, fuel=10**12, deadline_s=0.2)
         assert deadline["kind"] == "timeout" and deadline["reason"] == "deadline"
         stop(proc, client)
+
+
+class TestRequestValidation:
+    @settings(max_examples=400)
+    @given(
+        st.fixed_dictionaries({}, optional=REQUEST_FIELDS),
+        st.dictionaries(st.sampled_from(sorted(REQUEST_FIELDS)), JSON_VALUES,
+                        min_size=1, max_size=2),
+    )
+    def test_a_request_becomes_a_valid_job_or_a_value_error(self, accepted, arbitrary):
+        """Accepted values with one or two fields replaced by arbitrary JSON."""
+        try:
+            job = normalize_run_request({**accepted, **arbitrary}, SERVER_DEFAULTS)
+        except ValueError:
+            return
+        assert isinstance(job["source"], (str, type(None)))
+        assert isinstance(job["source_hash"], (str, type(None)))
+        assert (job["source"], job["source_hash"]) != (None, None)
+        assert job["engine"] in SERVE_ENGINES
+        assert job["semantics"] in SEMANTICS_NAMES
+        assert type(job["opt_level"]) is int and job["opt_level"] in (0, 1, 2)
+        assert job["fuel"] is None or (type(job["fuel"]) is int and job["fuel"] > 0)
+        deadline = job["deadline_s"]
+        assert deadline is None or (type(deadline) in (int, float) and 0 < deadline <= MAX_DEADLINE_S)
+
+
+class TestStartupValidation:
+    @pytest.mark.parametrize("flags", [
+        ("--deadline", "nan"), ("--deadline", "-1"), ("--deadline", "inf"),
+        ("--fuel", "0"), ("--workers", "0"), ("--queue-limit", "0"), ("--grace", "nan"),
+    ])
+    def test_bad_setting_is_one_error_line_and_exit_2(self, tmp_path, flags):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--socket",
+             str(tmp_path / "serve.sock"), *flags],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stdout == ""
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
 
 
 class TestOverload:
