@@ -28,6 +28,9 @@ workloads.  This suite quantifies all three axes:
   stacked) on the boundary tail loops at every level; the optimizer may
   only *shrink* the footprint (an elided identity never runs); the register
   VM reproduces the stack VM's footprint exactly.
+* **calibration** — per workload, the ``-O2`` stack and register run
+  times over that of :func:`calibration_loop`, fixed pure-Python work
+  timed in turn with them; ``scripts/perf_smoke.py`` gates these ratios.
 
 Standalone usage (writes the ``BENCH_vm.json`` artifact)::
 
@@ -37,7 +40,10 @@ Standalone usage (writes the ``BENCH_vm.json`` artifact)::
 from __future__ import annotations
 
 import math
+import multiprocessing
+import statistics
 import sys
+import time
 
 import pytest
 
@@ -71,9 +77,90 @@ RVM_SPEEDUP_TARGET = 2.0  # rvm vs -O2 stack VM, geomean over boundary/tail
 
 OPT_LEVELS = (0, 1, 2)
 
+#: Countdown length of :func:`calibration_loop` (~0.4 ms on a 2-vCPU host).
+CALIBRATION_STEPS = 3000
+
+#: Interleaved rounds of :func:`calibration_loop` and the runs per process.
+CALIBRATION_ROUNDS = 200
+
+#: Fresh interpreters each ``calibrate/*`` ratio is the median over: a run's
+#: time relative to the loop moves by a few percent from one process to the
+#: next, more than ``scripts/perf_smoke.py``'s tolerance.
+CALIBRATION_PROCESSES = 5
+
 
 def geomean(values: list[float]) -> float:
     return math.exp(sum(map(math.log, values)) / len(values))
+
+
+def calibration_loop(steps: int = CALIBRATION_STEPS) -> int:
+    """Fixed pure-Python work that no change to the compiler or the VMs
+    moves: a two-instruction register machine counting ``steps`` down,
+    shaped like a dispatch loop (fetch, decode, compare, branch).  Returns
+    the instructions it executed.  Run times are recorded and gated as
+    multiples of its time (:func:`calibrated_ratios`), which cancels how
+    fast the host is."""
+    program = ((0, 0, 1), (1, 0, 0), (2, 0, 0))  # r0 -= 1; if r0: goto 0; halt
+    regs = [steps]
+    pc = executed = 0
+    while True:
+        op, register, operand = program[pc]
+        executed += 1
+        if op == 0:
+            regs[register] -= operand
+            pc += 1
+        elif op == 1:
+            pc = operand if regs[register] else pc + 1
+        else:
+            return executed
+
+
+def interleaved_best(runners: dict, rounds: int) -> dict:
+    """Best time of each of ``runners`` (name → no-argument callable) over
+    ``rounds`` rounds that call every runner once, in turn, so a slow
+    stretch of a shared host falls on all of them; one warmup call each."""
+    best = dict.fromkeys(runners, float("inf"))
+    for runner in runners.values():
+        runner()
+    for _ in range(rounds):
+        for name, runner in runners.items():
+            start = time.perf_counter()
+            runner()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
+def calibrated_ratios(names) -> dict:
+    """Per workload in ``names``: ``vm_over_loop`` and ``rvm_over_loop``,
+    the best time of its ``-O2`` stack and register runs over the best time
+    of :func:`calibration_loop`, timed in turn (:func:`interleaved_best`),
+    and ``loop_s``; each the median over ``CALIBRATION_PROCESSES`` fresh
+    interpreters that time that workload alone.  Recorded as the
+    ``calibrate/*`` rows, and measured again the same way by
+    ``scripts/perf_smoke.py``."""
+    names = list(names)
+    runs = CALIBRATION_PROCESSES
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(1, maxtasksperchild=1) as pool:
+        samples = pool.map(_calibrated_here, [name for name in names for _ in range(runs)],
+                           chunksize=1)
+    by_name = [samples[i * runs:(i + 1) * runs] for i in range(len(names))]
+    return {name: {key: statistics.median(sample[key] for sample in mine) for key in mine[0]}
+            for name, mine in zip(names, by_name)}
+
+
+def _calibrated_here(name: str) -> dict:
+    """One process's sample for :func:`calibrated_ratios`."""
+    assert calibration_loop() == 2 * CALIBRATION_STEPS + 1
+    code_o2 = compile_term(VM_WORKLOADS[name][0], opt_level=2)
+    rcode_o2 = compile_registers(code_o2)
+    best = interleaved_best({
+        "loop": calibration_loop,
+        "vm": lambda: run_code(code_o2),
+        "rvm": lambda: run_rcode(rcode_o2),
+    }, CALIBRATION_ROUNDS)
+    return {"vm_over_loop": best["vm"] / best["loop"],
+            "rvm_over_loop": best["rvm"] / best["loop"], "loop_s": best["loop"]}
 
 
 def build_suite(repeat: int) -> harness.Suite:
@@ -179,6 +266,10 @@ def build_suite(repeat: int) -> harness.Suite:
         meets_target=rvm_geomean >= RVM_SPEEDUP_TARGET,
         workloads=[n for n, (_, _, b) in VM_WORKLOADS.items() if b],
     )
+
+    for name, ratios in calibrated_ratios(VM_WORKLOADS).items():
+        suite.record(f"calibrate/{name}", **ratios, rounds=CALIBRATION_ROUNDS,
+                     processes=CALIBRATION_PROCESSES, workload=name)
 
     # Ablation: every workload × opt level × mediator backend × VM.
     for name, (term_b, check, boundary) in VM_WORKLOADS.items():

@@ -34,7 +34,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "benchmarks"))
 
-from bench_vm import VM_WORKLOADS, geomean  # noqa: E402
+from bench_vm import VM_WORKLOADS, calibrated_ratios, geomean, interleaved_best  # noqa: E402
 
 from repro.compiler import compile_registers, compile_term, run_code, run_rcode  # noqa: E402
 
@@ -195,15 +195,8 @@ def lower_gate() -> int:
         for term in terms:
             lower_program(c_to_s(b_to_c(term)))
 
-    best = {direct: float("inf"), translated: float("inf")}
-    for runner in best:
-        runner()  # warmup
-    for _ in range(3 * REPEAT):
-        for runner in best:
-            start = time.perf_counter()
-            runner()
-            best[runner] = min(best[runner], time.perf_counter() - start)
-    ratio = best[direct] / best[translated]
+    best = interleaved_best({"direct": direct, "translated": translated}, 3 * REPEAT)
+    ratio = best["direct"] / best["translated"]
     ceiling = LOWER_RATIO * (1 + SLIP_TOLERANCE)
     if ratio <= ceiling:
         print(f"perf-smoke: lower over translate+lower {ratio:.2f}x "
@@ -254,62 +247,45 @@ def trace_overhead_gate(by_name: dict, fastest: list[str]) -> int:
 
     Every mediator lifecycle site in the vm/rvm dispatch loops now carries
     an ``if tracer is not None`` hook; with no tracer active that test must
-    cost ~nothing.  Wall clock is not comparable across machines, so the
-    current run times are normalized by a *compile-time calibration ratio*:
-    compilation has no hooks at all, so ``compile_now / compile_committed``
-    measures only how this box compares to the one that recorded the
-    baseline.  The calibrated slowdown
+    cost ~nothing.  Wall clock is not comparable across machines, so each
+    run time is taken relative to bench_vm's :func:`calibration_loop`,
+    fixed pure-Python work that no compiler or VM change moves, timed in
+    turn with the run so that both see the same host, and the ratio is the
+    median over fresh interpreters (:func:`calibrated_ratios`).
+    ``BENCH_vm.json``'s ``calibrate/<workload>`` rows hold the same
+    measurement from when the baseline was recorded, and the slowdown
 
-        (run_now / run_committed) / (compile_now / compile_committed)
+        (run_now / loop_now) / (run_recorded / loop_recorded)
 
-    is geomeaned over {vm -O2, rvm -O2} × the two fastest workloads and
-    gated at ``TRACE_OVERHEAD_TOLERANCE``.  An enabled-tracing run (ring
-    buffer sink) is also measured, informationally — it is allowed to cost.
+    is geomeaned per engine over the two fastest workloads.  Each engine is
+    gated at ``TRACE_OVERHEAD_TOLERANCE``, so a failure names the dispatch
+    loop that slowed.  An enabled-tracing run (ring buffer sink) is also
+    measured, informationally — it is allowed to cost.
     """
     from repro.obs import RingBufferSink, tracing
 
-    calib_names = [n for n in VM_WORKLOADS if f"compile/{n}" in by_name]
-    if not calib_names:
-        print("perf-smoke: no compile/* baseline entries; skipping trace gate")
-        return 0
+    recorded = {name: by_name.get(f"calibrate/{name}") for name in fastest}
+    if None in recorded.values():
+        print("perf-smoke: BENCH_vm.json has no calibrate/* rows; re-record with "
+              "`python benchmarks/bench_vm.py --json`")
+        return 1
+    now = calibrated_ratios(fastest)
+    hosts = [now[name]["loop_s"] / recorded[name]["loop_s"] for name in fastest]
+    slowdowns = {
+        engine: [now[name][f"{engine}_over_loop"] / recorded[name][f"{engine}_over_loop"]
+                 for name in fastest]
+        for engine in ("vm", "rvm")
+    }
 
-    def compile_all() -> None:
-        for name in calib_names:
-            compile_term(VM_WORKLOADS[name][0], opt_level=2)
-
-    compile_all()  # warmup
-    timings = []
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        compile_all()
-        timings.append(time.perf_counter() - start)
-    compile_now = min(timings)
-    compile_committed = sum(by_name[f"compile/{n}"]["best_s"] for n in calib_names)
-    calibration = compile_now / compile_committed
-
-    slowdowns = []
-    for name in fastest:
-        term_b = VM_WORKLOADS[name][0]
-        code_o2 = compile_term(term_b, opt_level=2)
-        rcode_o2 = compile_registers(code_o2)
-        for label, code, runner in (
-            (f"vm/S/O2/{name}", code_o2, run_code),
-            (f"rvm/S/O2/{name}", rcode_o2, run_rcode),
-        ):
-            committed = by_name.get(label)
-            if committed is None:
-                continue
-            now = _best(code, runner=runner)
-            slowdowns.append((now / committed["best_s"]) / calibration)
-
-    if not slowdowns:
-        print("perf-smoke: no vm/rvm O2 baseline entries; skipping trace gate")
-        return 0
-    slowdown = geomean(slowdowns)
+    status = 0
     ceiling = 1 + TRACE_OVERHEAD_TOLERANCE
-    verdict = "ok" if slowdown <= ceiling else "REGRESSION"
-    print(f"perf-smoke: disabled-tracing slowdown geomean {slowdown:.3f}x "
-          f"(calibration {calibration:.2f}x, ceiling {ceiling:.2f}x): {verdict}")
+    for engine, values in slowdowns.items():
+        slowdown = geomean(values)
+        verdict = "ok" if slowdown <= ceiling else "REGRESSION"
+        print(f"perf-smoke: {engine} disabled-tracing slowdown geomean {slowdown:.3f}x "
+              f"(calibration {geomean(hosts):.2f}x, ceiling {ceiling:.2f}x): {verdict}")
+        if slowdown > ceiling:
+            status = 1
 
     # Informational: what tracing costs when it is actually on.
     name = fastest[0]
@@ -319,7 +295,7 @@ def trace_overhead_gate(by_name: dict, fastest: list[str]) -> int:
         traced = _best(rcode, runner=run_rcode)
     print(f"perf-smoke: enabled-tracing (ring buffer) overhead on {name}: "
           f"{traced / untraced:.2f}x (informational)")
-    return 0 if slowdown <= ceiling else 1
+    return status
 
 
 if __name__ == "__main__":

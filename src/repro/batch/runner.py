@@ -166,7 +166,7 @@ def run_batch(
     mid-corpus and assert every program still gets a terminal record.
     """
     from ..api import RunConfig, resolve_config
-    from ..serve.pool import handle_job
+    from ..serve.pool import WorkerMemo, handle_job
 
     config = resolve_config(config if config is not None
                             else RunConfig(engine="vm", cache=True))
@@ -208,7 +208,7 @@ def run_batch(
             on_result(result)
 
     def run_inline(job: dict) -> None:
-        finish({**handle_job(job, {}), "program": job["program"]})
+        finish({**handle_job(job, WorkerMemo()), "program": job["program"]})
 
     if trace_sink is not None:
         from ..obs.trace import Tracer, activate, deactivate

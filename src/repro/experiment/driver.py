@@ -348,10 +348,15 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
 
     ``programs`` is an iterable of ``(name, source_text)`` pairs.  With
     ``config.workers > 0`` the configurations run through a persistent
-    :class:`~repro.serve.pool.WorkerPool` (trails followed concurrently by
-    a thread per worker); with ``workers == 0`` everything runs inline.
-    ``emit``, if given, receives each trail's ``describe()`` dict as it is
-    collected, in deterministic plan order.
+    :class:`~repro.serve.pool.WorkerPool`, one job per configuration, from
+    one thread per worker.  Each thread task is one starting configuration
+    of one fault: it follows that start's trails under every semantics back
+    to back.  A thread that checks its worker in gets the same worker back
+    for its next job, so the configurations those trails share reach the
+    worker whose front-end memo already holds them.  With ``workers == 0``
+    everything runs inline.  Either way the trails come back, and ``emit``
+    (if given) receives each trail's ``describe()`` dict, in deterministic
+    plan order.
     """
     from ..api import resolve_config
 
@@ -376,14 +381,26 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
     if config.workers > 0:
         from ..serve.pool import WorkerPool
 
+        # Group the plan by (program, fault, start), noting each entry's
+        # group and its place in that group.
+        groups: dict[tuple, list] = {}
+        places = []
+        for entry in plan:
+            lattice, _, fault_index, _, start_index, _ = entry
+            key = (id(lattice), fault_index, start_index)
+            places.append((key, len(groups.setdefault(key, []))))
+            groups[key].append(entry)
         with WorkerPool(config.workers) as pool:
             runners = {
                 name: PoolRunner(pool, cfg) for name, cfg in run_configs.items()
             }
             with ThreadPoolExecutor(max_workers=config.workers) as executor:
-                futures = [executor.submit(one, entry) for entry in plan]
-                for future in futures:
-                    trail = future.result()
+                futures = {
+                    key: executor.submit(lambda group: [one(entry) for entry in group], group)
+                    for key, group in groups.items()
+                }
+                for key, place in places:
+                    trail = futures[key].result()[place]
                     trails.append(trail)
                     if emit is not None:
                         emit(trail.describe())

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ..core.types import BOOL, DYN, INT, BaseType, FunType, Type
 from ..surface.ast import (
@@ -73,6 +74,12 @@ class Fault:
     arg_index: int = 0  # which argument of that call (wrong-argument)
 
     def describe(self) -> dict:
+        """The fault as a JSON-ready dict, built once: every trail of this
+        fault holds the same dict, so callers must not mutate it."""
+        return self._description
+
+    @cached_property
+    def _description(self) -> dict:
         return {"kind": self.kind, "culprit": self.culprit, "site": self.site,
                 "description": self.description}
 

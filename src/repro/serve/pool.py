@@ -9,8 +9,11 @@ process holding the state that makes requests cheap the second time:
   warm automatically as requests flow);
 * the serialize layer's decode memo (re-interning a cached image is a
   dictionary lookup per node after the first load);
-* a bounded per-worker memo of hot deserialized images, so a repeated
-  ``(source, semantics, opt level, IR)`` skips even the image decode.
+* a :class:`WorkerMemo` of two bounded least-recently-used memos: hot
+  deserialized images, so a repeated ``(source, semantics, opt level,
+  IR)`` skips even the image decode; and front-end results (the λB term
+  and static type), so a source already parsed and elaborated under one
+  semantics is only lowered, optimized and run under the next.
 
 The robustness contract, which the chaos tests hold the pool to:
 
@@ -83,6 +86,9 @@ DEFAULT_GRACE_S = 5.0
 #: Hot deserialized images kept per worker (least-recently-used eviction).
 _IMAGE_MEMO_CAP = 64
 
+#: Front-end results kept per worker (least-recently-used eviction).
+_FRONT_END_MEMO_CAP = 32
+
 
 class _DeadlineExceeded(Exception):
     """Raised inside a worker by the SIGALRM handler at the job deadline."""
@@ -124,13 +130,46 @@ def _deadline(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _obtain_image(job: dict, memo: dict):
+class WorkerMemo:
+    """A worker's memos, both least-recently-used: ``images`` maps
+    ``(source_hash, semantics, opt_level, ir)`` to a loaded image, and
+    ``front_ends`` maps ``source_hash`` to the ``(λB term, static type)``
+    that :func:`~repro.surface.interp.compile_source` returned for it —
+    which no semantics changes, so every semantics shares the entry."""
+
+    __slots__ = ("images", "front_ends")
+
+    def __init__(self) -> None:
+        self.images: dict = {}
+        self.front_ends: dict = {}
+
+
+def _recall(memo: dict, key):
+    """``memo[key]`` made the most recently used entry, or ``None``."""
+    value = memo.pop(key, None)
+    if value is not None:
+        memo[key] = value
+    return value
+
+
+def _remember(memo: dict, key, value, cap: int) -> None:
+    """Store ``memo[key]``, first evicting the least recently used entry
+    when ``memo`` holds ``cap``."""
+    if len(memo) >= cap:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
+
+
+def _obtain_image(job: dict, memo: WorkerMemo):
     """The image for a ``run_source`` job, through memo → cache → compile.
 
     Returns ``(LoadedImage, cache_status)`` where status is ``"warm"``
     (worker-resident), ``"hit"``/``"miss"``/``"recovered"`` (compile
-    cache), or ``"off"`` (caching disabled).  Raises ``ReproError`` for
-    front-end failures and unknown hashes.
+    cache), or ``"off"`` (caching disabled).  A compile takes the front
+    end from ``memo.front_ends`` when the job carries source this worker
+    has parsed and elaborated before; a job that carries only a hash
+    never consults it.  Raises ``ReproError`` for front-end failures
+    (never memoized) and unknown hashes.
     """
     from ..api import IR_FOR_ENGINE
     from ..compiler.cache import cached_compile_source, compile_image
@@ -146,9 +185,8 @@ def _obtain_image(job: dict, memo: dict):
     if source_hash is None:
         source_hash = source_fingerprint(source)
     key = (source_hash, semantics, opt_level, ir)
-    image = memo.pop(key, None)
+    image = _recall(memo.images, key)
     if image is not None:
-        memo[key] = image  # most recently used: evicted last
         return image, "warm"
 
     def front_end():
@@ -157,7 +195,11 @@ def _obtain_image(job: dict, memo: dict):
                 f"source_hash {source_hash[:12]}… is not in the compile cache "
                 "and the request carried no source"
             )
-        return compile_source(source)
+        found = _recall(memo.front_ends, source_hash)
+        if found is None:
+            found = compile_source(source)
+            _remember(memo.front_ends, source_hash, found, _FRONT_END_MEMO_CAP)
+        return found
 
     if job.get("use_cache", True):
         found = cached_compile_source(source_hash, front_end, semantics, opt_level,
@@ -168,9 +210,7 @@ def _obtain_image(job: dict, memo: dict):
         image = compile_image(term, source_hash, ty, semantics, opt_level, ir)
         status = "off"
 
-    if len(memo) >= _IMAGE_MEMO_CAP:
-        memo.pop(next(iter(memo)))
-    memo[key] = image
+    _remember(memo.images, key, image, _IMAGE_MEMO_CAP)
     return image, status
 
 
@@ -198,13 +238,13 @@ def _run_image(image, fuel: int | None) -> dict:
     return fields
 
 
-def handle_job(job: dict, memo: dict) -> dict:
+def handle_job(job: dict, memo: WorkerMemo) -> dict:
     """One job to one result dict: what a worker does with each job it
     receives (and what the batch runner's inline mode does in-process).
 
     ``run_image`` jobs carry serialized image bytes; ``run_source`` jobs
     carry source text or a cache address (see :func:`_obtain_image`).
-    ``memo`` is the worker's hot-image memo.
+    ``memo`` is the worker's :class:`WorkerMemo`.
     """
     from ..core.errors import ReproError
 
@@ -237,16 +277,24 @@ def handle_job(job: dict, memo: dict) -> dict:
     return {"kind": "error", "error": f"unknown pool op: {op!r}"}
 
 
-def _worker_main(conn, slot: int, faults_spec: str, seed: int) -> None:
-    """The worker process loop: recv a job, send exactly one result."""
+def _worker_main(conn, parent_end, slot: int, faults_spec: str, seed: int) -> None:
+    """The worker process loop: recv a job, send exactly one result.
+
+    ``parent_end`` is the fork's copy of the parent's end of the pipe.  It
+    is closed first, so that once the parent dies (even by SIGKILL) no
+    process but younger workers holds that end open, and ``recv`` sees EOF
+    when the last of them exits: the workers exit in a cascade, newest
+    first."""
     from ..core.faults import set_plan
+
+    parent_end.close()
 
     set_plan(
         FaultPlan.from_spec(faults_spec, seed=seed, salt=f"worker{slot}")
         if faults_spec.strip()
         else None
     )
-    memo: dict = {}
+    memo = WorkerMemo()
     served = 0
     while True:
         try:
@@ -303,7 +351,7 @@ class _Worker:
         self.served = 0
         self.process = multiprocessing.Process(
             target=_worker_main,
-            args=(child_conn, slot, faults_spec, seed),
+            args=(child_conn, parent_conn, slot, faults_spec, seed),
             daemon=True,
             name=f"repro-serve-worker-{slot}",
         )

@@ -13,7 +13,8 @@ the next request.  Operations:
     * ``source`` — surface program text, *or* ``source_hash`` — the hex
       SHA-256 of previously-compiled source (the compile-cache address);
       a hash-only request that misses the cache fails with an ``error``
-      response rather than compiling nothing.
+      response rather than compiling nothing.  A request may carry both
+      only when the hash is the source's own.
     * ``engine`` — ``"vm"`` (default) or ``"rvm"``.
     * ``semantics`` — an enforcement-semantics name (default from the
       server's ``--semantics``).
@@ -121,6 +122,13 @@ def normalize_run_request(obj: dict, defaults: dict) -> dict:
         raise ValueError("'source' must be a string")
     if source_hash is not None and not isinstance(source_hash, str):
         raise ValueError("'source_hash' must be a string")
+    if source is not None and source_hash is not None:
+        from ..compiler.serialize import source_fingerprint
+
+        # Workers key their memos and the compile cache on the hash: a
+        # mismatch would file this source under another program's address.
+        if source_fingerprint(source) != source_hash:
+            raise ValueError("'source_hash' is not the SHA-256 of 'source'")
 
     def field(name: str):
         value = obj.get(name)

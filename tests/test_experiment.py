@@ -11,13 +11,17 @@ The load-bearing properties:
   of initially-untyped bindings (each step types one binding — checked
   with Hypothesis across generated programs, faults, and semantics);
 * the driver localizes planted faults under the natural semantics and
-  records **zero blame** under erasure.
+  records **zero blame** under erasure;
+* through the worker pool the driver follows and emits **the same trails**
+  as inline.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +42,7 @@ from repro.experiment import (
 )
 from repro.experiment.driver import OUTCOMES, STRATEGY_BLAME, STRATEGY_NULL, InlineRunner
 from repro.experiment.lattice import MAIN_OWNER
-from repro.gen import generate_program
+from repro.gen import generate_corpus, generate_program
 from repro.surface.interp import compile_source
 
 PIPELINE = """\
@@ -50,6 +54,9 @@ PIPELINE = """\
 """
 
 ALL_SEMANTICS = ("coercion", "threesome", "transient", "erasure")
+
+#: The shipped surface corpus.
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "programs"
 
 
 def _runner(semantics: str) -> InlineRunner:
@@ -207,6 +214,49 @@ class TestDriver:
         first, _ = run_experiment([("pipeline", PIPELINE)], config)
         second, _ = run_experiment([("pipeline", PIPELINE)], config)
         assert [t.describe() for t in first] == [t.describe() for t in second]
+
+    def test_pooled_experiment_matches_inline(self):
+        """Through the worker pool (one task per starting configuration,
+        one job per configuration, front ends memoized per worker) the
+        experiment follows the same trails as inline, over the shipped and
+        generated programs under all four semantics, and emits them in the
+        same plan order."""
+        programs = [(path.name, path.read_text()) for path in sorted(EXAMPLES.glob("*.grad"))]
+        programs += generate_corpus(4, seed=19, bindings=5)
+        config = ExperimentConfig(
+            semantics=ALL_SEMANTICS, max_configs=16, starts_per_fault=3,
+            faults_per_program=2, seed=5,
+        )
+        records = {}
+        emitted: dict[int, list] = {0: [], 2: []}
+        for workers in (0, 2):
+            trails, _ = run_experiment(programs, replace(config, workers=workers),
+                                       emit=emitted[workers].append)
+            records[workers] = [trail.describe() for trail in trails]
+        covered = {r["program"] for r in records[0]}
+        assert any(name.endswith(".grad") for name in covered)
+        assert any(name.startswith("gen-") for name in covered)
+        assert {r["semantics"] for r in records[0]} == set(ALL_SEMANTICS)
+        assert records[2] == records[0]
+        assert emitted[2] == emitted[0] == records[0]
+
+    def test_trails_of_a_fault_share_one_description(self):
+        config = ExperimentConfig(
+            semantics=ALL_SEMANTICS, workers=0, max_configs=16,
+            starts_per_fault=2, faults_per_program=2, seed=0,
+        )
+        trails, _ = run_experiment([("pipeline", PIPELINE)], config)
+        lattice = ProgramLattice.from_source(PIPELINE, name="pipeline")
+        faults = sample_faults(lattice, 2, seed=0)
+        for fault in faults:
+            shared = [trail.fault for trail in trails
+                      if trail.fault["culprit"] == fault.culprit
+                      and trail.fault["site"] == fault.site]
+            assert len(shared) == 2 * len(ALL_SEMANTICS)
+            assert all(description is shared[0] for description in shared)
+            assert shared[0] == {"kind": fault.kind, "culprit": fault.culprit,
+                                 "site": fault.site, "description": fault.description}
+        assert all(trail.describe()["fault"] is trail.fault for trail in trails)
 
     def test_unknown_semantics_rejected(self):
         from repro.core.errors import UsageError

@@ -1,7 +1,8 @@
 """Tests for the persistent worker pool (:mod:`repro.serve.pool`).
 
 The pool is exercised directly (no server front end): warm-image reuse and
-its least-recently-used eviction, crash detection and retry on the spare,
+its least-recently-used eviction, the front-end memo that every semantics
+shares, crash detection and retry on the spare,
 the ``worker-lost`` terminal error, cooperative deadlines, the hard
 deadline both blocking and on an event loop, worker recycling,
 and the chaos property — under seeded
@@ -243,9 +244,9 @@ class TestImageMemo:
     def test_memo_evicts_the_least_recently_used_image(self):
         """Fill the memo, touch its oldest entry, insert one more: the
         touched image stays warm and the next-oldest is the one evicted."""
-        from repro.serve.pool import _IMAGE_MEMO_CAP, handle_job
+        from repro.serve.pool import _IMAGE_MEMO_CAP, WorkerMemo, handle_job
 
-        memo: dict = {}
+        memo = WorkerMemo()
 
         def cache(index: int) -> str:
             return handle_job(job(f"(+ {index} 1)\n", use_cache=False), memo)["cache"]
@@ -253,9 +254,103 @@ class TestImageMemo:
         assert [cache(i) for i in range(_IMAGE_MEMO_CAP)] == ["off"] * _IMAGE_MEMO_CAP
         assert cache(0) == "warm"
         assert cache(_IMAGE_MEMO_CAP) == "off"
-        assert len(memo) == _IMAGE_MEMO_CAP
+        assert len(memo.images) == _IMAGE_MEMO_CAP
         assert cache(0) == "warm"
         assert cache(1) == "off"
+
+
+ALL_SEMANTICS = ("coercion", "threesome", "transient", "erasure")
+
+
+@pytest.fixture
+def front_end_calls(monkeypatch):
+    """Count the worker's calls to ``compile_source`` (``_obtain_image``
+    imports it from its module at each call)."""
+    import repro.surface.interp as interp
+
+    calls: list[str] = []
+    original = interp.compile_source
+
+    def counted(source, metrics=None):
+        calls.append(source)
+        return original(source, metrics)
+
+    monkeypatch.setattr(interp, "compile_source", counted)
+    return calls
+
+
+class TestFrontEndMemo:
+    """The worker's front-end memo: a source parsed and elaborated under one
+    semantics is only lowered, optimized and run under the others."""
+
+    @pytest.mark.parametrize("engine", ["vm", "rvm"])
+    @pytest.mark.parametrize("use_cache", [False, True])
+    def test_one_front_end_for_every_semantics(self, front_end_calls, engine, use_cache):
+        from repro.compiler.cache import compile_image
+        from repro.compiler.serialize import serialize_image
+        from repro.serve.pool import WorkerMemo, handle_job
+        from repro.surface.interp import compile_source
+
+        memo = WorkerMemo()
+        results = [handle_job(job(BLAME, semantics=name, engine=engine, use_cache=use_cache),
+                              memo)
+                   for name in ALL_SEMANTICS]
+        assert front_end_calls == [BLAME]
+        assert [r["cache"] for r in results] == ["miss" if use_cache else "off"] * 4
+        outcome = ("kind", "value", "blame", "steps")
+        for name, result in zip(ALL_SEMANTICS, results):
+            fresh = handle_job(job(BLAME, semantics=name, engine=engine, use_cache=False),
+                               WorkerMemo())
+            assert {k: result.get(k) for k in outcome} == {k: fresh.get(k) for k in outcome}
+
+        def image_bytes(image) -> bytes:
+            info = image.info
+            return serialize_image(image.code, info.source_hash, info.static_type, info.ir,
+                                   rcode=image.rcode)
+
+        ir = "register" if engine == "rvm" else "stack"
+        assert len(memo.images) == len(ALL_SEMANTICS)
+        for (source_hash, semantics, opt_level, _), image in memo.images.items():
+            term, static_type = compile_source(BLAME)
+            fresh = compile_image(term, source_hash, static_type, semantics, opt_level, ir)
+            assert image_bytes(image) == image_bytes(fresh), semantics
+
+    def test_memo_stays_within_its_cap(self, front_end_calls):
+        from repro.serve.pool import _FRONT_END_MEMO_CAP, WorkerMemo, handle_job
+
+        memo = WorkerMemo()
+        for index in range(_FRONT_END_MEMO_CAP + 5):
+            handle_job(job(f"(+ {index} 1)\n", use_cache=False), memo)
+            assert len(memo.front_ends) <= _FRONT_END_MEMO_CAP
+        assert len(memo.front_ends) == _FRONT_END_MEMO_CAP
+        # The oldest sources were evicted: their front ends run again.
+        handle_job(job("(+ 0 1)\n", semantics="erasure", use_cache=False), memo)
+        assert front_end_calls.count("(+ 0 1)\n") == 2
+        handle_job(job(f"(+ {_FRONT_END_MEMO_CAP + 4} 1)\n", semantics="erasure",
+                       use_cache=False), memo)
+        assert front_end_calls.count(f"(+ {_FRONT_END_MEMO_CAP + 4} 1)\n") == 1
+
+    def test_front_end_errors_are_not_memoized(self, front_end_calls):
+        from repro.serve.pool import WorkerMemo, handle_job
+
+        memo = WorkerMemo()
+        first, second = (handle_job(job("(+ 1 #t)\n", semantics=name, use_cache=False), memo)
+                         for name in ("coercion", "threesome"))
+        assert first["kind"] == second["kind"] == "error"
+        assert first["error"] == second["error"]
+        assert len(front_end_calls) == 2
+        assert memo.front_ends == {} and memo.images == {}
+
+    def test_hash_only_job_never_consults_the_memo(self, front_end_calls):
+        from repro.compiler.serialize import source_fingerprint
+        from repro.serve.pool import WorkerMemo, handle_job
+
+        memo = WorkerMemo()
+        assert handle_job(job(SQUARE, use_cache=False), memo)["value"] == 36
+        hashed = handle_job(job(None, source_hash=source_fingerprint(SQUARE),
+                                semantics="threesome"), memo)
+        assert hashed["kind"] == "error" and "no source" in hashed["error"]
+        assert front_end_calls == [SQUARE]
 
 
 class TestChaosProperty:

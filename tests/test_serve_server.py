@@ -6,9 +6,10 @@ for the TCP test), talk the newline-delimited JSON protocol through
 exit code.  Covered: request/response basics, parity with inline batch
 results, warm-vs-cold caching, load shedding, chaos under injected faults,
 the graceful-drain contract (SIGTERM drains and exits 0; a second
-SIGTERM force-exits 1), and validation: out-of-range request fields are
-protocol errors (a property over arbitrary JSON), and out-of-range
-settings stop ``serve`` at startup with exit 2.
+SIGTERM force-exits 1), no worker outliving a SIGKILLed server, and
+validation: out-of-range request fields and a ``source_hash`` that is not
+the source's own are protocol errors (a property over arbitrary JSON),
+and out-of-range settings stop ``serve`` at startup with exit 2.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.serialize import source_fingerprint
 from repro.semantics import SEMANTICS_NAMES
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (MAX_DEADLINE_S, SERVE_ENGINES, TERMINAL_KINDS, encode_line,
@@ -54,7 +56,7 @@ JSON_VALUES = st.sampled_from(
 #: Per request field: values it accepts.
 REQUEST_FIELDS = {
     "source": st.just(SQUARE),
-    "source_hash": st.just("ab" * 32),
+    "source_hash": st.just(source_fingerprint(SQUARE)),
     "engine": st.sampled_from(SERVE_ENGINES),
     "semantics": st.sampled_from(SEMANTICS_NAMES),
     "opt_level": st.sampled_from([0, 1, 2]),
@@ -140,6 +142,26 @@ class TestProtocol:
         # A null field is the server's default, and the job carries it.
         assert client.run(BLAME, semantics=None)["kind"] == "blame"
         assert client.stats()["pool"]["served"] == 2
+        stop(proc, client)
+
+    def test_source_hash_must_be_the_sources_own(self, tmp_path):
+        """A ``source_hash`` that is another program's fingerprint is a
+        protocol error that never reaches a worker; otherwise the worker
+        would file this source under that program's memo and cache address."""
+        proc, ready = start_server(tmp_path)
+        client = ServeClient.from_ready(ready)
+        genuine = "(+ 40 2)"
+        forged = client.request({"op": "run", "id": "forged", "source": "(+ 1 1)",
+                                 "source_hash": source_fingerprint(genuine)})
+        assert (forged["id"], forged["kind"]) == ("forged", "error")
+        assert "source_hash" in forged["error"]
+        assert client.stats()["pool"]["served"] == 0
+        assert client.run(genuine)["value"] == 42
+        by_hash = client.request({"op": "run", "source_hash": source_fingerprint(genuine)})
+        assert by_hash["value"] == 42
+        agreeing = client.run(genuine, source_hash=source_fingerprint(genuine))
+        assert (agreeing["kind"], agreeing["value"]) == ("value", 42)
+        assert client.stats()["pool"]["served"] == 3
         stop(proc, client)
 
     def test_stats_report_ipc_and_load(self, tmp_path):
@@ -242,6 +264,8 @@ class TestRequestValidation:
         assert isinstance(job["source"], (str, type(None)))
         assert isinstance(job["source_hash"], (str, type(None)))
         assert (job["source"], job["source_hash"]) != (None, None)
+        if None not in (job["source"], job["source_hash"]):
+            assert source_fingerprint(job["source"]) == job["source_hash"]
         assert job["engine"] in SERVE_ENGINES
         assert job["semantics"] in SEMANTICS_NAMES
         assert type(job["opt_level"]) is int and job["opt_level"] in (0, 1, 2)
@@ -386,6 +410,52 @@ class TestLongIntegers:
             assert pong["ok"] is True and "kind" not in pong
         assert client.run(SQUARE, id="after")["value"] == 36
         stop(proc, client)
+
+
+def _children(pid: int) -> list[int]:
+    """The processes whose parent is ``pid``, from Linux ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:
+                continue
+            if int(stat.rpartition(")")[2].split()[1]) == pid:
+                children.append(int(entry))
+    return children
+
+
+def _exited(pid: int) -> bool:
+    """Whether ``pid`` is gone or a zombie waiting for its new parent to
+    reap it."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads Linux /proc")
+class TestSigkill:
+    def test_sigkilled_serve_leaves_no_worker_running(self, tmp_path):
+        """Each worker closes its copy of the parent's pipe end, so when the
+        server dies without a word its workers see EOF and exit, newest
+        first."""
+        proc, _ready = start_server(tmp_path, "--workers", "2")
+        workers = _children(proc.pid)
+        assert len(workers) == 3  # two workers and the spare
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        proc.stderr.close()
+        deadline = time.monotonic() + 5.0
+        running = workers
+        while running and time.monotonic() < deadline:
+            time.sleep(0.05)
+            running = [pid for pid in workers if not _exited(pid)]
+        for pid in running:  # leave no orphan behind, even when failing
+            os.kill(pid, signal.SIGKILL)
+        assert running == []
 
 
 class TestDrain:
