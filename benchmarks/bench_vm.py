@@ -6,9 +6,8 @@ coercions pre-interned, variables resolved to frame slots, dispatch on small
 ints — beats the tree-walking CEK machine while preserving the λS space
 guarantee.  The optimizer PR's claim on top: moving mediator work to compile
 time (identity elision, static pre-composition with ``#``/``∘``) and
-shrinking the dispatch stream (peephole superinstructions, inline mediator
-caches) buys ≥ 1.5× again over the unoptimized VM on the boundary/tail
-workloads.  This suite quantifies all three axes:
+caching mediator work per instruction site (inline mediator caches) buys
+≥ 1.5× again over the unoptimized VM on the boundary/tail workloads.  This suite quantifies all three axes:
 
 * **time** — for each workload it times the λS CEK machine, the ``-O0`` VM,
   the ``-O2`` VM, and the ``-O2`` **register VM** (packed-stream dispatch
@@ -21,9 +20,10 @@ workloads.  This suite quantifies all three axes:
   bar).
 * **ablation** — every workload × optimization level (O0/O1/O2) × mediator
   backend (coercion/threesome) × VM (stack/register), so the artifact shows
-  where the win comes from: O1 is the static mediator work, O2 adds fusion
-  + inline caches, the register rows isolate what dropping the operand
-  stack and the instruction objects buys on top.
+  where the win comes from: O1 is the static mediator work, O2 adds inline
+  caches (and, on the register VM, register-pair fusion), the register
+  rows isolate what dropping the operand stack and the instruction objects
+  buys on top.
 * **space** — ``max_pending_mediators`` stays constant (≤ 1, composed never
   stacked) on the boundary tail loops at every level; the optimizer may
   only *shrink* the footprint (an elided identity never runs); the register

@@ -3,9 +3,10 @@ lowered through |·|BS) → optimizer → VM.
 
 Compiles the boundary-crossing tail loop, prints its disassembly at ``-O0``
 (watch for ``COMPOSE`` + ``TAILCALL`` — the two-opcode space-efficiency
-story) and at the default ``-O2`` (the ``COMPOSE`` chain pre-composes away
-and hot pairs fuse into superinstructions), then runs it on both the VM and
-its oracle, the CEK machine, comparing values and space statistics.
+story) and at the default ``-O2`` (the ``COMPOSE`` chain pre-composes away;
+the stream is ``-O1``'s, which the VM runs with inline mediator caches),
+then runs it on both the VM and its oracle, the CEK machine, comparing
+values and space statistics.
 
 Run with ``python examples/vm_pipeline.py``.
 """
@@ -32,7 +33,7 @@ def main() -> None:
     print(disassemble(code_o0))
 
     code = compile_term(term)  # the default -O2
-    print("=== the same program at -O2 (elision + superinstructions) ===")
+    print("=== the same program at -O2 (elision + pre-composition) ===")
     print(disassemble(code))
     o0_instrs = sum(len(obj.instructions) for obj in all_code_objects(code_o0))
     o2_instrs = sum(len(obj.instructions) for obj in all_code_objects(code))

@@ -49,8 +49,8 @@ print("vm:", run_on_vm(term))
 print("vm bad:", run_on_vm(bad))
 print("vm embed:", run_on_vm(emb))
 
-# The optimizer levels agree with each other (and the -O2 disassembly —
-# superinstructions and all — round-trips through the parser).
+# The optimizer levels agree with each other (and the -O2 disassembly
+# round-trips through the parser).
 from repro.compiler import (
     compile_term,
     disassemble,

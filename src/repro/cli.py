@@ -575,8 +575,8 @@ def _run_flags() -> dict[str, argparse.ArgumentParser]:
     opt.add_argument(
         "-O", "--opt-level", type=int, choices=list(OPT_LEVELS), default=None,
         help="bytecode optimizer level of the compiled engines: 0 none, 1 static "
-             "coercion elision + pre-composition, 2 (default) superinstructions + "
-             "inline mediator caches")
+             "coercion elision + pre-composition, 2 (default) level 1 + inline "
+             "mediator caches (+ register-pair fusion on rvm)")
     fuel = argparse.ArgumentParser(add_help=False)
     fuel.add_argument("--fuel", type=int, default=None,
                       help="step budget of each run before it times out")

@@ -9,10 +9,12 @@ The pipeline (surface → λB → bytecode → VM)::
         ▼
     CodeObject over a ConstantPool   (repro.compiler.bytecode)
         │  repro.compiler.opt        identity elision, static pre-composition
-        │  repro.compiler.vm         superinstructions, integer dispatch,
-        │                            pending-coercion slot
-        │  repro.compiler.regalloc   stack → register IR, packed word streams
-        ▼                            (repro.compiler.rvm: the fastest engine)
+        ▼                            (the one stream both engines read)
+    optimized CodeObject
+        │  repro.compiler.vm         runs it: integer dispatch, pending-
+        │                            coercion slot, -O2 inline caches
+        │  repro.compiler.regalloc   or converts it: stack → register IR,
+        ▼                            packed words (repro.compiler.rvm)
     MachineOutcome (value / blame / timeout) with space statistics
 
 No λC or λS tree is built on the way: the translations ``b_to_c`` and
@@ -25,13 +27,7 @@ the machine and the substitution reducers and compares observables.
 
 from __future__ import annotations
 
-from .bytecode import (
-    SUPERINSTRUCTIONS,
-    CodeObject,
-    ConstantPool,
-    all_code_objects,
-    opcode_fingerprint,
-)
+from .bytecode import CodeObject, ConstantPool, all_code_objects, opcode_fingerprint
 from .cache import CacheOutcome, cache_path, cached_compile, default_cache_dir
 from .disasm import (
     disassemble,
@@ -80,7 +76,6 @@ from .vm import (
 __all__ = [
     "CodeObject",
     "ConstantPool",
-    "SUPERINSTRUCTIONS",
     "all_code_objects",
     "opcode_fingerprint",
     "CacheOutcome",

@@ -42,30 +42,11 @@ the live frame instead of pushing a stack frame whose only job is to apply
 it, so boundary-crossing tail loops run in constant space — the VM-level
 image of the λS machine's merged ``KMediate`` frames.
 
-**Superinstructions** (emitted by the stack VM's optimizer,
-:func:`repro.compiler.vm.optimize`, at ``-O2``): each fuses one statically adjacent pair that a dynamic
-frequency count over the benchmark workloads showed hot, saving a dispatch
-— and usually a stack round trip — per execution.  When both halves carry
-an operand the two indices are packed into one int as
-``(first << FUSED_SHIFT) | second`` (:func:`pack_operands`); when one half
-is operand-less the other half's operand is used unpacked.
-
-=======================  ==================  ================================
-superinstruction         operands            fuses
-=======================  ==================  ================================
-``LOAD2``                slot, slot          ``LOAD``; ``LOAD``
-``LOAD_PUSH``            slot, const         ``LOAD``; ``PUSH_CONST``
-``LOAD_COERCE``          slot, coercion      ``LOAD``; ``COERCE``
-``LOAD_PRIM``            slot, prim          ``LOAD``; ``PRIM``
-``LOAD_CALL``            slot                ``LOAD``; ``CALL``
-``LOAD_TAILCALL``        slot                ``LOAD``; ``TAILCALL``
-``LOAD_CLOSURE``         slot, code          ``LOAD``; ``MAKE_CLOSURE``
-``PUSH_PRIM``            const, prim         ``PUSH_CONST``; ``PRIM``
-``PUSH_COERCE``          const, coercion     ``PUSH_CONST``; ``COERCE``
-``PRIM_JUMP_IF_FALSE``   prim, pc            ``PRIM``; ``JUMP_IF_FALSE``
-``CLOSURE_RETURN``       code                ``MAKE_CLOSURE``; ``RETURN``
-``JUMP_IF_FALSE_LOAD``   pc, slot            ``JUMP_IF_FALSE``; ``LOAD``
-=======================  ==================  ================================
+This one stream is what every consumer reads: the stack VM runs it, the
+register converter (:mod:`repro.compiler.regalloc`) translates it, and
+``.gradb`` images store it.  The optimizer (:mod:`repro.compiler.opt`)
+rewrites it within this same instruction set, and the stack VM's ``-O2``
+adds only per-site inline-cache cells beside it (``CodeObject.caches``).
 """
 
 from __future__ import annotations
@@ -101,22 +82,6 @@ PAIR = 14
 FST = 15
 SND = 16
 
-# Superinstructions (see the module docstring table), numbered above every
-# base opcode.  Only the stack VM's optimizer emits these; the lowering
-# pass and the shared optimizer passes stick to the base set.
-LOAD2 = 17
-LOAD_PUSH = 18
-LOAD_COERCE = 19
-LOAD_PRIM = 20
-LOAD_CALL = 21
-LOAD_TAILCALL = 22
-LOAD_CLOSURE = 23
-PUSH_PRIM = 24
-PUSH_COERCE = 25
-PRIM_JUMP_IF_FALSE = 26
-CLOSURE_RETURN = 27
-JUMP_IF_FALSE_LOAD = 28
-
 OPCODE_NAMES = {
     PUSH_CONST: "PUSH_CONST",
     LOAD: "LOAD",
@@ -135,18 +100,6 @@ OPCODE_NAMES = {
     PAIR: "PAIR",
     FST: "FST",
     SND: "SND",
-    LOAD2: "LOAD2",
-    LOAD_PUSH: "LOAD_PUSH",
-    LOAD_COERCE: "LOAD_COERCE",
-    LOAD_PRIM: "LOAD_PRIM",
-    LOAD_CALL: "LOAD_CALL",
-    LOAD_TAILCALL: "LOAD_TAILCALL",
-    LOAD_CLOSURE: "LOAD_CLOSURE",
-    PUSH_PRIM: "PUSH_PRIM",
-    PUSH_COERCE: "PUSH_COERCE",
-    PRIM_JUMP_IF_FALSE: "PRIM_JUMP_IF_FALSE",
-    CLOSURE_RETURN: "CLOSURE_RETURN",
-    JUMP_IF_FALSE_LOAD: "JUMP_IF_FALSE_LOAD",
 }
 
 OPCODES_BY_NAME = {name: code for code, name in OPCODE_NAMES.items()}
@@ -154,72 +107,22 @@ OPCODES_BY_NAME = {name: code for code, name in OPCODE_NAMES.items()}
 #: Opcodes whose operand is meaningless (always encoded as 0).
 NO_OPERAND = frozenset({CALL, TAILCALL, RETURN, PAIR, FST, SND})
 
-#: Which base pair each superinstruction fuses, in stream order.  The
-#: stack VM's peephole pass and the disassembler's operand decoding both
-#: key off this table, so adding a fusion is one entry here plus a dispatch
-#: arm in the VM.
-SUPERINSTRUCTIONS = {
-    LOAD2: (LOAD, LOAD),
-    LOAD_PUSH: (LOAD, PUSH_CONST),
-    LOAD_COERCE: (LOAD, COERCE),
-    LOAD_PRIM: (LOAD, PRIM),
-    LOAD_CALL: (LOAD, CALL),
-    LOAD_TAILCALL: (LOAD, TAILCALL),
-    LOAD_CLOSURE: (LOAD, MAKE_CLOSURE),
-    PUSH_PRIM: (PUSH_CONST, PRIM),
-    PUSH_COERCE: (PUSH_CONST, COERCE),
-    PRIM_JUMP_IF_FALSE: (PRIM, JUMP_IF_FALSE),
-    CLOSURE_RETURN: (MAKE_CLOSURE, RETURN),
-    JUMP_IF_FALSE_LOAD: (JUMP_IF_FALSE, LOAD),
-}
-
-#: Operand packing for superinstructions whose halves both carry an operand:
-#: ``(first << FUSED_SHIFT) | second``.  16 bits per half bounds every pool
-#: index, frame slot, and jump target a fusable site may reference; the
-#: optimizer skips fusion for the (never yet seen) larger operands.
-FUSED_SHIFT = 16
-FUSED_LIMIT = 1 << FUSED_SHIFT
-FUSED_MASK = FUSED_LIMIT - 1
-
 
 @lru_cache(maxsize=1)
 def opcode_fingerprint() -> bytes:
-    """An 8-byte digest of the instruction set (names, numbers, fusion table).
+    """An 8-byte digest of the instruction set (opcode names and numbers).
 
     Serialized images (:mod:`repro.compiler.serialize`) embed this
     fingerprint, so an image compiled against a different opcode assignment
-    — say, after a superinstruction is added or renumbered — is rejected at
+    — say, after an opcode is added, removed or renumbered — is rejected at
     load time instead of being dispatched wrongly.  Changing anything in
-    :data:`OPCODE_NAMES` or :data:`SUPERINSTRUCTIONS` changes the
-    fingerprint by construction; no version constant needs manual bumping.
+    :data:`OPCODE_NAMES` changes the fingerprint by construction; no version
+    constant needs manual bumping.
     """
     digest = hashlib.sha256()
     for code in sorted(OPCODE_NAMES):
         digest.update(f"{code}={OPCODE_NAMES[code]};".encode())
-    for fused in sorted(SUPERINSTRUCTIONS):
-        op1, op2 = SUPERINSTRUCTIONS[fused]
-        digest.update(f"{fused}<-{op1}+{op2};".encode())
-    digest.update(f"shift={FUSED_SHIFT}".encode())
     return digest.digest()[:8]
-
-
-def pack_operands(op1: int, a: int, op2: int, b: int) -> int:
-    """The fused operand of ``(op1, a); (op2, b)`` (see :data:`FUSED_SHIFT`)."""
-    if op2 in NO_OPERAND:
-        return a
-    if op1 in NO_OPERAND:
-        return b
-    return (a << FUSED_SHIFT) | b
-
-
-def unpack_operands(fused_op: int, operand: int) -> tuple[int, int]:
-    """Recover the two halves' operands of a superinstruction's operand."""
-    op1, op2 = SUPERINSTRUCTIONS[fused_op]
-    if op2 in NO_OPERAND:
-        return operand, 0
-    if op1 in NO_OPERAND:
-        return 0, operand
-    return operand >> FUSED_SHIFT, operand & FUSED_MASK
 
 
 @dataclass

@@ -197,7 +197,8 @@ def compile_image(
     A stack image carries the stack VM's optimized code
     (:func:`~repro.compiler.vm.compile_term`); a register image carries the
     register pipeline's output (:func:`~repro.compiler.rvm.compile_register_program`):
-    the register code plus the unfused stack code it was converted from.
+    the register code plus the stack code it was converted from (the same
+    stream the stack VM runs, without its inline-cache cells).
     ``metrics`` gets the ``lower``/``optimize`` phase timers and, for
     register images, ``regalloc``.
     """

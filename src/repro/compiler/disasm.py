@@ -38,10 +38,8 @@ from .bytecode import (
     PRIM,
     PUSH_CONST,
     STORE,
-    SUPERINSTRUCTIONS,
     CodeObject,
     all_code_objects,
-    unpack_operands,
 )
 from .regalloc import (
     R_OPCODE_NAMES,
@@ -76,21 +74,6 @@ def _comment(code: CodeObject, opcode: int, operand: int) -> str:
         return f"code {operand + 1} {child.name}"
     if opcode == JUMP or opcode == JUMP_IF_FALSE:
         return f"-> {operand}"
-    if opcode in SUPERINSTRUCTIONS:
-        # Decode the fused operand and describe both halves, so an -O2
-        # stream reads like the pair it replaced.
-        op1, op2 = SUPERINSTRUCTIONS[opcode]
-        a, b = unpack_operands(opcode, operand)
-        parts = []
-        for sub_op, sub_operand in ((op1, a), (op2, b)):
-            sub_comment = _comment(code, sub_op, sub_operand)
-            if sub_op in NO_OPERAND:
-                parts.append(OPCODE_NAMES[sub_op])
-            elif sub_comment:
-                parts.append(f"{OPCODE_NAMES[sub_op]} {sub_operand} [{sub_comment}]")
-            else:
-                parts.append(f"{OPCODE_NAMES[sub_op]} {sub_operand}")
-        return " + ".join(parts)
     return ""
 
 

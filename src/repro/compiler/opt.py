@@ -28,11 +28,11 @@ on every code object:
     memoised ``#`` for canonical coercions, threesome composition ``∘`` for
     a threesome pool — so every backend is optimized by the same pass.
 
-``-O2`` — **fusion and inline mediator caches, per engine.**
+``-O2`` — **inline mediator caches (and register fusion), per engine.**
     What ``-O2`` adds belongs to the engine that runs the code, so it is
-    not done here.  The stack VM's superinstructions
-    (:data:`repro.compiler.bytecode.SUPERINSTRUCTIONS`) and its per-site
-    inline-cache cells (``CodeObject.caches``) are added by
+    not done here, and it never changes this pass's instruction stream:
+    both engines start from the same stream at every level.  The stack
+    VM's per-site inline-cache cells (``CodeObject.caches``) are added by
     :func:`repro.compiler.vm.optimize`, the optimizer ``vm.compile_term``
     runs.  The register pipeline converts this pass's output directly;
     :mod:`repro.compiler.regalloc` fuses register pairs and the register

@@ -30,12 +30,13 @@ relative to the stack IR, each removing per-instruction Python-object work:
 
 * **structural and peephole fusion.**  A primitive reads both inputs and
   writes its destination in one instruction, and a primitive feeding a
-  conditional branch is one compare-and-branch (``BR_PRIM2``) — fusions the
-  stack VM needs superinstructions for.  On top of that, at ``-O2`` the
-  hottest *register-level* adjacent pairs are fused into two-in-one
-  instructions (:data:`R_FUSIONS`) — e.g. ``COMPOSE;COERCE`` and
-  ``PRIM2;TAILCALL``, the inner-loop shapes of boundary-crossing tail
-  recursion — halving dispatches per iteration again.
+  conditional branch is one compare-and-branch (``BR_PRIM2``), where the
+  stack VM spends separate dispatches on the pushes that feed it.  On top
+  of that, at ``-O2`` the hottest *register-level* adjacent pairs are
+  fused into two-in-one instructions (:data:`R_FUSIONS`) — e.g.
+  ``COMPOSE;COERCE`` and ``PRIM2;TAILCALL``, the inner-loop shapes of
+  boundary-crossing tail recursion — halving dispatches per iteration
+  again.
 
 The mediator discipline is untouched: ``COMPOSE``/``COERCE``/call-site
 proxy unwrapping convert 1:1 (same pool indices, same order), so the single
@@ -50,12 +51,10 @@ second half is emitted (unless a branch lands on that half), and the two
 operand kinds that are not known yet — branch targets and pinned constant
 registers — are recorded by position and patched when the walk ends.  The
 register pipeline (:func:`repro.compiler.rvm.compile_register_program`)
-feeds it the output of the shared optimizer passes, which contains no
-stack superinstructions.  Fused ``-O2`` stack code from the stack VM's
-optimizer (a stack image, ``vm.compile_term``) is still accepted: it is
-first expanded back into base pairs (:func:`unfuse`), because the register
-IR subsumes those fusions structurally.  Conversion is deterministic, and
-fused or unfused input gives the same words, so a ``.gradb`` image may
+feeds it the output of the shared optimizer passes: the same instruction
+stream the stack VM runs (``vm.compile_term`` differs only by its inline
+cache cells), so a stack image converts to the words the register
+pipeline builds.  Conversion is deterministic, so a ``.gradb`` image may
 either carry the register words (``ir="register"``) or be converted after
 load.
 
@@ -128,10 +127,8 @@ from .bytecode import (
     RETURN,
     SND,
     STORE,
-    SUPERINSTRUCTIONS,
     TAILCALL,
     CodeObject,
-    unpack_operands,
 )
 
 # Register opcodes: a numbering space of their own (a register stream is
@@ -174,10 +171,10 @@ R_COERCE_COERCE = 30
 
 #: Fused opcode → its two halves, in execution order.  These are the
 #: statically adjacent pairs that dominate the workloads' inner loops —
-#: measured the same way the stack VM's superinstruction set was (dynamic
-#: pair frequencies over the benchmark workloads).  Operand words are the
-#: first half's followed by the second half's; each half keeps its own
-#: inline-cache cell (first at the instruction's pc, second at pc+1).
+#: measured by dynamic pair frequencies over the benchmark workloads.
+#: Operand words are the first half's followed by the second half's; each
+#: half keeps its own inline-cache cell (first at the instruction's pc,
+#: second at pc+1).
 R_FUSED = {
     R_COERCE_BR_PRIM1: (R_COERCE, R_BR_PRIM1),
     R_COMPOSE_COERCE: (R_COMPOSE, R_COERCE),
@@ -364,37 +361,6 @@ def all_rcodes(rcode: RCode) -> list["RCode"]:
 
 
 # ---------------------------------------------------------------------------
-# Stack superinstruction expansion
-# ---------------------------------------------------------------------------
-
-
-def unfuse(insns: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Expand ``-O2`` stack superinstructions back into their base pairs.
-
-    The register IR fuses at its own level (operands ride in the
-    instruction), so the stack-level pair fusions only obscure the
-    conversion.  Jump targets are remapped; no jump can target the second
-    half of a fused pair (the optimizer guaranteed that when it fused).
-    """
-    expanded: list[tuple[int, int]] = []
-    old2new = []
-    for op, operand in insns:
-        old2new.append(len(expanded))
-        if op in SUPERINSTRUCTIONS:
-            op1, op2 = SUPERINSTRUCTIONS[op]
-            a, b = unpack_operands(op, operand)
-            expanded.append((op1, a))
-            expanded.append((op2, b))
-        else:
-            expanded.append((op, operand))
-    old2new.append(len(expanded))
-    return [
-        (op, old2new[operand] if op in (JUMP, JUMP_IF_FALSE) else operand)
-        for op, operand in expanded
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Stack → register conversion
 # ---------------------------------------------------------------------------
 
@@ -413,10 +379,6 @@ _SOURCE_SLOTS = {
     if "n" not in sig
 }
 _SOURCES_FROM = {op: sig.index("n") + 1 for op, sig in _BASE_SIGS.items() if "n" in sig}
-
-#: Stack superinstructions are numbered above every base opcode, so one
-#: ``max`` over a stream tells whether it holds any.
-_FIRST_SUPERINSTRUCTION = min(SUPERINSTRUCTIONS)
 
 
 class _RBuilder:
@@ -498,8 +460,6 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
     the register file, and so the first pinned register, is known).
     """
     insns = obj.instructions
-    if insns and max(insns)[0] >= _FIRST_SUPERINSTRUCTION:
-        insns = unfuse(insns)
     b = _RBuilder(obj, insns)
     n = len(insns)
     prims = pool.prims
@@ -717,9 +677,8 @@ def compile_registers(code: CodeObject) -> RCode:
     pool; the converted children are attached as ``pool.rcodes`` (parallel
     to ``pool.codes``, so ``CLOSURE`` operands keep their indices) and the
     converted entry code is returned.  Conversion is deterministic and
-    accepts any ``-O`` level, with or without the stack VM's
-    superinstructions (they are expanded first); register-level fusion and
-    inline caches come back at ``-O2``.
+    accepts any ``-O`` level; register-level fusion and inline caches come
+    back at ``-O2``.
     """
     pool = code.pool
     pool.rcodes = [_convert_code(child, pool) for child in pool.codes]

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from ..core.errors import EvaluationError
 from ..core.fuel import DEFAULT_VM_FUEL
+from ..core.ops import operand_type_error, raised_by_meaning
 from ..core.terms import Term
 from ..machine.cek import MachineOutcome
 from ..machine.policy import MachineBlame
@@ -87,6 +88,7 @@ from .regalloc import (
     R_PRIM2_TAILCALL,
     R_PRIMN,
     R_RETURN,
+    R_SIGS,
     R_SND,
     R_TAILCALL,
     RCode,
@@ -1040,6 +1042,12 @@ class RVM:
                 tracer.blame(executed + 1, blame.label)
                 tracer.run_end("blame", snapshot)
             return MachineOutcome("blame", label=blame.label, stats=snapshot)
+        except TypeError as exc:
+            # An ill-typed operand reached a meaning function (Erasure).
+            prim = _prim_operand(stream, pc)
+            if prim is None or not raised_by_meaning(exc):
+                raise
+            raise operand_type_error(prims[prim][3], exc) from exc
 
         stats.steps = fuel
         _store_stats(stats, kd_max, pm_max, ps_max, merges, applications, hits, misses)
@@ -1047,6 +1055,17 @@ class RVM:
         if tracer is not None:
             tracer.run_end("timeout", snapshot)
         return MachineOutcome("timeout", stats=snapshot)
+
+
+def _prim_operand(stream, pc: int) -> int | None:
+    """The operator (``pool.prims`` index) the register instruction at
+    ``pc`` applies, or None if it applies none."""
+    offset = pc + 1
+    for ch in R_SIGS[stream[pc]]:
+        if ch == "p":
+            return stream[offset]
+        offset += 1 + (stream[offset] if ch == "n" else 0)
+    return None
 
 
 def _store_stats(
@@ -1078,8 +1097,8 @@ def compile_register_program(
     metrics=None,
 ) -> tuple[CodeObject, RCode]:
     """The register pipeline: lower the λB term, run the shared optimizer
-    passes (:func:`repro.compiler.opt.optimize` — no stack superinstructions
-    or stack cache cells, which only the stack VM runs), then convert.
+    passes (:func:`repro.compiler.opt.optimize` — the stream the stack VM
+    runs, without its stack cache cells), then convert.
 
     Returns the stack code the conversion read (what a register image
     stores beside the register words) and the register code, ready for

@@ -14,8 +14,8 @@ versioned binary image::
     │ const pool     — machine constants and bare types                │
     │ mediator pool  — canonical coercions *or* threesomes             │
     │ prim pool      — operator names (meanings re-resolved on load)   │
-    │ code objects   — children first, entry last; packed -O2 operands │
-    │                  are stored verbatim                             │
+    │ code objects   — children first, entry last: (opcode, operand)   │
+    │                  pairs, the stream both engines read             │
     │ crc32 of everything above (4 bytes)                              │
     └──────────────────────────────────────────────────────────────────┘
 
@@ -82,7 +82,30 @@ from ..semantics import SEMANTICS_NAMES
 from ..semantics.erasure import ERASED, ErasedMediator
 from ..semantics.transient import TransientCheck, intern_transient
 from ..threesomes.runtime import Threesome, intern_labeled, intern_threesome
-from .bytecode import CodeObject, ConstantPool, opcode_fingerprint
+from .bytecode import (
+    BLAME,
+    CALL,
+    COERCE,
+    COMPOSE,
+    FST,
+    JUMP,
+    JUMP_IF_FALSE,
+    LOAD,
+    MAKE_CLOSURE,
+    MAKE_FIX,
+    OPCODE_NAMES,
+    PAIR,
+    PRIM,
+    PUSH_CONST,
+    RETURN,
+    SND,
+    STORE,
+    TAILCALL,
+    CodeObject,
+    ConstantPool,
+    all_code_objects,
+    opcode_fingerprint,
+)
 from .regalloc import R_SIGS, RCode, compile_registers, register_fingerprint
 
 #: The on-disk format version.  Bump on any incompatible layout change; the
@@ -236,7 +259,7 @@ class _Reader:
 
         Nearly every opcode and most operands fit one varint byte, so the
         single-byte case is inlined and the generic continuation loop only
-        runs for packed -O2 operands and large pool indices.
+        runs for large pool indices and jump targets.
         """
         data = self._data
         pos = self._pos
@@ -899,8 +922,8 @@ def _read_rcode(reader: _Reader, pool: ConstantPool, obj: CodeObject) -> RCode:
     for index in const_regs:
         if index >= len(pool.consts):
             raise ImageError(f"out-of-range pinned constant in image: {index}")
-    words = array("I", (reader.varint() for _ in range(reader.varint())))
     try:
+        words = array("I", (reader.varint() for _ in range(reader.varint())))
         return RCode(
             obj.name, words, pool, obj.n_free, n_regs, const_regs,
             obj.param, obj.local_names, obj.opt_level,
@@ -912,12 +935,26 @@ def _read_rcode(reader: _Reader, pool: ConstantPool, obj: CodeObject) -> RCode:
 def _validate_registers(robj: RCode) -> None:
     """Reject register streams that are mis-shaped or index outside their
     register file or pools (the register twin of :func:`_validate_image`)."""
-    from .regalloc import R_OPCODE_NAMES, instruction_width
+    from .regalloc import R_OPCODE_NAMES, R_WIDTHS, instruction_width
 
     pool = robj.pool
     words = robj.words
     n = len(words)
     n_regs = robj.n_regs
+    # A call writes the captured values and the argument into r0..r(n_free).
+    if n_regs < robj.n_free + 1:
+        raise ImageError(
+            f"register file of {robj.name!r} too small: {n_regs} registers "
+            f"for {robj.n_free} captured values and the argument"
+        )
+    if len(robj.const_regs) > n_regs:
+        raise ImageError(
+            f"register file of {robj.name!r} too small for its "
+            f"{len(robj.const_regs)} pinned constants"
+        )
+    for index in robj.const_regs:
+        if not isinstance(pool.consts[index], MConst):
+            raise ImageError(f"pinned constant {index} in image is not a value")
     kind_limits = {
         "c": len(pool.coercions),
         "p": len(pool.prims),
@@ -932,7 +969,8 @@ def _validate_registers(robj: RCode) -> None:
         sig = R_SIGS.get(op)
         if sig is None:
             raise ImageError(f"unknown register opcode in image: {op}")
-        if pc + instruction_width(op, words, pc) > n:
+        # The fixed part first: it holds the count word of any source list.
+        if pc + R_WIDTHS[op] > n or pc + instruction_width(op, words, pc) > n:
             raise ImageError(
                 f"truncated register instruction in image: {R_OPCODE_NAMES[op]} at {pc}"
             )
@@ -956,6 +994,13 @@ def _validate_registers(robj: RCode) -> None:
                 if w >= kind_limits[ch]:
                     raise ImageError(
                         f"out-of-range operand in image: {R_OPCODE_NAMES[op]} {w}"
+                    )
+                # A closure captures exactly its code's free variables (the
+                # count word follows the code index).
+                if ch == "C" and words[i + 1] != pool.codes[w].n_free:
+                    raise ImageError(
+                        f"closure of {pool.codes[w].name!r} in image captures "
+                        f"{words[i + 1]} values for {pool.codes[w].n_free} free variables"
                     )
             i += 1
         pc = i
@@ -1088,7 +1133,7 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
         raise ImageError("trailing bytes after image payload")
 
     if validate:
-        _validate_image(entry_code)
+        _validate_image(entry_code, opt_level)
         if entry_rcode is not None:
             for robj in [*pool.rcodes, entry_rcode]:
                 _validate_registers(robj)
@@ -1099,31 +1144,42 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
     )
 
 
-def _validate_image(code: CodeObject) -> None:
-    """Reject instruction streams that index outside their pools.
+#: ``(pops, pushes)`` of every stack opcode whose effect is fixed;
+#: ``MAKE_CLOSURE`` pops its child's ``n_free`` and ``PRIM`` its arity, and
+#: each pushes one value.
+_STACK_EFFECTS = {
+    PUSH_CONST: (0, 1),
+    LOAD: (0, 1),
+    STORE: (1, 0),
+    MAKE_FIX: (1, 1),
+    CALL: (2, 1),
+    TAILCALL: (2, 0),
+    RETURN: (1, 0),
+    COERCE: (1, 1),
+    COMPOSE: (0, 0),
+    BLAME: (0, 0),
+    JUMP: (0, 0),
+    JUMP_IF_FALSE: (1, 0),
+    PAIR: (2, 1),
+    FST: (1, 1),
+    SND: (1, 1),
+}
+
+#: Opcodes after which control never reaches the next instruction.
+_PATH_ENDS = (RETURN, TAILCALL, BLAME)
+
+
+def _validate_image(code: CodeObject, opt_level: int) -> None:
+    """Reject instruction streams that index outside their pools, push a
+    bare type as a value, or break stack discipline.
 
     The VM dispatches on unchecked small integers, so a malformed (but
     checksum-valid) image must be caught here rather than as an ``IndexError``
     mid-run.  Operand interpretation follows the disassembler's decoding.
+    Every code object must also carry the header's ``-O`` level: the VM
+    reads each frame's inline-cache cells by the level of the code it
+    entered.
     """
-    from .bytecode import (
-        BLAME,
-        COERCE,
-        COMPOSE,
-        JUMP,
-        JUMP_IF_FALSE,
-        LOAD,
-        MAKE_CLOSURE,
-        MAKE_FIX,
-        OPCODE_NAMES,
-        PRIM,
-        PUSH_CONST,
-        STORE,
-        SUPERINSTRUCTIONS,
-        all_code_objects,
-        unpack_operands,
-    )
-
     pool = code.pool
     limits = {
         PUSH_CONST: len(pool.consts),
@@ -1135,26 +1191,73 @@ def _validate_image(code: CodeObject) -> None:
         MAKE_CLOSURE: len(pool.codes),
     }
     for obj in all_code_objects(code):
+        if obj.opt_level != opt_level:
+            raise ImageError(
+                f"code object {obj.name!r} is at -O{obj.opt_level} in an "
+                f"-O{opt_level} image"
+            )
         n = len(obj.instructions)
-        for opcode, operand in obj.instructions:
-            if opcode not in OPCODE_NAMES:
-                raise ImageError(f"unknown opcode in image: {opcode}")
-            if opcode in SUPERINSTRUCTIONS:
-                op1, op2 = SUPERINSTRUCTIONS[opcode]
-                halves = zip((op1, op2), unpack_operands(opcode, operand))
+        for op, arg in obj.instructions:
+            if op not in OPCODE_NAMES:
+                raise ImageError(f"unknown opcode in image: {op}")
+            if op in (LOAD, STORE):
+                limit = obj.n_locals
+            elif op in (JUMP, JUMP_IF_FALSE):
+                limit = n
             else:
-                halves = ((opcode, operand),)
-            for op, arg in halves:
-                if op in (LOAD, STORE):
-                    limit = obj.n_locals
-                elif op in (JUMP, JUMP_IF_FALSE):
-                    limit = n
-                else:
-                    limit = limits.get(op)
-                if limit is not None and arg >= limit:
-                    raise ImageError(
-                        f"out-of-range operand in image: {OPCODE_NAMES[op]} {arg}"
-                    )
+                limit = limits.get(op)
+            if limit is not None and arg >= limit:
+                raise ImageError(
+                    f"out-of-range operand in image: {OPCODE_NAMES[op]} {arg}"
+                )
+            if op == PUSH_CONST and not isinstance(pool.consts[arg], MConst):
+                raise ImageError(f"PUSH_CONST operand {arg} in image is not a value")
+        _check_stack_depths(obj)
+
+
+def _check_stack_depths(obj: CodeObject) -> None:
+    """Walk every path of one code object from pc 0 at operand-stack depth
+    0: the depth may never go negative, each join must be reached at one
+    depth, and each path must end in ``RETURN``, ``TAILCALL`` or ``BLAME``.
+    Operands are already known to be in range."""
+    insns = obj.instructions
+    n = len(insns)
+    pool = obj.pool
+    depth_at: list[int | None] = [None] * n
+    work = [(0, 0)]
+    while work:
+        pc, depth = work.pop()
+        if pc >= n:
+            raise ImageError(f"code object {obj.name!r} in image runs off its end")
+        seen = depth_at[pc]
+        if seen is not None:
+            if seen != depth:
+                raise ImageError(
+                    f"inconsistent operand-stack depth in image: {obj.name!r} pc {pc}"
+                )
+            continue
+        depth_at[pc] = depth
+        op, arg = insns[pc]
+        if op == MAKE_CLOSURE:
+            pops, pushes = pool.codes[arg].n_free, 1
+        elif op == PRIM:
+            pops, pushes = pool.prims[arg][1], 1
+        else:
+            pops, pushes = _STACK_EFFECTS[op]
+        if depth < pops:
+            raise ImageError(
+                f"operand-stack underflow in image: {OPCODE_NAMES[op]} at "
+                f"{obj.name!r} pc {pc}"
+            )
+        depth += pushes - pops
+        if op in _PATH_ENDS:
+            continue
+        if op == JUMP:
+            work.append((arg, depth))
+            continue
+        if op == JUMP_IF_FALSE:
+            work.append((arg, depth))
+        work.append((pc + 1, depth))
 
 
 # ---------------------------------------------------------------------------

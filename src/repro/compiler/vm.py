@@ -26,19 +26,14 @@ shared :class:`~repro.machine.profiler.MachineStats` accounting makes this
 directly comparable with the CEK machine's numbers (and is asserted by
 ``tests/test_compiler.py`` and ``benchmarks/bench_vm.py``).
 
-**Superinstructions.**  At ``-O2`` this module's :func:`optimize` — the
-optimizer :func:`compile_term` runs — adds the stack VM's own work to the
-shared passes of :func:`repro.compiler.opt.optimize`: statically adjacent
-pairs that a dynamic-frequency count over the ``bench_vm`` workloads showed
-hot are fused into the superinstructions of
-:data:`repro.compiler.bytecode.SUPERINSTRUCTIONS`, saving a dispatch and
-usually a stack round trip each.  A pair is never fused when its second
-instruction is a jump target (control could enter between the halves).
-The register pipeline skips this step: the register IR fuses at its own
-level.
+**One instruction stream.**  The VM runs the stream that lowering and the
+shared passes of :func:`repro.compiler.opt.optimize` produce, at every
+level.  This module's :func:`optimize` — the optimizer :func:`compile_term`
+runs — adds nothing to it; what the stack VM's ``-O2`` adds is the inline
+caches below.  Register conversion reads the same stream.
 
 **Inline mediator caches.**  At ``-O2`` every instruction site owns a cache
-cell (``CodeObject.caches``, also allocated by :func:`optimize`), and the
+cell (``CodeObject.caches``, allocated by :func:`optimize`), and the
 mediator opcodes become monomorphic inline caches keyed on *interned
 mediator identity*: a boundary tail loop re-applies and re-merges the same
 canonical mediators every iteration, so after the first trip each
@@ -46,9 +41,9 @@ canonical mediators every iteration, so after the first trip each
 a cached result instead of a policy isinstance ladder and a
 memo-dictionary lookup.  Cache layout per site kind:
 
-* coerce sites (``COERCE``/``LOAD_COERCE``): ``[proxy_mediator, composed,
-  action]`` for proxied subjects; non-proxy subjects use the pool-parallel
-  action table (the mediator is fixed per site);
+* ``COERCE`` sites: ``[proxy_mediator, composed, action]`` for proxied
+  subjects; non-proxy subjects use the pool-parallel action table (the
+  mediator is fixed per site);
 * ``COMPOSE`` sites: ``[pending_in, merged, size_in, size_merged]``;
 * call sites: ``[fun_mediator, dom, cod, dom_action, result_co, pending_in,
   merged, size_in, size_merged]`` (unwrap cache + the tail-merge cache);
@@ -78,6 +73,7 @@ from __future__ import annotations
 
 from ..core.errors import EvaluationError
 from ..core.fuel import DEFAULT_VM_FUEL
+from ..core.ops import operand_type_error, raised_by_meaning
 from ..core.terms import Term
 from ..machine.cek import MachineOutcome
 from ..machine.policy import MachineBlame, MediationPolicy
@@ -87,126 +83,42 @@ from ..obs.trace import current_tracer
 from .bytecode import (
     BLAME,
     CALL,
-    CLOSURE_RETURN,
     COERCE,
     COMPOSE,
     FST,
-    FUSED_LIMIT,
-    FUSED_MASK,
-    FUSED_SHIFT,
     JUMP,
     JUMP_IF_FALSE,
-    JUMP_IF_FALSE_LOAD,
     LOAD,
-    LOAD2,
-    LOAD_CALL,
-    LOAD_CLOSURE,
-    LOAD_COERCE,
-    LOAD_PRIM,
-    LOAD_PUSH,
-    LOAD_TAILCALL,
     MAKE_CLOSURE,
     MAKE_FIX,
-    NO_OPERAND,
     PAIR,
     PRIM,
-    PRIM_JUMP_IF_FALSE,
-    PUSH_COERCE,
     PUSH_CONST,
-    PUSH_PRIM,
     RETURN,
     SND,
     STORE,
-    SUPERINSTRUCTIONS,
     TAILCALL,
     CodeObject,
     ConstantPool,
     all_code_objects,
-    pack_operands,
 )
 from ..semantics import policy_for
 from . import opt
-from .opt import _JUMPS, DEFAULT_OPT_LEVEL, _jump_targets
+from .opt import DEFAULT_OPT_LEVEL
 
 # ---------------------------------------------------------------------------
-# -O2: superinstructions and inline-cache cells
+# -O2: inline-cache cells
 # ---------------------------------------------------------------------------
-
-#: ``(op1, op2) -> fused`` — the peephole table, inverted from the opcode
-#: metadata so the two stay in sync by construction.
-_FUSIONS: dict[tuple[int, int], int] = {
-    pair: fused for fused, pair in SUPERINSTRUCTIONS.items()
-}
-
-
-def _fusable(code: CodeObject, i: int, targets: set[int]) -> int | None:
-    """The fused opcode for the pair at ``i``, or None."""
-    insns = code.instructions
-    op1, a = insns[i]
-    op2, b = insns[i + 1]
-    fused = _FUSIONS.get((op1, op2))
-    if fused is None or (i + 1) in targets:
-        return None
-    # Both halves carry an operand: they must fit the packing.  (Remapped
-    # jump targets only shrink, so checking the old values is safe.)
-    if op1 not in NO_OPERAND and op2 not in NO_OPERAND:
-        if a >= FUSED_LIMIT or b >= FUSED_LIMIT:
-            return None
-    # The fully inlined primitive superinstructions handle unary and binary
-    # operators (the whole registry today); leave anything else unfused.
-    if fused == PUSH_PRIM and code.pool.prims[b][1] > 2:
-        return None
-    if fused == PRIM_JUMP_IF_FALSE and code.pool.prims[a][1] > 2:
-        return None
-    return fused
-
-
-def _fuse_superinstructions(code: CodeObject) -> None:
-    insns = code.instructions
-    targets = _jump_targets(insns)
-    n = len(insns)
-
-    # Phase 1: greedy left-to-right pairing decisions.
-    decisions: list[tuple[int, int | None]] = []  # (old index, fused opcode | None)
-    i = 0
-    while i < n:
-        fused = _fusable(code, i, targets) if i + 1 < n else None
-        decisions.append((i, fused))
-        i += 2 if fused is not None else 1
-
-    # Phase 2: the old→new pc map (a fused pair's second half maps to the
-    # fused instruction; no jump can target it — _fusable guaranteed that).
-    old2new = [0] * (n + 1)
-    for new_index, (old_index, fused) in enumerate(decisions):
-        old2new[old_index] = new_index
-        if fused is not None:
-            old2new[old_index + 1] = new_index
-    old2new[n] = len(decisions)
-
-    # Phase 3: emit, remapping jump operands (packed or plain).
-    new: list[tuple[int, int]] = []
-    for old_index, fused in decisions:
-        op1, a = insns[old_index]
-        if op1 in _JUMPS:
-            a = old2new[a]
-        if fused is None:
-            new.append((op1, a))
-            continue
-        op2, b = insns[old_index + 1]
-        if op2 in _JUMPS:
-            b = old2new[b]
-        new.append((fused, pack_operands(op1, a, op2, b)))
-    code.instructions = new
 
 
 def optimize(code: CodeObject, level: int = DEFAULT_OPT_LEVEL) -> CodeObject:
     """The stack VM's optimizer, in place: the shared passes of
-    :func:`repro.compiler.opt.optimize`, then at ``-O2`` superinstruction
-    fusion and one inline-cache cell per instruction site."""
+    :func:`repro.compiler.opt.optimize`, then at ``-O2`` one inline-cache
+    cell per instruction site.  The instruction stream is the shared
+    passes' output, unchanged."""
     opt.optimize(code, level)
     if level >= 2:
         for obj in all_code_objects(code):
-            _fuse_superinstructions(obj)
             obj.caches = [None] * len(obj.instructions)
     return code
 
@@ -235,9 +147,9 @@ def _make_fix_apply_code() -> CodeObject:
 
 
 _FIX_APPLY = _make_fix_apply_code()
-#: The same unrolling step at ``-O2`` (``LOAD2; CALL; LOAD_TAILCALL``) —
-#: picked when the running program itself carries inline caches, so fix
-#: loops profit from fusion too while ``-O0`` runs stay byte-identical.
+#: The same unrolling step at ``-O2``, with inline-cache cells — picked when
+#: the running program itself carries inline caches, so fix loops profit
+#: from them too while ``-O0`` runs stay cache-free.
 _FIX_APPLY_O2 = optimize(_make_fix_apply_code(), 2)
 
 
@@ -351,16 +263,9 @@ class VM:
 
                 if op == LOAD:
                     stack.append(locals_[operand])
-                elif op == LOAD2:
-                    stack.append(locals_[operand >> FUSED_SHIFT])
-                    stack.append(locals_[operand & FUSED_MASK])
-                elif op == CALL or op == TAILCALL or op == LOAD_CALL or op == LOAD_TAILCALL:
-                    if op == CALL or op == TAILCALL:
-                        arg = stack.pop()
-                        tail = op == TAILCALL
-                    else:
-                        arg = locals_[operand]
-                        tail = op == LOAD_TAILCALL
+                elif op == CALL or op == TAILCALL:
+                    arg = stack.pop()
+                    tail = op == TAILCALL
                     fun = stack.pop()
                     result_co = None
                     # Unwrap proxy layers: coerce the argument now, defer the
@@ -481,30 +386,8 @@ class VM:
                     caches = callee.caches
                 elif op == PUSH_CONST:
                     stack.append(consts[operand])
-                elif op == PUSH_PRIM:
-                    fn, arity, result_type, name = prims[operand & FUSED_MASK]
-                    b = consts[operand >> FUSED_SHIFT]
-                    if arity == 2:
-                        a = stack[-1]
-                        if a.__class__ is not MConst:
-                            raise EvaluationError(
-                                f"operator {name!r} applied to a non-constant: {a!r}"
-                            )
-                        stack[-1] = MConst(fn(a.value, b.value), result_type)
-                    else:  # the optimizer only fuses arity-1/2 primitives
-                        stack.append(MConst(fn(b.value), result_type))
-                elif op == LOAD_PUSH:
-                    stack.append(locals_[operand >> FUSED_SHIFT])
-                    stack.append(consts[operand & FUSED_MASK])
-                elif op == LOAD_COERCE or op == COERCE:
-                    if op == COERCE:
-                        value = stack[-1]
-                        coercion_index = operand
-                        push = False
-                    else:
-                        value = locals_[operand >> FUSED_SHIFT]
-                        coercion_index = operand & FUSED_MASK
-                        push = True
+                elif op == COERCE:
+                    value = stack[-1]
                     applications += 1
                     if caches is not None:
                         if value.__class__ is MProxy:
@@ -516,11 +399,11 @@ class VM:
                                 act = cell[2]
                             else:
                                 misses += 1
-                                composed = compose_pending(mediator, coercions[coercion_index])
+                                composed = compose_pending(mediator, coercions[operand])
                                 act = classify(composed)
                                 caches[pc - 1] = [mediator, composed, act]
                             if tracer is not None:
-                                tracer.absorb(executed + 1, coercions[coercion_index],
+                                tracer.absorb(executed + 1, coercions[operand],
                                               mediator, composed,
                                               stats.pending_mediators,
                                               stats.pending_size)
@@ -532,47 +415,18 @@ class VM:
                                 value = apply_co(value.under, composed)
                         else:
                             if tracer is not None:
-                                tracer.apply(executed + 1, coercions[coercion_index])
-                            act = co_actions[coercion_index]
+                                tracer.apply(executed + 1, coercions[operand])
+                            act = co_actions[operand]
                             if act == 1:
-                                value = MProxy(value, coercions[coercion_index])
+                                value = MProxy(value, coercions[operand])
                             elif act != 0:
-                                value = apply_co(value, coercions[coercion_index])
+                                value = apply_co(value, coercions[operand])
                     else:
                         if tracer is not None:
-                            tracer.apply(executed + 1, coercions[coercion_index])
-                        value = apply_co(value, coercions[coercion_index])
-                    if push:
-                        stack.append(value)
-                    else:
-                        stack[-1] = value
-                elif op == PRIM_JUMP_IF_FALSE:
-                    fn, arity, result_type, name = prims[operand >> FUSED_SHIFT]
-                    if arity == 2:
-                        b = stack.pop()
-                        a = stack.pop()
-                        if a.__class__ is not MConst or b.__class__ is not MConst:
-                            raise EvaluationError(
-                                f"operator {name!r} applied to a non-constant"
-                            )
-                        cond = fn(a.value, b.value)
-                    else:
-                        a = stack.pop()
-                        if a.__class__ is not MConst:
-                            raise EvaluationError(
-                                f"operator {name!r} applied to a non-constant: {a!r}"
-                            )
-                        cond = fn(a.value)
-                    if not isinstance(cond, bool):
-                        raise EvaluationError(
-                            f"if-condition is not a boolean: {MConst(cond, result_type)!r}"
-                        )
-                    if not cond:
-                        pc = operand & FUSED_MASK
-                elif op == PRIM or op == LOAD_PRIM:
-                    if op == LOAD_PRIM:
-                        stack.append(locals_[operand >> FUSED_SHIFT])
-                        operand = operand & FUSED_MASK
+                            tracer.apply(executed + 1, coercions[operand])
+                        value = apply_co(value, coercions[operand])
+                    stack[-1] = value
+                elif op == PRIM:
                     fn, arity, result_type, name = prims[operand]
                     if arity == 1:
                         a = stack[-1]
@@ -604,14 +458,6 @@ class VM:
                         raise EvaluationError(f"if-condition is not a boolean: {cond!r}")
                     if not cond.value:
                         pc = operand
-                elif op == JUMP_IF_FALSE_LOAD:
-                    cond = stack.pop()
-                    if cond.__class__ is not MConst or not isinstance(cond.value, bool):
-                        raise EvaluationError(f"if-condition is not a boolean: {cond!r}")
-                    if not cond.value:
-                        pc = operand >> FUSED_SHIFT
-                    else:
-                        stack.append(locals_[operand & FUSED_MASK])
                 elif op == JUMP:
                     pc = operand
                 elif op == COMPOSE:
@@ -651,18 +497,8 @@ class VM:
                             tracer.merge(executed + 1, coercion, pending, merged,
                                          stats.pending_mediators, stats.pending_size)
                         pending = merged
-                elif op == RETURN or op == CLOSURE_RETURN:
-                    if op == RETURN:
-                        value = stack.pop()
-                    else:  # CLOSURE_RETURN: build the closure, return it
-                        child = codes[operand]
-                        n_free = child.n_free
-                        if n_free:
-                            free = tuple(stack[-n_free:])
-                            del stack[-n_free:]
-                        else:
-                            free = ()
-                        value = VMClosure(child, free)
+                elif op == RETURN:
+                    value = stack.pop()
                     if pending is not None:
                         applications += 1
                         if caches is not None and value.__class__ is not MProxy:
@@ -705,10 +541,7 @@ class VM:
                     stack.append(value)
                 elif op == STORE:
                     locals_[operand] = stack.pop()
-                elif op == MAKE_CLOSURE or op == LOAD_CLOSURE:
-                    if op == LOAD_CLOSURE:
-                        stack.append(locals_[operand >> FUSED_SHIFT])
-                        operand = operand & FUSED_MASK
+                elif op == MAKE_CLOSURE:
                     child = codes[operand]
                     n_free = child.n_free
                     if n_free:
@@ -717,19 +550,6 @@ class VM:
                     else:
                         free = ()
                     stack.append(VMClosure(child, free))
-                elif op == PUSH_COERCE:
-                    applications += 1
-                    coercion_index = operand & FUSED_MASK
-                    value = consts[operand >> FUSED_SHIFT]  # an MConst: never a proxy
-                    if tracer is not None:
-                        tracer.apply(executed + 1, coercions[coercion_index])
-                    act = co_actions[coercion_index]
-                    if act == 1:  # ACT_WRAP
-                        stack.append(MProxy(value, coercions[coercion_index]))
-                    elif act == 0:  # ACT_IDENTITY
-                        stack.append(value)
-                    else:
-                        stack.append(apply_co(value, coercions[coercion_index]))
                 elif op == MAKE_FIX:
                     stack.append(MFixWrap(stack.pop(), consts[operand]))
                 elif op == PAIR:
@@ -753,6 +573,11 @@ class VM:
                 tracer.blame(executed + 1, blame.label)
                 tracer.run_end("blame", snapshot)
             return MachineOutcome("blame", label=blame.label, stats=snapshot)
+        except TypeError as exc:
+            # An ill-typed operand reached a meaning function (Erasure).
+            if op != PRIM or not raised_by_meaning(exc):
+                raise
+            raise operand_type_error(prims[operand][3], exc) from exc
 
         stats.steps = fuel
         stats.mediator_applications = applications
@@ -779,8 +604,8 @@ def compile_term(
     representation the VM will execute (any entry of the
     :data:`~repro.semantics.SEMANTICS` registry); ``opt_level`` is the
     ``-O`` level (0 none, 1 static
-    mediator elision/pre-composition, 2 — the default — superinstructions
-    and inline caches too; see :func:`optimize`).  ``metrics`` (a
+    mediator elision/pre-composition, 2 — the default — inline caches too;
+    see :func:`optimize`).  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) gets the ``lower`` and
     ``optimize`` phase timers.
     """

@@ -46,7 +46,29 @@ class OpSpec:
             raise EvaluationError(
                 f"operator {self.name!r} expects {self.arity} arguments, got {len(args)}"
             )
-        return self.meaning(*args)
+        try:
+            return self.meaning(*args)
+        except TypeError as exc:
+            raise operand_type_error(self.name, exc) from exc
+
+
+def operand_type_error(name: str, exc: TypeError) -> EvaluationError:
+    """The dynamic type error of operator ``name``, whose meaning function
+    raised ``exc``.  Meaning functions are total on well-typed constants,
+    so only a semantics that checks nothing (Erasure) lets an ill-typed
+    operand reach one."""
+    return EvaluationError(f"operator {name!r} applied to an operand of the wrong type: {exc}")
+
+
+def raised_by_meaning(exc: TypeError) -> bool:
+    """Whether ``exc``, caught in the frame that applied an operator, came
+    out of the meaning function: a builtin one raises in that frame itself,
+    and every other one is defined in this module."""
+    tb = exc.__traceback__
+    caller = tb.tb_frame
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame is caller or tb.tb_frame.f_code.co_filename == __file__
 
 
 def _total_div(a: int, b: int) -> int:

@@ -284,7 +284,7 @@ class InlineRunner:
             return {"kind": "error", "error": str(exc)}
         except ReproError as exc:
             return {"kind": "error", "error": f"{_RUNTIME_PREFIX} {exc!r}"}
-        except Exception as exc:  # erasure's raw TypeError and friends
+        except Exception as exc:  # any other defect surfaces as an error record
             return {"kind": "error", "error": f"{_RUNTIME_PREFIX} {exc!r}"}
         out: dict = {"kind": result.kind}
         if result.is_blame:

@@ -310,7 +310,7 @@ def check_vm_oracle(
 
     The optimizer is under the same oracle: the program is run at ``-O0``
     (the raw lowered stream) and at ``-O2`` (elision, pre-composition,
-    superinstructions, inline caches) and the two must agree on the
+    inline caches) and the two must agree on the
     projected value, the blame label, and timeouts; on top of the outcome,
     ``-O2`` may only *shrink* the pending-mediator footprint (a statically
     elided identity is one fewer pending mediator, never one more).
@@ -334,7 +334,7 @@ def check_vm_oracle(
         )
 
     # -O0 against -O2 (same engine, same step unit per instruction, but the
-    # fused stream takes fewer steps — so a one-sided timeout is *expected*
+    # optimized stream takes fewer steps — so a one-sided timeout is *expected*
     # near the fuel limit and always inconclusive, even when the caller
     # asked for strict timeouts against the other oracles; this matches
     # check_mediator_oracle's -O0/-O2 comparison).
@@ -425,7 +425,7 @@ def check_mediator_oracle(
     The VM half also runs each backend at ``-O0`` against the default
     ``-O2``: outcomes must agree and the optimized footprint may only
     shrink — the optimizer's rewrites (identity elision, static
-    pre-composition, fusion, inline caches) are mediator-representation
+    pre-composition, inline caches) are mediator-representation
     independent and this is where that is enforced.
 
     The register VM (unless ``check_rvm=False``) is held to the same

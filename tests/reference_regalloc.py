@@ -1,11 +1,13 @@
 """The stack → register converter as it was before conversion became one
-pass: unfuse the stack superinstructions, convert, then walk the finished
-word stream again to pin constants (``_pin_constants``) and to fuse
-register pairs (``fuse_stream``).  Kept as the oracle for the differential
-property in ``test_regalloc.py``; it must not be used by the package.
+pass: convert, then walk the finished word stream again to pin constants
+(``_pin_constants``) and to fuse register pairs (``fuse_stream``).  Kept
+as the oracle for the differential property in ``test_regalloc.py``; it
+must not be used by the package.
 
-The functions below are copied verbatim; only this docstring, the imports
-and :func:`reference_streams` are new.
+The functions below are copied verbatim, except that ``_convert_code``
+takes the stack stream as it is: the stack IR has no superinstructions to
+expand.  Only this docstring, the imports and :func:`reference_streams`
+are new.
 """
 
 from __future__ import annotations
@@ -29,11 +31,9 @@ from repro.compiler.bytecode import (
     RETURN,
     SND,
     STORE,
-    SUPERINSTRUCTIONS,
     TAILCALL,
     CodeObject,
     all_code_objects,
-    unpack_operands,
 )
 from repro.compiler.regalloc import (
     R_BLAME,
@@ -79,39 +79,6 @@ def _operand_offsets(op: int, words, pc: int, kind: str) -> list[int]:
                 offsets.append(offset)
             offset += 1
     return offsets
-
-
-# ---------------------------------------------------------------------------
-# Stack superinstruction expansion
-# ---------------------------------------------------------------------------
-
-
-def unfuse(insns: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Expand ``-O2`` stack superinstructions back into their base pairs.
-
-    The register IR fuses at its own level (operands ride in the
-    instruction), so the stack-level pair fusions only obscure the
-    conversion.  Jump targets are remapped; no jump can target the second
-    half of a fused pair (the optimizer guaranteed that when it fused).
-    """
-    if not any(op in SUPERINSTRUCTIONS for op, _ in insns):
-        return list(insns)
-    expanded: list[tuple[int, int]] = []
-    old2new = []
-    for op, operand in insns:
-        old2new.append(len(expanded))
-        if op in SUPERINSTRUCTIONS:
-            op1, op2 = SUPERINSTRUCTIONS[op]
-            a, b = unpack_operands(op, operand)
-            expanded.append((op1, a))
-            expanded.append((op2, b))
-        else:
-            expanded.append((op, operand))
-    old2new.append(len(expanded))
-    return [
-        (op, old2new[operand] if op in (JUMP, JUMP_IF_FALSE) else operand)
-        for op, operand in expanded
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +133,7 @@ class _RBuilder:
 
 
 def _convert_code(obj: CodeObject, pool) -> RCode:
-    b = _RBuilder(obj, unfuse(obj.instructions))
+    b = _RBuilder(obj, list(obj.instructions))
     insns = b.insns
     n = len(insns)
     prims = pool.prims

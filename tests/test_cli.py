@@ -80,6 +80,17 @@ class TestRunCommand:
         assert main(["run", square_program, "--engine", "vm", "--show-space"]) == 0
         assert "pending-mediators" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["machine", "vm", "rvm"])
+    def test_erasure_operand_type_error_is_one_error_line(self, tmp_path, engine, capsys):
+        # Erasure never blames: a string reaching `+` is a runtime error
+        # (exit 2), not a traceback with the blame exit code 1.
+        path = tmp_path / "erasure.grad"
+        path.write_text('((lambda ([x : ?]) (+ x 1)) (: "a" ?))\n')
+        code = main(["run", str(path), "--semantics", "erasure", "--engine", engine])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
     def test_run_vm_engine_reports_blame(self, blame_program, capsys):
         assert main(["run", blame_program, "--engine", "vm"]) == 1
         assert "blame" in capsys.readouterr().out

@@ -174,8 +174,8 @@ class TestSpaceDiscipline:
 
     def test_compose_and_tailcall_are_emitted_for_tail_coercions(self):
         # -O0 keeps the lowered stream: the tail coercion is a COMPOSE.  At
-        # -O2 this particular chain pre-composes away and the tail call is
-        # fused into LOAD_TAILCALL — asserted by tests/test_opt.py.
+        # -O1 and -O2 this particular chain pre-composes away
+        # (tests/test_opt.py).
         code = compile_term(tail_countdown_boundary(5), opt_level=0)
         opcodes = {op for obj in all_code_objects(code) for op, _ in obj.instructions}
         assert COMPOSE in opcodes

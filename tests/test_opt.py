@@ -4,9 +4,10 @@ The optimizer's contract: ``-O1``/``-O2`` never change observables — the
 projected value, the blame label, timeout behaviour — and never *grow* the
 pending-mediator footprint, on either mediator backend.  The ``-O0`` stream
 is the oracle throughout.  The rest pins down the mechanics: identity
-elision, static pre-composition through ``#``/``∘``, jump remapping,
-superinstruction fusion and packing, disassembler round trips of fused
-streams, the inline mediator caches, and the single-sourced fuel defaults.
+elision, static pre-composition through ``#``/``∘``, jump remapping, the
+stack VM's ``-O2`` (the shared passes' stream plus inline-cache cells),
+disassembler round trips of optimized streams, the inline mediator caches,
+and the single-sourced fuel defaults.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 
 from repro.compiler import (
     DEFAULT_OPT_LEVEL,
-    SUPERINSTRUCTIONS,
     all_code_objects,
     compile_term,
     disassemble,
@@ -32,16 +32,7 @@ from repro.compiler.bytecode import (
     COMPOSE,
     JUMP,
     JUMP_IF_FALSE,
-    LOAD,
-    LOAD2,
-    LOAD_CALL,
-    LOAD_TAILCALL,
     OPCODE_NAMES,
-    PRIM_JUMP_IF_FALSE,
-    PUSH_PRIM,
-    TAILCALL,
-    pack_operands,
-    unpack_operands,
 )
 from repro.core.labels import label
 from repro.core.terms import App, Cast, Coerce, If, Lam, Let, Op, Var, const_bool, const_int
@@ -219,81 +210,56 @@ class TestElision:
 
 
 # ---------------------------------------------------------------------------
-# Superinstruction fusion
+# The stack VM's -O2: the shared stream plus inline-cache cells
 # ---------------------------------------------------------------------------
 
 
-class TestFusion:
-    def test_hot_pairs_get_fused(self):
-        code = compile_term(even_odd_boundary(6), opt_level=2)
-        opcodes = {op for obj in all_code_objects(code) for op, _ in obj.instructions}
-        fused = opcodes & set(SUPERINSTRUCTIONS)
-        assert LOAD2 in fused
-        assert PRIM_JUMP_IF_FALSE in fused or PUSH_PRIM in fused
+class TestOptimizedStreams:
+    @pytest.mark.parametrize("semantics", NATURAL_SEMANTICS_NAMES)
+    def test_o2_stream_is_the_o1_stream(self, semantics):
+        for builder in (even_odd_boundary, fib_boundary, typed_loop_untyped_step):
+            o1 = compile_term(builder(5), semantics=semantics, opt_level=1)
+            o2 = compile_term(builder(5), semantics=semantics, opt_level=2)
+            assert instruction_streams(o2) == instruction_streams(o1)
+            for obj in all_code_objects(o2):
+                assert len(obj.caches) == len(obj.instructions)
 
-    def test_load_tailcall_appears_in_optimized_fix_apply(self):
-        # The hottest (LOAD, TAILCALL) site of all is the built-in fix
-        # unrolling step, which the VM runs at -O2 in its fused form.
+    def test_optimized_fix_apply_is_the_plain_stub_with_caches(self):
+        # The built-in fix unrolling step runs at -O2 with cache cells of
+        # its own, over the very instructions the -O0 stub runs.
         from repro.compiler.vm import _FIX_APPLY, _FIX_APPLY_O2
 
-        assert [op for op, _ in _FIX_APPLY.instructions].count(LOAD) == 3
-        fused_ops = [op for op, _ in _FIX_APPLY_O2.instructions]
-        assert LOAD_TAILCALL in fused_ops
-        assert len(fused_ops) < len(_FIX_APPLY.instructions)
+        assert _FIX_APPLY_O2.instructions == _FIX_APPLY.instructions
+        assert _FIX_APPLY.caches is None
+        assert len(_FIX_APPLY_O2.caches) == len(_FIX_APPLY_O2.instructions)
 
-    def test_load_call_fuses_single_load_argument(self):
-        # fun is a closure expression, arg a variable: LOAD; CALL fuses.
+    def test_call_with_a_variable_argument_runs(self):
         term = Let(
             "x",
             const_int(20),
             App(Lam("y", INT, Op("+", (Var("y"), const_int(1)))), Var("x")),
         )
-        code = compile_term(term, opt_level=2)
-        opcodes = {op for obj in all_code_objects(code) for op, _ in obj.instructions}
-        assert LOAD_CALL in opcodes or LOAD_TAILCALL in opcodes
-        assert run_code(code).python_value() == 21
+        for level in (0, 1, 2):
+            assert run_code(compile_term(term, opt_level=level)).python_value() == 21
 
-    def test_fusion_never_crosses_a_jump_target(self):
+    def test_jump_targets_stay_in_range(self):
         for builder in (even_odd_boundary, fib_boundary, typed_loop_untyped_step):
             code = compile_term(builder(5), opt_level=2)
             for obj in all_code_objects(code):
-                targets = set()
-                for op, operand in obj.instructions:
-                    if op == JUMP or op == JUMP_IF_FALSE:
-                        targets.add(operand)
-                    elif op == PRIM_JUMP_IF_FALSE:
-                        targets.add(unpack_operands(op, operand)[1])
                 n = len(obj.instructions)
+                targets = {
+                    operand for op, operand in obj.instructions
+                    if op == JUMP or op == JUMP_IF_FALSE
+                }
                 assert all(0 <= t <= n for t in targets), obj.name
 
-    def test_pack_unpack_round_trip(self):
-        for fused, (op1, op2) in SUPERINSTRUCTIONS.items():
-            a = 0 if op1 in (TAILCALL,) else 19
-            b = 0 if op2 in (TAILCALL,) else 7
-            packed = pack_operands(op1, a, op2, b)
-            ra, rb = unpack_operands(fused, packed)
-            # Operand-less halves decode as 0; the carried ones round-trip.
-            from repro.compiler.bytecode import NO_OPERAND
-
-            if op1 not in NO_OPERAND:
-                assert ra == a
-            if op2 not in NO_OPERAND:
-                assert rb == b
-
-    def test_every_fused_opcode_is_named_and_tabled(self):
-        for fused in SUPERINSTRUCTIONS:
-            assert fused in OPCODE_NAMES
+    def test_every_o2_opcode_is_named(self):
         for code_obj in all_code_objects(compile_term(fib_boundary(6), opt_level=2)):
             for op, _ in code_obj.instructions:
                 assert op in OPCODE_NAMES
 
-    def test_o0_streams_contain_no_superinstructions(self):
-        code = compile_term(even_odd_boundary(6), opt_level=0)
-        opcodes = {op for obj in all_code_objects(code) for op, _ in obj.instructions}
-        assert not (opcodes & set(SUPERINSTRUCTIONS))
-
-    def test_branches_still_compute_correctly_after_fusion(self):
-        # if-heavy program: JUMP_IF_FALSE remapping + PRIM fusion together.
+    def test_branches_compute_correctly_at_every_level(self):
+        # if-heavy program: its branches must land at every level.
         term = Let(
             "n",
             const_int(9),
@@ -328,12 +294,6 @@ class TestFusedDisassembly:
     def test_round_trip(self, term_b, level):
         code = compile_term(term_b, opt_level=level)
         assert parse_disassembly(disassemble(code)) == instruction_streams(code)
-
-    def test_fused_comment_names_both_halves(self):
-        text = disassemble(compile_term(typed_loop_untyped_step(3), opt_level=2))
-        assert "LOAD2" in text
-        # The comment decodes the packed operand into the original pair.
-        assert "LOAD " in text and " + " in text
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 The register pipeline converts the shared optimizer's output
 (:func:`repro.compiler.rvm.compile_register_program`), and
-``compile_registers`` still accepts the stack VM's fused ``-O2`` code.
-Either way every code object's register words, pinned constants and
-register count must be exactly what the old multi-pass converter produced
-(kept in ``tests/reference_regalloc.py``): register images and the
-register fingerprint depend on it.  Programs are drawn from the shipped
+``compile_registers`` also converts the stack VM's code.  Both engines
+start from one instruction stream at every level, and every code object's
+register words, pinned constants and register count must be exactly what
+the old multi-pass converter produced (kept in
+``tests/reference_regalloc.py``): register images and the register
+fingerprint depend on it.  Programs are drawn from the shipped
 examples, :mod:`repro.gen`'s surface programs (fully annotated and as
 partly untyped lattice configurations) and random λB terms, under every
 semantics at every ``-O`` level.
@@ -21,14 +22,13 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.compiler import (
     OPT_LEVELS,
-    SUPERINSTRUCTIONS,
     all_code_objects,
     all_rcodes,
     compile_register_program,
     compile_registers,
     compile_term,
+    instruction_streams,
 )
-from repro.compiler.bytecode import OPCODE_NAMES
 from repro.semantics import SEMANTICS_NAMES
 from repro.surface.interp import compile_source
 
@@ -43,18 +43,22 @@ def _streams(rcode) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
 
 
 def _assert_converts_like_the_reference(term) -> None:
-    """Both inputs, every semantics and level: identical register output."""
+    """Both inputs, every semantics and level: one stack stream, and
+    identical register output."""
     for semantics in SEMANTICS_NAMES:
         for level in OPT_LEVELS:
-            fused = compile_term(term, semantics, level)
-            expected = reference_streams(fused)
-            assert _streams(compile_registers(fused)) == expected, (semantics, level)
+            stack_code = compile_term(term, semantics, level)
+            expected = reference_streams(stack_code)
+            assert _streams(compile_registers(stack_code)) == expected, (semantics, level)
 
             code, rcode = compile_register_program(term, semantics, level)
             assert _streams(rcode) == expected, (semantics, level)
+            # One IR: the stack VM runs exactly what register conversion reads.
+            assert instruction_streams(stack_code) == instruction_streams(code), (
+                semantics, level,
+            )
             for obj in all_code_objects(code):
-                # The register pipeline builds nothing only the stack VM runs.
-                assert not any(op in SUPERINSTRUCTIONS for op, _ in obj.instructions)
+                # The register pipeline builds no stack cache cells.
                 assert obj.caches is None
                 assert obj.opt_level == level
 
@@ -75,8 +79,3 @@ def test_generated_programs_convert_like_the_reference(source):
 def test_random_terms_convert_like_the_reference(program):
     _assert_converts_like_the_reference(program[0])
 
-
-def test_superinstructions_number_above_the_base_opcodes():
-    # The converter finds fused input with one ``max`` over the opcodes.
-    base = OPCODE_NAMES.keys() - SUPERINSTRUCTIONS.keys()
-    assert min(SUPERINSTRUCTIONS) > max(base)

@@ -37,8 +37,11 @@ from repro.compiler import (
     serialize_image,
     source_fingerprint,
 )
-from repro.compiler.bytecode import PUSH_CONST, CodeObject, ConstantPool
+from repro.compiler.bytecode import CALL, PUSH_CONST, CodeObject, ConstantPool
+from repro.compiler.regalloc import R_CLOSURE
+from repro.compiler.rvm import compile_register_program
 from repro.lambda_s.coercions import is_interned_space
+from repro.machine.values import MConst
 from repro.semantics import NATURAL_SEMANTICS_NAMES
 from repro.surface.interp import compile_source
 from repro.threesomes.runtime import is_interned_threesome
@@ -230,6 +233,78 @@ class TestRejection:
         bogus = CodeObject("<main>", [(PUSH_CONST, 5)], pool, 0, 0, None, ())
         with pytest.raises(ImageError, match="out-of-range operand"):
             deserialize_image(serialize_image(bogus))
+
+    # Each image below is built in memory, edited and serialized (the writer
+    # does not validate), so it is checksum-valid and reaches the checks.
+
+    def test_register_word_past_32_bits_is_rejected(self):
+        term, _ = compile_source(SQUARE)
+        code, rcode = compile_register_program(term)
+        rcode.words = [2**32, *rcode.words[1:]]
+        with pytest.raises(ImageError, match="malformed register section"):
+            deserialize_image(serialize_image(code, ir="register", rcode=rcode))
+
+    @pytest.mark.parametrize("edit", ["underflow", "off_the_end"])
+    def test_broken_stack_discipline_is_rejected(self, edit):
+        code, _ = _compile(SQUARE, opt_level=0)
+        if edit == "underflow":
+            code.instructions[0] = (CALL, 0)  # pops two values from an empty stack
+            message = "operand-stack underflow"
+        else:
+            code.pool.codes[0].instructions.pop()  # λx's final RETURN
+            message = "runs off its end"
+        with pytest.raises(ImageError, match=message):
+            deserialize_image(serialize_image(code))
+
+    @pytest.mark.parametrize("edit", ["n_regs", "const_regs", "captures"])
+    def test_too_small_callee_register_file_is_rejected(self, edit):
+        # λx captures y in r0 and takes x in r1: two registers at least.
+        term, _ = compile_source("(let ([y 5]) ((lambda ([x : int]) y) 1))")
+        code, rcode = compile_register_program(term, opt_level=0)
+        child = code.pool.rcodes[0]
+        assert (child.n_free, child.n_regs) == (1, 2)
+        message = "register file .* too small"
+        if edit == "n_regs":
+            child.n_regs = 1
+        elif edit == "const_regs":
+            child.const_regs = (0, 0, 0)
+        else:  # the closure captures nothing: the call's frame comes up short
+            words = list(rcode.words)
+            assert words[3:8] == [R_CLOSURE, 1, 0, 1, 0]
+            rcode.words = words[:6] + [0] + words[8:]
+            message = "captures 0 values for 1 free variables"
+        with pytest.raises(ImageError, match=message):
+            deserialize_image(serialize_image(code, ir="register", rcode=rcode))
+
+    def test_truncated_source_list_is_rejected(self):
+        # A CLOSURE cut off before its source-count word.
+        term, _ = compile_source(SQUARE)
+        code, rcode = compile_register_program(term)
+        rcode.words = [*rcode.words, R_CLOSURE, 0, 0]
+        with pytest.raises(ImageError, match="truncated register instruction"):
+            deserialize_image(serialize_image(code, ir="register", rcode=rcode))
+
+    @pytest.mark.parametrize("ir", ["stack", "register"])
+    def test_a_type_entry_used_as_a_value_is_rejected(self, ir):
+        # consts[0] is square's `fix` annotation, a bare type: pushed or
+        # pinned, it would reach the run's result as a value.
+        term, _ = compile_source(SQUARE)
+        code, rcode = compile_register_program(term)
+        assert not isinstance(code.pool.consts[0], MConst)
+        if ir == "stack":
+            code.instructions[code.instructions.index((PUSH_CONST, 1))] = (PUSH_CONST, 0)
+        else:
+            rcode.const_regs = (0,)
+        with pytest.raises(ImageError, match="is not a value"):
+            deserialize_image(serialize_image(code, ir=ir, rcode=rcode))
+
+    def test_code_objects_at_another_opt_level_are_rejected(self):
+        # An -O0 entry with an -O2 child: the child would run with cache
+        # cells against the entry's empty pool tables.
+        code, _ = _compile(BLAME, opt_level=0)
+        code.pool.codes[0].opt_level = 2
+        with pytest.raises(ImageError, match="at -O2 in an -O0 image"):
+            deserialize_image(serialize_image(code))
 
 
 # ---------------------------------------------------------------------------
