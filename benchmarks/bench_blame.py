@@ -16,7 +16,9 @@ The artifact's headline numbers, per enforcement semantics:
   blame saves relative to the null strategy);
 * ``blame_records`` — must be 0 for ``erasure``, the null baseline;
 * ``configurations_run`` — every one executed through the persistent
-  worker pool (the acceptance bar: ≥ 1000 across the sweep).
+  worker pool (the acceptance bar: ≥ 1000 across the sweep), and
+  ``configurations_per_s``, the sweep's throughput (the report's
+  ``timing``).
 
 Standalone usage (writes the ``BENCH_blame.json`` artifact)::
 
@@ -26,7 +28,6 @@ Standalone usage (writes the ``BENCH_blame.json`` artifact)::
 from __future__ import annotations
 
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -67,13 +68,13 @@ def build_suite(repeat: int, seed: int = harness.DEFAULT_SEED) -> harness.Suite:
     programs = corpus_programs() + generate_corpus(16, seed=seed, bindings=5)
     config = experiment_config(seed)
 
-    started = time.perf_counter()
     trails, report = run_experiment(programs, config)
-    elapsed = time.perf_counter() - started
+    timing = report["timing"]
 
     suite.record(
         "experiment",
-        wall_s=round(elapsed, 3),
+        wall_s=round(timing["wall_s"], 3),
+        configurations_per_s=round(timing["configurations_per_s"], 1),
         programs=len(programs),
         workers=config.workers,
         trails=report["trails"],

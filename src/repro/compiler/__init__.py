@@ -5,9 +5,13 @@ The pipeline (surface → λB → bytecode → VM)::
     elaborated λB term
         │  repro.compiler.lower      each cast through |·|BS where it is found
         │                            (Section 5.2), lexical addressing,
-        │                            pre-interned coercions
+        │                            interned canonical coercions
         ▼
-    CodeObject over a ConstantPool   (repro.compiler.bytecode)
+    CodeObject over a ConstantPool   (repro.compiler.bytecode), the same
+        │                            for every semantics
+        │  lower.with_semantics      the pool mapped through the semantics'
+        ▼                            pre_intern, into a fresh copy
+    CodeObject of one semantics
         │  repro.compiler.opt        identity elision, static pre-composition
         ▼                            (the one stream both engines read)
     optimized CodeObject

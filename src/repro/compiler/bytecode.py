@@ -11,7 +11,9 @@ inspects term or type structure.
 Coercions are **pre-interned** (:func:`repro.lambda_s.coercions.intern_space`)
 when they enter the pool: every ``COERCE``/``COMPOSE`` operand is a canonical
 node, so the VM's pending-coercion merges hit the memoised ``#``
-(:func:`repro.lambda_s.coercions.compose_memo`) on pointer identity.
+(:func:`repro.lambda_s.coercions.compose_memo`) on pointer identity.  A
+lowered pool holds canonical coercions; the semantics a program runs under
+is given to it afterwards (:func:`repro.compiler.lower.with_semantics`).
 
 Instruction set (operands are pool or slot indices; ``·`` = none):
 
@@ -58,9 +60,7 @@ from functools import lru_cache
 from ..core.labels import Label
 from ..core.ops import OpSpec, op_spec
 from ..core.types import Type
-from ..lambda_s.coercions import SpaceCoercion, intern_space
 from ..machine.values import MConst
-from ..semantics import resolve
 
 # Opcodes are plain module-level ints: the VM loads them into loop locals and
 # dispatches with integer comparisons ordered by dynamic frequency.
@@ -131,19 +131,20 @@ class ConstantPool:
 
     Every nested :class:`CodeObject` of a program references the same pool,
     so equal constants, coercions, labels, and operators are stored once and
-    instructions refer to them by index.  Coercions are interned on entry;
-    identity of pool entries is therefore stable across compilations of the
-    same program (tested by ``tests/test_compiler.py``).
+    instructions refer to them by index.  Mediators enter the pool already
+    interned; identity of pool entries is therefore stable across
+    compilations of the same program (tested by ``tests/test_compiler.py``).
 
     ``semantics`` names the pool's enforcement semantics — and therefore the
     representation of every ``COERCE``/``COMPOSE`` operand the VM touches:
-    each canonical coercion is pre-interned into the backend's runtime form
-    by the :data:`~repro.semantics.SEMANTICS` registry's ``pre_intern`` hook
-    (canonical coercions for ``"coercion"``, interned runtime threesomes for
+    canonical coercions for ``"coercion"``, interned runtime threesomes for
     ``"threesome"``, tag-check sequences for ``"transient"``, the single
-    no-op token for ``"erasure"``).  The conversion happens once, at
-    pool-construction time, so the VM's hot loop never sees another
-    representation.
+    no-op token for ``"erasure"``.  Lowering fills a ``"coercion"`` pool
+    whatever the program will run under; :meth:`with_mediators` then maps
+    it through the :data:`~repro.semantics.SEMANTICS` registry's
+    ``pre_intern`` hook into a fresh pool of the semantics wanted, once per
+    compilation and before the optimizer, so the VM's hot loop never sees
+    another representation.
     """
 
     consts: list[object] = field(default_factory=list)
@@ -171,15 +172,12 @@ class ConstantPool:
     def add_machine_const(self, value: object, ty: Type) -> int:
         return self.add_const(MConst(value, ty))
 
-    def add_coercion(self, coercion: SpaceCoercion) -> int:
-        canon = resolve(self.semantics).pre_intern(intern_space(coercion))
-        return self.add_canonical_mediator(canon)
-
     def add_canonical_mediator(self, canon: object) -> int:
         """Pool an *already canonical* mediator in this pool's representation.
 
-        Used by the optimizer, whose pre-composed mediators come out of the
-        memoised ``#``/``∘`` already interned in the right representation.
+        Lowering adds interned canonical coercions; the optimizer adds the
+        pre-composed mediators that come out of the memoised ``#``/``∘``,
+        already interned in the right representation.
         """
         idx = self._coercion_index.get(id(canon))
         if idx is None:
@@ -208,6 +206,19 @@ class ConstantPool:
     def add_code(self, code: "CodeObject") -> int:
         self.codes.append(code)
         return len(self.codes) - 1
+
+    def with_mediators(self, semantics: str, pre_intern) -> tuple["ConstantPool", list[int]]:
+        """A fresh pool of ``semantics`` with this pool's constants, labels
+        and operators, and its mediators mapped through ``pre_intern``;
+        mediators that map to the same node share one entry, in order of
+        first occurrence.  Returns the pool, with no code objects yet, and
+        the old → new mediator index map."""
+        pool = ConstantPool(list(self.consts), [], list(self.labels), list(self.prims), [],
+                            semantics)
+        pool._const_index = dict(self._const_index)
+        pool._label_index = dict(self._label_index)
+        pool._prim_index = dict(self._prim_index)
+        return pool, [pool.add_canonical_mediator(pre_intern(c)) for c in self.coercions]
 
 
 class CodeObject:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from ..core.terms import Term
 from ..core.types import Type
-from .bytecode import opcode_fingerprint
+from .bytecode import CodeObject, opcode_fingerprint
 from .opt import DEFAULT_OPT_LEVEL
 from .regalloc import register_fingerprint
 from .serialize import (
@@ -184,7 +184,7 @@ def cache_lookup(
 
 
 def compile_image(
-    term: Term,
+    term: Term | CodeObject,
     source_hash: str = "",
     static_type: Type | None = None,
     semantics: str = "coercion",
@@ -193,6 +193,12 @@ def compile_image(
     metrics=None,
 ) -> LoadedImage:
     """Compile a λB term into an in-memory image, without touching the cache.
+
+    ``term`` may also be the term's semantics-independent lowering
+    (:func:`~repro.compiler.lower.lower_term`), which is only read: a caller
+    that keeps it compiles the program under each further semantics without
+    lowering it again.  Either way the path is lower → map to ``semantics``
+    → optimize (→ regalloc), and the image is the same.
 
     A stack image carries the stack VM's optimized code
     (:func:`~repro.compiler.vm.compile_term`); a register image carries the
@@ -226,7 +232,8 @@ def cached_compile_source(
 ) -> CacheOutcome:
     """The image of one program, through the cache.
 
-    ``front_end()`` returns the program's elaborated λB term and static
+    ``front_end()`` returns the program's elaborated λB term (or that
+    term's :func:`~repro.compiler.lower.lower_term` lowering) and static
     type; it runs only on a miss, so a hit skips parsing and elaboration
     too.  On a miss the term is compiled, stored atomically, and returned
     without a second round trip through disk.  The lookup is

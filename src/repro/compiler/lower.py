@@ -21,15 +21,31 @@ A λB cast is lowered where the walk finds it, as its canonical coercion
 ``|A ⇒p B|BS`` (:func:`~repro.translate.b_to_s.cast_to_space`; Section 5.2
 defines the composite translation cast by cast), so an elaborated λB term
 compiles to the same code as its λS image ``|M|BS`` without either
-translation rebuilding the term.  λC coercions are not compilable.
+translation rebuilding the term.  Each distinct cast is translated once per
+process: the canonical coercion is memoized on the interned source type,
+the label and the interned target type.  λC coercions are not compilable.
 Identity coercions (``id?``, ``idι``) are dropped at compile time —
 applying them is a no-op on every machine value.
+
+Lowering does not depend on the enforcement semantics.  The pool it fills
+holds interned canonical λS coercions (the representation of the
+``coercion`` semantics), and :func:`with_semantics` maps a lowered program
+into any entry of the :data:`~repro.semantics.SEMANTICS` registry by
+passing each pool coercion through that entry's ``pre_intern``: a fresh
+code tree whose pool is exactly the one lowering straight into that
+semantics would have built.  The lowered program itself is never modified,
+so one lowering serves all four semantics (the worker memo of
+:mod:`repro.serve.pool` keeps it per source).  Every compiled path takes
+the same steps, :func:`lower_for`'s: lower → :func:`with_semantics` →
+optimize (→ regalloc), where a program just lowered for ``coercion`` is
+already in its semantics and is not copied.
 """
 
 from __future__ import annotations
 
 from ..core.errors import CompileError, TypeCheckError
 from ..core.intern import intern_type
+from ..core.labels import Label
 from ..core.terms import (
     App,
     Blame,
@@ -48,7 +64,9 @@ from ..core.terms import (
     Var,
     free_vars,
 )
+from ..core.types import Type
 from ..lambda_s.coercions import IdBase, IdDyn, SpaceCoercion, intern_space
+from ..semantics import resolve
 from ..translate.b_to_c import NOT_LAMBDA_B
 from ..translate.b_to_s import cast_to_space
 from .bytecode import (
@@ -72,6 +90,15 @@ from .bytecode import (
     CodeObject,
     ConstantPool,
 )
+
+#: ``|A ⇒p B|BS`` of every cast lowered so far, interned, keyed on
+#: ``(id(A), p, id(B))`` for the interned types (immortal, so their ids are
+#: stable).  The label is compared by value, so ``p`` and ``p̄`` stay apart.
+_CASTS: dict[tuple[int, Label, int], SpaceCoercion] = {}
+
+#: Entries kept before the oldest is dropped (dropping one only means that
+#: cast is translated again), so a long-lived worker stays bounded.
+_CASTS_CAP = 1 << 16
 
 
 class _CodeBuilder:
@@ -137,6 +164,21 @@ def _is_identity(s: SpaceCoercion) -> bool:
     return isinstance(s, (IdDyn, IdBase))
 
 
+def cast_coercion(source: Type, label: Label, target: Type) -> SpaceCoercion:
+    """The interned canonical coercion ``|A ⇒p B|BS`` of a cast, translated
+    once per process for each distinct ``(A, p, B)``."""
+    source = intern_type(source)
+    target = intern_type(target)
+    key = (id(source), label, id(target))
+    canon = _CASTS.get(key)
+    if canon is None:
+        canon = intern_space(cast_to_space(source, label, target))
+        if len(_CASTS) >= _CASTS_CAP:
+            _CASTS.pop(next(iter(_CASTS)))
+        _CASTS[key] = canon
+    return canon
+
+
 def _compile(builder: _CodeBuilder, term: Term, tail: bool) -> None:
     pool = builder.pool
 
@@ -164,7 +206,7 @@ def _compile(builder: _CodeBuilder, term: Term, tail: bool) -> None:
         _compile_mediated(builder, term.subject, intern_space(coercion), tail)
         return
     if isinstance(term, Cast):
-        canon = intern_space(cast_to_space(term.source, term.label, term.target))
+        canon = cast_coercion(term.source, term.label, term.target)
         _compile_mediated(builder, term.subject, canon, tail)
         return
     if isinstance(term, App):
@@ -224,11 +266,11 @@ def _compile_mediated(builder: _CodeBuilder, subject: Term, canon: SpaceCoercion
         # Merge into the frame's pending slot *before* entering the
         # subject: its tail call then reuses the frame and the composed
         # coercion is applied once, on the way out.
-        builder.emit(COMPOSE, builder.pool.add_coercion(canon))
+        builder.emit(COMPOSE, builder.pool.add_canonical_mediator(canon))
         _compile(builder, subject, tail=True)
     else:
         _compile(builder, subject, tail=False)
-        builder.emit(COERCE, builder.pool.add_coercion(canon))
+        builder.emit(COERCE, builder.pool.add_canonical_mediator(canon))
 
 
 def _compile_closure(builder: _CodeBuilder, lam: Lam) -> None:
@@ -252,29 +294,66 @@ def lower_program(
     ``lambda_b=True`` holds the term to λB, as ``|·|BC`` does: a coercion
     node raises :class:`~repro.core.errors.TypeCheckError`.
 
-    ``semantics`` names the enforcement semantics of the program's mediator
-    pool (and hence of every ``COERCE``/``COMPOSE`` operand) — any entry of
-    the :data:`~repro.semantics.SEMANTICS` registry: interned canonical
-    coercions (``"coercion"``, the default), pre-translated interned
-    threesomes (``"threesome"``), transient tag checks (``"transient"``),
-    or the erased no-op token (``"erasure"``).  Identity coercions are
-    dropped either way — they are identities in every backend.
+    The pool lowering fills holds interned canonical coercions, the
+    representation of the default ``semantics``, ``"coercion"``; any other
+    entry of the :data:`~repro.semantics.SEMANTICS` registry maps the
+    lowered program into its own with :func:`with_semantics`.  Identity
+    coercions are dropped either way — they are identities in every backend.
     """
-    from ..semantics import SEMANTICS
-
-    if semantics not in SEMANTICS:
-        raise CompileError(f"unknown semantics {semantics!r}")
-    pool = ConstantPool(semantics=semantics)
+    pool = ConstantPool()
     builder = _CodeBuilder(name, pool, free=(), param=None, lambda_b=lambda_b)
     _compile(builder, term, tail=True)
-    return builder.finish()
+    code = builder.finish()
+    return code if semantics == "coercion" else with_semantics(code, semantics)
 
 
-def lower_term(term_b: Term, semantics: str = "coercion", metrics=None) -> CodeObject:
+def with_semantics(code: CodeObject, semantics: str) -> CodeObject:
+    """A lowered program's fresh copy whose pool holds ``semantics``'
+    mediators: the step between lowering and the optimizer.
+
+    ``code`` is a lowered program over canonical coercions (what
+    :func:`lower_term` returns) and is left as it is.  Each pool coercion
+    goes through the registry's ``pre_intern``.  Coercions that map to the
+    same mediator share one entry, kept in order of first occurrence, so
+    the pool is the one lowering into ``semantics`` directly would build;
+    ``COERCE``/``COMPOSE`` operands are renumbered to match.
+    """
+    pool, remap = code.pool.with_mediators(semantics, resolve(semantics).pre_intern)
+
+    def copy(obj: CodeObject) -> CodeObject:
+        # Instructions are immutable pairs: only mediator operands change.
+        instructions = [
+            (insn[0], remap[insn[1]]) if insn[0] == COERCE or insn[0] == COMPOSE else insn
+            for insn in obj.instructions
+        ]
+        return CodeObject(obj.name, instructions, pool, obj.n_free, obj.n_locals,
+                          obj.param, obj.local_names)
+
+    for child in code.pool.codes:
+        pool.add_code(copy(child))
+    return copy(code)
+
+
+def lower_term(term_b: Term, metrics=None) -> CodeObject:
     """Lower an elaborated λB term, each cast through ``|·|BS`` where it is
-    found: the unoptimized program both compiled engines start from.
-    ``metrics`` gets the ``lower`` phase timer."""
+    found: the unoptimized program, over canonical coercions, that every
+    semantics is compiled from (see :func:`lower_for`).  ``metrics`` gets
+    the ``lower`` phase timer."""
     from ..obs.metrics import phase
 
     with phase(metrics, "lower"):
-        return lower_program(term_b, "<main>", semantics, lambda_b=True)
+        return lower_program(term_b, "<main>", lambda_b=True)
+
+
+def lower_for(program: Term | CodeObject, semantics: str, metrics=None) -> CodeObject:
+    """The unoptimized program of ``semantics``: ``program`` — an elaborated
+    λB term, or a lowering :func:`lower_term` returned, which is left as it
+    is — lowered if it is a term, and mapped into ``semantics`` with
+    :func:`with_semantics`.  Both steps are timed as ``metrics``' one
+    ``lower`` phase."""
+    from ..obs.metrics import phase
+
+    with phase(metrics, "lower"):
+        if isinstance(program, CodeObject):
+            return with_semantics(program, semantics)
+        return lower_program(program, "<main>", semantics, lambda_b=True)

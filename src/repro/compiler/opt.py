@@ -132,13 +132,16 @@ def optimize(code: CodeObject, level: int = DEFAULT_OPT_LEVEL) -> CodeObject:
 
     ``level`` must be one of :data:`OPT_LEVELS`.  Level 0 leaves the
     instructions exactly as lowered; levels 1 and 2 run the same passes
-    here and differ in what each engine adds on top at ``-O2``.
+    here and differ in what each engine adds on top at ``-O2``.  A code
+    object with no ``COERCE`` or ``COMPOSE`` has nothing for the passes to
+    rewrite and is only stamped with the level.
     """
     if level not in OPT_LEVELS:
         raise ValueError(f"unknown optimization level {level!r}; expected one of {OPT_LEVELS}")
     policy = policy_for(code.pool.semantics) if level else None
     for obj in all_code_objects(code):
-        if policy is not None:
+        if policy is not None and any(op == COERCE or op == COMPOSE
+                                      for op, _ in obj.instructions):
             while _elide_and_precompose(obj, policy):
                 pass
         obj.opt_level = level

@@ -1093,12 +1093,14 @@ THE_RVM = RVM()
 
 
 def compile_register_program(
-    term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
+    term_b: Term | CodeObject, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
 ) -> tuple[CodeObject, RCode]:
-    """The register pipeline: lower the λB term, run the shared optimizer
-    passes (:func:`repro.compiler.opt.optimize` — the stream the stack VM
-    runs, without its stack cache cells), then convert.
+    """The register pipeline: lower the λB term (or take the lowering
+    :func:`~repro.compiler.lower.lower_term` returned for it, untouched),
+    map it to ``semantics``, run the shared optimizer passes
+    (:func:`repro.compiler.opt.optimize` — the stream the stack VM runs,
+    without its stack cache cells), then convert.
 
     Returns the stack code the conversion read (what a register image
     stores beside the register words) and the register code, ready for
@@ -1106,11 +1108,11 @@ def compile_register_program(
     ``regalloc`` phase timers.
     """
     from ..obs.metrics import phase
-    from .lower import lower_term
+    from .lower import lower_for
     from .opt import optimize
     from .regalloc import compile_registers
 
-    code = lower_term(term_b, semantics, metrics)
+    code = lower_for(term_b, semantics, metrics)
     with phase(metrics, "optimize"):
         optimize(code, opt_level)
     with phase(metrics, "regalloc"):

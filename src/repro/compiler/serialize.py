@@ -106,7 +106,17 @@ from .bytecode import (
     all_code_objects,
     opcode_fingerprint,
 )
-from .regalloc import R_SIGS, RCode, compile_registers, register_fingerprint
+from .regalloc import (
+    R_BLAME,
+    R_FUSED,
+    R_JUMP,
+    R_RETURN,
+    R_SIGS,
+    R_TAILCALL,
+    RCode,
+    compile_registers,
+    register_fingerprint,
+)
 
 #: The on-disk format version.  Bump on any incompatible layout change; the
 #: loader rejects mismatches before reading anything version-dependent.
@@ -932,6 +942,15 @@ def _read_rcode(reader: _Reader, pool: ConstantPool, obj: CodeObject) -> RCode:
         raise ImageError(f"malformed register section in image: {exc}") from exc
 
 
+#: Register opcodes after which control never reaches the next word: a
+#: return, a tail call, a jump or blame, alone or as a fused pair's second
+#: half.  Every stream must end in one.
+_R_ENDS = (R_RETURN, R_TAILCALL, R_JUMP, R_BLAME)
+_R_FINAL = frozenset(_R_ENDS) | frozenset(
+    fused for fused, (_, second) in R_FUSED.items() if second in _R_ENDS
+)
+
+
 def _validate_registers(robj: RCode) -> None:
     """Reject register streams that are mis-shaped or index outside their
     register file or pools (the register twin of :func:`_validate_image`)."""
@@ -963,8 +982,12 @@ def _validate_registers(robj: RCode) -> None:
         "C": len(pool.codes),
         "t": n,
     }
+    starts: set[int] = set()
+    targets: list[int] = []
+    op = None
     pc = 0
     while pc < n:
+        starts.add(pc)
         op = words[pc]
         sig = R_SIGS.get(op)
         if sig is None:
@@ -995,6 +1018,8 @@ def _validate_registers(robj: RCode) -> None:
                     raise ImageError(
                         f"out-of-range operand in image: {R_OPCODE_NAMES[op]} {w}"
                     )
+                if ch == "t":
+                    targets.append(w)
                 # A closure captures exactly its code's free variables (the
                 # count word follows the code index).
                 if ch == "C" and words[i + 1] != pool.codes[w].n_free:
@@ -1004,6 +1029,14 @@ def _validate_registers(robj: RCode) -> None:
                     )
             i += 1
         pc = i
+    # Control must never run off the end of the stream or land mid-instruction.
+    if op not in _R_FINAL:
+        raise ImageError(f"register stream of {robj.name!r} in image falls off its end")
+    for target in targets:
+        if target not in starts:
+            raise ImageError(
+                f"branch target in image is not an instruction of {robj.name!r}: {target}"
+            )
 
 
 def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:

@@ -594,11 +594,13 @@ THE_VM = VM()
 
 
 def compile_term(
-    term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
+    term_b: Term | CodeObject, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
 ) -> CodeObject:
     """Compile an elaborated λB term: lower it (each cast through ``|·|BS``),
-    optimize.
+    map it to ``semantics``, optimize.  ``term_b`` may instead be a lowering
+    :func:`~repro.compiler.lower.lower_term` returned, which is left
+    untouched, so one lowering compiles under every semantics.
 
     ``semantics`` picks the enforcement semantics, and so the pool
     representation the VM will execute (any entry of the
@@ -610,9 +612,9 @@ def compile_term(
     ``optimize`` phase timers.
     """
     from ..obs.metrics import phase
-    from .lower import lower_term
+    from .lower import lower_for
 
-    code = lower_term(term_b, semantics, metrics)
+    code = lower_for(term_b, semantics, metrics)
     with phase(metrics, "optimize"):
         return optimize(code, opt_level)
 

@@ -32,6 +32,7 @@ from ..lambda_s import coercions as co_s
 from ..threesomes.labeled_types import LArrow, LBase, LDyn, LFail, LProd
 from ..threesomes.runtime import (
     Threesome,
+    coercion_of_threesome,
     compose_threesome,
     intern_threesome,
     is_interned_threesome,
@@ -360,6 +361,9 @@ class ThreesomePolicy(MediationPolicy):
         # once per interned threesome: the isinstance ladder over (mid,
         # source, target) collapses to a dictionary hit on the hot path.
         self._action_cache: dict[int, int] = {}
+        # The optimizer's identity test, answered once per interned
+        # threesome: it reads the threesome back as a coercion to decide.
+        self._identity_cache: dict[int, bool] = {}
 
     def is_mediation_node(self, term: Term) -> bool:
         return isinstance(term, Coerce) and isinstance(term.coercion, co_s.SpaceCoercion)
@@ -469,10 +473,12 @@ class ThreesomePolicy(MediationPolicy):
         # Mirror SpacePolicy.is_identity through the §6.1 representation map,
         # so the optimizer elides exactly the same mediators on both
         # backends (canonical identities included).
-        from ..lambda_s.coercions import is_canonical_identity
-        from ..threesomes.runtime import coercion_of_threesome
-
-        return is_canonical_identity(coercion_of_threesome(t))
+        cached = self._identity_cache.get(id(t))
+        if cached is None:
+            t = intern_threesome(t)
+            cached = co_s.is_canonical_identity(coercion_of_threesome(t))
+            self._identity_cache[id(t)] = cached
+        return cached
 
     def classify(self, t: Threesome) -> int:
         action = self._action_cache.get(id(t))

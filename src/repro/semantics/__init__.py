@@ -54,8 +54,9 @@ class EnforcementSemantics:
     VMs, and optimizer all execute with (so ``is_identity``/``compose``
     agree by construction); ``machine`` is the CEK machine running it.
     ``pre_intern`` maps an *interned* canonical λS coercion to the node this
-    backend pools (:meth:`ConstantPool.add_coercion` calls it once per
-    distinct coercion).  ``serialize_id`` is the provenance string written
+    backend pools (:meth:`ConstantPool.with_mediators` calls it once per
+    coercion of a lowered program's pool, when the program is compiled for
+    this backend).  ``serialize_id`` is the provenance string written
     into ``.gradb`` headers and ``cache_key`` the compile-cache axis — kept
     as separate fields so a representation change can version one without
     the other.
@@ -79,7 +80,7 @@ class EnforcementSemantics:
 
 
 def _pool_coercion(s: object) -> object:
-    return s  # already interned by add_coercion
+    return s  # lowering pools interned canonical coercions already
 
 
 def _pool_erased(s: object) -> object:

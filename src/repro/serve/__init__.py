@@ -18,7 +18,19 @@ The package splits along the process boundary:
 from .client import ServeClient
 from .pool import WorkerPool
 from .protocol import TERMINAL_KINDS, decode_line, encode_line
-from .server import ServeConfig, Server, serve
+
+#: Names resolved from :mod:`repro.serve.server` on first use, so a batch or
+#: experiment process that only needs the pool never imports asyncio.
+_SERVER_NAMES = frozenset({"ServeConfig", "Server", "serve"})
+
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        from . import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ServeClient",

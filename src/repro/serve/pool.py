@@ -11,9 +11,11 @@ process holding the state that makes requests cheap the second time:
   dictionary lookup per node after the first load);
 * a :class:`WorkerMemo` of two bounded least-recently-used memos: hot
   deserialized images, so a repeated ``(source, semantics, opt level,
-  IR)`` skips even the image decode; and front-end results (the λB term
-  and static type), so a source already parsed and elaborated under one
-  semantics is only lowered, optimized and run under the next.
+  IR)`` skips even the image decode; and lowered programs (the
+  semantics-independent code :func:`~repro.compiler.lower.lower_term`
+  makes of the elaborated λB term, with the static type), so a source
+  already compiled under one semantics is only mapped to the next
+  semantics, optimized and run.
 
 The robustness contract, which the chaos tests hold the pool to:
 
@@ -59,7 +61,6 @@ Every decision — retry, backoff, timeout, recycle — is made in
 
 from __future__ import annotations
 
-import asyncio
 import os
 import queue
 import signal
@@ -86,7 +87,7 @@ DEFAULT_GRACE_S = 5.0
 #: Hot deserialized images kept per worker (least-recently-used eviction).
 _IMAGE_MEMO_CAP = 64
 
-#: Front-end results kept per worker (least-recently-used eviction).
+#: Lowered programs kept per worker (least-recently-used eviction).
 _FRONT_END_MEMO_CAP = 32
 
 
@@ -133,9 +134,11 @@ def _deadline(seconds: float | None):
 class WorkerMemo:
     """A worker's memos, both least-recently-used: ``images`` maps
     ``(source_hash, semantics, opt_level, ir)`` to a loaded image, and
-    ``front_ends`` maps ``source_hash`` to the ``(λB term, static type)``
-    that :func:`~repro.surface.interp.compile_source` returned for it —
-    which no semantics changes, so every semantics shares the entry."""
+    ``front_ends`` maps ``source_hash`` to ``(lowered program, static
+    type)``: the :func:`~repro.compiler.lower.lower_term` lowering of the
+    λB term :func:`~repro.surface.interp.compile_source` returned, and that
+    term's type.  No semantics changes either, so every semantics, level
+    and IR shares the entry, and compiling from it never modifies it."""
 
     __slots__ = ("images", "front_ends")
 
@@ -152,12 +155,12 @@ def _recall(memo: dict, key):
     return value
 
 
-def _remember(memo: dict, key, value, cap: int) -> None:
+def _remember(memo: dict, key, value, cap: int):
     """Store ``memo[key]``, first evicting the least recently used entry
-    when ``memo`` holds ``cap``."""
-    if len(memo) >= cap:
-        memo.pop(next(iter(memo)))
+    when ``memo`` holds ``cap``; returns the evicted value, or ``None``."""
+    evicted = memo.pop(next(iter(memo))) if len(memo) >= cap else None
     memo[key] = value
+    return evicted
 
 
 def _obtain_image(job: dict, memo: WorkerMemo):
@@ -165,11 +168,11 @@ def _obtain_image(job: dict, memo: WorkerMemo):
 
     Returns ``(LoadedImage, cache_status)`` where status is ``"warm"``
     (worker-resident), ``"hit"``/``"miss"``/``"recovered"`` (compile
-    cache), or ``"off"`` (caching disabled).  A compile takes the front
-    end from ``memo.front_ends`` when the job carries source this worker
-    has parsed and elaborated before; a job that carries only a hash
-    never consults it.  Raises ``ReproError`` for front-end failures
-    (never memoized) and unknown hashes.
+    cache), or ``"off"`` (caching disabled).  A compile takes the lowered
+    program from ``memo.front_ends`` when the job carries source this
+    worker has compiled before, under any semantics; a job that carries
+    only a hash never consults it.  Raises ``ReproError`` for front-end
+    failures (never memoized) and unknown hashes.
     """
     from ..api import IR_FOR_ENGINE
     from ..compiler.cache import cached_compile_source, compile_image
@@ -197,8 +200,16 @@ def _obtain_image(job: dict, memo: WorkerMemo):
             )
         found = _recall(memo.front_ends, source_hash)
         if found is None:
-            found = compile_source(source)
-            _remember(memo.front_ends, source_hash, found, _FRONT_END_MEMO_CAP)
+            from ..compiler.lower import lower_term
+
+            term, static_type = compile_source(source)
+            found = (lower_term(term), static_type)
+            evicted = _remember(memo.front_ends, source_hash, found, _FRONT_END_MEMO_CAP)
+            if evicted is not None:
+                # A pool and its code objects reference each other; unlinking
+                # them lets the dropped program be freed now rather than at
+                # the next full garbage collection.
+                evicted[0].pool.codes.clear()
         return found
 
     if job.get("use_cache", True):
@@ -206,8 +217,8 @@ def _obtain_image(job: dict, memo: WorkerMemo):
                                       job.get("cache_dir"), ir)
         image, status = found.image, found.status
     else:
-        term, ty = front_end()
-        image = compile_image(term, source_hash, ty, semantics, opt_level, ir)
+        lowered, ty = front_end()
+        image = compile_image(lowered, source_hash, ty, semantics, opt_level, ir)
         status = "off"
 
     _remember(memo.images, key, image, _IMAGE_MEMO_CAP)
@@ -406,6 +417,8 @@ def _reply_future(worker: _Worker, timeout: float | None) -> asyncio.Future:
     """A future the running loop completes with ``worker``'s reply, from an
     ``add_reader`` callback on its pipe or its sentinel, or with ``_HUNG``
     from a ``call_later`` timer after ``timeout`` seconds."""
+    import asyncio
+
     loop = asyncio.get_running_loop()
     future = loop.create_future()
     conn_fd, sentinel = worker.conn.fileno(), worker.process.sentinel
@@ -657,6 +670,8 @@ class WorkerPool:
     async def checkout(self) -> _Worker:
         """An idle worker for :meth:`run`, waiting on the running loop until
         one is checked back in if none is idle."""
+        import asyncio
+
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         try:
@@ -670,6 +685,8 @@ class WorkerPool:
         """:meth:`execute` on the running loop, for a ``worker`` from
         :meth:`checkout`: the same decisions, with every wait a loop future
         or timer, so the loop never blocks on a worker."""
+        import asyncio
+
         steps = self._job(job, worker)
         reply = None
         try:

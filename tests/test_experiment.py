@@ -220,7 +220,7 @@ class TestDriver:
         one job per configuration, front ends memoized per worker) the
         experiment follows the same trails as inline, over the shipped and
         generated programs under all four semantics, and emits them in the
-        same plan order."""
+        same plan order.  The reports agree in everything but ``timing``."""
         programs = [(path.name, path.read_text()) for path in sorted(EXAMPLES.glob("*.grad"))]
         programs += generate_corpus(4, seed=19, bindings=5)
         config = ExperimentConfig(
@@ -228,10 +228,11 @@ class TestDriver:
             faults_per_program=2, seed=5,
         )
         records = {}
+        reports = {}
         emitted: dict[int, list] = {0: [], 2: []}
         for workers in (0, 2):
-            trails, _ = run_experiment(programs, replace(config, workers=workers),
-                                       emit=emitted[workers].append)
+            trails, reports[workers] = run_experiment(
+                programs, replace(config, workers=workers), emit=emitted[workers].append)
             records[workers] = [trail.describe() for trail in trails]
         covered = {r["program"] for r in records[0]}
         assert any(name.endswith(".grad") for name in covered)
@@ -239,6 +240,14 @@ class TestDriver:
         assert {r["semantics"] for r in records[0]} == set(ALL_SEMANTICS)
         assert records[2] == records[0]
         assert emitted[2] == emitted[0] == records[0]
+        timings = {workers: report.pop("timing") for workers, report in reports.items()}
+        assert reports[2] == reports[0]
+        for workers, timing in timings.items():
+            assert timing["wall_s"] > 0
+            assert timing["configurations_per_s"] == pytest.approx(
+                reports[workers]["configurations_run"] / timing["wall_s"])
+        assert set(timings[0]) == {"wall_s", "configurations_per_s"}
+        assert timings[2]["compile_s"] > 0 and timings[2]["run_s"] > 0
 
     def test_trails_of_a_fault_share_one_description(self):
         config = ExperimentConfig(

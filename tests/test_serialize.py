@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import zlib
+from array import array
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from repro.compiler import (
     source_fingerprint,
 )
 from repro.compiler.bytecode import CALL, PUSH_CONST, CodeObject, ConstantPool
-from repro.compiler.regalloc import R_CLOSURE
+from repro.compiler.regalloc import R_BR_PRIM2, R_CLOSURE, R_RETURN
 from repro.compiler.rvm import compile_register_program
 from repro.lambda_s.coercions import is_interned_space
 from repro.machine.values import MConst
@@ -55,6 +56,7 @@ EXAMPLES = sorted(
 SQUARE = "(define (square [x : int]) : int (* x x))\n(square (: 6 ?))\n"
 BLAME = "(define lib : ? (lambda (x) #t))\n(+ 1 ((: lib (-> int int)) 3))\n"
 SPIN = "(define (spin [n : int]) : int (spin n))\n(spin 0)\n"
+COUNTDOWN = "(define (f [n : int]) : int (if (< n 1) 0 (f (- n 1))))\n(f 3)\n"
 
 
 def _compile(source: str, semantics: str = "coercion", opt_level: int = 2):
@@ -282,6 +284,24 @@ class TestRejection:
         code, rcode = compile_register_program(term)
         rcode.words = [*rcode.words, R_CLOSURE, 0, 0]
         with pytest.raises(ImageError, match="truncated register instruction"):
+            deserialize_image(serialize_image(code, ir="register", rcode=rcode))
+
+    def test_branch_target_inside_an_instruction_is_rejected(self):
+        term, _ = compile_source(COUNTDOWN)
+        code, rcode = compile_register_program(term)
+        loop = code.pool.rcodes[0]
+        assert list(loop.words[:5]) == [R_BR_PRIM2, 0, 1, 4, 10]
+        loop.words = array("I", [*loop.words[:4], 11, *loop.words[5:]])  # into word 10's
+        with pytest.raises(ImageError, match="branch target .* not an instruction"):
+            deserialize_image(serialize_image(code, ir="register", rcode=rcode))
+
+    def test_stream_that_falls_off_its_end_is_rejected(self):
+        term, _ = compile_source("(let ([y 5]) ((lambda ([x : int]) (* (+ x y) x)) 1))")
+        code, rcode = compile_register_program(term, opt_level=0)
+        callee = code.pool.rcodes[0]
+        assert list(callee.words[-2:]) == [R_RETURN, 2]
+        callee.words = callee.words[:-2]  # its final RETURN
+        with pytest.raises(ImageError, match="falls off its end"):
             deserialize_image(serialize_image(code, ir="register", rcode=rcode))
 
     @pytest.mark.parametrize("ir", ["stack", "register"])

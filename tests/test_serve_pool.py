@@ -1,8 +1,8 @@
 """Tests for the persistent worker pool (:mod:`repro.serve.pool`).
 
 The pool is exercised directly (no server front end): warm-image reuse and
-its least-recently-used eviction, the front-end memo that every semantics
-shares, crash detection and retry on the spare,
+its least-recently-used eviction, the memo of lowered programs that every
+semantics shares, crash detection and retry on the spare,
 the ``worker-lost`` terminal error, cooperative deadlines, the hard
 deadline both blocking and on an event loop, worker recycling,
 and the chaos property — under seeded
@@ -279,14 +279,34 @@ def front_end_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lowerings(monkeypatch):
+    """Count lowerings: ``lower_program`` calls (``lower_term`` and every
+    compile path look it up in its module at each call)."""
+    import repro.compiler.lower as lower
+
+    calls: list = []
+    original = lower.lower_program
+
+    def counted(term, *args, **kwargs):
+        calls.append(term)
+        return original(term, *args, **kwargs)
+
+    monkeypatch.setattr(lower, "lower_program", counted)
+    return calls
+
+
 class TestFrontEndMemo:
-    """The worker's front-end memo: a source parsed and elaborated under one
-    semantics is only lowered, optimized and run under the others."""
+    """The worker's front-end memo: a source compiled under one semantics is
+    only mapped to the next semantics, optimized and run under the others."""
 
     @pytest.mark.parametrize("engine", ["vm", "rvm"])
     @pytest.mark.parametrize("use_cache", [False, True])
-    def test_one_front_end_for_every_semantics(self, front_end_calls, engine, use_cache):
+    def test_one_front_end_for_every_semantics(self, front_end_calls, lowerings, engine,
+                                               use_cache):
+        from repro.compiler.bytecode import all_code_objects
         from repro.compiler.cache import compile_image
+        from repro.compiler.lower import lower_term
         from repro.compiler.serialize import serialize_image
         from repro.serve.pool import WorkerMemo, handle_job
         from repro.surface.interp import compile_source
@@ -296,7 +316,17 @@ class TestFrontEndMemo:
                               memo)
                    for name in ALL_SEMANTICS]
         assert front_end_calls == [BLAME]
+        assert len(lowerings) == 1
         assert [r["cache"] for r in results] == ["miss" if use_cache else "off"] * 4
+
+        def shape(code) -> list:
+            return [(obj.name, obj.instructions, obj.n_locals) for obj in all_code_objects(code)]
+
+        # Compiling from the memoized lowering left it as it was.
+        (lowered, _), = memo.front_ends.values()
+        fresh = lower_term(compile_source(BLAME)[0])
+        assert shape(lowered) == shape(fresh)
+        assert all(a is b for a, b in zip(lowered.pool.coercions, fresh.pool.coercions))
         outcome = ("kind", "value", "blame", "steps")
         for name, result in zip(ALL_SEMANTICS, results):
             fresh = handle_job(job(BLAME, semantics=name, engine=engine, use_cache=False),
@@ -329,6 +359,30 @@ class TestFrontEndMemo:
         handle_job(job(f"(+ {_FRONT_END_MEMO_CAP + 4} 1)\n", semantics="erasure",
                        use_cache=False), memo)
         assert front_end_calls.count(f"(+ {_FRONT_END_MEMO_CAP + 4} 1)\n") == 1
+
+    def test_an_evicted_program_is_freed_without_a_collection(self):
+        import gc
+        import weakref
+
+        from repro.compiler.serialize import source_fingerprint
+        from repro.serve.pool import _FRONT_END_MEMO_CAP, WorkerMemo, handle_job
+
+        memo = WorkerMemo()
+        sources = [f"((lambda ([x : int]) (+ x {index})) 1)\n"
+                   for index in range(_FRONT_END_MEMO_CAP + 1)]
+        handle_job(job(sources[0], use_cache=False), memo)
+        (lowered, _), = memo.front_ends.values()
+        assert lowered.pool.codes  # the closure's code object points back at the pool
+        pool = weakref.ref(lowered.pool)
+        del lowered
+        gc.disable()
+        try:
+            for source in sources[1:]:
+                handle_job(job(source, use_cache=False), memo)
+            assert source_fingerprint(sources[0]) not in memo.front_ends
+            assert pool() is None
+        finally:
+            gc.enable()
 
     def test_front_end_errors_are_not_memoized(self, front_end_calls):
         from repro.serve.pool import WorkerMemo, handle_job

@@ -20,13 +20,24 @@ from repro.gen.coercions_gen import (
     random_composable_space_pair,
     random_space_coercion,
 )
-from repro.lambda_s.coercions import FailS, IdBase, Injection, Projection, compose
+from repro.gen.types_gen import random_type
+from repro.lambda_s.coercions import (
+    FailS,
+    IdBase,
+    Injection,
+    Projection,
+    compose,
+    intern_space,
+    is_canonical_identity,
+)
+from repro.machine.policy import ThreesomePolicy
 from repro.threesomes import (
     DYN_LABELED,
     LArrow,
     LBase,
     LDyn,
     LFail,
+    Threesome,
     coercion_of_threesome,
     compose_labeled,
     compose_labeled_memo,
@@ -271,3 +282,23 @@ class TestFailureAbsorption:
         s, t, *_ = random_composable_space_pair(rng, length=2, depth=3)
         composed = compose_threesome(threesome_of_coercion(s), threesome_of_coercion(t))
         assert composed.mid == intern_labeled(labeled_of_coercion(compose(s, t)))
+
+
+class TestIdentityMemo:
+    """The optimizer's identity test on a threesome is answered once per
+    interned threesome; the answer must be what reading the threesome back
+    as a canonical coercion gives."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_memoized_is_identity_agrees_with_the_coercion(self, seed):
+        rng = random.Random(seed)
+        s, _, _ = random_space_coercion(rng, length=3, depth=3)
+        ty = random_type(rng, 3)
+        identity = intern_space(cast_to_space(ty, P, ty))  # id? → id?, idι × idι, …
+        policy = ThreesomePolicy()
+        for t in (threesome_of_coercion(s), threesome_of_coercion(identity)):
+            expected = is_canonical_identity(coercion_of_threesome(t))
+            assert policy.is_identity(t) is expected  # computed
+            assert policy.is_identity(t) is expected  # from the memo
+            assert policy.is_identity(Threesome(t.source, t.mid, t.target)) is expected
+        assert policy.is_identity(threesome_of_coercion(identity))
