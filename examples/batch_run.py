@@ -8,9 +8,9 @@ Walks the whole serving story on the shipped example corpus:
    identical outcome and space profile);
 2. run the corpus twice through the content-addressed compile cache and
    show the warm start skipping the entire front end;
-3. hand the corpus to the batch runner, which compiles once and executes
-   across a worker pool, streaming one result dict per program plus
-   aggregate shard statistics.
+3. hand the corpus to the batch runner, whose pool workers compile each
+   program through the cache and run it, streaming one result dict per
+   program plus aggregate shard statistics.
 
 Run with ``python examples/batch_run.py``.
 """
@@ -77,8 +77,8 @@ def main() -> None:
         print(f"cold {cold * 1e3:6.2f} ms   warm {warm * 1e3:6.2f} ms   "
               f"({cold / warm:.1f}x faster warm)\n")
 
-        # 3. The batch runner: compile once, execute across workers, stream
-        # results.
+        # 3. The batch runner: workers compile through the cache, execute,
+        # and stream results.
         print("=== repro-gradual batch (2 workers) ===")
         results, aggregate = run_batch(
             [CORPUS], RunConfig(engine="vm", cache=True, cache_dir=cache_dir), workers=2,

@@ -289,7 +289,7 @@ def run_image(image, fuel: int | None = None, *, opcode_counts: dict | None = No
         fuel = DEFAULT_FUEL[engine]
     with phase(metrics, "run"):
         if engine == "rvm":
-            outcome = rvm.run_rcode(image.rcode, fuel, opcode_counts=opcode_counts)
+            outcome = rvm.run_rcode(image.code, fuel, opcode_counts=opcode_counts)
         else:
             outcome = vm.run_code(image.code, fuel, opcode_counts=opcode_counts)
     record_run(metrics, outcome.kind, outcome.stats, engine)

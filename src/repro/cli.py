@@ -25,15 +25,15 @@ Installed as ``repro-gradual``.  Subcommands:
 * ``compile FILE``    — lower to λS bytecode; print the disassembly and
   constant pool (``--ir register`` prints the packed register streams
   instead), or with ``-o IMAGE.gradb`` serialize a versioned binary image
-  (``--ir register`` embeds the register streams too, so the image runs on
-  the rvm engine; ``--semantics threesome`` pre-interns labeled types;
+  of that IR (a register image runs on the rvm engine, a stack image on
+  the vm engine; ``--semantics threesome`` pre-interns labeled types;
   ``-O`` selects the optimizer level).  Given an existing ``.gradb`` file,
-  prints its provenance and disassembly.
-* ``batch PATH...``   — compile a corpus (directories of ``*.grad``,
-  manifest files, or programs) once, through the compile cache, and run it
-  across a fault-tolerant worker pool (a worker killed mid-program yields
-  a ``worker-lost`` error record, never a hang), streaming one JSON line
-  per program plus an aggregate line.
+  validates it and prints its provenance and disassembly.
+* ``batch PATH...``   — run a corpus (directories of ``*.grad``, manifest
+  files, or programs) across a fault-tolerant worker pool whose workers
+  compile each program through the compile cache (a worker killed
+  mid-program yields a ``worker-lost`` error record, never a hang),
+  streaming one JSON line per program plus an aggregate line.
 * ``serve``           — run the persistent evaluation service: an asyncio
   front end (newline-delimited JSON over TCP or ``--socket``) over the
   same worker pool, keeping interned mediator tables and hot ``.gradb``
@@ -295,27 +295,21 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                 "-o expects a source program to compile; "
                 f"{args.file} is already a compiled image"
             )
-        image = load_image(args.file)
-        text = disassemble_image(image)
-        if image.rcode is not None:
-            text += "\n" + disassemble_registers(image.rcode)
-        print(text)
+        print(disassemble_image(load_image(args.file)))
         return EXIT_VALUE
     config = resolve_config(engine="rvm" if args.ir == "register" else "vm",
                             semantics=args.semantics, opt_level=args.opt_level)
     source = Path(args.file).read_text()
     term, ty = elaborate_program(parse_program(source))
-    rcode = None
     if args.ir == "register":
-        code, rcode = compile_register_program(term, config.semantics, config.opt_level)
+        code = compile_register_program(term, config.semantics, config.opt_level)
     else:
         code = compile_term(term, config.semantics, config.opt_level)
     if args.output is not None:
-        save_image(code, args.output, source_hash=source_fingerprint(source),
-                   static_type=ty, ir=args.ir, rcode=rcode)
+        save_image(code, args.output, source_fingerprint(source), ty, args.ir)
         print(f"wrote {args.output}")
-    elif rcode is not None:
-        print(disassemble_registers(rcode))
+    elif args.ir == "register":
+        print(disassemble_registers(code))
     else:
         print(disassemble(code))
     return EXIT_VALUE
@@ -659,15 +653,14 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument("--ir", choices=["stack", "register"], default="stack",
                                 help="instruction representation: the stack bytecode "
                                      "(default) or the packed register streams the rvm "
-                                     "engine executes (-o images carry both IRs' code "
-                                     "when register)")
+                                     "engine executes (an -o image holds that IR only)")
     compile_parser.add_argument("-o", "--output", default=None, metavar="IMAGE",
                                 help="serialize a versioned binary .gradb image here "
                                      "instead of printing the disassembly")
     compile_parser.set_defaults(handler=_cmd_compile)
 
     batch_parser = sub.add_parser(
-        "batch", help="compile a corpus once and run it across a worker pool",
+        "batch", help="compile and run a corpus across a worker pool",
         parents=all_run_flags,
         epilog="per-program results stream as JSON lines, then one aggregate line; "
                "exit code is the most severe outcome (2 error, 3 timeout, 1 blame, 0 value)",

@@ -50,7 +50,6 @@ from .rvm import (
     THE_RVM,
     RClosure,
     compile_register_program,
-    compile_term_registers,
     run_on_rvm,
     run_rcode,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "THE_RVM",
     "RClosure",
     "compile_register_program",
-    "compile_term_registers",
     "run_on_rvm",
     "run_rcode",
 ]

@@ -153,6 +153,10 @@ class ConstantPool:
     prims: list[tuple] = field(default_factory=list)  # (meaning, arity, result_type, name)
     codes: list["CodeObject"] = field(default_factory=list)
     semantics: str = "coercion"
+    #: The register program's code objects, parallel to the ``codes`` they
+    #: were converted from; a register program's pool holds these and no
+    #: stack ``codes`` (:func:`repro.compiler.regalloc.compile_registers`).
+    rcodes: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._const_index: dict[object, int] = {}

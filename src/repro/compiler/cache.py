@@ -6,8 +6,8 @@ enforcement semantics, and the toolchain's format/instruction-set version.
 So a compiled image is cached under a key that is exactly that tuple, hashed::
 
     ~/.cache/repro-gradual/<k[:2]>/<k>.gradb
-    k = sha256(format version ‖ opcode fingerprint ‖ [IR ‖ register
-               fingerprint] ‖ source hash ‖ opt level ‖ semantics)
+    k = sha256(format version ‖ IR ‖ that IR's instruction-set
+               fingerprint ‖ source hash ‖ opt level ‖ semantics)
 
 (the IR axis — stack vs register — is keyed so register images never
 collide with stack images of the same source/level/semantics)
@@ -18,9 +18,10 @@ There is no invalidation protocol: keys are content-addressed, so a changed
 program, a different ``-O`` level or semantics, or a new format/opcode-set
 version simply misses and compiles fresh.  Entries are written atomically
 (:func:`~repro.compiler.serialize.save_image` writes a temp sibling and
-``os.replace``\\ s it), and a corrupt or truncated entry — detected by the
-image checksum on load — is deleted and recompiled rather than surfaced
-(status ``recovered``).
+``os.replace``\\ s it).  An entry is loaded like any other image, so it is
+validated as well as checksummed: the cache directory is not trusted.  An
+entry that fails to load — corrupt, truncated, or crafted — is deleted and
+recompiled rather than surfaced (status ``recovered``).
 
 The cache directory resolves, in order: an explicit ``cache_dir`` argument,
 ``$REPRO_GRADUAL_CACHE_DIR``, ``$XDG_CACHE_HOME/repro-gradual``, and
@@ -36,13 +37,12 @@ from pathlib import Path
 
 from ..core.terms import Term
 from ..core.types import Type
-from .bytecode import CodeObject, opcode_fingerprint
+from .bytecode import CodeObject
 from .opt import DEFAULT_OPT_LEVEL
-from .regalloc import register_fingerprint
 from .serialize import (
     FORMAT_VERSION,
-    GRADB_MAGIC,
     GRADB_SUFFIX,
+    IMAGE_IRS,
     ImageError,
     ImageInfo,
     LoadedImage,
@@ -69,17 +69,15 @@ def default_cache_dir() -> Path:
 def cache_key(source_hash: str, opt_level: int, semantics: str, ir: str = "stack") -> str:
     """The content address of one compilation: hex SHA-256 over every input
     that can change the produced image.  ``ir`` is an axis of the key, so a
-    register image never collides with a stack image of the same source —
-    and register keys also cover the register instruction set's own
-    fingerprint (a renumbering invalidates register entries only)."""
+    register image never collides with a stack image of the same source,
+    and each key covers its own IR's instruction-set fingerprint (renumbering
+    one instruction set invalidates that IR's entries only)."""
     from ..semantics import resolve
 
+    _, fingerprint = IMAGE_IRS[ir]
     digest = hashlib.sha256()
-    digest.update(f"gradb-v{FORMAT_VERSION}\x00".encode())
-    digest.update(opcode_fingerprint())
-    if ir != "stack":
-        digest.update(f"\x00ir={ir}\x00".encode())
-        digest.update(register_fingerprint())
+    digest.update(f"gradb-v{FORMAT_VERSION}\x00ir={ir}\x00".encode())
+    digest.update(fingerprint())
     # The enforcement-semantics axis comes from the registry, so renaming or
     # re-versioning a backend's key invalidates exactly its own entries.
     axis = resolve(semantics).cache_key
@@ -116,40 +114,32 @@ class CacheOutcome:
 
 
 def _try_load(path: Path, metrics=None) -> LoadedImage | None:
-    """Load a cache entry, deleting it if it is corrupt or unreadable.
+    """Load a cache entry, deleting it if it does not load.
 
-    Entries were written by this library into the user's own cache, so the
-    crafted-image bounds validation is skipped (the checksum still catches
-    corruption — the failure mode a cache actually has).
-
-    Corruption here means *anything* short of a loadable image: a bad CRC,
-    but also the zero-length or truncated-header entries a crash
+    An entry is loaded like any image, checksum and validation both.
+    Anything short of a loadable image counts: a bad CRC, an entry that
+    fails validation, the zero-length or truncated-header entries a crash
     mid-``os.replace`` leaves behind on filesystems that do not order data
     and rename, and any decoder surprise (``MemoryError``/``OverflowError``
     from a garbage length prefix).  Every such entry is deleted and counted
-    as a miss — the cache recompiles; it never raises.
+    as a miss — the cache recompiles; it never raises.  ``metrics`` gets
+    the ``load`` phase timer: reading, decoding and validating an entry.
     """
-    try:
-        size = path.stat().st_size
-    except OSError:
+    from ..obs.metrics import phase
+
+    if not path.exists():
         return None
-    corrupt = False
-    if size < len(GRADB_MAGIC) + 5:
-        # Too short to even hold the magic and the CRC trailer: a torn
-        # write for certain.  Skip the parse and go straight to recovery.
-        corrupt = True
-    else:
-        try:
-            return load_image(path, validate=False)
-        except (ImageError, OSError, MemoryError, OverflowError, ValueError):
-            corrupt = True
-    if corrupt:
-        if metrics is not None:
-            metrics.counter("cache.corrupt").inc()
-        try:
-            path.unlink()
-        except OSError:
-            pass
+    try:
+        with phase(metrics, "load"):
+            return load_image(path)
+    except (ImageError, OSError, MemoryError, OverflowError, ValueError):
+        pass
+    if metrics is not None:
+        metrics.counter("cache.corrupt").inc()
+    try:
+        path.unlink()
+    except OSError:
+        pass
     return None
 
 
@@ -168,16 +158,11 @@ def cache_lookup(
     optimization entirely when it returns an image.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) gets the
-    ``cache`` phase timer and the ``cache.hit``/``cache.corrupt`` counters;
+    ``load`` phase timer and the ``cache.hit``/``cache.corrupt`` counters;
     the miss itself is counted by the compile that every miss falls
     through to, so a lookup and its compile never double-count.
     """
-    from ..obs.metrics import phase
-
-    with phase(metrics, "cache"):
-        image = _try_load(
-            cache_path(source_hash, opt_level, semantics, cache_dir, ir), metrics
-        )
+    image = _try_load(cache_path(source_hash, opt_level, semantics, cache_dir, ir), metrics)
     if image is not None and metrics is not None:
         metrics.counter("cache.hit").inc()
     return image
@@ -192,7 +177,9 @@ def compile_image(
     ir: str = "stack",
     metrics=None,
 ) -> LoadedImage:
-    """Compile a λB term into an in-memory image, without touching the cache.
+    """Compile a λB term into an in-memory image, without touching the cache:
+    the :class:`~repro.compiler.serialize.LoadedImage` that loading the
+    serialized program would return.
 
     ``term`` may also be the term's semantics-independent lowering
     (:func:`~repro.compiler.lower.lower_term`), which is only read: a caller
@@ -200,25 +187,24 @@ def compile_image(
     lowering it again.  Either way the path is lower → map to ``semantics``
     → optimize (→ regalloc), and the image is the same.
 
-    A stack image carries the stack VM's optimized code
-    (:func:`~repro.compiler.vm.compile_term`); a register image carries the
-    register pipeline's output (:func:`~repro.compiler.rvm.compile_register_program`):
-    the register code plus the stack code it was converted from (the same
-    stream the stack VM runs, without its inline-cache cells).
-    ``metrics`` gets the ``lower``/``optimize`` phase timers and, for
-    register images, ``regalloc``.
+    A stack image holds the stack VM's optimized code
+    (:func:`~repro.compiler.vm.compile_term`); a register image holds the
+    register pipeline's code
+    (:func:`~repro.compiler.rvm.compile_register_program`) and nothing of
+    the stack code it was converted from.  ``metrics`` gets the
+    ``lower``/``optimize`` phase timers and, for register images,
+    ``regalloc``.
     """
     if ir == "register":
         from .rvm import compile_register_program
 
-        code, rcode = compile_register_program(term, semantics, opt_level, metrics)
+        code = compile_register_program(term, semantics, opt_level, metrics)
     else:
         from .vm import compile_term
 
         code = compile_term(term, semantics, opt_level, metrics=metrics)
-        rcode = None
     info = ImageInfo(FORMAT_VERSION, source_hash, opt_level, semantics, static_type, ir)
-    return LoadedImage(code, info, rcode)
+    return LoadedImage(code, info)
 
 
 def cached_compile_source(
@@ -240,12 +226,13 @@ def cached_compile_source(
     :func:`cache_lookup`, which deletes a corrupt entry; the compile that
     replaces it reports ``recovered`` instead of ``miss``.
 
-    ``ir="register"`` caches (and on a hit returns) an image that carries
-    the packed register streams too, under its own key.
+    ``ir="register"`` caches (and on a hit returns) a register image, under
+    its own key.
 
-    ``metrics`` gets the ``cache`` phase timer (load + store; compilation is
-    timed by its own ``lower``/``optimize``/``regalloc`` phases) and the
-    ``cache.{hit,miss,recovered,corrupt}`` counters.
+    ``metrics`` gets the ``load`` phase timer (a lookup that finds an
+    entry), the ``cache`` phase timer (storing a compiled image;
+    compilation is timed by its own ``lower``/``optimize``/``regalloc``
+    phases) and the ``cache.{hit,miss,recovered,corrupt}`` counters.
     """
     from ..core.faults import current_plan
     from ..obs.metrics import phase
@@ -267,8 +254,7 @@ def cached_compile_source(
     image = compile_image(term, source_hash, static_type, semantics, opt_level, ir, metrics)
     with phase(metrics, "cache"):
         try:
-            save_image(image.code, path, source_hash=source_hash,
-                       static_type=static_type, ir=ir, rcode=image.rcode)
+            save_image(image.code, path, source_hash, static_type, ir)
         except OSError:
             pass  # a read-only or full cache degrades to compile-always
     status = "recovered" if existed else "miss"

@@ -94,8 +94,12 @@ def disassemble(code: CodeObject) -> str:
             else:
                 lines.append(f"  {pc:4d}  {name:<18} {operand}{suffix}")
         lines.append("")
+    return "\n".join(lines + _pool_lines(code.pool))
 
-    pool = code.pool
+
+def _pool_lines(pool) -> list[str]:
+    """The pools' pretty forms, shared by both IRs' disassembly."""
+    lines: list[str] = []
     if pool.consts:
         lines.append("pool consts:")
         for i, value in enumerate(pool.consts):
@@ -116,16 +120,17 @@ def disassemble(code: CodeObject) -> str:
         for i, (_, arity, result_type, name) in enumerate(pool.prims):
             lines.append(f"  {i}: {name}/{arity} -> {result_type}")
         lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
 def disassemble_image(image) -> str:
     """Disassemble a loaded ``.gradb`` image with its provenance header.
 
     The provenance lines are comments (``;`` prefixed), so the output still
-    satisfies the :func:`parse_disassembly` round trip — an image
-    disassembly minus its header is byte-identical to the disassembly of
-    the same program compiled in memory (asserted by the test suite).
+    satisfies the :func:`parse_disassembly` (or, for a register image,
+    :func:`parse_register_disassembly`) round trip — an image disassembly
+    minus its header is byte-identical to the disassembly of the same
+    program compiled in memory (asserted by the test suite).
     """
     info = image.info
     lines = [
@@ -135,7 +140,8 @@ def disassemble_image(image) -> str:
         f"; type={info.static_type if info.static_type is not None else '-'}",
         "",
     ]
-    return "\n".join(lines) + disassemble(image.code)
+    text = disassemble(image.code) if info.ir == "stack" else disassemble_registers(image.code)
+    return "\n".join(lines) + text
 
 
 def instruction_streams(code: CodeObject) -> list[list[tuple[int, int]]]:
@@ -163,8 +169,8 @@ def _register_comment(obj, op: int, pc: int) -> str:
         elif ch == "L":
             parts.append(str(pool.labels[w]))
         elif ch == "C":
-            # +1: the entry rcode is listed first, shifting the pool's codes
-            parts.append(f"rcode {w + 1} {pool.codes[w].name}")
+            # +1: the entry rcode is listed first, shifting the pool's rcodes
+            parts.append(f"rcode {w + 1} {pool.rcodes[w].name}")
         elif ch == "t":
             parts.append(f"-> {w}")
         elif ch == "n":
@@ -177,11 +183,12 @@ def _register_comment(obj, op: int, pc: int) -> str:
 
 
 def disassemble_registers(rcode) -> str:
-    """Render a register-compiled program (entry rcode + nested rcodes) as
-    text.  Each line is ``pc NAME w1 w2 …`` where ``pc`` is the *word* index
-    of the instruction in the packed stream; the comment spells the operands
-    out per the opcode's signature.  :func:`parse_register_disassembly`
-    recovers the exact word streams (the register round trip)."""
+    """Render a register-compiled program (entry rcode + nested rcodes +
+    pools) as text.  Each line is ``pc NAME w1 w2 …`` where ``pc`` is the
+    *word* index of the instruction in the packed stream; the comment spells
+    the operands out per the opcode's signature.
+    :func:`parse_register_disassembly` recovers the exact word streams (the
+    register round trip)."""
     lines: list[str] = []
     for index, obj in enumerate(all_rcodes(rcode)):
         param = obj.param if obj.param is not None else "-"
@@ -206,7 +213,7 @@ def disassemble_registers(rcode) -> str:
                 lines.append(f"  {pc:4d}  {name}{suffix}")
             pc += width
         lines.append("")
-    return "\n".join(lines)
+    return "\n".join(lines + _pool_lines(rcode.pool))
 
 
 def register_streams(rcode) -> list[list[int]]:

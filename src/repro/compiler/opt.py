@@ -21,7 +21,7 @@ on every code object:
     * statically adjacent ``COERCE s₁; COERCE s₂`` become one
       ``COERCE (s₁ # s₂)``; adjacent ``COMPOSE s₁; COMPOSE s₂`` become one
       ``COMPOSE (s₂ # s₁)`` (a ``COMPOSE`` prepends to the pending slot, so
-      the *later* instruction applies first).  Chains collapse to fixpoint,
+      the *later* instruction applies first).  One sweep folds each chain,
       and a chain that normalizes to the identity disappears entirely.
 
     Both rewrites go through the pool's own mediator representation — the
@@ -60,66 +60,61 @@ DEFAULT_OPT_LEVEL = 2
 _JUMPS = (JUMP, JUMP_IF_FALSE)
 
 
-def _jump_targets(insns: list[tuple[int, int]]) -> set[int]:
-    return {operand for op, operand in insns if op in _JUMPS}
-
-
-def _remap_jumps(insns: list[tuple[int, int]], old2new: list[int]) -> list[tuple[int, int]]:
-    return [
-        (op, old2new[operand] if op in _JUMPS else operand) for op, operand in insns
-    ]
-
-
 # ---------------------------------------------------------------------------
 # -O1: identity elision and static pre-composition
 # ---------------------------------------------------------------------------
 
 
-def _elide_and_precompose(code: CodeObject, policy: MediationPolicy) -> bool:
-    """One rewrite pass over one code object; True if anything changed.
+def _elide_and_precompose(code: CodeObject, policy: MediationPolicy) -> None:
+    """One sweep over one code object: drop identity ``COERCE``/``COMPOSE``
+    and fold each run of adjacent same-kind mediators into one through the
+    backend's composition, which is associative.
 
-    Drops identity ``COERCE``/``COMPOSE`` and merges adjacent same-kind
-    pairs through the backend's composition.  Deleted instructions remap to
-    the next surviving one, so jumps into an elided site keep their meaning.
+    A jump's landing site starts a new run.  Deleted instructions remap to
+    the next surviving one, so a jump into an elided site keeps its meaning
+    and makes that instruction a landing site in turn.  A run that folds to
+    the identity disappears, and the instructions on either side of it then
+    meet.  Only the mediator a run folds to enters the pool.
     """
     insns = code.instructions
     pool = code.pool
-    targets = _jump_targets(insns)
-    new: list[tuple[int, int]] = []
+    coercions = pool.coercions
+    targets = {operand for op, operand in insns if op in _JUMPS}
+    # The surviving instructions (a mediator's operand is the mediator
+    # itself until the sweep ends), whether a jump lands on each, and where
+    # each old instruction went.
+    new: list[tuple[int, object]] = []
+    landing: list[bool] = []
     old2new: list[int] = []
-    changed = False
-    i, n = 0, len(insns)
-    while i < n:
-        op, operand = insns[i]
+    land = False
+    for i, (op, operand) in enumerate(insns):
+        land = land or i in targets
         if op == COERCE or op == COMPOSE:
-            mediator = pool.coercions[operand]
-            if policy.is_identity(mediator):
-                old2new.append(len(new))
-                i += 1
-                changed = True
-                continue
-            if i + 1 < n and insns[i + 1][0] == op and (i + 1) not in targets:
-                other = pool.coercions[insns[i + 1][1]]
+            mediator = coercions[operand]
+            if not land and new and new[-1][0] == op:
+                _, folded = new.pop()
+                land = landing.pop()
                 # COERCE applies in stream order; COMPOSE prepends to the
                 # pending slot, so the later instruction applies first.
                 if op == COERCE:
-                    merged = policy.compose(mediator, other)
+                    mediator = policy.compose(folded, mediator)
                 else:
-                    merged = policy.compose(other, mediator)
-                old2new.append(len(new))
-                old2new.append(len(new))
-                if not policy.is_identity(merged):
-                    new.append((op, pool.add_canonical_mediator(merged)))
-                i += 2
-                changed = True
+                    mediator = policy.compose(mediator, folded)
+            old2new.append(len(new))
+            if policy.is_identity(mediator):
                 continue
-        old2new.append(len(new))
-        new.append((op, operand))
-        i += 1
+            new.append((op, mediator))
+        else:
+            old2new.append(len(new))
+            new.append((op, operand))
+        landing.append(land)
+        land = False
     old2new.append(len(new))  # jumps may target the end of the stream
-    if changed:
-        code.instructions = _remap_jumps(new, old2new)
-    return changed
+    code.instructions = [
+        (op, pool.add_canonical_mediator(operand) if op == COERCE or op == COMPOSE
+         else old2new[operand] if op in _JUMPS else operand)
+        for op, operand in new
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +137,6 @@ def optimize(code: CodeObject, level: int = DEFAULT_OPT_LEVEL) -> CodeObject:
     for obj in all_code_objects(code):
         if policy is not None and any(op == COERCE or op == COMPOSE
                                       for op, _ in obj.instructions):
-            while _elide_and_precompose(obj, policy):
-                pass
+            _elide_and_precompose(obj, policy)
         obj.opt_level = level
     return code

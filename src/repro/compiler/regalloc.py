@@ -53,10 +53,8 @@ registers — are recorded by position and patched when the walk ends.  The
 register pipeline (:func:`repro.compiler.rvm.compile_register_program`)
 feeds it the output of the shared optimizer passes: the same instruction
 stream the stack VM runs (``vm.compile_term`` differs only by its inline
-cache cells), so a stack image converts to the words the register
-pipeline builds.  Conversion is deterministic, so a ``.gradb`` image may
-either carry the register words (``ir="register"``) or be converted after
-load.
+cache cells).  The register program it returns references no stack code,
+and a register ``.gradb`` image stores only its words.
 
 **Instruction signatures.**  Every opcode's operand layout is a signature
 string (:data:`R_SIGS`), one character per operand word — the single
@@ -71,7 +69,7 @@ char   operand word
 ``p``  operator index (``pool.prims``)
 ``c``  mediator index (``pool.coercions``)
 ``k``  constant index (``pool.consts`` — ``FIX``'s type annotation)
-``C``  code index (``pool.codes``/``pool.rcodes``)
+``C``  code index (``pool.rcodes``)
 ``L``  blame-label index (``pool.labels``)
 ``t``  branch target (a word pc in this stream)
 ``n``  source count, followed by that many ``s`` words (``*``)
@@ -129,6 +127,7 @@ from .bytecode import (
     STORE,
     TAILCALL,
     CodeObject,
+    ConstantPool,
 )
 
 # Register opcodes: a numbering space of their own (a register stream is
@@ -451,8 +450,9 @@ class _RBuilder:
         self.note_depth(len(stack))
 
 
-def _convert_code(obj: CodeObject, pool) -> RCode:
-    """Convert one stack code object in a single pass over its instructions.
+def _convert_code(obj: CodeObject, pool: ConstantPool) -> RCode:
+    """Convert one stack code object in a single pass over its instructions,
+    into register code over the register program's ``pool``.
 
     Words come out final except for two kinds of placeholder, patched by
     position at the end: branch operands (a stack pc until every target's
@@ -463,6 +463,7 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
     b = _RBuilder(obj, insns)
     n = len(insns)
     prims = pool.prims
+    codes = obj.pool.codes
     targets = b.targets
     saved = b.saved
     word_of = b.word_of
@@ -571,7 +572,7 @@ def _convert_code(obj: CodeObject, pool) -> RCode:
         elif op == COMPOSE:
             emit(R_COMPOSE, operand)
         elif op == MAKE_CLOSURE:
-            n_free = pool.codes[operand].n_free
+            n_free = codes[operand].n_free
             srcs = stack[len(stack) - n_free:] if n_free else []
             if n_free:
                 del stack[len(stack) - n_free:]
@@ -673,13 +674,16 @@ def _dest(b: _RBuilder, stack: list[int], i: int) -> tuple[int, int]:
 def compile_registers(code: CodeObject) -> RCode:
     """Convert an optimized stack program into the register IR.
 
-    Every code object of the program is converted over the *same* constant
-    pool; the converted children are attached as ``pool.rcodes`` (parallel
-    to ``pool.codes``, so ``CLOSURE`` operands keep their indices) and the
-    converted entry code is returned.  Conversion is deterministic and
-    accepts any ``-O`` level; register-level fusion and inline caches come
-    back at ``-O2``.
+    The register program gets a pool of its own, which shares the stack
+    pool's constants, mediators, labels and operators and holds no stack
+    code objects: the converted children are its ``rcodes`` (parallel to
+    the stack pool's ``codes``, so ``CLOSURE`` operands keep their
+    indices), and the converted entry code is returned.  The stack program
+    is only read.  Conversion is deterministic and accepts any ``-O``
+    level; register-level fusion and inline caches come back at ``-O2``.
     """
     pool = code.pool
-    pool.rcodes = [_convert_code(child, pool) for child in pool.codes]
-    return _convert_code(code, pool)
+    rpool = ConstantPool(pool.consts, pool.coercions, pool.labels, pool.prims,
+                         semantics=pool.semantics)
+    rpool.rcodes = [_convert_code(child, rpool) for child in pool.codes]
+    return _convert_code(code, rpool)

@@ -92,7 +92,7 @@ from .regalloc import (
     R_SND,
     R_TAILCALL,
     RCode,
-    _convert_code,
+    compile_registers,
 )
 from ..semantics import policy_for
 from .vm import _make_fix_apply_code, _pool_tables, _project
@@ -118,7 +118,7 @@ def _make_fix_rcode(opt_level: int) -> RCode:
     identically.  ``opt_level=2`` gives the call sites inline-cache cells."""
     stack_code = _make_fix_apply_code()
     stack_code.opt_level = opt_level
-    return _convert_code(stack_code, stack_code.pool)
+    return compile_registers(stack_code)
 
 
 _RFIX_APPLY = _make_fix_rcode(0)
@@ -156,7 +156,7 @@ class RVM:
         coercions = pool.coercions
         labels = pool.labels
         prims = pool.prims
-        rcodes = getattr(pool, "rcodes", ())
+        rcodes = pool.rcodes
 
         policy = policy_for(pool.semantics)
         # The observability hook: fetched once per run, tested with one
@@ -1095,37 +1095,28 @@ THE_RVM = RVM()
 def compile_register_program(
     term_b: Term | CodeObject, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
     metrics=None,
-) -> tuple[CodeObject, RCode]:
+) -> RCode:
     """The register pipeline: lower the λB term (or take the lowering
     :func:`~repro.compiler.lower.lower_term` returned for it, untouched),
     map it to ``semantics``, run the shared optimizer passes
     (:func:`repro.compiler.opt.optimize` — the stream the stack VM runs,
     without its stack cache cells), then convert.
 
-    Returns the stack code the conversion read (what a register image
-    stores beside the register words) and the register code, ready for
-    :func:`run_rcode`.  ``metrics`` gets the ``lower``, ``optimize`` and
-    ``regalloc`` phase timers.
+    Returns the register code, ready for :func:`run_rcode`; the stack code
+    the conversion read is dropped.  ``metrics`` gets the ``lower``,
+    ``optimize`` and ``regalloc`` phase timers.
     """
     from ..obs.metrics import phase
+    from . import regalloc
     from .lower import lower_for
     from .opt import optimize
-    from .regalloc import compile_registers
 
     code = lower_for(term_b, semantics, metrics)
     with phase(metrics, "optimize"):
         optimize(code, opt_level)
     with phase(metrics, "regalloc"):
-        return code, compile_registers(code)
-
-
-def compile_term_registers(
-    term_b: Term, semantics: str = "coercion", opt_level: int = DEFAULT_OPT_LEVEL,
-    metrics=None,
-) -> RCode:
-    """Compile an elaborated λB term through the register pipeline
-    (:func:`compile_register_program`) into code ready for :func:`run_rcode`."""
-    return compile_register_program(term_b, semantics, opt_level, metrics)[1]
+        # Looked up at call time, so a wrapper of the converter sees it.
+        return regalloc.compile_registers(code)
 
 
 def run_on_rvm(
@@ -1136,7 +1127,7 @@ def run_on_rvm(
     opcode_counts: dict | None = None,
 ) -> MachineOutcome:
     """Compile a λB term to register code and run it (λS semantics)."""
-    return THE_RVM.run(compile_term_registers(term_b, semantics, opt_level),
+    return THE_RVM.run(compile_register_program(term_b, semantics, opt_level),
                        fuel, opcode_counts=opcode_counts)
 
 

@@ -1,29 +1,45 @@
 """Serialized bytecode images — the ``.gradb`` format.
 
-A compiled program (:class:`~repro.compiler.bytecode.CodeObject` plus its
-shared :class:`~repro.compiler.bytecode.ConstantPool`) round-trips through a
-versioned binary image::
+A compiled program round-trips through a versioned binary image in the one
+IR it was compiled to: a stack program
+(:class:`~repro.compiler.bytecode.CodeObject`, run by the vm engine) or a
+register program (:class:`~repro.compiler.regalloc.RCode`, run by the rvm
+engine), each with its shared :class:`~repro.compiler.bytecode.ConstantPool`::
 
     ┌──────────────────────────────────────────────────────────────────┐
     │ magic  b"GRADB\\0"                                                │
     │ format version (varint)      — FORMAT_VERSION, checked on load   │
-    │ opcode fingerprint (8 bytes) — bytecode.opcode_fingerprint()     │
+    │ IR: "stack" or "register"                                        │
+    │ fingerprint (8 bytes)        — that IR's instruction set         │
     │ provenance: semantics, opt level, source hash, static type       │
     │ type table     — deduplicated, children before parents           │
     │ label table    — (name, polarity) pairs                          │
+    │ coercion and labeled-type node tables, name table                │
     │ const pool     — machine constants and bare types                │
-    │ mediator pool  — canonical coercions *or* threesomes             │
-    │ prim pool      — operator names (meanings re-resolved on load)   │
-    │ code objects   — children first, entry last: (opcode, operand)   │
-    │                  pairs, the stream both engines read             │
+    │ mediator pool  — the semantics' mediators (coercions, …)         │
+    │ label pool, prim pool — operator names (meanings re-resolved)    │
+    │ code objects   — children first, entry last; each is a header    │
+    │                  (name, frees, parameter, locals, -O level) and  │
+    │                  stack: local count, (opcode, operand) pairs     │
+    │                  register: register file, pinned consts, words   │
     │ crc32 of everything above (4 bytes)                              │
     └──────────────────────────────────────────────────────────────────┘
 
 Integers are unsigned LEB128 varints (zigzag where negative values occur);
 strings are length-prefixed UTF-8.  The format stores *structure*, never
 Python objects: no pickle, no code, nothing executable — a ``.gradb`` file
-can only describe instructions the VM already has (the opcode fingerprint
+can only describe instructions the engines already have (the fingerprint
 rejects images from a different instruction set).
+
+**Every load validates.**  The checksum catches accidental corruption;
+validation catches a checksum-valid image that would still fail mid-run:
+an operand outside its pool or register file, broken stack discipline, a
+branch that is not forward to an instruction start, a register or local
+read before any path writes it, a code object at another ``-O`` level
+than the header's, a fused register instruction below ``-O2``.  Each is an
+:class:`ImageError` at load, never a Python exception in an engine.  There
+is no unchecked load: the compile cache's own entries, images named on the
+command line, and every other image take the same path.
 
 **Load-time re-interning** is the point of the exercise.  Every type, label,
 coercion, labeled type, and threesome decoded from an image goes back
@@ -108,26 +124,35 @@ from .bytecode import (
 )
 from .regalloc import (
     R_BLAME,
+    R_BR_PRIM1,
+    R_BR_PRIM2,
     R_FUSED,
     R_JUMP,
+    R_OPCODE_NAMES,
+    R_PRIM1,
+    R_PRIM2,
+    R_PRIMN,
     R_RETURN,
     R_SIGS,
     R_TAILCALL,
+    R_WIDTHS,
     RCode,
-    compile_registers,
+    instruction_width,
     register_fingerprint,
 )
 
 #: The on-disk format version.  Bump on any incompatible layout change; the
 #: loader rejects mismatches before reading anything version-dependent.
-#: v2 added the IR marker and optional register-code sections (PR 6); v1
-#: images (stack-only, no IR marker) are rejected with a version mismatch.
-FORMAT_VERSION = 2
+#: v3 images hold one IR: a register image stores register code only, where
+#: a v2 register image also carried the stack code it was converted from.
+FORMAT_VERSION = 3
 
-#: The IR kinds an image can carry.  ``"register"`` images hold the stack
-#: sections *plus* a packed register stream per code object, so one image
-#: serves both engines.
-IMAGE_IRS = ("stack", "register")
+#: The IRs an image can hold, one per image: each one's code class, and
+#: the fingerprint of its instruction set, which the header carries.
+IMAGE_IRS = {
+    "stack": (CodeObject, opcode_fingerprint),
+    "register": (RCode, register_fingerprint),
+}
 
 #: Every image starts with these six bytes.
 GRADB_MAGIC = b"GRADB\x00"
@@ -150,23 +175,22 @@ class ImageInfo:
     opt_level: int
     semantics: str
     static_type: Type | None
-    #: Which IR the image carries: ``"stack"`` or ``"register"`` (the latter
-    #: includes the stack sections too).
+    #: Which IR the image holds: ``"stack"`` or ``"register"``.
     ir: str = "stack"
 
 
 @dataclass
 class LoadedImage:
-    """A deserialized program: the entry code object plus its provenance.
+    """A compiled program, loaded or fresh: its entry code plus provenance.
 
-    ``rcode`` is the entry register code when the image carries the register
-    IR (``info.ir == "register"``); the pool's ``rcodes`` list is wired up
-    alongside it, so the entry is directly runnable on the register VM.
+    ``code`` is in the image's IR (``info.ir``): a stack
+    :class:`~repro.compiler.bytecode.CodeObject` whose children are
+    ``code.pool.codes``, or a register :class:`~repro.compiler.regalloc.RCode`
+    whose children are ``code.pool.rcodes``.
     """
 
-    code: CodeObject
+    code: CodeObject | RCode
     info: ImageInfo
-    rcode: RCode | None = None
 
 
 def source_fingerprint(text: str) -> str:
@@ -264,40 +288,43 @@ class _Reader:
     def signed(self) -> int:
         return _unzigzag(self.varint())
 
-    def pairs(self, count: int) -> list[tuple[int, int]]:
-        """Decode ``count`` varint pairs — the instruction-stream hot loop.
+    def varints(self, count: int) -> list[int]:
+        """Decode ``count`` varints — the code-object hot loop.
 
-        Nearly every opcode and most operands fit one varint byte, so the
-        single-byte case is inlined and the generic continuation loop only
-        runs for large pool indices and jump targets.
+        Nearly every opcode, operand and register word fits one varint
+        byte, so the single-byte case is inlined and the generic
+        continuation loop only runs for large pool indices and branch
+        targets.
         """
         data = self._data
         pos = self._pos
         limit = self._len
-        out: list[tuple[int, int]] = []
+        out: list[int] = []
         append = out.append
         for _ in range(count):
-            pair = []
-            for _half in (0, 1):
+            if pos >= limit:
+                raise ImageError("truncated image")
+            byte = data[pos]
+            pos += 1
+            value = byte & 0x7F
+            shift = 7
+            while byte & 0x80:
                 if pos >= limit:
                     raise ImageError("truncated image")
                 byte = data[pos]
                 pos += 1
-                value = byte & 0x7F
-                shift = 7
-                while byte & 0x80:
-                    if pos >= limit:
-                        raise ImageError("truncated image")
-                    byte = data[pos]
-                    pos += 1
-                    value |= (byte & 0x7F) << shift
-                    shift += 7
-                    if shift > 10 * 7:
-                        raise ImageError("malformed varint in image")
-                pair.append(value)
-            append((pair[0], pair[1]))
+                value |= (byte & 0x7F) << shift
+                shift += 7
+                if shift > 10 * 7:
+                    raise ImageError("malformed varint in image")
+            append(value)
         self._pos = pos
         return out
+
+    def pairs(self, count: int) -> list[tuple[int, int]]:
+        """Decode ``count`` varint pairs: a stack instruction stream."""
+        values = iter(self.varints(2 * count))
+        return list(zip(values, values))
 
     def string(self) -> str:
         length = self.varint()
@@ -562,10 +589,10 @@ def _write_const(out: bytearray, tables: _Tables, entry: object) -> None:
         raise ImageError(f"cannot serialize constant-pool entry: {entry!r}")
 
 
-def _write_code(out: bytearray, tables: _Tables, obj: CodeObject) -> None:
+def _write_header(out: bytearray, tables: _Tables, obj: CodeObject | RCode) -> None:
+    """The fields a code object has in either IR."""
     _write_varint(out, tables.name_ref(obj.name))
     _write_varint(out, obj.n_free)
-    _write_varint(out, obj.n_locals)
     if obj.param is None:
         out.append(0)
     else:
@@ -575,14 +602,19 @@ def _write_code(out: bytearray, tables: _Tables, obj: CodeObject) -> None:
     for name in obj.local_names:
         _write_varint(out, tables.name_ref(name))
     _write_varint(out, obj.opt_level)
+
+
+def _write_code(out: bytearray, tables: _Tables, obj: CodeObject) -> None:
+    _write_header(out, tables, obj)
+    _write_varint(out, obj.n_locals)
     _write_varint(out, len(obj.instructions))
     for opcode, operand in obj.instructions:
         _write_varint(out, opcode)
         _write_varint(out, operand)
 
 
-def _write_rcode(out: bytearray, robj: RCode) -> None:
-    """One register section: register-file size, pinned constants, words."""
+def _write_rcode(out: bytearray, tables: _Tables, robj: RCode) -> None:
+    _write_header(out, tables, robj)
     _write_varint(out, robj.n_regs)
     _write_varint(out, len(robj.const_regs))
     for index in robj.const_regs:
@@ -593,12 +625,10 @@ def _write_rcode(out: bytearray, robj: RCode) -> None:
 
 
 def serialize_image(
-    code: CodeObject,
+    code: CodeObject | RCode,
     source_hash: str = "",
     static_type: Type | None = None,
     ir: str = "stack",
-    *,
-    rcode: RCode | None = None,
 ) -> bytes:
     """Encode a compiled program as ``.gradb`` image bytes.
 
@@ -607,15 +637,18 @@ def serialize_image(
     and the program's static type, so a loaded image can report
     ``value : type`` without re-elaborating anything.
 
-    ``ir="register"`` additionally appends a packed register section per
-    code object (plus the register-opcode fingerprint to the header), so the
-    loaded image is directly runnable on the register VM without
-    re-converting.  ``rcode`` is the program's register code when the caller
-    has already converted ``code`` (its children are ``code.pool.rcodes``);
-    otherwise the register converter runs here.
+    ``ir`` names the program's IR: ``code`` is a stack
+    :class:`~repro.compiler.bytecode.CodeObject` for ``"stack"`` and the
+    :class:`~repro.compiler.regalloc.RCode` that
+    :func:`~repro.compiler.rvm.compile_register_program` returns for
+    ``"register"``.  The writer neither converts nor validates: what it
+    writes is checked when it is loaded.
     """
     if ir not in IMAGE_IRS:
-        raise ImageError(f"unknown image IR: {ir!r} (expected one of {IMAGE_IRS})")
+        raise ImageError(f"unknown image IR: {ir!r} (expected one of {tuple(IMAGE_IRS)})")
+    code_class, fingerprint = IMAGE_IRS[ir]
+    if not isinstance(code, code_class):
+        raise ImageError(f"a {ir} image holds {code_class.__name__} code, not {code!r}")
     pool = code.pool
     tables = _Tables()
     payload = bytearray()
@@ -634,24 +667,18 @@ def serialize_image(
     _write_varint(payload, len(pool.prims))
     for _, _, _, name in pool.prims:
         _write_str(payload, name)
-    _write_varint(payload, len(pool.codes))
-    for child in pool.codes:
-        _write_code(payload, tables, child)
-    _write_code(payload, tables, code)
-    if ir == "register":
-        entry_rcode = rcode if rcode is not None else compile_registers(code)
-        for child_rcode in pool.rcodes:
-            _write_rcode(payload, child_rcode)
-        _write_rcode(payload, entry_rcode)
+    children, write = (pool.codes, _write_code) if ir == "stack" else (pool.rcodes, _write_rcode)
+    _write_varint(payload, len(children))
+    for child in children:
+        write(payload, tables, child)
+    write(payload, tables, code)
 
     out = bytearray()
     out.extend(GRADB_MAGIC)
     _write_varint(out, FORMAT_VERSION)
-    out.extend(opcode_fingerprint())
-    _write_str(out, pool.semantics)
     _write_str(out, ir)
-    if ir == "register":
-        out.extend(register_fingerprint())
+    out.extend(fingerprint())
+    _write_str(out, pool.semantics)
     _write_varint(out, code.opt_level)
     _write_str(out, source_hash)
     _write_signed(out, static_ref)
@@ -901,10 +928,10 @@ def _read_names(reader: _Reader) -> list[str]:
     return [reader.string() for _ in range(reader.varint())]
 
 
-def _read_code(reader: _Reader, pool: ConstantPool, names: list[str]) -> CodeObject:
+def _read_header(reader: _Reader, names: list[str]) -> tuple:
+    """``(name, n_free, param, local_names, opt_level)`` of a code object."""
     name = _table_ref(reader, names, "name")
     n_free = reader.varint()
-    n_locals = reader.varint()
     flag = reader.byte()
     if flag == 1:
         param: str | None = _table_ref(reader, names, "name")
@@ -913,7 +940,12 @@ def _read_code(reader: _Reader, pool: ConstantPool, names: list[str]) -> CodeObj
     else:
         raise ImageError(f"malformed parameter flag in image: {flag}")
     local_names = tuple(_table_ref(reader, names, "name") for _ in range(reader.varint()))
-    opt_level = reader.varint()
+    return name, n_free, param, local_names, reader.varint()
+
+
+def _read_code(reader: _Reader, pool: ConstantPool, names: list[str]) -> CodeObject:
+    name, n_free, param, local_names, opt_level = _read_header(reader, names)
+    n_locals = reader.varint()
     instructions = reader.pairs(reader.varint())
     obj = CodeObject(name, instructions, pool, n_free, n_locals, param, local_names)
     obj.opt_level = opt_level
@@ -924,135 +956,34 @@ def _read_code(reader: _Reader, pool: ConstantPool, names: list[str]) -> CodeObj
     return obj
 
 
-def _read_rcode(reader: _Reader, pool: ConstantPool, obj: CodeObject) -> RCode:
-    """Decode one register section; shape metadata comes from the stack
-    code object it parallels (same name, frees, parameter, opt level)."""
+def _read_rcode(reader: _Reader, pool: ConstantPool, names: list[str]) -> RCode:
+    name, n_free, param, local_names, opt_level = _read_header(reader, names)
     n_regs = reader.varint()
-    const_regs = tuple(reader.varint() for _ in range(reader.varint()))
+    const_regs = tuple(reader.varints(reader.varint()))
     for index in const_regs:
         if index >= len(pool.consts):
             raise ImageError(f"out-of-range pinned constant in image: {index}")
     try:
-        words = array("I", (reader.varint() for _ in range(reader.varint())))
-        return RCode(
-            obj.name, words, pool, obj.n_free, n_regs, const_regs,
-            obj.param, obj.local_names, obj.opt_level,
-        )
+        words = array("I", reader.varints(reader.varint()))
     except (OverflowError, ValueError) as exc:
         raise ImageError(f"malformed register section in image: {exc}") from exc
+    # Below its pinned constants a frame holds the captured values, the
+    # argument, and registers the code writes: each one a word of it.  The
+    # bound keeps a forged size from allocating a huge frame.
+    if n_regs - len(const_regs) > n_free + 1 + len(words):
+        raise ImageError(f"register file of {name!r} in image is larger than its code")
+    return RCode(name, words, pool, n_free, n_regs, const_regs, param, local_names, opt_level)
 
 
-#: Register opcodes after which control never reaches the next word: a
-#: return, a tail call, a jump or blame, alone or as a fused pair's second
-#: half.  Every stream must end in one.
-_R_ENDS = (R_RETURN, R_TAILCALL, R_JUMP, R_BLAME)
-_R_FINAL = frozenset(_R_ENDS) | frozenset(
-    fused for fused, (_, second) in R_FUSED.items() if second in _R_ENDS
-)
-
-
-def _validate_registers(robj: RCode) -> None:
-    """Reject register streams that are mis-shaped or index outside their
-    register file or pools (the register twin of :func:`_validate_image`)."""
-    from .regalloc import R_OPCODE_NAMES, R_WIDTHS, instruction_width
-
-    pool = robj.pool
-    words = robj.words
-    n = len(words)
-    n_regs = robj.n_regs
-    # A call writes the captured values and the argument into r0..r(n_free).
-    if n_regs < robj.n_free + 1:
-        raise ImageError(
-            f"register file of {robj.name!r} too small: {n_regs} registers "
-            f"for {robj.n_free} captured values and the argument"
-        )
-    if len(robj.const_regs) > n_regs:
-        raise ImageError(
-            f"register file of {robj.name!r} too small for its "
-            f"{len(robj.const_regs)} pinned constants"
-        )
-    for index in robj.const_regs:
-        if not isinstance(pool.consts[index], MConst):
-            raise ImageError(f"pinned constant {index} in image is not a value")
-    kind_limits = {
-        "c": len(pool.coercions),
-        "p": len(pool.prims),
-        "k": len(pool.consts),
-        "L": len(pool.labels),
-        "C": len(pool.codes),
-        "t": n,
-    }
-    starts: set[int] = set()
-    targets: list[int] = []
-    op = None
-    pc = 0
-    while pc < n:
-        starts.add(pc)
-        op = words[pc]
-        sig = R_SIGS.get(op)
-        if sig is None:
-            raise ImageError(f"unknown register opcode in image: {op}")
-        # The fixed part first: it holds the count word of any source list.
-        if pc + R_WIDTHS[op] > n or pc + instruction_width(op, words, pc) > n:
-            raise ImageError(
-                f"truncated register instruction in image: {R_OPCODE_NAMES[op]} at {pc}"
-            )
-        i = pc + 1
-        for ch in sig:
-            w = words[i]
-            if ch == "d" or ch == "s":
-                if w >= n_regs:
-                    raise ImageError(
-                        f"out-of-range register in image: {R_OPCODE_NAMES[op]} r{w}"
-                    )
-            elif ch == "n":
-                for extra in words[i + 1 : i + 1 + w]:
-                    if extra >= n_regs:
-                        raise ImageError(
-                            f"out-of-range register in image: "
-                            f"{R_OPCODE_NAMES[op]} r{extra}"
-                        )
-                i += w
-            else:
-                if w >= kind_limits[ch]:
-                    raise ImageError(
-                        f"out-of-range operand in image: {R_OPCODE_NAMES[op]} {w}"
-                    )
-                if ch == "t":
-                    targets.append(w)
-                # A closure captures exactly its code's free variables (the
-                # count word follows the code index).
-                if ch == "C" and words[i + 1] != pool.codes[w].n_free:
-                    raise ImageError(
-                        f"closure of {pool.codes[w].name!r} in image captures "
-                        f"{words[i + 1]} values for {pool.codes[w].n_free} free variables"
-                    )
-            i += 1
-        pc = i
-    # Control must never run off the end of the stream or land mid-instruction.
-    if op not in _R_FINAL:
-        raise ImageError(f"register stream of {robj.name!r} in image falls off its end")
-    for target in targets:
-        if target not in starts:
-            raise ImageError(
-                f"branch target in image is not an instruction of {robj.name!r}: {target}"
-            )
-
-
-def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
-    """Decode ``.gradb`` bytes into a runnable program plus its provenance.
+def deserialize_image(data: bytes) -> LoadedImage:
+    """Decode and validate ``.gradb`` bytes: a runnable program plus its
+    provenance.
 
     Raises :class:`ImageError` on anything that is not a well-formed image
     of this library's format version and instruction set: wrong magic, a
     format-version mismatch, an opcode-set fingerprint mismatch, truncation,
-    checksum failure, or malformed section contents.
-
-    ``validate=False`` skips the operand bounds check
-    (:func:`_validate_image`) — the defence against *crafted* images that
-    checksum correctly but index outside their pools.  The compile cache
-    uses it for entries it wrote itself (same trust domain as the code
-    running; accidental corruption is still caught by the checksum); keep
-    it on for images from anywhere else.
+    checksum failure, malformed section contents, or code that fails
+    validation (see the module docstring).
     """
     if len(data) < len(GRADB_MAGIC) + 1:
         raise ImageError("truncated image (shorter than the magic)")
@@ -1073,30 +1004,21 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
     if zlib.crc32(data[:-4]) != stored_crc:
         raise ImageError("corrupt image (checksum mismatch)")
 
-    fingerprint = reader.take(8)
-    if fingerprint != opcode_fingerprint():
+    ir = reader.string()
+    if ir not in IMAGE_IRS:
+        raise ImageError(f"unknown image IR: {ir!r}")
+    _, fingerprint = IMAGE_IRS[ir]
+    if reader.take(8) != fingerprint():
         raise ImageError(
-            "opcode-set mismatch: the image was compiled against a different "
-            "instruction set than this library executes"
+            f"opcode-set mismatch: the image's {ir} code was compiled against a "
+            "different instruction set than this library executes"
         )
-
     semantics = reader.string()
     if semantics not in SEMANTICS_NAMES:
         raise ImageError(
             f"enforcement-semantics mismatch: image carries semantics id "
             f"{semantics!r}, this library reads {SEMANTICS_NAMES}"
         )
-    ir = reader.string()
-    if ir not in IMAGE_IRS:
-        raise ImageError(f"unknown image IR: {ir!r}")
-    if ir == "register":
-        r_fingerprint = reader.take(8)
-        if r_fingerprint != register_fingerprint():
-            raise ImageError(
-                "register-opcode-set mismatch: the image's register streams "
-                "were packed against a different register instruction set "
-                "than this library executes"
-            )
     opt_level = reader.varint()
     source_hash = reader.string()
     static_ref = reader.signed()
@@ -1154,27 +1076,176 @@ def deserialize_image(data: bytes, validate: bool = True) -> LoadedImage:
             raise ImageError(f"image references an unknown primitive: {name!r}") from exc
         if prim_index != index:
             raise ImageError("duplicate prim-pool entry in image")
-    for _ in range(reader.varint()):
-        pool.add_code(_read_code(reader, pool, names))
-    entry_code = _read_code(reader, pool, names)
-    entry_rcode = None
-    if ir == "register":
-        pool.rcodes = [_read_rcode(reader, pool, child) for child in pool.codes]
-        entry_rcode = _read_rcode(reader, pool, entry_code)
+    read = _read_code if ir == "stack" else _read_rcode
+    children = [read(reader, pool, names) for _ in range(reader.varint())]
+    entry_code = read(reader, pool, names)
     reader.take(4)  # the checksum, already verified
     if not reader.at_end():
         raise ImageError("trailing bytes after image payload")
 
-    if validate:
+    if ir == "stack":
+        pool.codes = children
         _validate_image(entry_code, opt_level)
-        if entry_rcode is not None:
-            for robj in [*pool.rcodes, entry_rcode]:
-                _validate_registers(robj)
+    else:
+        pool.rcodes = children
+        for robj in (entry_code, *children):
+            _validate_registers(robj, opt_level, robj is entry_code)
     return LoadedImage(
-        entry_code,
-        ImageInfo(version, source_hash, opt_level, semantics, static_type, ir),
-        entry_rcode,
+        entry_code, ImageInfo(version, source_hash, opt_level, semantics, static_type, ir)
     )
+
+
+def _check_level(obj: CodeObject | RCode, opt_level: int) -> None:
+    """Every code object carries the header's ``-O`` level: the engines read
+    a frame's inline-cache cells by the level of the code it entered."""
+    if obj.opt_level != opt_level:
+        raise ImageError(
+            f"code object {obj.name!r} is at -O{obj.opt_level} in an -O{opt_level} image"
+        )
+
+
+def _meet(joins: dict, target: int, pc: int, assigned: set, name: str) -> None:
+    """Record the slots written on a branch from ``pc`` to ``target``.  The
+    compiler branches forward only, so one pass in stream order sees every
+    way into an instruction before the instruction itself."""
+    if target <= pc:
+        raise ImageError(f"backward branch in image: {name!r} pc {pc} -> {target}")
+    seen = joins.get(target)
+    if seen is None:
+        joins[target] = set(assigned)
+    else:
+        seen &= assigned
+
+
+#: The base opcode and signature of each half of a register instruction, in
+#: execution order (one half for a base opcode, two for a fused one).
+_R_HALVES = {op: [(op, R_SIGS[op])] for op in R_OPCODE_NAMES if op not in R_FUSED}
+for _fused, _pair in R_FUSED.items():
+    _R_HALVES[_fused] = [(half, R_SIGS[half]) for half in _pair]
+
+#: Register opcodes after which control never reaches the next word.
+_R_ENDS = (R_RETURN, R_TAILCALL, R_JUMP, R_BLAME)
+
+#: The operator arity each primitive opcode applies (``PRIMN``: its count).
+_R_ARITY = {R_PRIM1: 1, R_BR_PRIM1: 1, R_PRIM2: 2, R_BR_PRIM2: 2}
+
+
+def _validate_registers(robj: RCode, opt_level: int, entry: bool) -> None:
+    """Reject register code that could fail mid-run for a reason other than
+    the program's own (the register twin of :func:`_validate_image`).
+
+    A frame starts with its pinned constants and, unless it is the entry,
+    its captured values and argument; the walk in stream order tracks the
+    registers written on every path into each instruction, so no path may
+    read a register before writing it."""
+    _check_level(robj, opt_level)
+    pool = robj.pool
+    words = robj.words
+    n = len(words)
+    n_regs = robj.n_regs
+    name = robj.name
+    # A call writes the captured values and the argument into r0..r(n_free),
+    # below the pinned constants.
+    unpinned = n_regs - len(robj.const_regs)
+    if unpinned < robj.n_free + 1:
+        raise ImageError(
+            f"register file of {name!r} too small: {n_regs} registers for "
+            f"{robj.n_free} captured values, the argument and "
+            f"{len(robj.const_regs)} pinned constants"
+        )
+    for index in robj.const_regs:
+        if not isinstance(pool.consts[index], MConst):
+            raise ImageError(f"pinned constant {index} in image is not a value")
+    limits = {
+        "c": len(pool.coercions),
+        "p": len(pool.prims),
+        "k": len(pool.consts),
+        "L": len(pool.labels),
+        "C": len(pool.rcodes),
+        "t": n,
+    }
+    everything = set(range(n_regs))
+    # Written registers on the way into the next instruction; None where no
+    # path falls through to it.
+    state: set | None = set(range(unpinned, n_regs))
+    if not entry:
+        state.update(range(robj.n_free + 1))
+    joins: dict[int, set] = {}
+    pc = 0
+    while pc < n:
+        join = joins.pop(pc, None)
+        if join is not None:
+            state = join if state is None else state & join
+        # Code no path reaches never runs: every read there passes.
+        assigned = everything if state is None else state
+        op = words[pc]
+        halves = _R_HALVES.get(op)
+        if halves is None:
+            raise ImageError(f"unknown register opcode in image: {op}")
+        if len(halves) == 2 and robj.opt_level < 2:
+            raise ImageError(
+                f"fused register instruction {R_OPCODE_NAMES[op]} in -O{robj.opt_level} "
+                f"code of {name!r}"
+            )
+        # The fixed part first: it holds the count word of any source list.
+        if pc + R_WIDTHS[op] > n or pc + instruction_width(op, words, pc) > n:
+            raise ImageError(
+                f"truncated register instruction in image: {R_OPCODE_NAMES[op]} at {pc}"
+            )
+        i = pc + 1
+        for half, sig in halves:
+            # A half reads its sources before it writes its destination.
+            written = []
+            prim = count = None
+            for ch in sig:
+                w = words[i]
+                if ch in "dsn":
+                    regs = (w,)
+                    if ch == "n":
+                        count, regs = w, words[i + 1 : i + 1 + w]
+                        i += w
+                    for reg in regs:
+                        if reg >= n_regs:
+                            raise ImageError(
+                                f"out-of-range register in image: {R_OPCODE_NAMES[op]} r{reg}"
+                            )
+                        if ch == "d":
+                            written.append(reg)
+                        elif reg not in assigned:
+                            raise ImageError(
+                                f"register r{reg} of {name!r} in image may be read "
+                                f"before it is written (pc {pc})"
+                            )
+                elif w >= limits[ch]:
+                    raise ImageError(f"out-of-range operand in image: {R_OPCODE_NAMES[op]} {w}")
+                elif ch == "t":
+                    _meet(joins, w, pc, assigned, name)
+                elif ch == "p":
+                    prim = w
+                elif ch == "C" and words[i + 1] != pool.rcodes[w].n_free:
+                    # A closure captures exactly its code's free variables
+                    # (the count word follows the code index).
+                    raise ImageError(
+                        f"closure of {pool.rcodes[w].name!r} in image captures "
+                        f"{words[i + 1]} values for {pool.rcodes[w].n_free} free variables"
+                    )
+                i += 1
+            if prim is not None:
+                arity = count if half == R_PRIMN else _R_ARITY[half]
+                if pool.prims[prim][1] != arity:
+                    raise ImageError(
+                        f"operator {pool.prims[prim][3]!r} in image applied to "
+                        f"{arity} operands: {R_OPCODE_NAMES[op]} at {name!r} pc {pc}"
+                    )
+            assigned.update(written)
+        if halves[-1][0] in _R_ENDS:
+            state = None
+        pc = i
+    # Control must never run off the end of the stream or land mid-instruction.
+    if state is not None:
+        raise ImageError(f"register stream of {name!r} in image falls off its end")
+    for target in joins:
+        raise ImageError(f"branch target in image is not an instruction of {name!r}: {target}")
 
 
 #: ``(pops, pushes)`` of every stack opcode whose effect is fixed;
@@ -1199,19 +1270,22 @@ _STACK_EFFECTS = {
 }
 
 #: Opcodes after which control never reaches the next instruction.
-_PATH_ENDS = (RETURN, TAILCALL, BLAME)
+_PATH_ENDS = (RETURN, TAILCALL, BLAME, JUMP)
 
 
 def _validate_image(code: CodeObject, opt_level: int) -> None:
-    """Reject instruction streams that index outside their pools, push a
-    bare type as a value, or break stack discipline.
+    """Reject stack code that indexes outside its pools, pushes a bare type
+    as a value, or breaks stack discipline or definite assignment.
 
     The VM dispatches on unchecked small integers, so a malformed (but
     checksum-valid) image must be caught here rather than as an ``IndexError``
     mid-run.  Operand interpretation follows the disassembler's decoding.
-    Every code object must also carry the header's ``-O`` level: the VM
-    reads each frame's inline-cache cells by the level of the code it
-    entered.
+
+    Each code object is walked in stream order, from operand-stack depth 0
+    with its captured values and argument stored (none for the entry): the
+    depth may never go negative, every way into an instruction must agree
+    on the depth, a local may only be loaded once every path has stored it,
+    and control must end in ``RETURN``, ``TAILCALL``, ``JUMP`` or ``BLAME``.
     """
     pool = code.pool
     limits = {
@@ -1224,73 +1298,68 @@ def _validate_image(code: CodeObject, opt_level: int) -> None:
         MAKE_CLOSURE: len(pool.codes),
     }
     for obj in all_code_objects(code):
-        if obj.opt_level != opt_level:
-            raise ImageError(
-                f"code object {obj.name!r} is at -O{obj.opt_level} in an "
-                f"-O{opt_level} image"
-            )
-        n = len(obj.instructions)
-        for op, arg in obj.instructions:
+        _check_level(obj, opt_level)
+        insns = obj.instructions
+        n = len(insns)
+        name = obj.name
+        # A frame holds the captured values, the argument and the slots the
+        # code stores: the bound keeps a forged count from a huge frame.
+        if obj.n_locals > obj.n_free + 1 + n:
+            raise ImageError(f"code object {name!r} in image has more locals than code")
+        limits[LOAD] = limits[STORE] = obj.n_locals
+        limits[JUMP] = limits[JUMP_IF_FALSE] = n
+        # (depth, stored locals) on the way into the next instruction, or
+        # None where no path falls through to it; ``joins`` and ``depths``
+        # hold the same for the branch targets ahead.
+        state: tuple[int, set] | None = (0, set() if obj is code else set(range(obj.n_free + 1)))
+        joins: dict[int, set] = {}
+        depths: dict[int, int] = {}
+        for pc, (op, arg) in enumerate(insns):
             if op not in OPCODE_NAMES:
                 raise ImageError(f"unknown opcode in image: {op}")
-            if op in (LOAD, STORE):
-                limit = obj.n_locals
-            elif op in (JUMP, JUMP_IF_FALSE):
-                limit = n
-            else:
-                limit = limits.get(op)
+            limit = limits.get(op)
             if limit is not None and arg >= limit:
-                raise ImageError(
-                    f"out-of-range operand in image: {OPCODE_NAMES[op]} {arg}"
-                )
+                raise ImageError(f"out-of-range operand in image: {OPCODE_NAMES[op]} {arg}")
             if op == PUSH_CONST and not isinstance(pool.consts[arg], MConst):
                 raise ImageError(f"PUSH_CONST operand {arg} in image is not a value")
-        _check_stack_depths(obj)
-
-
-def _check_stack_depths(obj: CodeObject) -> None:
-    """Walk every path of one code object from pc 0 at operand-stack depth
-    0: the depth may never go negative, each join must be reached at one
-    depth, and each path must end in ``RETURN``, ``TAILCALL`` or ``BLAME``.
-    Operands are already known to be in range."""
-    insns = obj.instructions
-    n = len(insns)
-    pool = obj.pool
-    depth_at: list[int | None] = [None] * n
-    work = [(0, 0)]
-    while work:
-        pc, depth = work.pop()
-        if pc >= n:
-            raise ImageError(f"code object {obj.name!r} in image runs off its end")
-        seen = depth_at[pc]
-        if seen is not None:
-            if seen != depth:
+            if pc in joins:
+                stored = joins.pop(pc)
+                if state is None:
+                    state = (depths[pc], stored)
+                elif state[0] != depths[pc]:
+                    raise ImageError(f"inconsistent operand-stack depth in image: {name!r} pc {pc}")
+                else:
+                    state = (state[0], state[1] & stored)
+            if state is None:
+                continue  # no path reaches it: it never runs
+            depth, stored = state
+            if op == MAKE_CLOSURE:
+                pops, pushes = pool.codes[arg].n_free, 1
+            elif op == PRIM:
+                pops, pushes = pool.prims[arg][1], 1
+            else:
+                pops, pushes = _STACK_EFFECTS[op]
+            if depth < pops:
                 raise ImageError(
-                    f"inconsistent operand-stack depth in image: {obj.name!r} pc {pc}"
+                    f"operand-stack underflow in image: {OPCODE_NAMES[op]} at {name!r} pc {pc}"
                 )
-            continue
-        depth_at[pc] = depth
-        op, arg = insns[pc]
-        if op == MAKE_CLOSURE:
-            pops, pushes = pool.codes[arg].n_free, 1
-        elif op == PRIM:
-            pops, pushes = pool.prims[arg][1], 1
-        else:
-            pops, pushes = _STACK_EFFECTS[op]
-        if depth < pops:
-            raise ImageError(
-                f"operand-stack underflow in image: {OPCODE_NAMES[op]} at "
-                f"{obj.name!r} pc {pc}"
-            )
-        depth += pushes - pops
-        if op in _PATH_ENDS:
-            continue
-        if op == JUMP:
-            work.append((arg, depth))
-            continue
-        if op == JUMP_IF_FALSE:
-            work.append((arg, depth))
-        work.append((pc + 1, depth))
+            if op == LOAD and arg not in stored:
+                raise ImageError(
+                    f"local {arg} of {name!r} in image may be loaded before it is stored "
+                    f"(pc {pc})"
+                )
+            if op == STORE:
+                stored.add(arg)
+            depth += pushes - pops
+            if op == JUMP or op == JUMP_IF_FALSE:
+                if depths.setdefault(arg, depth) != depth:
+                    raise ImageError(
+                        f"inconsistent operand-stack depth in image: {name!r} pc {arg}"
+                    )
+                _meet(joins, arg, pc, stored, name)
+            state = None if op in _PATH_ENDS else (depth, stored)
+        if state is not None:
+            raise ImageError(f"code object {name!r} in image runs off its end")
 
 
 # ---------------------------------------------------------------------------
@@ -1299,15 +1368,14 @@ def _check_stack_depths(obj: CodeObject) -> None:
 
 
 def save_image(
-    code: CodeObject,
+    code: CodeObject | RCode,
     path: str | os.PathLike,
     source_hash: str = "",
     static_type: Type | None = None,
     ir: str = "stack",
-    *,
-    rcode: RCode | None = None,
 ) -> Path:
-    """Serialize a compiled program to ``path``, atomically.
+    """Serialize a compiled program (see :func:`serialize_image`) to
+    ``path``, atomically.
 
     The bytes are written to a temporary sibling and moved into place with
     :func:`os.replace`, so concurrent readers (and the compile cache, which
@@ -1318,14 +1386,11 @@ def save_image(
     *without* the atomic rename — simulating a crash mid-``os.replace`` on a
     filesystem that does not order the data and rename.  The cache's
     recovery path must treat the result as corrupt and recompile.
-
-    ``rcode`` is passed through to :func:`serialize_image`.
     """
     from ..core.faults import current_plan
 
     path = Path(path)
-    data = serialize_image(code, source_hash=source_hash, static_type=static_type, ir=ir,
-                           rcode=rcode)
+    data = serialize_image(code, source_hash, static_type, ir)
     path.parent.mkdir(parents=True, exist_ok=True)
     plan = current_plan()
     if plan is not None and plan.fires("torn_write"):
@@ -1347,10 +1412,11 @@ def save_image(
     return path
 
 
-def load_image(path: str | os.PathLike, validate: bool = True) -> LoadedImage:
-    """Read and decode a ``.gradb`` image from disk (see :func:`deserialize_image`)."""
+def load_image(path: str | os.PathLike) -> LoadedImage:
+    """Read, decode and validate a ``.gradb`` image from disk (see
+    :func:`deserialize_image`)."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ImageError(f"cannot read image {path}: {exc}") from exc
-    return deserialize_image(data, validate=validate)
+    return deserialize_image(data)

@@ -206,10 +206,7 @@ def _obtain_image(job: dict, memo: WorkerMemo):
             found = (lower_term(term), static_type)
             evicted = _remember(memo.front_ends, source_hash, found, _FRONT_END_MEMO_CAP)
             if evicted is not None:
-                # A pool and its code objects reference each other; unlinking
-                # them lets the dropped program be freed now rather than at
-                # the next full garbage collection.
-                evicted[0].pool.codes.clear()
+                _unlink(evicted[0].pool)
         return found
 
     if job.get("use_cache", True):
@@ -221,71 +218,59 @@ def _obtain_image(job: dict, memo: WorkerMemo):
         image = compile_image(lowered, source_hash, ty, semantics, opt_level, ir)
         status = "off"
 
-    _remember(memo.images, key, image, _IMAGE_MEMO_CAP)
+    evicted = _remember(memo.images, key, image, _IMAGE_MEMO_CAP)
+    if evicted is not None:
+        _unlink(evicted.code.pool)
     return image, status
 
 
-def _run_image(image, fuel: int | None) -> dict:
-    """Execute a loaded image and shape the batch-runner result fields
-    (JSON-ready: serve and ``batch`` write them as they are)."""
-    from ..api import run_image
-    from ..machine.values import json_value
-
-    started = time.perf_counter()
-    result = run_image(image, fuel)
-    finished = time.perf_counter()
-    fields = {
-        "kind": result.kind,
-        "steps": result.steps,
-        "max_pending_mediators": (result.space_stats or {}).get("max_pending_mediators", 0),
-        "run_s": finished - started,
-    }
-    if result.is_value:
-        fields["value"] = json_value(result.value)
-        if result.type is not None:
-            fields["type"] = str(result.type)
-    elif result.is_blame:
-        fields["blame"] = str(result.blame_label)
-    return fields
+def _unlink(pool) -> None:
+    """Drop a program the worker memo evicted.  Its pool and code objects
+    reference each other; unlinking them lets the program be freed now
+    rather than at the next full garbage collection."""
+    pool.codes.clear()
+    pool.rcodes.clear()
 
 
 def handle_job(job: dict, memo: WorkerMemo) -> dict:
-    """One job to one result dict: what a worker does with each job it
-    receives (and what the batch runner's inline mode does in-process).
+    """One job to one JSON-ready result dict (serve and ``batch`` write it
+    as it is): what a worker does with each job it receives, and what the
+    batch runner's inline mode does in-process.
 
-    ``run_image`` jobs carry serialized image bytes; ``run_source`` jobs
-    carry source text or a cache address (see :func:`_obtain_image`).
-    ``memo`` is the worker's :class:`WorkerMemo`.
+    The one op is ``run_source``: a job carries source text or a cache
+    address (see :func:`_obtain_image`).  ``memo`` is the worker's
+    :class:`WorkerMemo`.
     """
+    from ..api import run_image
     from ..core.errors import ReproError
+    from ..machine.values import json_value
 
     op = job.get("op")
-    if op == "run_image":
-        from ..compiler.serialize import deserialize_image
-
-        started = time.perf_counter()
-        with _deadline(job.get("deadline_s")):
-            try:
-                image = deserialize_image(job["image"], validate=False)
-            except ReproError as exc:
-                return {"kind": "error", "error": str(exc)}
-            loaded = time.perf_counter()
-            result = _run_image(image, job.get("fuel"))
-        result["load_s"] = loaded - started
-        return result
-    if op == "run_source":
-        started = time.perf_counter()
-        with _deadline(job.get("deadline_s")):
-            try:
-                image, status = _obtain_image(job, memo)
-            except ReproError as exc:
-                return {"kind": "error", "error": str(exc), "cache": None}
-            loaded = time.perf_counter()
-            result = _run_image(image, job.get("fuel"))
-        result["cache"] = status
-        result["compile_s"] = loaded - started
-        return result
-    return {"kind": "error", "error": f"unknown pool op: {op!r}"}
+    if op != "run_source":
+        return {"kind": "error", "error": f"unknown pool op: {op!r}"}
+    started = time.perf_counter()
+    with _deadline(job.get("deadline_s")):
+        try:
+            image, status = _obtain_image(job, memo)
+        except ReproError as exc:
+            return {"kind": "error", "error": str(exc), "cache": None}
+        loaded = time.perf_counter()
+        result = run_image(image, job.get("fuel"))
+        fields = {
+            "kind": result.kind,
+            "steps": result.steps,
+            "max_pending_mediators": (result.space_stats or {}).get("max_pending_mediators", 0),
+            "run_s": time.perf_counter() - loaded,
+            "cache": status,
+            "compile_s": loaded - started,
+        }
+        if result.is_value:
+            fields["value"] = json_value(result.value)
+            if result.type is not None:
+                fields["type"] = str(result.type)
+        elif result.is_blame:
+            fields["blame"] = str(result.blame_label)
+    return fields
 
 
 def _worker_main(conn, parent_end, slot: int, faults_spec: str, seed: int) -> None:

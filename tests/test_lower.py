@@ -89,8 +89,7 @@ def _words(rcode) -> list[tuple]:
 
 def _image_bytes(image) -> bytes:
     info = image.info
-    return serialize_image(image.code, info.source_hash, info.static_type, info.ir,
-                           rcode=image.rcode)
+    return serialize_image(image.code, info.source_hash, info.static_type, info.ir)
 
 
 def _assert_lowers_like_b_to_s(term_b) -> None:
@@ -114,13 +113,11 @@ def _assert_lowers_like_b_to_s(term_b) -> None:
             image = compile_image(lowered, "", None, semantics, level, "stack")
             assert _image_bytes(image) == expected_bytes, where
 
-            code, rcode = compile_register_program(term_b, semantics, level)
-            expected = opt.optimize(reference(), level)
-            expected_rcode = compile_registers(expected)
-            _assert_same_code(code, expected, where)
+            rcode = compile_register_program(term_b, semantics, level)
+            expected_rcode = compile_registers(opt.optimize(reference(), level))
             assert _words(rcode) == _words(expected_rcode), where
-            expected_bytes = serialize_image(expected, ir="register", rcode=expected_rcode)
-            assert serialize_image(code, ir="register", rcode=rcode) == expected_bytes, where
+            expected_bytes = serialize_image(expected_rcode, ir="register")
+            assert serialize_image(rcode, ir="register") == expected_bytes, where
             image = compile_image(lowered, "", None, semantics, level, "register")
             assert _image_bytes(image) == expected_bytes, where
     assert (_shape(lowered), list(lowered.pool.coercions)) == before

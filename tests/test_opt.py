@@ -4,16 +4,20 @@ The optimizer's contract: ``-O1``/``-O2`` never change observables — the
 projected value, the blame label, timeout behaviour — and never *grow* the
 pending-mediator footprint, on either mediator backend.  The ``-O0`` stream
 is the oracle throughout.  The rest pins down the mechanics: identity
-elision, static pre-composition through ``#``/``∘``, jump remapping, the
-stack VM's ``-O2`` (the shared passes' stream plus inline-cache cells),
-disassembler round trips of optimized streams, the inline mediator caches,
-and the single-sourced fuel defaults.
+elision, static pre-composition through ``#``/``∘`` in one sweep that
+reaches the streams the old rerun-until-unchanged pass reached
+(``tests/reference_opt.py``), jump remapping, the stack VM's ``-O2`` (the
+shared passes' stream plus inline-cache cells), disassembler round trips of
+optimized streams, the inline mediator caches, and the single-sourced fuel
+defaults.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from repro.compiler import (
     DEFAULT_OPT_LEVEL,
@@ -33,6 +37,9 @@ from repro.compiler.bytecode import (
     JUMP,
     JUMP_IF_FALSE,
     OPCODE_NAMES,
+    RETURN,
+    CodeObject,
+    ConstantPool,
 )
 from repro.core.labels import label
 from repro.core.terms import App, Cast, Coerce, If, Lam, Let, Op, Var, const_bool, const_int
@@ -49,11 +56,16 @@ from repro.gen.programs import (
     untyped_client_bad_argument,
     untyped_library_bad_result,
 )
-from repro.lambda_s.coercions import identity_for
-from repro.semantics import NATURAL_SEMANTICS_NAMES
+from repro.compiler.lower import lower_term, with_semantics
+from repro.experiment.lattice import ProgramLattice, render_configuration
+from repro.gen.surface_programs import generate_corpus
+from repro.lambda_s.coercions import IdBase, Injection, Projection, identity_for, intern_space
+from repro.semantics import NATURAL_SEMANTICS_NAMES, SEMANTICS_NAMES
+from repro.surface.interp import compile_source
 from repro.translate import b_to_s
 
-from .strategies import lambda_b_programs
+from .reference_opt import optimize as fixpoint_optimize
+from .strategies import lambda_b_programs, lattice_configurations
 
 P = label("p")
 
@@ -212,6 +224,82 @@ class TestElision:
 # ---------------------------------------------------------------------------
 # The stack VM's -O2: the shared stream plus inline-cache cells
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# One sweep reaches the old pass's fixpoint
+# ---------------------------------------------------------------------------
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples" / "programs").glob("*.grad"))
+
+
+def _half_untyped(source: str) -> str:
+    """``source`` with every other annotatable binding left unannotated."""
+    lattice = ProgramLattice.from_source(source)
+    return render_configuration(lattice, set(lattice.typeable_names[::2]))[0]
+
+
+CORPUS = [(name, _half_untyped(source))
+          for name, source in generate_corpus(64, seed=16, bindings=8)]
+
+
+def _resolved_streams(code) -> list[list[tuple[int, int]]]:
+    """Each instruction stream with its mediator operands resolved to the
+    identity of their (interned) pool entries, which the two passes number
+    differently."""
+    coercions = code.pool.coercions
+    return [[(op, id(coercions[arg]) if op in (COERCE, COMPOSE) else arg)
+             for op, arg in obj.instructions]
+            for obj in all_code_objects(code)]
+
+
+def _assert_one_sweep_reaches_the_fixpoint(term) -> None:
+    lowered = lower_term(term)
+    for semantics in SEMANTICS_NAMES:
+        swept = optimize(with_semantics(lowered, semantics), 1)
+        fixpoint = fixpoint_optimize(with_semantics(lowered, semantics))
+        assert _resolved_streams(swept) == _resolved_streams(fixpoint), semantics
+        # Only the mediator each run folds to enters the pool.
+        assert len(swept.pool.coercions) <= len(fixpoint.pool.coercions), semantics
+
+
+class TestOneSweep:
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+    def test_shipped_examples(self, path):
+        _assert_one_sweep_reaches_the_fixpoint(compile_source(path.read_text())[0])
+
+    @pytest.mark.parametrize("name, source", CORPUS, ids=[name for name, _ in CORPUS])
+    def test_generated_corpus(self, name, source):
+        _assert_one_sweep_reaches_the_fixpoint(compile_source(source)[0])
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lattice_configurations())
+    def test_lattice_configurations(self, source):
+        _assert_one_sweep_reaches_the_fixpoint(compile_source(source)[0])
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lambda_b_programs())
+    def test_random_terms(self, program):
+        _assert_one_sweep_reaches_the_fixpoint(program[0])
+
+    @pytest.mark.parametrize("landing, length", [(None, 3), (2, 4), (3, 6), (4, 4)])
+    def test_landing_sites_and_vanishing_runs(self, landing, length):
+        # int! then int?p fold to id[int]: the COERCE run vanishes unless a
+        # jump lands on its second half, and the COMPOSEs around it then
+        # meet unless a jump landed on the run or the second COMPOSE.
+        inj = intern_space(Injection(IdBase(INT), INT))
+        proj = intern_space(Projection(INT, P, IdBase(INT)))
+        streams = []
+        for run in (optimize, fixpoint_optimize):
+            pool = ConstantPool()
+            i, p = pool.add_canonical_mediator(inj), pool.add_canonical_mediator(proj)
+            code = CodeObject("<main>", [
+                (JUMP_IF_FALSE, 5 if landing is None else landing),
+                (COMPOSE, i), (COERCE, i), (COERCE, p), (COMPOSE, p), (RETURN, 0),
+            ], pool, 0, 0, None, ())
+            streams.append(_resolved_streams(run(code)))
+        assert streams[0] == streams[1]
+        assert len(streams[0][0]) == length
 
 
 class TestOptimizedStreams:

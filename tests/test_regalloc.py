@@ -22,12 +22,10 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.compiler import (
     OPT_LEVELS,
-    all_code_objects,
     all_rcodes,
     compile_register_program,
     compile_registers,
     compile_term,
-    instruction_streams,
 )
 from repro.semantics import SEMANTICS_NAMES
 from repro.surface.interp import compile_source
@@ -51,16 +49,11 @@ def _assert_converts_like_the_reference(term) -> None:
             expected = reference_streams(stack_code)
             assert _streams(compile_registers(stack_code)) == expected, (semantics, level)
 
-            code, rcode = compile_register_program(term, semantics, level)
+            rcode = compile_register_program(term, semantics, level)
             assert _streams(rcode) == expected, (semantics, level)
-            # One IR: the stack VM runs exactly what register conversion reads.
-            assert instruction_streams(stack_code) == instruction_streams(code), (
-                semantics, level,
-            )
-            for obj in all_code_objects(code):
-                # The register pipeline builds no stack cache cells.
-                assert obj.caches is None
-                assert obj.opt_level == level
+            # One IR per program: no stack code is left beside the words.
+            assert rcode.pool.codes == []
+            assert all(obj.opt_level == level for obj in all_rcodes(rcode))
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)

@@ -6,9 +6,9 @@ with the stack VM on every observable — projected values, blame labels,
 timeouts, and the space profile (``max_pending_mediators`` and
 ``max_pending_size``) — under both mediator backends at both ``-O0`` and
 ``-O2``; register disassembly round-trips through its parser; ``.gradb``
-images carry register code at format v2 and reject older versions with a
-clear error; and the compile cache keys the IR so register images never
-collide with stack images of the same source.
+register images hold register code only at format v3 and reject older
+versions with a clear error; and the compile cache keys the IR so register
+images never collide with stack images of the same source.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from repro.compiler import (
     GRADB_MAGIC,
     ImageError,
     cache_path,
+    RCode,
     cached_compile,
+    compile_register_program,
     compile_registers,
     compile_term,
     deserialize_image,
@@ -34,7 +36,6 @@ from repro.compiler import (
     load_image,
     parse_register_disassembly,
     register_streams,
-    run_code,
     run_on_rvm,
     run_on_vm,
     run_rcode,
@@ -159,56 +160,80 @@ class TestDisassembly:
 
 
 # ---------------------------------------------------------------------------
-# Register .gradb images (format v2)
+# Register .gradb images (format v3)
 # ---------------------------------------------------------------------------
 
 
 class TestRegisterImages:
     def _compile(self, semantics="coercion", opt_level=2):
         term, ty = compile_source(SQUARE)
-        return compile_term(term, semantics=semantics, opt_level=opt_level), ty
+        return compile_register_program(term, semantics, opt_level), ty
 
     @pytest.mark.parametrize("semantics", NATURAL_SEMANTICS_NAMES)
     @pytest.mark.parametrize("opt_level", OPT_LEVELS)
     def test_register_image_round_trips_and_runs(self, tmp_path, semantics, opt_level):
-        code, ty = self._compile(semantics, opt_level)
+        rcode, ty = self._compile(semantics, opt_level)
         path = tmp_path / "square.gradb"
-        save_image(code, path, static_type=ty, ir="register")
+        save_image(rcode, path, static_type=ty, ir="register")
         image = load_image(path)
         assert image.info.ir == "register"
-        assert image.rcode is not None
-        _assert_same_outcome(run_rcode(image.rcode),
-                             run_code(image.code))
-        _assert_same_outcome(run_rcode(image.rcode),
-                             run_rcode(compile_registers(code)))
+        # One IR: the loaded program is register code with no stack code.
+        assert isinstance(image.code, RCode) and image.code.pool.codes == []
+        assert register_streams(image.code) == register_streams(rcode)
+        _assert_same_outcome(run_rcode(image.code), run_rcode(rcode))
+
+    def test_a_register_program_references_no_stack_code(self):
+        import gc
+        import types
+
+        from repro.compiler import CodeObject
+        from repro.compiler.cache import compile_image
+
+        term, ty = compile_source(SQUARE)
+        compiled = compile_image(term, "", ty, ir="register")
+        loaded = deserialize_image(serialize_image(compiled.code, "", ty, "register"))
+        opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+        for image in (compiled, loaded):
+            seen, todo = set(), [image]
+            while todo:
+                obj = todo.pop()
+                if id(obj) in seen or isinstance(obj, opaque):
+                    continue
+                seen.add(id(obj))
+                assert not isinstance(obj, CodeObject), obj
+                todo.extend(gc.get_referents(obj))
+            assert isinstance(image.code, RCode) and image.code.pool.rcodes
 
     def test_stack_images_load_without_register_code(self, tmp_path):
-        code, ty = self._compile()
+        term, ty = compile_source(SQUARE)
         path = tmp_path / "square.gradb"
-        save_image(code, path, static_type=ty)
+        save_image(compile_term(term), path, static_type=ty)
         image = load_image(path)
         assert image.info.ir == "stack"
-        assert image.rcode is None
+        assert image.code.pool.rcodes == []
+
+    def test_an_image_holds_only_its_own_ir(self):
+        term, _ = compile_source(SQUARE)
+        with pytest.raises(ImageError, match="register image holds RCode code"):
+            serialize_image(compile_term(term), ir="register")
+        with pytest.raises(ImageError, match="stack image holds CodeObject code"):
+            serialize_image(self._compile()[0], ir="stack")
 
     def test_old_format_version_is_rejected_with_a_clear_error(self):
-        code, _ = self._compile()
-        data = serialize_image(code, ir="register")
+        data = serialize_image(self._compile()[0], ir="register")
         assert data[len(GRADB_MAGIC)] == FORMAT_VERSION  # single-byte varint
         patched = bytearray(data)
-        patched[len(GRADB_MAGIC)] = 1  # a v1 image from an older toolchain
+        patched[len(GRADB_MAGIC)] = 2  # a v2 image from an older toolchain
         body = bytes(patched[:-4])
-        with pytest.raises(ImageError, match=r"version mismatch.*v1.*v2"):
+        with pytest.raises(ImageError, match=r"version mismatch.*v2.*v3"):
             deserialize_image(body + zlib.crc32(body).to_bytes(4, "big"))
 
     def test_truncated_register_section_is_rejected(self):
-        code, _ = self._compile()
-        data = serialize_image(code, ir="register")
-        stack_only = serialize_image(code, ir="stack")
-        # Cutting inside the register sections (past the stack payload) must
-        # fail the checksum, not return a half-parsed image.
-        cut = len(stack_only) + (len(data) - len(stack_only)) // 2
-        with pytest.raises(ImageError):
-            deserialize_image(data[:cut])
+        data = serialize_image(self._compile()[0], ir="register")
+        # Cutting inside the code objects must fail, not half-parse.
+        for keep in range(len(data) // 2, len(data)):
+            with pytest.raises(ImageError):
+                deserialize_image(data[:keep])
 
 
 class TestCacheIRKey:
@@ -220,7 +245,6 @@ class TestCacheIRKey:
 
     def test_register_cache_miss_converts_once(self, tmp_path, monkeypatch):
         import repro.compiler.regalloc as regalloc
-        import repro.compiler.serialize as serialize
 
         calls = []
         convert = regalloc.compile_registers
@@ -230,7 +254,6 @@ class TestCacheIRKey:
             return convert(code)
 
         monkeypatch.setattr(regalloc, "compile_registers", counting)
-        monkeypatch.setattr(serialize, "compile_registers", counting)
         result = api.run(SQUARE, engine="rvm", cache=True, cache_dir=str(tmp_path))
         assert result.cache_status == "miss" and result.value == 36
         assert len(calls) == 1
@@ -241,12 +264,12 @@ class TestCacheIRKey:
         term, ty = compile_source(SQUARE)
         miss = cached_compile(term, static_type=ty, cache_dir=tmp_path, ir="register")
         assert miss.status == "miss"
-        assert miss.image.rcode is not None
+        assert isinstance(miss.image.code, RCode)
         hit = cached_compile(term, static_type=ty, cache_dir=tmp_path, ir="register")
         assert hit.status == "hit"
         assert hit.image.info.ir == "register"
-        _assert_same_outcome(run_rcode(hit.image.rcode),
-                             run_rcode(miss.image.rcode))
+        _assert_same_outcome(run_rcode(hit.image.code),
+                             run_rcode(miss.image.code))
 
     def test_run_source_warm_rvm_equals_cold(self, tmp_path):
         cold = api.run(SQUARE, engine="rvm", cache=True, cache_dir=str(tmp_path))

@@ -205,22 +205,6 @@ class TestWorkerPool:
             assert second["cache"] == "hit"
             assert pool.info()["recycled"] >= 1
 
-    def test_run_image_job(self, tmp_path):
-        from repro.compiler.serialize import serialize_image, source_fingerprint
-        from repro.compiler.vm import compile_term
-        from repro.surface.interp import compile_source
-
-        term, ty = compile_source(SQUARE)
-        data = serialize_image(compile_term(term), static_type=ty,
-                               source_hash=source_fingerprint(SQUARE))
-        with WorkerPool(1) as pool:
-            result = pool.execute(
-                {"op": "run_image", "program": "sq", "image": data, "fuel": None}
-            )
-            assert (result["kind"], result["value"]) == ("value", 36)
-            assert result["program"] == "sq"
-            assert "load_s" in result and "run_s" in result
-
     def test_unknown_op_is_an_error(self):
         with WorkerPool(1) as pool:
             assert pool.execute({"op": "nope"})["kind"] == "error"
@@ -335,8 +319,7 @@ class TestFrontEndMemo:
 
         def image_bytes(image) -> bytes:
             info = image.info
-            return serialize_image(image.code, info.source_hash, info.static_type, info.ir,
-                                   rcode=image.rcode)
+            return serialize_image(image.code, info.source_hash, info.static_type, info.ir)
 
         ir = "register" if engine == "rvm" else "stack"
         assert len(memo.images) == len(ALL_SEMANTICS)
@@ -380,6 +363,31 @@ class TestFrontEndMemo:
             for source in sources[1:]:
                 handle_job(job(source, use_cache=False), memo)
             assert source_fingerprint(sources[0]) not in memo.front_ends
+            assert pool() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("engine", ["vm", "rvm"])
+    def test_an_evicted_image_is_freed_without_a_collection(self, engine):
+        import gc
+        import weakref
+
+        from repro.serve.pool import _IMAGE_MEMO_CAP, WorkerMemo, handle_job
+
+        memo = WorkerMemo()
+        sources = [f"((lambda ([x : int]) (+ x {index})) 1)\n"
+                   for index in range(_IMAGE_MEMO_CAP + 1)]
+        handle_job(job(sources[0], engine=engine, use_cache=False), memo)
+        image, = memo.images.values()
+        # The closure's code object points back at the pool.
+        assert image.code.pool.codes or image.code.pool.rcodes
+        pool = weakref.ref(image.code.pool)
+        del image
+        gc.disable()
+        try:
+            for source in sources[1:]:
+                handle_job(job(source, engine=engine, use_cache=False), memo)
+            assert len(memo.images) == _IMAGE_MEMO_CAP
             assert pool() is None
         finally:
             gc.enable()
