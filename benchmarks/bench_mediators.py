@@ -1,15 +1,16 @@
 """Experiment: the enforcement-semantics sweep — composition *and* execution.
 
-Grown out of the threesome-versus-``#`` benchmark (the suite keeps its
-``threesomes`` name so the artifact stays ``BENCH_threesomes.json`` and old
-measurement names remain comparable), this now sweeps the full
-:mod:`repro.semantics` registry:
+Grown out of the threesome-versus-``#`` benchmark (its measurement names
+are kept, so rows compare with the older ``BENCH_threesomes.json``), this
+sweeps the full :mod:`repro.semantics` registry and writes
+``BENCH_mediators.json``:
 
 * **composition micro-benchmarks** (the original §6.1 experiment): folding
   long boundary chains and random composable pairs with ``∘`` versus ``#``,
   asserting identical results through the representation map;
-* **full engine comparison**: the λS CEK machine and the bytecode VM run the
-  boundary workloads under every registered semantics.  The Natural pair
+* **full engine comparison**: the λS CEK machine, the stack VM and the
+  register VM (``rvm``, at ``-O2`` like the stack VM) run the boundary
+  workloads under every registered semantics.  The Natural pair
   (``coercion``, ``threesome``) must agree on every observable with
   *identical* pending footprints (``check_mediator_oracle`` asserts the
   whole 4-backend matrix first); Transient and Erasure are the two ends of
@@ -25,11 +26,15 @@ measurement names remain comparable), this now sweeps the full
     from Natural by design.
 
   The λS space guarantee is *asserted* for every ``space_bounded`` backend,
-  not just recorded: on boundary-heavy workloads the VM must report
+  not just recorded: on boundary-heavy workloads both VMs must report
   ``max_pending_mediators ≤ 1`` (one composed pending slot per frame), and
   the pure tail loop must report 1 on the CEK machine too (the machine
   holds a short transient second mediator on workloads that return through
   a non-tail cast, so those assert a constant ≤ 2).
+
+Every timed row records its median and interquartile range over at least
+:data:`MIN_REPEAT` runs, so a row can be compared with the same row of
+another recording against its own noise.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import pytest
 
 import harness
 
-from repro.compiler import compile_term, run_code
+from repro.compiler import compile_register_program, compile_term, run_code, run_rcode
 from repro.core.labels import Label
 from repro.core.types import DYN, INT
 from repro.gen.coercions_gen import random_composable_space_pair
@@ -82,6 +87,17 @@ ENGINE_WORKLOADS = [
 #: The two Natural presentations — the original experiment's pair, held to
 #: strict observational equality (identical footprints included).
 NATURAL = ("coercion", "threesome")
+
+#: Fewest timed runs per row, whatever ``--repeat`` asks: a quartile of
+#: three runs is no measure of noise.
+MIN_REPEAT = 15
+
+#: Each compiled engine: how it compiles a λB term under a semantics, and
+#: how it runs the result.
+COMPILED_ENGINES = {
+    "vm": (compile_term, run_code),
+    "rvm": (compile_register_program, run_rcode),
+}
 
 
 def _compose_microbenchmarks(suite: harness.Suite) -> None:
@@ -144,20 +160,21 @@ def _engine_comparison(suite: harness.Suite) -> None:
                 max_pending_mediators=outcome.stats["max_pending_mediators"],
             )
 
-        for backend in SEMANTICS_NAMES:
-            code = compile_term(term, semantics=backend)
-            outcome = run_code(code)
-            pendings[("vm", backend)] = outcome.stats["max_pending_mediators"]
-            cells[("vm", backend)] = suite.measure(
-                f"vm/{backend}/{name}",
-                lambda code=code: run_code(code),
-                check=lambda r, outcome=outcome: r.kind == outcome.kind,
-                engine="vm", semantics=backend, workload=name,
-                boundary_heavy=boundary_heavy,
-                max_pending_mediators=outcome.stats["max_pending_mediators"],
-            )
+        for engine, (compile_for, run) in COMPILED_ENGINES.items():
+            for backend in SEMANTICS_NAMES:
+                code = compile_for(term, semantics=backend)
+                outcome = run(code)
+                pendings[(engine, backend)] = outcome.stats["max_pending_mediators"]
+                cells[(engine, backend)] = suite.measure(
+                    f"{engine}/{backend}/{name}",
+                    lambda code=code, run=run: run(code),
+                    check=lambda r, outcome=outcome: r.kind == outcome.kind,
+                    engine=engine, semantics=backend, workload=name,
+                    boundary_heavy=boundary_heavy,
+                    max_pending_mediators=outcome.stats["max_pending_mediators"],
+                )
 
-        for engine in ("machine", "vm"):
+        for engine in ("machine", *COMPILED_ENGINES):
             pending_coercion = pendings[(engine, "coercion")]
             pending_threesome = pendings[(engine, "threesome")]
             # The Natural pair changes only what a pending mediator *is*,
@@ -170,7 +187,7 @@ def _engine_comparison(suite: harness.Suite) -> None:
                 # The space guarantee itself, for every space-bounded
                 # backend: one pending slot per VM frame; the machine holds
                 # a transient second on non-tail returns (constant ≤ 2).
-                bound = 1 if (engine == "vm" or pure_tail) else 2
+                bound = 1 if (engine != "machine" or pure_tail) else 2
                 for backend in SEMANTICS_NAMES:
                     if not SEMANTICS[backend].space_bounded:
                         continue
@@ -198,7 +215,7 @@ def _engine_comparison(suite: harness.Suite) -> None:
 
 
 def build_suite(repeat: int) -> harness.Suite:
-    suite = harness.Suite("threesomes", repeat)
+    suite = harness.Suite("mediators", max(repeat, MIN_REPEAT))
     _compose_microbenchmarks(suite)
     _engine_comparison(suite)
     return suite
@@ -259,4 +276,4 @@ def test_vm_under_each_semantics(benchmark, semantics):
 
 
 if __name__ == "__main__":
-    sys.exit(harness.main("threesomes", build_suite))
+    sys.exit(harness.main("mediators", build_suite))

@@ -36,7 +36,8 @@ class Measurement:
     """One timed (or derived) quantity.
 
     Timed measurements report the **min** (the least-noise estimate of the
-    true cost) and the **median** (robust against a single fast outlier);
+    true cost), the **median** (robust against a single fast outlier) and
+    the **interquartile range** (the run-to-run spread around the median);
     the mean is kept for continuity with older ``BENCH_*.json`` artifacts.
     """
 
@@ -44,6 +45,7 @@ class Measurement:
     best_s: float | None = None
     mean_s: float | None = None
     median_s: float | None = None
+    iqr_s: float | None = None
     runs: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -53,6 +55,7 @@ class Measurement:
             payload["best_s"] = self.best_s
             payload["mean_s"] = self.mean_s
             payload["median_s"] = self.median_s
+            payload["iqr_s"] = self.iqr_s
         payload.update(self.meta)
         return payload
 
@@ -83,11 +86,13 @@ class Suite:
             start = time.perf_counter()
             fn()
             timings.append(time.perf_counter() - start)
+        q1, _, q3 = statistics.quantiles(timings, n=4) if repeat > 1 else (0.0, 0.0, 0.0)
         measurement = Measurement(
             name,
             best_s=min(timings),
             mean_s=sum(timings) / len(timings),
             median_s=statistics.median(timings),
+            iqr_s=q3 - q1,
             runs=repeat,
             meta=meta,
         )
@@ -117,9 +122,10 @@ class Suite:
             if m.best_s is not None:
                 timing = (
                     f"min {m.best_s * 1e3:9.3f} ms   median {m.median_s * 1e3:9.3f} ms"
+                    f"   iqr {m.iqr_s * 1e3:7.3f} ms"
                 )
             else:
-                timing = " " * 44
+                timing = " " * 61
             extras = "  ".join(f"{k}={v}" for k, v in m.meta.items())
             print(f"  {m.name:<{width}}  {timing}  {extras}")
 

@@ -164,17 +164,26 @@ class ConstantPool:
         self._label_index: dict[Label, int] = {}
         self._prim_index: dict[str, int] = {}
 
-    def add_const(self, value: object) -> int:
-        key = (type(value).__name__, repr(value))
-        idx = self._const_index.get(key)
+    def add_const(self, ty: Type) -> int:
+        """Pool the interned type ``ty`` (``MAKE_FIX``'s operand) once.
+        Interned types are equal exactly when they are the same object."""
+        idx = self._const_index.get(id(ty))
         if idx is None:
             idx = len(self.consts)
-            self.consts.append(value)
-            self._const_index[key] = idx
+            self.consts.append(ty)
+            self._const_index[id(ty)] = idx
         return idx
 
     def add_machine_const(self, value: object, ty: Type) -> int:
-        return self.add_const(MConst(value, ty))
+        """Pool the constant ``value : ty`` (``ty`` interned) once.  The
+        value's class is part of the key, so ``#t`` and ``1`` stay apart."""
+        key = (value.__class__, value, id(ty))
+        idx = self._const_index.get(key)
+        if idx is None:
+            idx = len(self.consts)
+            self.consts.append(MConst(value, ty))
+            self._const_index[key] = idx
+        return idx
 
     def add_canonical_mediator(self, canon: object) -> int:
         """Pool an *already canonical* mediator in this pool's representation.

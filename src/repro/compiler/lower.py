@@ -62,7 +62,7 @@ from ..core.terms import (
     Snd,
     Term,
     Var,
-    free_vars,
+    children,
 )
 from ..core.types import Type
 from ..lambda_s.coercions import IdBase, IdDyn, SpaceCoercion, intern_space
@@ -105,9 +105,11 @@ class _CodeBuilder:
     """Mutable state for one code object under construction."""
 
     def __init__(self, name: str, pool: ConstantPool, free: tuple[str, ...], param: str | None,
-                 lambda_b: bool):
+                 lambda_b: bool, frees: dict[int, tuple[str, ...]]):
         self.name = name
         self.pool = pool
+        # Every λ's sorted free variables, by id (see _record_frees).
+        self.frees = frees
         # Set when the program is a λB term: a coercion node is then an
         # error, as in |·|BC.
         self.lambda_b = lambda_b
@@ -274,14 +276,37 @@ def _compile_mediated(builder: _CodeBuilder, subject: Term, canon: SpaceCoercion
 
 
 def _compile_closure(builder: _CodeBuilder, lam: Lam) -> None:
-    free = tuple(sorted(free_vars(lam)))
-    child = _CodeBuilder(f"λ{lam.param}", builder.pool, free, lam.param, builder.lambda_b)
+    free = builder.frees[id(lam)]
+    child = _CodeBuilder(f"λ{lam.param}", builder.pool, free, lam.param, builder.lambda_b,
+                         builder.frees)
     _compile(child, lam.body, tail=True)
     code = child.finish()
     index = builder.pool.add_code(code)
     for name in free:
         builder.emit(LOAD, builder.resolve(name))
     builder.emit(MAKE_CLOSURE, index)
+
+
+def _record_frees(term: Term, frees: dict[int, tuple[str, ...]]) -> set[str]:
+    """The free variables of ``term``, recording each λ's, sorted, in
+    ``frees`` under the λ's id: one bottom-up walk per program, where a
+    walk per λ would cross the bodies of the λs around it again."""
+    if isinstance(term, Var):
+        return {term.name}
+    if isinstance(term, Lam):
+        names = _record_frees(term.body, frees)
+        names.discard(term.param)
+        frees[id(term)] = tuple(sorted(names))
+        return names
+    if isinstance(term, Let):
+        names = _record_frees(term.body, frees)
+        names.discard(term.name)
+        return names | _record_frees(term.bound, frees)
+    names = set()
+    if isinstance(term, Term):  # anything else is rejected by _compile
+        for child in children(term):
+            names |= _record_frees(child, frees)
+    return names
 
 
 def lower_program(
@@ -301,7 +326,9 @@ def lower_program(
     coercions are dropped either way — they are identities in every backend.
     """
     pool = ConstantPool()
-    builder = _CodeBuilder(name, pool, free=(), param=None, lambda_b=lambda_b)
+    frees: dict[int, tuple[str, ...]] = {}
+    _record_frees(term, frees)
+    builder = _CodeBuilder(name, pool, free=(), param=None, lambda_b=lambda_b, frees=frees)
     _compile(builder, term, tail=True)
     code = builder.finish()
     return code if semantics == "coercion" else with_semantics(code, semantics)

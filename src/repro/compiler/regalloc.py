@@ -17,7 +17,7 @@ relative to the stack IR, each removing per-instruction Python-object work:
 * **constants pinned in the register file.**  Each code object's used pool
   constants are appended to its register file as read-only registers
   (``RCode.const_regs``), pre-filled in the frame template
-  (``RCode.blank``).  A value operand is then always a plain register
+  (``RCode.rest``).  A value operand is then always a plain register
   number — the hot loop reads ``regs[w]`` with no tag test, and constants
   flow into consumers without materialization instructions.
 
@@ -292,10 +292,10 @@ class RCode:
     rvm's dispatch loop indexes (a tuple fetch skips the array item's int
     boxing).  The register file extends the stack code's locals —
     ``[free vars..., parameter, let slots..., stack temporaries...,
-    pinned constants...]`` — and ``blank`` is its per-call template with
-    the constants (``const_regs``, pool indices in register order) already
-    in place: a call frame is ``blank.copy()`` plus the captured values and
-    the argument.
+    pinned constants...]`` — and ``rest`` is the per-call template of the
+    registers after the argument, with the constants (``const_regs``, pool
+    indices in register order) already in place: a call frame is the one
+    list display ``[*captured, argument, *rest]``.
     """
 
     __slots__ = (
@@ -306,7 +306,7 @@ class RCode:
         "n_free",
         "n_regs",
         "const_regs",
-        "blank",
+        "rest",
         "param",
         "local_names",
         "caches",
@@ -332,9 +332,9 @@ class RCode:
         self.n_free = n_free
         self.n_regs = n_regs
         self.const_regs = const_regs
-        self.blank = [None] * (n_regs - len(const_regs)) + [
+        self.rest = (None,) * (n_regs - len(const_regs) - n_free - 1) + tuple(
             pool.consts[i] for i in const_regs
-        ]
+        )
         self.param = param
         self.local_names = local_names
         self.opt_level = opt_level

@@ -7,8 +7,9 @@ single ``pending`` slot per frame, same inline mediator caches — with the
 per-instruction Python-object overhead cut four ways:
 
 * **no operand stack.**  Values live in a frame-local register file (a flat
-  list, pre-filled from the code object's ``blank`` template with the
-  constants the code reads pinned at the top); instructions read operands
+  list built by one list display: the captured values, the argument, then
+  the code object's ``rest`` template, which holds the constants the code
+  reads pinned at the top); instructions read operands
   by plain index — ``regs[w]`` — and write one destination.  The stack
   VM's ``append``/``pop`` traffic, and every ``LOAD``/``PUSH_CONST``/
   ``STORE`` dispatch that only fed it, is gone.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from ..core.errors import EvaluationError
 from ..core.fuel import DEFAULT_VM_FUEL
-from ..core.ops import operand_type_error, raised_by_meaning
+from ..core.ops import operand_type_error
 from ..core.terms import Term
 from ..machine.cek import MachineOutcome
 from ..machine.policy import MachineBlame
@@ -88,7 +89,6 @@ from .regalloc import (
     R_PRIM2_TAILCALL,
     R_PRIMN,
     R_RETURN,
-    R_SIGS,
     R_SND,
     R_TAILCALL,
     RCode,
@@ -215,7 +215,7 @@ class RVM:
         frames: list = []  # caller frames: (stream, pc, regs, pending, caches, dst)
         stream = code.stream
         pc = 0
-        regs: list = code.blank.copy()
+        regs: list = [None] * (code.n_free + 1) + [*code.rest]
         pending = None  # the frame's single pending result coercion
         caches = code.caches  # per-site inline-cache cells (None below -O2)
         stats.inline_caches = caches is not None
@@ -277,7 +277,10 @@ class RVM:
                         raise EvaluationError(
                             f"operator {name!r} applied to a non-constant: {a!r}"
                         )
-                    cond = fn(a.value)
+                    try:
+                        cond = fn(a.value)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
                     if cond is False:
                         pc = stream[pc + 6]
                     elif cond is True:
@@ -389,7 +392,11 @@ class RVM:
                                 raise EvaluationError(
                                     f"operator {name!r} applied to a non-constant"
                                 )
-                            regs[stream[pc + 1]] = MConst(fn(a.value, b.value), result_type)
+                            try:
+                                result = fn(a.value, b.value)
+                            except TypeError as exc:
+                                raise operand_type_error(name, exc) from exc
+                            regs[stream[pc + 1]] = MConst(result, result_type)
                             fun = regs[stream[pc + 5]]
                             arg = regs[stream[pc + 6]]
                             tail = True
@@ -487,7 +494,11 @@ class RVM:
                                 raise EvaluationError(
                                     f"operator {name!r} applied to a non-constant"
                                 )
-                            regs[stream[pc + 1]] = MConst(fn(a.value, b.value), result_type)
+                            try:
+                                result = fn(a.value, b.value)
+                            except TypeError as exc:
+                                raise operand_type_error(name, exc) from exc
+                            regs[stream[pc + 1]] = MConst(result, result_type)
                             fun = regs[stream[pc + 6]]
                             arg = regs[stream[pc + 7]]
                             tail = False
@@ -548,11 +559,7 @@ class RVM:
                                     fun = fun.under
                         if fun.__class__ is RClosure:
                             callee = fun.code
-                            new_regs = callee.blank.copy()
-                            n_free = callee.n_free
-                            if n_free:
-                                new_regs[:n_free] = fun.free
-                            new_regs[n_free] = arg
+                            new_regs = [*fun.free, arg, *callee.rest]
                         elif fun.__class__ is MFixWrap:
                             # (fix V) W → (V wrap) W; `fun` doubles as the
                             # wrapper (immutable and field-equal to a fresh
@@ -645,17 +652,26 @@ class RVM:
                                 raise EvaluationError(
                                     f"operator {name!r} applied to a non-constant"
                                 )
-                            regs[stream[pc + 1]] = MConst(fn(a.value, b.value), result_type)
+                            try:
+                                result = fn(a.value, b.value)
+                            except TypeError as exc:
+                                raise operand_type_error(name, exc) from exc
+                            regs[stream[pc + 1]] = MConst(result, result_type)
                             value = regs[stream[pc + 5]]
                             site = pc + 1
                         else:  # R_CLOSURE_RETURN
                             # [op, dst, code, n, srcs…, src]  (fused ⇒ -O2)
                             n_free = stream[pc + 3]
-                            if n_free:
+                            if n_free == 1:
+                                free = (regs[stream[pc + 4]],)
+                            elif n_free == 2:
+                                free = (regs[stream[pc + 4]], regs[stream[pc + 5]])
+                            elif n_free == 3:
+                                free = (regs[stream[pc + 4]], regs[stream[pc + 5]],
+                                        regs[stream[pc + 6]])
+                            elif n_free:
                                 base = pc + 4
-                                free = tuple(
-                                    [regs[stream[base + k]] for k in range(n_free)]
-                                )
+                                free = tuple([regs[stream[base + k]] for k in range(n_free)])
                             else:
                                 free = ()
                             regs[stream[pc + 1]] = RClosure(rcodes[stream[pc + 2]], free)
@@ -790,7 +806,14 @@ class RVM:
                 elif op == CLOSURE_BR_PRIM1:
                     # [op, dst, code, n, srcs…, prim, a, target]  (fused ⇒ -O2)
                     n_free = stream[pc + 3]
-                    if n_free:
+                    if n_free == 1:
+                        free = (regs[stream[pc + 4]],)
+                    elif n_free == 2:
+                        free = (regs[stream[pc + 4]], regs[stream[pc + 5]])
+                    elif n_free == 3:
+                        free = (regs[stream[pc + 4]], regs[stream[pc + 5]],
+                                regs[stream[pc + 6]])
+                    elif n_free:
                         base = pc + 4
                         free = tuple([regs[stream[base + k]] for k in range(n_free)])
                     else:
@@ -803,7 +826,10 @@ class RVM:
                         raise EvaluationError(
                             f"operator {name!r} applied to a non-constant: {a!r}"
                         )
-                    cond = fn(a.value)
+                    try:
+                        cond = fn(a.value)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
                     if cond is False:
                         pc = stream[base + 2]
                     elif cond is True:
@@ -856,7 +882,11 @@ class RVM:
                         raise EvaluationError(
                             f"operator {name!r} applied to a non-constant"
                         )
-                    regs[stream[pc + 2]] = MConst(fn(a.value, b.value), result_type)
+                    try:
+                        result = fn(a.value, b.value)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
+                    regs[stream[pc + 2]] = MConst(result, result_type)
                     pc += 6
                 elif op == BR_PRIM2:
                     # [op, prim, a, b, target]
@@ -867,7 +897,10 @@ class RVM:
                         raise EvaluationError(
                             f"operator {name!r} applied to a non-constant"
                         )
-                    cond = fn(a.value, b.value)
+                    try:
+                        cond = fn(a.value, b.value)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
                     if cond is False:
                         pc = stream[pc + 4]
                     elif cond is True:
@@ -885,7 +918,11 @@ class RVM:
                         raise EvaluationError(
                             f"operator {name!r} applied to a non-constant"
                         )
-                    regs[stream[pc + 1]] = MConst(fn(a.value, b.value), result_type)
+                    try:
+                        result = fn(a.value, b.value)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
+                    regs[stream[pc + 1]] = MConst(result, result_type)
                     pc += 5
                 elif op == MOVE_PRIM2:
                     # [op, dst1, src1, dst2, prim, a, b]  (fused ⇒ -O2)
@@ -897,7 +934,11 @@ class RVM:
                         raise EvaluationError(
                             f"operator {name!r} applied to a non-constant"
                         )
-                    regs[stream[pc + 3]] = MConst(fn(a.value, b.value), result_type)
+                    try:
+                        result = fn(a.value, b.value)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
+                    regs[stream[pc + 3]] = MConst(result, result_type)
                     pc += 7
                 elif op == BR_PRIM1:
                     # [op, prim, a, target]
@@ -907,7 +948,10 @@ class RVM:
                         raise EvaluationError(
                             f"operator {name!r} applied to a non-constant: {a!r}"
                         )
-                    cond = fn(a.value)
+                    try:
+                        cond = fn(a.value)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
                     if cond is False:
                         pc = stream[pc + 3]
                     elif cond is True:
@@ -933,7 +977,14 @@ class RVM:
                 elif op == CLOSURE:
                     # [op, dst, code, n, srcs…]  — the canonical closure core
                     n_free = stream[pc + 3]
-                    if n_free:
+                    if n_free == 1:
+                        free = (regs[stream[pc + 4]],)
+                    elif n_free == 2:
+                        free = (regs[stream[pc + 4]], regs[stream[pc + 5]])
+                    elif n_free == 3:
+                        free = (regs[stream[pc + 4]], regs[stream[pc + 5]],
+                                regs[stream[pc + 6]])
+                    elif n_free:
                         base = pc + 4
                         free = tuple([regs[stream[base + k]] for k in range(n_free)])
                     else:
@@ -995,7 +1046,11 @@ class RVM:
                         raise EvaluationError(
                             f"operator {name!r} applied to a non-constant: {a!r}"
                         )
-                    regs[stream[pc + 1]] = MConst(fn(a.value), result_type)
+                    try:
+                        result = fn(a.value)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
+                    regs[stream[pc + 1]] = MConst(result, result_type)
                     pc += 4
                 elif op == FIX:
                     # [op, dst, src, type-const]
@@ -1028,7 +1083,11 @@ class RVM:
                                 f"operator {name!r} applied to a non-constant"
                             )
                         raw.append(operand_value.value)
-                    regs[stream[pc + 1]] = MConst(fn(*raw), result_type)
+                    try:
+                        result = fn(*raw)
+                    except TypeError as exc:
+                        raise operand_type_error(name, exc) from exc
+                    regs[stream[pc + 1]] = MConst(result, result_type)
                     pc += 4 + n
                 elif op == BLAME:
                     raise MachineBlame(labels[stream[pc + 1]])
@@ -1042,12 +1101,6 @@ class RVM:
                 tracer.blame(executed + 1, blame.label)
                 tracer.run_end("blame", snapshot)
             return MachineOutcome("blame", label=blame.label, stats=snapshot)
-        except TypeError as exc:
-            # An ill-typed operand reached a meaning function (Erasure).
-            prim = _prim_operand(stream, pc)
-            if prim is None or not raised_by_meaning(exc):
-                raise
-            raise operand_type_error(prims[prim][3], exc) from exc
 
         stats.steps = fuel
         _store_stats(stats, kd_max, pm_max, ps_max, merges, applications, hits, misses)
@@ -1055,17 +1108,6 @@ class RVM:
         if tracer is not None:
             tracer.run_end("timeout", snapshot)
         return MachineOutcome("timeout", stats=snapshot)
-
-
-def _prim_operand(stream, pc: int) -> int | None:
-    """The operator (``pool.prims`` index) the register instruction at
-    ``pc`` applies, or None if it applies none."""
-    offset = pc + 1
-    for ch in R_SIGS[stream[pc]]:
-        if ch == "p":
-            return stream[offset]
-        offset += 1 + (stream[offset] if ch == "n" else 0)
-    return None
 
 
 def _store_stats(

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from ..core.errors import EvaluationError
 from ..core.fuel import DEFAULT_VM_FUEL
-from ..core.ops import operand_type_error, raised_by_meaning
+from ..core.ops import operand_type_error
 from ..core.terms import Term
 from ..machine.cek import MachineOutcome
 from ..machine.policy import MachineBlame, MediationPolicy
@@ -434,7 +434,11 @@ class VM:
                             raise EvaluationError(
                                 f"operator {name!r} applied to a non-constant: {a!r}"
                             )
-                        stack[-1] = MConst(fn(a.value), result_type)
+                        try:
+                            result = fn(a.value)
+                        except TypeError as exc:
+                            raise operand_type_error(name, exc) from exc
+                        stack[-1] = MConst(result, result_type)
                     elif arity == 2:
                         b = stack.pop()
                         a = stack[-1]
@@ -442,7 +446,11 @@ class VM:
                             raise EvaluationError(
                                 f"operator {name!r} applied to a non-constant"
                             )
-                        stack[-1] = MConst(fn(a.value, b.value), result_type)
+                        try:
+                            result = fn(a.value, b.value)
+                        except TypeError as exc:
+                            raise operand_type_error(name, exc) from exc
+                        stack[-1] = MConst(result, result_type)
                     else:
                         raw = []
                         for operand_value in reversed([stack.pop() for _ in range(arity)]):
@@ -451,7 +459,11 @@ class VM:
                                     f"operator {name!r} applied to a non-constant"
                                 )
                             raw.append(operand_value.value)
-                        stack.append(MConst(fn(*raw), result_type))
+                        try:
+                            result = fn(*raw)
+                        except TypeError as exc:
+                            raise operand_type_error(name, exc) from exc
+                        stack.append(MConst(result, result_type))
                 elif op == JUMP_IF_FALSE:
                     cond = stack.pop()
                     if cond.__class__ is not MConst or not isinstance(cond.value, bool):
@@ -573,11 +585,6 @@ class VM:
                 tracer.blame(executed + 1, blame.label)
                 tracer.run_end("blame", snapshot)
             return MachineOutcome("blame", label=blame.label, stats=snapshot)
-        except TypeError as exc:
-            # An ill-typed operand reached a meaning function (Erasure).
-            if op != PRIM or not raised_by_meaning(exc):
-                raise
-            raise operand_type_error(prims[operand][3], exc) from exc
 
         stats.steps = fuel
         stats.mediator_applications = applications

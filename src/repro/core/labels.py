@@ -14,11 +14,12 @@ of Figure 4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
+from .records import record
 
-@dataclass(frozen=True, order=True)
+
+@record(order=True)
 class Label:
     """A blame label ``p`` or its complement ``p̄``.
 

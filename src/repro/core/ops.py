@@ -13,6 +13,7 @@ behaviour always goes through application and casts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -60,17 +61,6 @@ def operand_type_error(name: str, exc: TypeError) -> EvaluationError:
     return EvaluationError(f"operator {name!r} applied to an operand of the wrong type: {exc}")
 
 
-def raised_by_meaning(exc: TypeError) -> bool:
-    """Whether ``exc``, caught in the frame that applied an operator, came
-    out of the meaning function: a builtin one raises in that frame itself,
-    and every other one is defined in this module."""
-    tb = exc.__traceback__
-    caller = tb.tb_frame
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    return tb.tb_frame is caller or tb.tb_frame.f_code.co_filename == __file__
-
-
 def _total_div(a: int, b: int) -> int:
     return 0 if b == 0 else a // b
 
@@ -100,28 +90,28 @@ def int_to_decimal(n: int) -> str:
 def _build_registry() -> dict[str, OpSpec]:
     specs = [
         # Integer arithmetic.
-        OpSpec("+", (INT, INT), INT, lambda a, b: a + b),
-        OpSpec("-", (INT, INT), INT, lambda a, b: a - b),
-        OpSpec("*", (INT, INT), INT, lambda a, b: a * b),
+        OpSpec("+", (INT, INT), INT, operator.add),
+        OpSpec("-", (INT, INT), INT, operator.sub),
+        OpSpec("*", (INT, INT), INT, operator.mul),
         OpSpec("/", (INT, INT), INT, _total_div),
         OpSpec("%", (INT, INT), INT, _total_mod),
-        OpSpec("neg", (INT,), INT, lambda a: -a),
+        OpSpec("neg", (INT,), INT, operator.neg),
         OpSpec("abs", (INT,), INT, abs),
         OpSpec("min", (INT, INT), INT, min),
         OpSpec("max", (INT, INT), INT, max),
         OpSpec("inc", (INT,), INT, lambda a: a + 1),
         OpSpec("dec", (INT,), INT, lambda a: a - 1),
         # Integer comparisons.
-        OpSpec("=", (INT, INT), BOOL, lambda a, b: a == b),
-        OpSpec("<", (INT, INT), BOOL, lambda a, b: a < b),
-        OpSpec("<=", (INT, INT), BOOL, lambda a, b: a <= b),
-        OpSpec(">", (INT, INT), BOOL, lambda a, b: a > b),
-        OpSpec(">=", (INT, INT), BOOL, lambda a, b: a >= b),
+        OpSpec("=", (INT, INT), BOOL, operator.eq),
+        OpSpec("<", (INT, INT), BOOL, operator.lt),
+        OpSpec("<=", (INT, INT), BOOL, operator.le),
+        OpSpec(">", (INT, INT), BOOL, operator.gt),
+        OpSpec(">=", (INT, INT), BOOL, operator.ge),
         OpSpec("zero?", (INT,), BOOL, lambda a: a == 0),
         OpSpec("even?", (INT,), BOOL, lambda a: a % 2 == 0),
         OpSpec("odd?", (INT,), BOOL, lambda a: a % 2 == 1),
         # Booleans.
-        OpSpec("not", (BOOL,), BOOL, lambda a: not a),
+        OpSpec("not", (BOOL,), BOOL, operator.not_),
         OpSpec("and", (BOOL, BOOL), BOOL, lambda a, b: a and b),
         OpSpec("or", (BOOL, BOOL), BOOL, lambda a, b: a or b),
         OpSpec("bool=", (BOOL, BOOL), BOOL, lambda a, b: a == b),

@@ -21,10 +21,11 @@ casts and translate homomorphically).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Iterator, Sequence
 
 from .labels import Label
+from .records import record
 from .types import FunType, Type
 
 
@@ -44,7 +45,7 @@ class Term:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Const(Term):
     """A constant ``k`` of base type ``ι``."""
 
@@ -52,7 +53,7 @@ class Const(Term):
     type: Type
 
 
-@dataclass(frozen=True)
+@record
 class Op(Term):
     """A primitive operator application ``op(M⃗)``."""
 
@@ -60,14 +61,14 @@ class Op(Term):
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Var(Term):
     """A variable ``x``."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Lam(Term):
     """A λ-abstraction ``λx:A. N``."""
 
@@ -76,7 +77,7 @@ class Lam(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class App(Term):
     """An application ``L M``."""
 
@@ -84,7 +85,7 @@ class App(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@record
 class Blame(Term):
     """The term ``blame p`` — the observable outcome of a failed cast."""
 
@@ -96,7 +97,7 @@ class Blame(Term):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Cast(Term):
     """A λB cast ``M : A ⇒p B``."""
 
@@ -106,7 +107,7 @@ class Cast(Term):
     label: Label
 
 
-@dataclass(frozen=True)
+@record
 class Coerce(Term):
     """A coercion application ``M⟨c⟩`` (λC) or ``M⟨s⟩`` (λS)."""
 
@@ -119,7 +120,7 @@ class Coerce(Term):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class If(Term):
     """A conditional ``if L then M else N`` with a boolean scrutinee."""
 
@@ -128,7 +129,7 @@ class If(Term):
     else_branch: Term
 
 
-@dataclass(frozen=True)
+@record
 class Let(Term):
     """A call-by-value let binding ``let x = M in N``."""
 
@@ -137,7 +138,7 @@ class Let(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@record
 class Fix(Term):
     """A call-by-value fixed point.
 
@@ -150,7 +151,7 @@ class Fix(Term):
     fun_type: FunType
 
 
-@dataclass(frozen=True)
+@record
 class Pair(Term):
     """A pair introduction ``(M, N)``."""
 
@@ -158,14 +159,14 @@ class Pair(Term):
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Fst(Term):
     """First projection."""
 
     arg: Term
 
 
-@dataclass(frozen=True)
+@record
 class Snd(Term):
     """Second projection."""
 

@@ -14,10 +14,10 @@ rather than substitution, so they have their own value representation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from ..core.ops import int_to_decimal
+from ..core.records import record
 from ..core.terms import Term
 from ..core.types import FunType, Type
 
@@ -39,13 +39,13 @@ class MFunctionValue(MachineValue):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class MConst(MachineValue):
     value: object
     type: Type
 
 
-@dataclass(frozen=True)
+@record
 class MClosure(MFunctionValue):
     param: str
     param_type: Type
@@ -53,13 +53,13 @@ class MClosure(MFunctionValue):
     env: "Environment"
 
 
-@dataclass(frozen=True)
+@record
 class MPair(MachineValue):
     left: MachineValue
     right: MachineValue
 
 
-@dataclass(frozen=True)
+@record
 class MProxy(MachineValue):
     """A value guarded by a mediator (function/product proxy or injection)."""
 
@@ -67,7 +67,7 @@ class MProxy(MachineValue):
     mediator: object
 
 
-@dataclass(frozen=True)
+@record
 class MFixWrap(MFunctionValue):
     """The value of ``fix V``'s unrolling wrapper ``λx. (fix V) x``."""
 

@@ -12,13 +12,14 @@ Concrete syntax is s-expression based; see :mod:`repro.surface.parser`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
+from ..core.records import record
 from ..core.types import Type
 
 
-@dataclass(frozen=True)
+@record
 class SourceLocation:
     """A line/column position in the source program, used to name blame labels."""
 
@@ -41,19 +42,19 @@ class SurfaceExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class SConst(SurfaceExpr):
     value: object
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SVar(SurfaceExpr):
     name: str
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SLam(SurfaceExpr):
     """``(lambda ([x : T] ...) body)``; a missing annotation means ``?``."""
 
@@ -62,7 +63,7 @@ class SLam(SurfaceExpr):
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SApp(SurfaceExpr):
     """Curried application ``(f a b ...)``."""
 
@@ -71,14 +72,14 @@ class SApp(SurfaceExpr):
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SOp(SurfaceExpr):
     op: str
     args: tuple[SurfaceExpr, ...]
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SIf(SurfaceExpr):
     cond: SurfaceExpr
     then_branch: SurfaceExpr
@@ -86,14 +87,14 @@ class SIf(SurfaceExpr):
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SLet(SurfaceExpr):
     bindings: tuple[tuple[str, SurfaceExpr], ...]
     body: SurfaceExpr
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SLetRec(SurfaceExpr):
     """``(letrec ([f : T expr]) body)`` — ``T`` must be a function type (or ``?``)."""
 
@@ -104,26 +105,26 @@ class SLetRec(SurfaceExpr):
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SPair(SurfaceExpr):
     left: SurfaceExpr
     right: SurfaceExpr
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SFst(SurfaceExpr):
     arg: SurfaceExpr
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SSnd(SurfaceExpr):
     arg: SurfaceExpr
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class SAscribe(SurfaceExpr):
     """A type ascription ``(: e T)`` — the gradual programmer's cast."""
 
@@ -132,7 +133,7 @@ class SAscribe(SurfaceExpr):
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class Definition:
     """A top-level ``define``; possibly recursive, possibly dynamically typed."""
 
@@ -142,7 +143,7 @@ class Definition:
     location: SourceLocation = NOWHERE
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     """A sequence of definitions followed by a main expression."""
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,6 +112,39 @@ class TestMeaningFunctions:
 
     def test_unit_operator(self):
         assert op_spec("unit").apply(()) is None
+
+
+#: The Python expression each operator whose meaning is an ``operator``
+#: builtin stands for.
+EXPRESSIONS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "neg": lambda a: -a,
+    "=": lambda a, b: a == b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "not": lambda a: not a,
+}
+
+
+def _result(meaning, args) -> tuple:
+    try:
+        value = meaning(*args)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+    return ("value", value, type(value))
+
+
+@pytest.mark.parametrize("op", sorted(EXPRESSIONS))
+def test_builtin_meanings_match_their_expressions(op):
+    # Same values on every operand kind, and the same TypeError text on
+    # ill-typed ones (Erasure reports that text).
+    spec = op_spec(op)
+    for args in itertools.product((3, -4, True, "ab", None), repeat=spec.arity):
+        assert _result(spec.meaning, args) == _result(EXPRESSIONS[op], args), args
 
 
 class TestLongIntegers:

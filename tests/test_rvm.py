@@ -25,6 +25,7 @@ from repro.compiler import (
     FORMAT_VERSION,
     GRADB_MAGIC,
     ImageError,
+    all_rcodes,
     cache_path,
     RCode,
     cached_compile,
@@ -53,7 +54,10 @@ from repro.gen.programs import (
     untyped_client_bad_argument,
     untyped_library_bad_result,
 )
-from repro.semantics import NATURAL_SEMANTICS_NAMES
+from repro.compiler.regalloc import R_OPCODE_NAMES, instruction_width
+from repro.core.errors import EvaluationError
+from repro.machine import run_on_machine
+from repro.semantics import NATURAL_SEMANTICS_NAMES, SEMANTICS_NAMES
 from repro.surface.interp import compile_source
 
 from .strategies import lambda_b_programs
@@ -86,6 +90,52 @@ def _assert_same_outcome(rvm, vm) -> None:
     assert rstats.get("max_pending_size") == sstats.get("max_pending_size")
 
 
+def _capturing_program(n: int, bad: bool = False) -> str:
+    """A program whose closures capture ``n`` values, every second one
+    typed ``?`` (so its uses cast), called through a function proxy.  The
+    curried ``make`` also builds and returns closures capturing 0…n-1
+    values.  ``bad`` passes a string where an int is expected through
+    ``?``: blame under the Natural semantics, an operand error under
+    Erasure."""
+    if n == 0:
+        return ("(let ([h (lambda ([w : int]) (- w 1))])\n"
+                "  (let ([g (lambda ([y : int]) (+ y 1))]) (if (zero? 0) (g 5) (h 5))))\n")
+    params = " ".join(f"[c{i} : {'int' if i % 2 else '?'}]" for i in range(1, n + 1))
+    total = "0"
+    for i in range(n, 0, -1):
+        total = f"(+ c{i} {total})"
+    args = " ".join('"s"' if bad and i == 2 else str(10 * i) for i in range(1, n + 1))
+    return (f"(define (make {params}) : (-> int int)\n"
+            f"  (let ([h (lambda ([w : int]) (- w {total}))])\n"
+            f"    (let ([g (lambda ([y : int]) (+ y {total}))])\n"
+            f"      (if (zero? c1) h g))))\n"
+            f"((: (: (make {args}) ?) (-> int int)) 7)\n")
+
+
+def _closure_sites(rcode) -> set[tuple[str, int]]:
+    """``(instruction, capture count)`` of every closure instruction."""
+    sites = set()
+    for obj in all_rcodes(rcode):
+        words, pc = obj.words, 0
+        while pc < len(words):
+            name = R_OPCODE_NAMES[words[pc]]
+            if name.startswith("CLOSURE"):
+                sites.add((name, words[pc + 3]))
+            pc += instruction_width(words[pc], words, pc)
+    return sites
+
+
+def _outcome_or_error(run) -> tuple:
+    """What a run observably did: its value, blame label, or error text."""
+    try:
+        outcome = run()
+    except EvaluationError as exc:
+        return ("error", str(exc))
+    if outcome.is_value:
+        return ("value", outcome.python_value())
+    return (outcome.kind, outcome.label)
+
+
 # ---------------------------------------------------------------------------
 # rvm against the stack VM
 # ---------------------------------------------------------------------------
@@ -114,6 +164,38 @@ class TestAgreement:
         outcome = run_on_rvm(even_odd_boundary(4000), fuel=500)
         assert outcome.is_timeout
         assert outcome.stats["steps"] == 500
+
+    @pytest.mark.parametrize("semantics", SEMANTICS_NAMES)
+    @pytest.mark.parametrize("opt_level", OPT_LEVELS)
+    @pytest.mark.parametrize("n", range(6))
+    def test_closures_capturing_0_to_5_values_agree_with_the_machine(
+        self, n, semantics, opt_level
+    ):
+        # Each capture count reaches every closure instruction: CLOSURE,
+        # and at -O2 the fused CLOSURE_BR_PRIM1 (n) and CLOSURE_RETURN (n - 1).
+        for bad in (False, True) if n >= 2 else (False,):
+            term, _ = compile_source(_capturing_program(n, bad))
+            closures = _closure_sites(compile_register_program(term, semantics, opt_level))
+            assert ("CLOSURE", n) in closures
+            if opt_level == 2:
+                assert ("CLOSURE_BR_PRIM1", n) in closures
+                assert n == 0 or ("CLOSURE_RETURN", n - 1) in closures
+            machine = _outcome_or_error(lambda: run_on_machine(term, "S", semantics=semantics))
+            rvm = _outcome_or_error(
+                lambda: run_on_rvm(term, semantics=semantics, opt_level=opt_level))
+            assert rvm == machine, (n, bad)
+
+
+class TestOperandErrors:
+    def test_an_engine_fault_is_not_reported_as_an_operand_error(self):
+        # Only a meaning function's TypeError is the operator's.  -O2 code
+        # stripped of its inline caches (a state image validation rejects)
+        # fails in the engine itself, at a fused `zero?` branch.
+        rcode = compile_register_program(even_odd_boundary(40))
+        for obj in all_rcodes(rcode):
+            obj.caches = None
+        with pytest.raises(TypeError, match="not subscriptable"):
+            run_rcode(rcode)
 
 
 class TestSpaceGuarantee:
