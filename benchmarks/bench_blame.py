@@ -17,8 +17,8 @@ The artifact's headline numbers, per enforcement semantics:
 * ``blame_records`` — must be 0 for ``erasure``, the null baseline;
 * ``configurations_run`` — every one executed through the persistent
   worker pool (the acceptance bar: ≥ 1000 across the sweep), and
-  ``configurations_per_s``, the sweep's throughput (the report's
-  ``timing``).
+  ``configurations_per_s``, the sweep's throughput, and ``parent_cpu_s``,
+  the CPU time the driving process spent (the report's ``timing``).
 
 Standalone usage (writes the ``BENCH_blame.json`` artifact)::
 
@@ -75,6 +75,7 @@ def build_suite(repeat: int, seed: int = harness.DEFAULT_SEED) -> harness.Suite:
         "experiment",
         wall_s=round(timing["wall_s"], 3),
         configurations_per_s=round(timing["configurations_per_s"], 1),
+        parent_cpu_s=round(timing["parent_cpu_s"], 3),
         programs=len(programs),
         workers=config.workers,
         trails=report["trails"],

@@ -30,7 +30,9 @@ caching mediator work per instruction site (inline mediator caches) buys
   VM reproduces the stack VM's footprint exactly.
 * **calibration** — per workload, the ``-O2`` stack and register run
   times over that of :func:`calibration_loop`, fixed pure-Python work
-  timed in turn with them; ``scripts/perf_smoke.py`` gates these ratios.
+  timed in turn with them, and register conversion of the shipped example
+  programs measured the same way (``calibrate/regalloc``);
+  ``scripts/perf_smoke.py`` gates these ratios.
 
 Standalone usage (writes the ``BENCH_vm.json`` artifact)::
 
@@ -44,6 +46,7 @@ import multiprocessing
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +90,9 @@ CALIBRATION_ROUNDS = 200
 #: time relative to the loop moves by a few percent from one process to the
 #: next, more than ``scripts/perf_smoke.py``'s tolerance.
 CALIBRATION_PROCESSES = 5
+
+#: The programs ``calibrate/regalloc`` converts to register code.
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "programs"
 
 
 def geomean(values: list[float]) -> float:
@@ -139,14 +145,30 @@ def calibrated_ratios(names) -> dict:
     ``calibrate/*`` rows, and measured again the same way by
     ``scripts/perf_smoke.py``."""
     names = list(names)
+    return dict(zip(names, _medians_over_processes(_calibrated_here, names)))
+
+
+def calibrated_regalloc() -> dict:
+    """``regalloc_over_loop``: the best time of ``compile_registers`` over
+    the shipped example programs' ``-O2`` code, as the register pipeline
+    hands it over, over the best time of :func:`calibration_loop`, timed in
+    turn; and ``loop_s``.  Each is the median over
+    ``CALIBRATION_PROCESSES`` fresh interpreters.  Recorded as the
+    ``calibrate/regalloc`` row, and measured again the same way by
+    ``scripts/perf_smoke.py``'s regalloc gate."""
+    return _medians_over_processes(_regalloc_here, [None])[0]
+
+
+def _medians_over_processes(sample, args: list) -> list[dict]:
+    """Per argument, the median of each key of ``sample(arg)`` over
+    ``CALIBRATION_PROCESSES`` fresh interpreters, one sample each."""
     runs = CALIBRATION_PROCESSES
     context = multiprocessing.get_context("spawn")
     with context.Pool(1, maxtasksperchild=1) as pool:
-        samples = pool.map(_calibrated_here, [name for name in names for _ in range(runs)],
-                           chunksize=1)
-    by_name = [samples[i * runs:(i + 1) * runs] for i in range(len(names))]
-    return {name: {key: statistics.median(sample[key] for sample in mine) for key in mine[0]}
-            for name, mine in zip(names, by_name)}
+        samples = pool.map(sample, [arg for arg in args for _ in range(runs)], chunksize=1)
+    by_arg = [samples[i * runs:(i + 1) * runs] for i in range(len(args))]
+    return [{key: statistics.median(one[key] for one in mine) for key in mine[0]}
+            for mine in by_arg]
 
 
 def _calibrated_here(name: str) -> dict:
@@ -161,6 +183,27 @@ def _calibrated_here(name: str) -> dict:
     }, CALIBRATION_ROUNDS)
     return {"vm_over_loop": best["vm"] / best["loop"],
             "rvm_over_loop": best["rvm"] / best["loop"], "loop_s": best["loop"]}
+
+
+def _regalloc_here(_arg) -> dict:
+    """One process's sample for :func:`calibrated_regalloc`."""
+    from repro.compiler.lower import lower_for
+    from repro.compiler.opt import optimize
+    from repro.surface.interp import compile_source
+
+    assert calibration_loop() == 2 * CALIBRATION_STEPS + 1
+    codes = []
+    for path in sorted(EXAMPLES.glob("*.grad")):
+        code = lower_for(compile_source(path.read_text())[0], "coercion")
+        optimize(code, 2)
+        codes.append(code)
+
+    def convert() -> None:
+        for code in codes:
+            compile_registers(code)
+
+    best = interleaved_best({"loop": calibration_loop, "regalloc": convert}, CALIBRATION_ROUNDS)
+    return {"regalloc_over_loop": best["regalloc"] / best["loop"], "loop_s": best["loop"]}
 
 
 def build_suite(repeat: int) -> harness.Suite:
@@ -270,6 +313,9 @@ def build_suite(repeat: int) -> harness.Suite:
     for name, ratios in calibrated_ratios(VM_WORKLOADS).items():
         suite.record(f"calibrate/{name}", **ratios, rounds=CALIBRATION_ROUNDS,
                      processes=CALIBRATION_PROCESSES, workload=name)
+    suite.record("calibrate/regalloc", **calibrated_regalloc(), rounds=CALIBRATION_ROUNDS,
+                 processes=CALIBRATION_PROCESSES,
+                 programs=len(list(EXAMPLES.glob("*.grad"))))
 
     # Ablation: every workload × opt level × mediator backend × VM.
     for name, (term_b, check, boundary) in VM_WORKLOADS.items():

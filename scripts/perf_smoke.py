@@ -12,9 +12,10 @@ but the ratio between two runs of the same VMs on the same box is stable.
 If either current ratio slips more than ``SLIP_TOLERANCE`` (25%) below the
 committed one — someone pessimised the optimizer, the VM's fast paths, or
 the register dispatch core — exit non-zero and fail the build.  The
-``regalloc`` gate is measured the same way, without a committed baseline:
-register conversion time over lower+optimize time on the shipped example
-programs, against :data:`REGALLOC_RATIO`.  So is the ``lower`` gate:
+``regalloc`` gate times register conversion of the shipped example
+programs against bench_vm's calibration loop and compares that ratio with
+the committed ``calibrate/regalloc`` row, with the same tolerance.  The
+``lower`` gate is a same-process ratio without a committed baseline:
 lowering the examples' λB terms directly over translating them to λS and
 lowering that, against :data:`LOWER_RATIO`.
 
@@ -34,7 +35,13 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "benchmarks"))
 
-from bench_vm import VM_WORKLOADS, calibrated_ratios, geomean, interleaved_best  # noqa: E402
+from bench_vm import (  # noqa: E402
+    VM_WORKLOADS,
+    calibrated_ratios,
+    calibrated_regalloc,
+    geomean,
+    interleaved_best,
+)
 
 from repro.compiler import compile_registers, compile_term, run_code, run_rcode  # noqa: E402
 
@@ -44,11 +51,6 @@ REPEAT = 5
 #: The observability hooks' budget: with no tracer active, the vm/rvm hot
 #: loops may not be more than 2% slower than the committed baseline.
 TRACE_OVERHEAD_TOLERANCE = 0.02
-
-#: Register conversion time over lower+optimize time, both ``-O2`` on the
-#: shipped example programs, as measured once conversion became one pass
-#: (CPython 3.11, 2-vCPU host).  The gate fails ``SLIP_TOLERANCE`` above it.
-REGALLOC_RATIO = 0.70
 
 #: Lowering λB directly over translating (``|·|BC`` then ``|·|CS``) and
 #: lowering the λS image, on the shipped example programs, as measured once
@@ -126,48 +128,41 @@ def main() -> int:
             status = 1
     status |= trace_overhead_gate(by_name, fastest)
     status |= erasure_ceiling_gate()
-    status |= regalloc_gate()
+    status |= regalloc_gate(by_name)
     status |= lower_gate()
     return status
 
 
-def regalloc_gate() -> int:
-    """Gate: register conversion may not grow against the compile work it
-    follows.
+def regalloc_gate(by_name: dict) -> int:
+    """Gate: register conversion may not slow down.
 
-    Both sides are timed in this process on the same programs — the shipped
-    examples, translated to λS once — so the ratio is machine-stable like
-    the speedups above: lower+optimize (the register pipeline's shared
-    ``-O2`` passes, :func:`repro.compiler.opt.optimize`) against converting
-    their output with ``compile_registers``.  Best of ``3 * REPEAT`` passes
-    over the whole set each.
+    Its time is taken relative to bench_vm's :func:`calibration_loop`, as
+    the trace-overhead gate takes the engines' run times:
+    ``compile_registers`` over the shipped example programs' ``-O2`` code,
+    timed in turn with the loop, median over fresh interpreters
+    (:func:`calibrated_regalloc`).  ``BENCH_vm.json``'s
+    ``calibrate/regalloc`` row holds the same measurement from when it was
+    recorded, and the gate fails when
+
+        regalloc_over_loop_now / regalloc_over_loop_recorded
+
+    exceeds ``1 + SLIP_TOLERANCE``.  No other compile phase is in the
+    ratio, so making lowering or optimizing faster does not move it.
     """
-    from repro.compiler.lower import lower_program
-    from repro.compiler.opt import optimize
-    from repro.surface.interp import compile_source
-    from repro.translate import b_to_c, c_to_s
-
-    programs = sorted((REPO / "examples" / "programs").glob("*.grad"))
-    terms = [c_to_s(b_to_c(compile_source(path.read_text())[0])) for path in programs]
-
-    def lower_and_optimize(terms: list) -> list:
-        return [optimize(lower_program(term), 2) for term in terms]
-
-    def convert(codes: list) -> list:
-        return [compile_registers(code) for code in codes]
-
-    front = _best(terms, runner=lower_and_optimize, repeat=3 * REPEAT)
-    regalloc = _best(lower_and_optimize(terms), runner=convert, repeat=3 * REPEAT)
-    ratio = regalloc / front
-    ceiling = REGALLOC_RATIO * (1 + SLIP_TOLERANCE)
-    if ratio <= ceiling:
-        print(f"perf-smoke: regalloc over lower+optimize {ratio:.2f}x "
-              f"(recorded {REGALLOC_RATIO:.2f}x, ceiling {ceiling:.2f}x): ok")
-        return 0
-    print(f"perf-smoke: regalloc REGRESSION: register conversion takes {ratio:.2f}x "
-          f"lower+optimize on the same programs (recorded {REGALLOC_RATIO:.2f}x, "
-          f"ceiling {ceiling:.2f}x)")
-    return 1
+    recorded = by_name.get("calibrate/regalloc")
+    if recorded is None:
+        print("perf-smoke: BENCH_vm.json has no calibrate/regalloc row; re-record with "
+              "`python benchmarks/bench_vm.py --json`")
+        return 1
+    now = calibrated_regalloc()
+    slowdown = now["regalloc_over_loop"] / recorded["regalloc_over_loop"]
+    host = now["loop_s"] / recorded["loop_s"]
+    ceiling = 1 + SLIP_TOLERANCE
+    verdict = "ok" if slowdown <= ceiling else "REGRESSION"
+    print(f"perf-smoke: regalloc over calibration loop {now['regalloc_over_loop']:.2f}x "
+          f"(recorded {recorded['regalloc_over_loop']:.2f}x; slowdown {slowdown:.3f}x, "
+          f"calibration {host:.2f}x, ceiling {ceiling:.2f}x): {verdict}")
+    return 0 if slowdown <= ceiling else 1
 
 
 def lower_gate() -> int:

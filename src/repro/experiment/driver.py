@@ -94,7 +94,7 @@ class Trail:
     semantics: str
     strategy: str
     fault: dict  # Fault.describe()
-    start_untyped: tuple[str, ...]
+    start_untyped: list[str]  # the first step's ``untyped`` list
     steps: tuple[dict, ...]
     outcome: str
     configurations_run: int
@@ -110,12 +110,16 @@ class Trail:
         return self.configurations_run - 1
 
     def describe(self) -> dict:
+        """The trail as a JSON-ready record.  Like :meth:`Fault.describe`'s
+        dict, its lists are shared: ``start_untyped`` is the first step's
+        ``untyped`` list, and the trails of one run hold one sorted list per
+        distinct configuration, so callers must not mutate them."""
         return {
             "program": self.program,
             "semantics": self.semantics,
             "strategy": self.strategy,
             "fault": self.fault,
-            "start_untyped": list(self.start_untyped),
+            "start_untyped": self.start_untyped,
             "outcome": self.outcome,
             "localized": self.localized,
             "length": self.length,
@@ -178,6 +182,9 @@ def follow_trail(
     runner,
     *,
     rng: random.Random | None = None,
+    faulty: ProgramLattice | None = None,
+    graph: dict[str, set[str]] | None = None,
+    untyped_lists: dict[frozenset[str], list[str]] | None = None,
 ) -> Trail:
     """Follow one fault from one starting configuration to its outcome.
 
@@ -186,27 +193,42 @@ def follow_trail(
     ``blame`` or ``error`` payloads — the pool's ``run_source`` shape.
     The loop types exactly one binding per continued step, so it runs at
     most ``len(start_untyped) + 1`` configurations.
+
+    ``faulty`` (``apply_fault(lattice, fault)``) and ``graph`` (the
+    lattice's reference graph) are the same for every trail of the fault
+    and are built here only when not given.  ``untyped_lists`` maps a
+    configuration to its sorted list of untyped names; trails that share
+    it share those lists in their steps.
     """
     rng = rng if rng is not None else random.Random(0)
     strategy = strategy_for(semantics)
-    faulty = apply_fault(lattice, fault)
-    graph = _adjacency(lattice)
+    if faulty is None:
+        faulty = apply_fault(lattice, fault)
+    if graph is None:
+        graph = _adjacency(lattice)
+    if untyped_lists is None:
+        untyped_lists = {}
     untyped = set(start_untyped)
     steps: list[dict] = []
     blame_records = 0
     runs = 0
 
     while True:
-        source, owner = render_configuration(faulty, frozenset(untyped))
+        configuration = frozenset(untyped)
+        source, owner = render_configuration(faulty, configuration)
         result = runner(source)
         runs += 1
         # A sweep's steps repeat a handful of kinds, blame labels, actions
         # and error messages; each is kept as one interned copy, so the
         # records do not hold a fresh string per step (~19% of their size).
+        # Untyped lists repeat too: one per distinct configuration.
         kind = result.get("kind")
         if isinstance(kind, str):
             kind = sys.intern(kind)
-        step: dict = {"untyped": sorted(untyped), "kind": kind}
+        names = untyped_lists.get(configuration)
+        if names is None:
+            names = untyped_lists.setdefault(configuration, sorted(configuration))
+        step: dict = {"untyped": names, "kind": kind}
         if kind == "value":
             steps.append(step)
             outcome = "no-error"
@@ -264,7 +286,7 @@ def follow_trail(
         semantics=semantics,
         strategy=strategy,
         fault=fault.describe(),
-        start_untyped=tuple(sorted(start_untyped)),
+        start_untyped=steps[0]["untyped"],
         steps=tuple(steps),
         outcome=outcome,
         configurations_run=runs,
@@ -339,12 +361,16 @@ def _trail_rng(config: ExperimentConfig, *parts: object) -> random.Random:
 def _plan_trails(programs, config: ExperimentConfig):
     """The deterministic trail plan: every (program, fault, semantics,
     start) tuple, with starting configurations shared across semantics so
-    the strategies are compared on identical footing."""
+    the strategies are compared on identical footing.  Each entry carries
+    its fault's faulted lattice and its program's reference graph, built
+    once here for every trail that shares them."""
     plan = []
     for name, source in programs:
         lattice = ProgramLattice.from_source(source, name=name)
+        graph = _adjacency(lattice)
         faults = sample_faults(lattice, config.faults_per_program, seed=config.seed)
         for fault_index, fault in enumerate(faults):
+            faulty = apply_fault(lattice, fault)
             configurations = enumerate_configurations(
                 lattice, config.max_configs, seed=config.seed + fault_index
             )
@@ -353,8 +379,8 @@ def _plan_trails(programs, config: ExperimentConfig):
             starts = starts_rng.sample(configurations, count)
             for semantics in config.semantics:
                 for start_index, start in enumerate(starts):
-                    plan.append((lattice, fault, fault_index, semantics,
-                                 start_index, start))
+                    plan.append((lattice, faulty, graph, fault, fault_index,
+                                 semantics, start_index, start))
     return plan
 
 
@@ -375,12 +401,15 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
 
     The report is :func:`summarize`'s, plus a ``timing`` object, the one
     part that varies from run to run: ``wall_s`` and
-    ``configurations_per_s`` of the whole call, and for pooled runs the
-    workers' summed ``compile_s`` and ``run_s``.
+    ``configurations_per_s`` of the whole call, ``parent_cpu_s``, the CPU
+    time this process spent in it (every thread's), and for pooled runs
+    the workers' summed ``compile_s`` and ``run_s``.  The trails share
+    their untyped lists (see :meth:`Trail.describe`).
     """
     from ..api import resolve_config
 
     started = time.perf_counter()
+    started_cpu = time.process_time()
     run_configs = {
         name: resolve_config(
             engine=config.engine, semantics=name, opt_level=config.opt_level,
@@ -390,14 +419,16 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
     }
     plan = _plan_trails(programs, config)
     trails: list[Trail] = []
+    untyped_lists: dict[frozenset[str], list[str]] = {}
 
     def one(entry) -> Trail:
-        lattice, fault, fault_index, semantics, start_index, start = entry
+        lattice, faulty, graph, fault, fault_index, semantics, start_index, start = entry
         rng = _trail_rng(
             config, lattice.name, fault_index, semantics, start_index
         )
-        return follow_trail(lattice, fault, start, semantics,
-                            runners[semantics], rng=rng)
+        return follow_trail(lattice, fault, start, semantics, runners[semantics],
+                            rng=rng, faulty=faulty, graph=graph,
+                            untyped_lists=untyped_lists)
 
     if config.workers > 0:
         from ..serve.pool import WorkerPool
@@ -407,7 +438,7 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
         groups: dict[tuple, list] = {}
         places = []
         for entry in plan:
-            lattice, _, fault_index, _, start_index, _ = entry
+            lattice, _, _, _, fault_index, _, start_index, _ = entry
             key = (id(lattice), fault_index, start_index)
             places.append((key, len(groups.setdefault(key, []))))
             groups[key].append(entry)
@@ -436,7 +467,8 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
     report = summarize(trails)
     wall_s = time.perf_counter() - started
     timing = {"wall_s": wall_s,
-              "configurations_per_s": report["configurations_run"] / wall_s}
+              "configurations_per_s": report["configurations_run"] / wall_s,
+              "parent_cpu_s": time.process_time() - started_cpu}
     if config.workers > 0:
         timing["compile_s"] = sum(runner.compile_s for runner in runners.values())
         timing["run_s"] = sum(runner.run_s for runner in runners.values())

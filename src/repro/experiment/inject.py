@@ -75,7 +75,9 @@ class Fault:
 
     def describe(self) -> dict:
         """The fault as a JSON-ready dict, built once: every trail of this
-        fault holds the same dict, so callers must not mutate it."""
+        fault holds the same dict, so callers must not mutate it (nor a
+        trail record's ``untyped`` lists, which are shared the same way;
+        see :meth:`~repro.experiment.driver.Trail.describe`)."""
         return self._description
 
     @cached_property

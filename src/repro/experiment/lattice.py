@@ -10,7 +10,9 @@ program at the bottom and the fully-typed one at the top.  This module:
 * renders any configuration back to concrete syntax with **one definition
   per line**, so a blame label ``role@line:col`` maps straight back to the
   binding that owns the line (the ``line_owner`` table) — the key the
-  blame-following driver navigates by;
+  blame-following driver navigates by.  Each binding's typed and untyped
+  lines are rendered once per lattice; a configuration only picks one of
+  the two per binding and joins them;
 * enumerates the full lattice when it is small and falls back to seeded
   stratified sampling (uniform over lattice *levels*, then uniform within a
   level) when ``2^n`` exceeds the cutoff.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -277,6 +280,22 @@ class ProgramLattice:
         refs[MAIN_OWNER] = tuple(sorted(_references(self.main, names)))
         return refs
 
+    @cached_property
+    def rendered_lines(self) -> tuple[tuple[str, str, str], ...]:
+        """``(owner, typed line, untyped line)`` per source line: one per
+        binding, then the main expression (the same line both ways).
+        Rendered on first use and kept as long as the lattice."""
+        lines = tuple((b.name, _render_binding(b, typed=True), _render_binding(b, typed=False))
+                      for b in self.bindings)
+        main = render_expr(self.main)
+        return (*lines, (MAIN_OWNER, main, main))
+
+    @cached_property
+    def line_owner(self) -> dict[int, str]:
+        """The line-owner table, the same for every configuration (shared:
+        callers must not mutate it)."""
+        return {line: owner for line, (owner, _, _) in enumerate(self.rendered_lines, 1)}
+
 
 def _render_binding(binding: Binding, typed: bool) -> str:
     """One definition on one line, typed or interface-untyped."""
@@ -299,15 +318,12 @@ def render_configuration(
 ) -> tuple[str, dict[int, str]]:
     """Render one lattice configuration: the source text plus the line-owner
     table mapping each source line to the binding defined there (the main
-    expression owns the final line as :data:`MAIN_OWNER`)."""
-    lines: list[str] = []
-    owner: dict[int, str] = {}
-    for binding in lattice.bindings:
-        lines.append(_render_binding(binding, typed=binding.name not in untyped))
-        owner[len(lines)] = binding.name
-    lines.append(render_expr(lattice.main))
-    owner[len(lines)] = MAIN_OWNER
-    return "\n".join(lines) + "\n", owner
+    expression owns the final line as :data:`MAIN_OWNER`).  The lines come
+    from :attr:`ProgramLattice.rendered_lines` and the table is
+    :attr:`ProgramLattice.line_owner`, shared by every configuration."""
+    text = "\n".join([untyped_line if owner in untyped else typed_line
+                      for owner, typed_line, untyped_line in lattice.rendered_lines])
+    return text + "\n", lattice.line_owner
 
 
 # ---------------------------------------------------------------------------

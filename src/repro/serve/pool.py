@@ -50,8 +50,10 @@ The robustness contract, which the chaos tests hold the pool to:
 
 A job is waited for in one of two ways, and only the waiting differs
 between them.  The blocking :meth:`WorkerPool.execute` (batch and the
-experiment, from any number of threads) waits once per reply on
-``multiprocessing.connection.wait``.  :meth:`WorkerPool.checkout` and
+experiment, from any number of threads) reads the reply straight off the
+worker's pipe, whose EOF signals a crash, or, for a job with a deadline,
+waits on ``multiprocessing.connection.wait`` for the pipe or the process
+sentinel until the hard deadline.  :meth:`WorkerPool.checkout` and
 :meth:`WorkerPool.run` (the serve front end) wait on the server's event
 loop: an ``add_reader`` callback on the worker's pipe or process sentinel
 completes a future, and a ``call_later`` timer enforces the hard deadline.
@@ -89,6 +91,9 @@ _IMAGE_MEMO_CAP = 64
 
 #: Lowered programs kept per worker (least-recently-used eviction).
 _FRONT_END_MEMO_CAP = 32
+
+#: Held while a worker is forked (see :class:`_Worker`).
+_FORKING = threading.Lock()
 
 
 class _DeadlineExceeded(Exception):
@@ -342,17 +347,20 @@ class _Worker:
     def __init__(self, slot: int, faults_spec: str, seed: int):
         import multiprocessing
 
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        self.conn = parent_conn
-        self.served = 0
-        self.process = multiprocessing.Process(
-            target=_worker_main,
-            args=(child_conn, parent_conn, slot, faults_spec, seed),
-            daemon=True,
-            name=f"repro-serve-worker-{slot}",
-        )
-        self.process.start()
-        child_conn.close()
+        # One fork at a time in this process, so no other worker is forked
+        # while this one's end of the pipe is open here.
+        with _FORKING:
+            parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+            self.conn = parent_conn
+            self.served = 0
+            self.process = multiprocessing.Process(
+                target=_worker_main,
+                args=(child_conn, parent_conn, slot, faults_spec, seed),
+                daemon=True,
+                name=f"repro-serve-worker-{slot}",
+            )
+            self.process.start()
+            child_conn.close()
 
     def stop(self, *, force: bool) -> None:
         """SIGKILL the process (``force``) or send it the shutdown sentinel,
@@ -389,9 +397,18 @@ def _reply(worker: _Worker, conn_ready: bool):
 
 
 def _wait_reply(worker: _Worker, timeout: float | None):
-    """Block until ``worker`` replies or exits; ``_HUNG`` after ``timeout``."""
+    """Block until ``worker`` replies or exits; ``_HUNG`` after ``timeout``.
+
+    Without a timeout this is one blocking read of the pipe: no process but
+    the worker holds the worker's end (the parent closes its copy before any
+    other worker is forked), so the pipe reaches EOF when the worker dies."""
     from multiprocessing.connection import wait
 
+    if timeout is None:
+        try:
+            return worker.conn.recv()
+        except (EOFError, OSError):
+            return _CRASHED
     ready = wait([worker.conn, worker.process.sentinel], timeout)
     if not ready:
         return _HUNG

@@ -322,9 +322,10 @@ def _parse_define(sexpr: _Form) -> Definition:
     raise ParseError("malformed define", line, column)
 
 
-def parse_program(source: str) -> Program:
-    """Parse a whole program: zero or more ``define`` forms and a main expression."""
-    forms = _read_all(tokenize(source))
+def parse_program(source: str, tokens: list[Token] | None = None) -> Program:
+    """Parse a whole program: zero or more ``define`` forms and a main
+    expression.  ``tokens``, if given, is ``tokenize(source)`` already made."""
+    forms = _read_all(tokenize(source) if tokens is None else tokens)
     if not forms:
         raise ParseError("empty program")
     definitions: list[Definition] = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +45,8 @@ from repro.experiment.driver import OUTCOMES, STRATEGY_BLAME, STRATEGY_NULL, Inl
 from repro.experiment.lattice import MAIN_OWNER
 from repro.gen import generate_corpus, generate_program
 from repro.surface.interp import compile_source
+
+from . import reference_lattice
 
 PIPELINE = """\
 (define (inc2 [x : int]) : int (+ x 2))
@@ -113,6 +116,29 @@ class TestLattice:
         for cfg in enumerate_configurations(lattice, max_configs=16):
             source, _ = render_configuration(lattice, cfg)
             assert runner(source)["kind"] == "value", (sorted(cfg), source)
+
+
+class TestRendering:
+    """Each binding's lines are rendered once per lattice; a configuration
+    joins them.  The text and the line-owner table must be what walking
+    every binding's AST again gives (``reference_lattice``)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_configurations_render_as_the_per_binding_walk(self, seed):
+        programs = [("pipeline", PIPELINE)] if seed == 0 else []
+        programs += [(f"gen-{seed}-{bindings}", generate_program(seed, bindings=bindings))
+                     for bindings in (3, 5, 7)]
+        rendered = 0
+        for name, source in programs:
+            lattice = ProgramLattice.from_source(source, name=name)
+            faulted = [apply_fault(lattice, fault)
+                       for fault in sample_faults(lattice, 4, seed=seed)]
+            for each in [lattice, *faulted]:
+                for cfg in enumerate_configurations(each, max_configs=64, seed=seed):
+                    assert render_configuration(each, cfg) == \
+                        reference_lattice.render_configuration(each, cfg)
+                    rendered += 1
+        assert rendered > 0
 
 
 class TestInjection:
@@ -191,6 +217,17 @@ def test_trail_terminates_within_untyped_budget(
         assert trail.blame_records == 0
 
 
+def _small_sweep(workers: int):
+    """The programs and trails of a four-semantics sweep over the pipeline
+    program and two generated ones."""
+    programs = [("pipeline", PIPELINE), *generate_corpus(2, seed=3, bindings=4)]
+    config = ExperimentConfig(
+        semantics=ALL_SEMANTICS, workers=workers, max_configs=16,
+        starts_per_fault=2, faults_per_program=2, seed=0,
+    )
+    return programs, run_experiment(programs, config)[0]
+
+
 class TestDriver:
     def test_inline_experiment_localizes_and_erasure_never_blames(self):
         config = ExperimentConfig(
@@ -246,8 +283,89 @@ class TestDriver:
             assert timing["wall_s"] > 0
             assert timing["configurations_per_s"] == pytest.approx(
                 reports[workers]["configurations_run"] / timing["wall_s"])
-        assert set(timings[0]) == {"wall_s", "configurations_per_s"}
+        assert set(timings[0]) == {"wall_s", "configurations_per_s", "parent_cpu_s"}
+        assert set(timings[2]) == {"wall_s", "configurations_per_s", "parent_cpu_s",
+                                   "compile_s", "run_s"}
+        assert timings[0]["parent_cpu_s"] > 0 and timings[2]["parent_cpu_s"] > 0
         assert timings[2]["compile_s"] > 0 and timings[2]["run_s"] > 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_each_fault_is_applied_and_each_graph_built_once(self, monkeypatch, workers):
+        """The planner applies each fault once and builds each program's
+        reference graph once; every trail of the fault reuses both."""
+        import repro.experiment.driver as driver
+
+        applied: Counter = Counter()
+        graphs: Counter = Counter()
+        apply_fault, adjacency = driver.apply_fault, driver._adjacency
+
+        def counting_apply(lattice, fault):
+            applied[(lattice.name, fault.kind, fault.site)] += 1
+            return apply_fault(lattice, fault)
+
+        def counting_adjacency(lattice):
+            graphs[lattice.name] += 1
+            return adjacency(lattice)
+
+        monkeypatch.setattr(driver, "apply_fault", counting_apply)
+        monkeypatch.setattr(driver, "_adjacency", counting_adjacency)
+        programs, trails = _small_sweep(workers)
+        planned = {(t.program, t.fault["kind"], t.fault["site"]) for t in trails}
+        assert len(trails) > len(planned) > len(programs)
+        assert applied == Counter(planned)
+        assert graphs == Counter(name for name, _ in programs)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_records_share_one_untyped_list_per_configuration(self, workers):
+        _, trails = _small_sweep(workers)
+        lists: dict[tuple, list] = {}
+        steps = 0
+        for record in (trail.describe() for trail in trails):
+            assert record["start_untyped"] is record["steps"][0]["untyped"]
+            for step in record["steps"]:
+                steps += 1
+                names = step["untyped"]
+                assert names == sorted(names)
+                assert names is lists.setdefault(tuple(names), names)
+        assert steps > len(lists)
+
+    def test_concurrent_trails_share_untyped_lists(self):
+        """Trails followed from many threads at once, switching as often as
+        the interpreter allows, still hold one list per configuration."""
+        import sys
+        import threading
+
+        lattice = ProgramLattice.from_source(generate_program(7, bindings=6), name="gen-7")
+        fault = enumerate_faults(lattice)[0]
+        configurations = enumerate_configurations(lattice, max_configs=64, seed=0)
+        untyped_lists: dict = {}
+        trails: list = []
+
+        def crash(_source):  # the null move: each step types a random binding
+            return {"kind": "error", "error": "worker exception: RuntimeError()"}
+
+        def follow(thread: int) -> None:
+            for index, start in enumerate(configurations):
+                trails.append(follow_trail(
+                    lattice, fault, start, "erasure", crash,
+                    rng=random.Random(f"{thread}|{index}"), untyped_lists=untyped_lists))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=follow, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(trails) == 8 * len(configurations)
+        for trail in trails:
+            assert trail.outcome == "runtime-error"
+            for step in trail.steps:
+                assert step["untyped"] is untyped_lists[frozenset(step["untyped"])]
 
     def test_trails_of_a_fault_share_one_description(self):
         config = ExperimentConfig(

@@ -206,8 +206,33 @@ class TestMetrics:
         result = run("(+ 1 2)", engine="rvm", metrics=m)
         assert result.is_value and result.value == 3
         phases = m.snapshot()["phases"]
-        assert {"parse", "elaborate", "lower", "optimize", "regalloc",
+        assert {"lex", "parse", "elaborate", "lower", "optimize", "regalloc",
                 "run"} <= set(phases)
+
+    def test_lex_and_parse_are_disjoint_phases(self, monkeypatch):
+        """Lexing is timed as ``lex`` and not again inside ``parse``: a lexer
+        slowed by 50 ms shows in the one timer only, and runs once."""
+        import time
+
+        import repro.surface.parser as parser
+        from repro.surface.interp import compile_source
+
+        calls = []
+        tokenize = parser.tokenize
+
+        def slow_tokenize(source):
+            calls.append(source)
+            time.sleep(0.05)
+            return tokenize(source)
+
+        monkeypatch.setattr(parser, "tokenize", slow_tokenize)
+        m = MetricsRegistry()
+        compile_source("(define (f [x : int]) : int (+ x 1))\n(f 2)\n", m)
+        phases = m.snapshot()["phases"]
+        assert len(calls) == 1
+        assert phases["lex"]["count"] == phases["parse"]["count"] == 1
+        assert phases["lex"]["total_s"] >= 0.05
+        assert phases["parse"]["total_s"] < 0.05
 
     def test_cache_counters(self, tmp_path):
         m = MetricsRegistry()

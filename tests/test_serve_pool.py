@@ -183,6 +183,43 @@ class TestWorkerPool:
             info = pool.info()
             assert (info["alive"], info["spare"], info["crashes"]) == (1, 1, 1)
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched module")
+    @pytest.mark.parametrize("retries", [2, 0])
+    def test_worker_killed_mid_run_without_a_deadline(self, monkeypatch, retries):
+        """A job without a deadline is read straight off the worker's pipe.
+        A SIGKILL while the worker runs it ends that read at EOF: the job
+        is retried on the spare, or with ``retries=0`` ends ``worker-lost``."""
+        import signal
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.serve.pool as pool_module
+
+        started = multiprocessing.Event()
+        handle_job = pool_module.handle_job
+
+        def announcing(job, memo):
+            started.set()
+            return handle_job(job, memo)
+
+        monkeypatch.setattr(pool_module, "handle_job", announcing)
+        with WorkerPool(1, retries=retries, backoff_s=0.01) as pool, \
+                ThreadPoolExecutor(1) as thread:
+            victim = pool._workers[0].process.pid
+            pending = thread.submit(pool.execute, job(SPIN, fuel=2 * 10**6))
+            assert started.wait(30)
+            os.kill(victim, signal.SIGKILL)
+            result = pending.result(timeout=60)
+            info = pool.info()
+            assert pool._workers[0].process.pid != victim
+        assert result["attempts"] == (2 if retries else 1)
+        assert (info["crashes"], info["alive"]) == (1, 1)
+        if retries:
+            assert (result["kind"], info["retries"], info["lost"]) == ("timeout", 1, 0)
+        else:
+            assert (result["kind"], result["reason"]) == ("error", "worker-lost")
+            assert (info["retries"], info["lost"]) == (0, 1)
+
     def test_worker_lost_after_retry_budget(self):
         with WorkerPool(1, faults="worker_kill:1.0", retries=1,
                         backoff_s=0.01) as pool:
