@@ -144,17 +144,6 @@ def _blame_owner(label: str, owner: dict[int, str]) -> str | None:
     return owner.get(line)
 
 
-def _adjacency(lattice: ProgramLattice) -> dict[str, set[str]]:
-    """The undirected reference graph (including the main expression)."""
-    graph: dict[str, set[str]] = {}
-    for source, targets in lattice.reference_map().items():
-        graph.setdefault(source, set())
-        for target in targets:
-            graph[source].add(target)
-            graph.setdefault(target, set()).add(source)
-    return graph
-
-
 def _nearest_untyped(
     start: str, graph: dict[str, set[str]], untyped: set[str]
 ) -> str | None:
@@ -181,10 +170,9 @@ def follow_trail(
     semantics: str,
     runner,
     *,
+    faulty: ProgramLattice,
+    untyped_lists: dict[frozenset[str], list[str]],
     rng: random.Random | None = None,
-    faulty: ProgramLattice | None = None,
-    graph: dict[str, set[str]] | None = None,
-    untyped_lists: dict[frozenset[str], list[str]] | None = None,
 ) -> Trail:
     """Follow one fault from one starting configuration to its outcome.
 
@@ -194,20 +182,13 @@ def follow_trail(
     The loop types exactly one binding per continued step, so it runs at
     most ``len(start_untyped) + 1`` configurations.
 
-    ``faulty`` (``apply_fault(lattice, fault)``) and ``graph`` (the
-    lattice's reference graph) are the same for every trail of the fault
-    and are built here only when not given.  ``untyped_lists`` maps a
-    configuration to its sorted list of untyped names; trails that share
-    it share those lists in their steps.
+    ``faulty`` is ``apply_fault(lattice, fault)``, planted once for every
+    trail of the fault.  ``untyped_lists`` maps a configuration to its
+    sorted list of untyped names; trails that share it share those lists
+    in their steps.
     """
     rng = rng if rng is not None else random.Random(0)
     strategy = strategy_for(semantics)
-    if faulty is None:
-        faulty = apply_fault(lattice, fault)
-    if graph is None:
-        graph = _adjacency(lattice)
-    if untyped_lists is None:
-        untyped_lists = {}
     untyped = set(start_untyped)
     steps: list[dict] = []
     blame_records = 0
@@ -251,7 +232,7 @@ def follow_trail(
             if name is not None and name in untyped:
                 target = name
             elif name is not None:
-                target = _nearest_untyped(name, graph, untyped)
+                target = _nearest_untyped(name, lattice.reference_graph, untyped)
             else:
                 target = None
             if target is None:
@@ -362,12 +343,11 @@ def _plan_trails(programs, config: ExperimentConfig):
     """The deterministic trail plan: every (program, fault, semantics,
     start) tuple, with starting configurations shared across semantics so
     the strategies are compared on identical footing.  Each entry carries
-    its fault's faulted lattice and its program's reference graph, built
-    once here for every trail that shares them."""
+    its fault's faulted lattice, planted once here for every trail of the
+    fault."""
     plan = []
     for name, source in programs:
         lattice = ProgramLattice.from_source(source, name=name)
-        graph = _adjacency(lattice)
         faults = sample_faults(lattice, config.faults_per_program, seed=config.seed)
         for fault_index, fault in enumerate(faults):
             faulty = apply_fault(lattice, fault)
@@ -379,7 +359,7 @@ def _plan_trails(programs, config: ExperimentConfig):
             starts = starts_rng.sample(configurations, count)
             for semantics in config.semantics:
                 for start_index, start in enumerate(starts):
-                    plan.append((lattice, faulty, graph, fault, fault_index,
+                    plan.append((lattice, faulty, fault, fault_index,
                                  semantics, start_index, start))
     return plan
 
@@ -403,7 +383,8 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
     part that varies from run to run: ``wall_s`` and
     ``configurations_per_s`` of the whole call, ``parent_cpu_s``, the CPU
     time this process spent in it (every thread's), and for pooled runs
-    the workers' summed ``compile_s`` and ``run_s``.  The trails share
+    the workers' summed ``compile_s`` and ``run_s`` and the pool's
+    ``crashes``, ``retries`` and ``lost`` counters.  The trails share
     their untyped lists (see :meth:`Trail.describe`).
     """
     from ..api import resolve_config
@@ -422,13 +403,12 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
     untyped_lists: dict[frozenset[str], list[str]] = {}
 
     def one(entry) -> Trail:
-        lattice, faulty, graph, fault, fault_index, semantics, start_index, start = entry
+        lattice, faulty, fault, fault_index, semantics, start_index, start = entry
         rng = _trail_rng(
             config, lattice.name, fault_index, semantics, start_index
         )
         return follow_trail(lattice, fault, start, semantics, runners[semantics],
-                            rng=rng, faulty=faulty, graph=graph,
-                            untyped_lists=untyped_lists)
+                            faulty=faulty, untyped_lists=untyped_lists, rng=rng)
 
     if config.workers > 0:
         from ..serve.pool import WorkerPool
@@ -438,7 +418,7 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
         groups: dict[tuple, list] = {}
         places = []
         for entry in plan:
-            lattice, _, _, _, fault_index, _, start_index, _ = entry
+            lattice, _, _, fault_index, _, start_index, _ = entry
             key = (id(lattice), fault_index, start_index)
             places.append((key, len(groups.setdefault(key, []))))
             groups[key].append(entry)
@@ -472,6 +452,7 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
     if config.workers > 0:
         timing["compile_s"] = sum(runner.compile_s for runner in runners.values())
         timing["run_s"] = sum(runner.run_s for runner in runners.values())
+        timing.update({name: pool.counters[name] for name in ("crashes", "retries", "lost")})
     report["timing"] = timing
     return trails, report
 

@@ -281,6 +281,19 @@ class ProgramLattice:
         return refs
 
     @cached_property
+    def reference_graph(self) -> dict[str, set[str]]:
+        """The undirected reference graph (including the main expression),
+        built on first use and shared by every trail of the program
+        (callers must not mutate it)."""
+        graph: dict[str, set[str]] = {}
+        for source, targets in self.reference_map().items():
+            graph.setdefault(source, set())
+            for target in targets:
+                graph[source].add(target)
+                graph.setdefault(target, set()).add(source)
+        return graph
+
+    @cached_property
     def rendered_lines(self) -> tuple[tuple[str, str, str], ...]:
         """``(owner, typed line, untyped line)`` per source line: one per
         binding, then the main expression (the same line both ways).

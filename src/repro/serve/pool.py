@@ -449,6 +449,14 @@ class WorkerPool:
     experiment); :meth:`checkout` and :meth:`run` wait on one asyncio event
     loop (the serve front end).
 
+    While a pool is alive, its process must fork no other process that
+    outlives the fork (``os.fork``, a fork-context
+    ``multiprocessing.Process``; a ``subprocess`` that execs is fine).
+    Such a fork, made while a worker is being started, keeps a copy of
+    that worker's end of its pipe, and :meth:`execute` then never sees the
+    pipe reach EOF when the worker dies.  Batch and the experiment fork
+    nothing else.
+
     ``faults`` is a spec string for :class:`~repro.core.faults.FaultPlan`
     (default: the ``REPRO_GRADUAL_FAULTS`` environment variable).  The
     coordinator draws ``worker_kill`` per dispatch; the spec is also
@@ -653,7 +661,12 @@ class WorkerPool:
     def execute(self, job: dict) -> dict:
         """Run one job to exactly one terminal result dict, blocking the
         calling thread until a worker is free and has replied (see
-        :meth:`_job` for the retry, timeout and recycle rules)."""
+        :meth:`_job` for the retry, timeout and recycle rules).
+
+        A job without a ``deadline_s`` is read straight off the worker's
+        pipe, and only the pipe's EOF shows that the worker died: the
+        process must not fork outside the pool while it is alive (see
+        :class:`WorkerPool`), or such a crash blocks this call for good."""
         if self._closed:
             raise RuntimeError("worker pool is shut down")
         steps = self._job(job, self._free.get())

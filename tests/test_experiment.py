@@ -208,7 +208,7 @@ def test_trail_terminates_within_untyped_budget(
     start = configs[start_choice % len(configs)]
     trail = follow_trail(
         lattice, fault, start, semantics, _runner(semantics),
-        rng=random.Random(0),
+        faulty=apply_fault(lattice, fault), untyped_lists={}, rng=random.Random(0),
     )
     assert trail.outcome in OUTCOMES
     assert trail.length <= len(start)
@@ -218,14 +218,14 @@ def test_trail_terminates_within_untyped_budget(
 
 
 def _small_sweep(workers: int):
-    """The programs and trails of a four-semantics sweep over the pipeline
-    program and two generated ones."""
+    """The programs, trails and report of a four-semantics sweep over the
+    pipeline program and two generated ones."""
     programs = [("pipeline", PIPELINE), *generate_corpus(2, seed=3, bindings=4)]
     config = ExperimentConfig(
         semantics=ALL_SEMANTICS, workers=workers, max_configs=16,
         starts_per_fault=2, faults_per_program=2, seed=0,
     )
-    return programs, run_experiment(programs, config)[0]
+    return programs, *run_experiment(programs, config)
 
 
 class TestDriver:
@@ -285,39 +285,55 @@ class TestDriver:
                 reports[workers]["configurations_run"] / timing["wall_s"])
         assert set(timings[0]) == {"wall_s", "configurations_per_s", "parent_cpu_s"}
         assert set(timings[2]) == {"wall_s", "configurations_per_s", "parent_cpu_s",
-                                   "compile_s", "run_s"}
+                                   "compile_s", "run_s", "crashes", "retries", "lost"}
         assert timings[0]["parent_cpu_s"] > 0 and timings[2]["parent_cpu_s"] > 0
         assert timings[2]["compile_s"] > 0 and timings[2]["run_s"] > 0
+        assert (timings[2]["crashes"], timings[2]["retries"], timings[2]["lost"]) == (0, 0, 0)
+
+    def test_pooled_trails_survive_a_worker_kill(self, monkeypatch):
+        """A worker SIGKILLed on one dispatch (the parent blocked reading its
+        pipe) costs one retry on the spare and no trail changes; the report
+        counts both."""
+        from repro.core.faults import FAULTS_ENV
+
+        _, inline, _ = _small_sweep(0)
+        monkeypatch.setenv(FAULTS_ENV, "worker_kill:1.0:1")
+        _, pooled, report = _small_sweep(2)
+        assert [t.describe() for t in pooled] == [t.describe() for t in inline]
+        timing = report["timing"]
+        assert (timing["crashes"], timing["retries"], timing["lost"]) == (1, 1, 0)
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_each_fault_is_applied_and_each_graph_built_once(self, monkeypatch, workers):
-        """The planner applies each fault once and builds each program's
-        reference graph once; every trail of the fault reuses both."""
+        """The planner applies each fault once, and a program builds its
+        reference graph once, when a trail first needs it; every later
+        trail reuses both."""
         import repro.experiment.driver as driver
 
         applied: Counter = Counter()
         graphs: Counter = Counter()
-        apply_fault, adjacency = driver.apply_fault, driver._adjacency
+        apply_fault, reference_map = driver.apply_fault, ProgramLattice.reference_map
 
         def counting_apply(lattice, fault):
             applied[(lattice.name, fault.kind, fault.site)] += 1
             return apply_fault(lattice, fault)
 
-        def counting_adjacency(lattice):
+        def counting_reference_map(lattice):
             graphs[lattice.name] += 1
-            return adjacency(lattice)
+            return reference_map(lattice)
 
         monkeypatch.setattr(driver, "apply_fault", counting_apply)
-        monkeypatch.setattr(driver, "_adjacency", counting_adjacency)
-        programs, trails = _small_sweep(workers)
+        monkeypatch.setattr(ProgramLattice, "reference_map", counting_reference_map)
+        programs, trails, _ = _small_sweep(workers)
         planned = {(t.program, t.fault["kind"], t.fault["site"]) for t in trails}
         assert len(trails) > len(planned) > len(programs)
         assert applied == Counter(planned)
-        assert graphs == Counter(name for name, _ in programs)
+        assert set(graphs) <= {name for name, _ in programs}
+        assert set(graphs.values()) == {1}
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_records_share_one_untyped_list_per_configuration(self, workers):
-        _, trails = _small_sweep(workers)
+        _, trails, _ = _small_sweep(workers)
         lists: dict[tuple, list] = {}
         steps = 0
         for record in (trail.describe() for trail in trails):
@@ -337,6 +353,7 @@ class TestDriver:
 
         lattice = ProgramLattice.from_source(generate_program(7, bindings=6), name="gen-7")
         fault = enumerate_faults(lattice)[0]
+        faulty = apply_fault(lattice, fault)
         configurations = enumerate_configurations(lattice, max_configs=64, seed=0)
         untyped_lists: dict = {}
         trails: list = []
@@ -347,8 +364,8 @@ class TestDriver:
         def follow(thread: int) -> None:
             for index, start in enumerate(configurations):
                 trails.append(follow_trail(
-                    lattice, fault, start, "erasure", crash,
-                    rng=random.Random(f"{thread}|{index}"), untyped_lists=untyped_lists))
+                    lattice, fault, start, "erasure", crash, faulty=faulty,
+                    untyped_lists=untyped_lists, rng=random.Random(f"{thread}|{index}")))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
