@@ -8,7 +8,7 @@ pipeline, and that warm start is ≥ :data:`WARM_SPEEDUP_TARGET`× faster
 end-to-end over the shipped example corpus.  This suite quantifies it:
 
 * **cold vs warm** — per program and for the whole corpus, the end-to-end
-  ``run_source`` time against an empty cache (compile + store + run) and
+  ``repro.api.run`` time against an empty cache (compile + store + run) and
   against a primed one (load + run).  The corpus-level ratio is the
   acceptance bar; per-program ratios show where the win lives (the
   compile-bound library programs) and where it cannot (``tail_loop`` is
@@ -16,12 +16,13 @@ end-to-end over the shipped example corpus.  This suite quantifies it:
 * **image load** — deserialize time per program, the warm path's overhead
   over a bare ``run_code``.
 * **batch runner** — wall time for the corpus under ``run_batch`` with a
-  cold cache, a warm cache, and 1 vs N workers (worker dispatch ships
-  serialized images to a ``multiprocessing`` pool; on a single-core
-  runner the extra workers buy nothing and the artifact records that
-  honestly).
+  cold cache, a warm cache, and 1 vs N workers (each worker compiles its
+  programs through the compile cache, so a warm corpus is a cache load
+  per program; on a single-core runner the extra workers buy nothing and
+  the artifact records that honestly).
 
-Standalone usage (writes the ``BENCH_batch.json`` artifact)::
+Standalone usage (writes the ``BENCH_batch.json`` artifact, then exits 1 if
+the corpus bar is missed; ``speedup/corpus`` records ``meets_target``)::
 
     python benchmarks/bench_batch.py --json
 """
@@ -139,10 +140,6 @@ def build_suite(repeat: int) -> harness.Suite:
             target=WARM_SPEEDUP_TARGET,
             meets_target=corpus_speedup >= WARM_SPEEDUP_TARGET,
         )
-        assert corpus_speedup >= WARM_SPEEDUP_TARGET, (
-            f"warm-vs-cold corpus speedup {corpus_speedup:.2f}x is below the "
-            f"{WARM_SPEEDUP_TARGET}x bar"
-        )
 
         # The batch runner: cold cache, warm cache, 1 vs N workers.
         def corpus_config(cache_dir: str) -> RunConfig:
@@ -201,5 +198,14 @@ def test_corpus_warm_start(benchmark, cache, tmp_path):
     benchmark.extra_info["programs"] = len(sources)
 
 
+def corpus_verdict(suite: harness.Suite) -> str | None:
+    """Why the corpus misses the warm-vs-cold bar, or ``None`` if it meets it."""
+    row = next(m for m in suite.measurements if m.name == "speedup/corpus")
+    if row.meta["meets_target"]:
+        return None
+    return (f"warm-vs-cold corpus speedup {row.meta['warm_vs_cold']}x is below "
+            f"the {WARM_SPEEDUP_TARGET}x bar")
+
+
 if __name__ == "__main__":
-    sys.exit(harness.main("batch", build_suite))
+    sys.exit(harness.main("batch", build_suite, verdict=corpus_verdict))

@@ -12,10 +12,10 @@ sweeps the full :mod:`repro.semantics` registry and writes
   register VM (``rvm``, at ``-O2`` like the stack VM) run the boundary
   workloads under every registered semantics.  The Natural pair
   (``coercion``, ``threesome``) must agree on every observable with
-  *identical* pending footprints (``check_mediator_oracle`` asserts the
-  whole 4-backend matrix first); Transient and Erasure are the two ends of
-  the enforcement spectrum the blame-evaluation literature compares
-  Natural against:
+  *identical* pending footprints (``check_oracle_matrix`` checks every
+  engine × semantics × ``-O`` cell first); Transient and Erasure are the
+  two ends of the enforcement spectrum the blame-evaluation literature
+  compares Natural against:
 
   - ``{engine}/erasure_vs_coercion/{workload}`` records the **speed
     ceiling** — what enforcement costs at all (erasure elides every
@@ -58,7 +58,7 @@ from repro.gen.programs import (
 )
 from repro.lambda_s.coercions import compose
 from repro.machine import run_on_machine
-from repro.properties.bisimulation import check_mediator_oracle
+from repro.properties.bisimulation import check_oracle_matrix
 from repro.semantics import SEMANTICS, SEMANTICS_NAMES
 from repro.threesomes import compose_labeled, labeled_of_coercion
 from repro.translate.b_to_s import cast_to_space
@@ -141,8 +141,8 @@ def _compose_microbenchmarks(suite: harness.Suite) -> None:
 
 def _engine_comparison(suite: harness.Suite) -> None:
     for name, term, boundary_heavy, pure_tail in ENGINE_WORKLOADS:
-        # The whole 4-backend × {machine, vm, rvm} matrix, before timing.
-        report = check_mediator_oracle(term)
+        # Every engine × semantics × -O cell of the oracle matrix, before timing.
+        report = check_oracle_matrix(term)
         assert report.ok, f"{name}: {report.reason}"
 
         cells: dict[tuple[str, str], harness.Measurement] = {}

@@ -143,13 +143,17 @@ def artifact_path(suite_name: str, explicit: str | None = None) -> Path:
 DEFAULT_SEED = 20150613
 
 
-def main(suite_name: str, build: Callable[..., Suite], argv: list[str] | None = None) -> int:
-    """CLI entry point shared by every ``bench_*.py``.
+def main(suite_name: str, build: Callable[..., Suite], argv: list[str] | None = None,
+         verdict: Callable[[Suite], str | None] | None = None) -> int:
+    """CLI entry point shared by every ``bench_*.py``; returns the exit status.
 
     ``build(repeat)`` runs the experiment and returns the populated suite;
     a suite whose workloads are randomly generated declares a second
     ``seed`` parameter and receives ``--seed`` (default
     :data:`DEFAULT_SEED`, so artifacts are reproducible run to run).
+    ``verdict(suite)``, if given, judges the suite after its table is
+    printed and its artifact written, so a missed bar is still recorded: a
+    message it returns goes to stderr and the status is 1.
     """
     parser = argparse.ArgumentParser(description=f"benchmark suite {suite_name!r}")
     parser.add_argument("--json", nargs="?", const="", default=None, metavar="PATH",
@@ -170,4 +174,8 @@ def main(suite_name: str, build: Callable[..., Suite], argv: list[str] | None = 
         path = artifact_path(suite_name, args.json or None)
         path.write_text(json.dumps(suite.to_json(), indent=2) + "\n")
         print(f"wrote {path}")
+    failure = verdict(suite) if verdict is not None else None
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
     return 0

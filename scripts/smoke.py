@@ -43,11 +43,11 @@ print("embed C:", run_c(b_to_c(emb)))
 print("embed S:", run_s(b_to_s(emb)))
 
 # The bytecode VM agrees with all of the above on the λS pipeline.
-from repro.compiler import run_on_vm
+from repro.api import run
 
-print("vm:", run_on_vm(term))
-print("vm bad:", run_on_vm(bad))
-print("vm embed:", run_on_vm(emb))
+print("vm:", run(term, engine="vm"))
+print("vm bad:", run(bad, engine="vm"))
+print("vm embed:", run(emb, engine="vm"))
 
 # The optimizer levels agree with each other (and the -O2 disassembly
 # round-trips through the parser).
@@ -59,31 +59,26 @@ from repro.compiler import (
 )
 
 for probe in (term, bad, emb):
-    o0 = run_on_vm(probe, opt_level=0)
-    o2 = run_on_vm(probe, opt_level=2)
-    assert o0.kind == o2.kind, (o0, o2)
-    if o0.is_value:
-        assert o0.python_value() == o2.python_value()
-    if o0.is_blame:
-        assert o0.label == o2.label
+    o0 = run(probe, engine="vm", opt_level=0)
+    o2 = run(probe, engine="vm", opt_level=2)
+    assert (o0.kind, o0.value, o0.blame_label) == (o2.kind, o2.value, o2.blame_label), (o0, o2)
 for level in (0, 1, 2):
     code = compile_term(emb, opt_level=level)
     assert parse_disassembly(disassemble(code)) == instruction_streams(code), level
 print("optimizer levels + disassembly round trip: ok")
 
-# The threesome mediator backend (machine and VM) agrees too.
-from repro.machine import run_on_machine
+# The threesome mediator backend (machine and VM) agrees too, and so does
+# every engine × semantics × -O cell of the oracle matrix.
+print("machine threesome:", run(term, engine="machine", semantics="threesome"))
+print("vm threesome:", run(term, engine="vm", semantics="threesome"))
+print("vm threesome bad:", run(bad, engine="vm", semantics="threesome"))
 
-print("machine threesome:", run_on_machine(term, "S", semantics="threesome"))
-print("vm threesome:", run_on_vm(term, semantics="threesome"))
-print("vm threesome bad:", run_on_vm(bad, semantics="threesome"))
-
-from repro.properties.bisimulation import check_mediator_oracle
+from repro.properties.bisimulation import check_oracle_matrix
 
 for probe in (term, bad, emb):
-    report = check_mediator_oracle(probe)
+    report = check_oracle_matrix(probe)
     assert report.ok, report.reason
-print("mediator oracle: ok")
+print("oracle matrix: ok")
 
 # The CLI front end end-to-end, including the new flags and exit codes
 # (0 value, 1 blame, 2 static error, 3 timeout).

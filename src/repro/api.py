@@ -34,8 +34,8 @@ Backends are a triple of knobs:
   with ``∘``), ``"transient"`` (shallow tag checks; blame may diverge from
   Natural), or ``"erasure"`` (no enforcement, never blames).  The two
   Natural backends are observationally equivalent
-  (``check_mediator_oracle``); the substitution oracle reduces coercion
-  terms literally and supports only ``"coercion"``.
+  (``repro.properties.bisimulation.check_oracle_matrix``); the substitution
+  oracle reduces coercion terms literally and supports only ``"coercion"``.
 
 Fuel exhaustion is reported uniformly: every engine yields
 ``RunResult(kind="timeout", steps=<fuel spent>)`` (the step *units* differ
@@ -63,7 +63,7 @@ from .core.fuel import (
     DEFAULT_VM_FUEL,
 )
 from .core.labels import Label
-from .core.terms import Term
+from .core.terms import Const, Fix, Lam, Pair, Term, erase
 from .core.types import Type
 from .lambda_b import reduction as reduction_b
 from .lambda_c import reduction as reduction_c
@@ -266,6 +266,28 @@ def _from_machine_outcome(outcome, ty, calculus: str, engine: str,
                      cache_status=cache_status, config=config)
 
 
+def reducer_value_to_python(term: Term) -> object:
+    """Project a substitution-reducer value to a Python observable.
+
+    The same projection as the machine's and the VMs' ``python_value()``
+    (:func:`~repro.machine.values.machine_value_to_python`), so every
+    engine's ``RunResult.value`` compares directly: constants project to
+    themselves, pairs componentwise, functions to the opaque
+    ``"<function>"`` marker, and mediators (casts, coercions) are erased.
+    """
+
+    def project(t: Term) -> object:
+        if isinstance(t, Const):
+            return t.value
+        if isinstance(t, Pair):
+            return (project(t.left), project(t.right))
+        if isinstance(t, (Lam, Fix)):
+            return "<function>"
+        return str(t)
+
+    return project(erase(term))
+
+
 def run_image(image, fuel: int | None = None, *, opcode_counts: dict | None = None,
               metrics=None) -> RunResult:
     """Run a loaded ``.gradb`` image on the engine its IR fixes.
@@ -406,13 +428,9 @@ def _execute_term(term: Term, ty: Type | None, cfg: RunConfig,
             raise ValueError(f"unknown calculus {calculus!r}")
     record_run(metrics, outcome.kind, {"steps": outcome.steps}, engine)
     if outcome.is_value:
-        # Same projection as the machine/VM engines' python_value(), so every
-        # engine's RunResult.value is directly comparable.
-        from .properties.bisimulation import reducer_value_to_python
-
-        value = reducer_value_to_python(outcome.term)
-        return RunResult("value", value, type=ty, calculus=calculus, engine=engine,
-                         steps=outcome.steps, config=cfg)
+        return RunResult("value", reducer_value_to_python(outcome.term), type=ty,
+                         calculus=calculus, engine=engine, steps=outcome.steps,
+                         config=cfg)
     if outcome.is_blame:
         return RunResult("blame", blame_label=outcome.label, type=ty,
                          calculus=calculus, engine=engine, steps=outcome.steps,

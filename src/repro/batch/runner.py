@@ -1,7 +1,7 @@
 """The batch runner: corpus discovery and fault-tolerant parallel execution.
 
-Each program of the corpus becomes one ``run_source`` job, the job serve
-and the experiment send too (:func:`repro.serve.pool.handle_job`): the
+Each program of the corpus becomes one pool job, the job serve and the
+experiment send too (:func:`repro.serve.pool.handle_job`): the
 coordinating process reads the source, and whoever runs the job compiles
 it through the compile cache (not at all when the cache is warm) and runs
 it.  That is a worker of the fault-tolerant
@@ -141,7 +141,6 @@ def run_batch(
             finish({"program": str(path), "kind": "error", "error": f"unreadable: {exc}"})
             continue
         jobs.append({
-            "op": "run_source",
             "program": str(path),
             "source": source,
             "engine": config.engine,

@@ -25,8 +25,9 @@ No λC or λS tree is built on the way: the translations ``b_to_c`` and
 ``c_to_s`` (Figures 4 & 6) stay the paper's executable reference, and
 lowering a λB term gives exactly the code of lowering its λS image.
 The CEK machine (:mod:`repro.machine`) remains the oracle for both VMs:
-``repro.properties.bisimulation.check_vm_oracle`` runs them against both
-the machine and the substitution reducers and compares observables.
+``repro.properties.bisimulation.check_oracle_matrix`` runs them, the
+machine and the substitution reducer through ``repro.api.run`` and
+compares observables.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .rvm import (
     THE_RVM,
     RClosure,
     compile_register_program,
-    run_on_rvm,
     run_rcode,
 )
 from .serialize import (
@@ -73,7 +73,6 @@ from .vm import (
     VMClosure,
     compile_term,
     run_code,
-    run_on_vm,
 )
 
 __all__ = [
@@ -113,7 +112,6 @@ __all__ = [
     "VMClosure",
     "compile_term",
     "run_code",
-    "run_on_vm",
     "RCode",
     "all_rcodes",
     "compile_registers",
@@ -122,6 +120,5 @@ __all__ = [
     "THE_RVM",
     "RClosure",
     "compile_register_program",
-    "run_on_rvm",
     "run_rcode",
 ]

@@ -78,9 +78,9 @@ def cache_key(source_hash: str, opt_level: int, semantics: str, ir: str = "stack
     digest = hashlib.sha256()
     digest.update(f"gradb-v{FORMAT_VERSION}\x00ir={ir}\x00".encode())
     digest.update(fingerprint())
-    # The enforcement-semantics axis comes from the registry, so renaming or
-    # re-versioning a backend's key invalidates exactly its own entries.
-    axis = resolve(semantics).cache_key
+    # The enforcement-semantics axis is the registry name (resolved, so an
+    # unknown semantics fails here).
+    axis = resolve(semantics).name
     digest.update(f"\x00{source_hash}\x00{opt_level}\x00{axis}".encode())
     return digest.hexdigest()
 

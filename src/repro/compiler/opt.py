@@ -41,8 +41,8 @@ on every code object:
 Jumps are remapped across every rewrite.  The optimizer never changes
 observables — values, blame labels, λS's space guarantee (a tail loop's
 ``max_pending_mediators`` stays 1; an elided identity can only *shrink*
-the footprint) — which ``check_vm_oracle``/``check_mediator_oracle``
-assert by running ``-O0`` against ``-O2`` on both mediator backends.
+the footprint) — which ``check_oracle_matrix`` asserts by running ``-O0``
+against ``-O2`` on both compiled engines under every semantics.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ proxy unwrapping convert 1:1 (same pool indices, same order), so the single
 pending-coercion slot per frame, the memoised ``#``/``∘`` merges, and the
 ``-O2`` inline mediator caches carry over unchanged — a boundary tail loop
 still runs with ``max_pending_mediators == 1`` (asserted against the stack
-VM by ``check_vm_oracle``/``check_mediator_oracle``).
+VM by ``check_oracle_matrix``).
 
 **One pass.**  Conversion walks each code object's stack instructions
 once and emits final words: a pair in :data:`R_FUSIONS` is fused as its

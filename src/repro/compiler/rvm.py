@@ -33,8 +33,8 @@ reuse, the same proxy unwrap at call sites, the same per-site inline
 caches keyed on interned mediator identity (allocated at ``-O2``, absent
 below; a fused pair's halves cache at ``pc`` and ``pc+1``) — so
 ``max_pending_mediators == 1`` on boundary tail loops holds with the same
-accounting, and ``check_vm_oracle``/``check_mediator_oracle`` compare the
-two engines' space profiles directly.  One allocation the stack VM makes
+accounting, and ``check_oracle_matrix`` compares the two engines' space
+profiles directly.  One allocation the stack VM makes
 is skipped rather than ported: unrolling ``fix`` reuses the (immutable,
 field-equal) ``MFixWrap`` being applied as the wrapper it passes on,
 instead of building a fresh one per iteration.
@@ -1159,18 +1159,6 @@ def compile_register_program(
     with phase(metrics, "regalloc"):
         # Looked up at call time, so a wrapper of the converter sees it.
         return regalloc.compile_registers(code)
-
-
-def run_on_rvm(
-    term_b: Term,
-    fuel: int = DEFAULT_VM_FUEL,
-    semantics: str = "coercion",
-    opt_level: int = DEFAULT_OPT_LEVEL,
-    opcode_counts: dict | None = None,
-) -> MachineOutcome:
-    """Compile a λB term to register code and run it (λS semantics)."""
-    return THE_RVM.run(compile_register_program(term_b, semantics, opt_level),
-                       fuel, opcode_counts=opcode_counts)
 
 
 def run_rcode(

@@ -54,8 +54,8 @@ but identity/wrap falls back to the policy's ``apply`` (which raises blame
 exactly as before).  A cache never changes observables — it short-circuits
 computations whose results are memoised on the same identities anyway.
 
-The VM executes λS only; ``run_on_vm`` translates a λB program first,
-mirroring ``run_on_machine``.
+The VM executes λS only; ``compile_term`` lowers each cast of a λB program
+through ``|·|BS`` where it finds it.
 
 The enforcement *semantics* is pluggable (the
 :data:`~repro.semantics.SEMANTICS` registry, selected by the constant
@@ -65,7 +65,7 @@ memoised ``#`` (the default), Natural via threesomes merged with ``∘``
 checks, or Erasure's no-ops.  Every backend is a
 :class:`~repro.machine.policy.MediationPolicy` shared with the CEK machine,
 so the space discipline above is representation-independent — asserted end
-to end by ``check_mediator_oracle`` (which also runs ``-O0`` against
+to end by ``check_oracle_matrix`` (which also runs ``-O0`` against
 ``-O2`` per backend).
 """
 
@@ -624,18 +624,6 @@ def compile_term(
     code = lower_for(term_b, semantics, metrics)
     with phase(metrics, "optimize"):
         return optimize(code, opt_level)
-
-
-def run_on_vm(
-    term_b: Term,
-    fuel: int = DEFAULT_VM_FUEL,
-    semantics: str = "coercion",
-    opt_level: int = DEFAULT_OPT_LEVEL,
-    opcode_counts: dict | None = None,
-) -> MachineOutcome:
-    """Compile a λB term to bytecode and run it on the VM (λS semantics)."""
-    return THE_VM.run(compile_term(term_b, semantics, opt_level),
-                      fuel, opcode_counts=opcode_counts)
 
 
 def run_code(

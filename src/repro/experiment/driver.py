@@ -172,22 +172,23 @@ def follow_trail(
     *,
     faulty: ProgramLattice,
     untyped_lists: dict[frozenset[str], list[str]],
-    rng: random.Random | None = None,
+    seed: int | str,
 ) -> Trail:
     """Follow one fault from one starting configuration to its outcome.
 
     ``runner`` maps rendered source text to a result dict with at least
     ``kind`` (``value`` / ``blame`` / ``timeout`` / ``error``) plus
-    ``blame`` or ``error`` payloads — the pool's ``run_source`` shape.
+    ``blame`` or ``error`` payloads — the shape of a pool job's result.
     The loop types exactly one binding per continued step, so it runs at
     most ``len(start_untyped) + 1`` configurations.
 
     ``faulty`` is ``apply_fault(lattice, fault)``, planted once for every
     trail of the fault.  ``untyped_lists`` maps a configuration to its
     sorted list of untyped names; trails that share it share those lists
-    in their steps.
+    in their steps.  ``seed`` seeds the null move's random choice; the
+    generator is built at the first draw, which few trails make.
     """
-    rng = rng if rng is not None else random.Random(0)
+    rng = None
     strategy = strategy_for(semantics)
     untyped = set(start_untyped)
     steps: list[dict] = []
@@ -257,6 +258,8 @@ def follow_trail(
             steps.append(step)
             outcome = "runtime-error"
             break
+        if rng is None:
+            rng = random.Random(seed)
         target = rng.choice(sorted(untyped))
         step["action"] = sys.intern(f"type {target}")
         steps.append(step)
@@ -319,7 +322,6 @@ class PoolRunner:
     def __call__(self, source: str) -> dict:
         cfg = self.config
         result = self.pool.execute({
-            "op": "run_source",
             "source": source,
             "engine": cfg.engine,
             "semantics": cfg.semantics,
@@ -334,9 +336,9 @@ class PoolRunner:
         return result
 
 
-def _trail_rng(config: ExperimentConfig, *parts: object) -> random.Random:
-    """A per-trail RNG seeded from stable strings (process-independent)."""
-    return random.Random("|".join(str(p) for p in (config.seed, *parts)))
+def _trail_seed(config: ExperimentConfig, *parts: object) -> str:
+    """A per-trail RNG seed from stable strings (process-independent)."""
+    return "|".join(str(p) for p in (config.seed, *parts))
 
 
 def _plan_trails(programs, config: ExperimentConfig):
@@ -354,7 +356,7 @@ def _plan_trails(programs, config: ExperimentConfig):
             configurations = enumerate_configurations(
                 lattice, config.max_configs, seed=config.seed + fault_index
             )
-            starts_rng = _trail_rng(config, name, fault_index, "starts")
+            starts_rng = random.Random(_trail_seed(config, name, fault_index, "starts"))
             count = min(config.starts_per_fault, len(configurations))
             starts = starts_rng.sample(configurations, count)
             for semantics in config.semantics:
@@ -404,11 +406,9 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
 
     def one(entry) -> Trail:
         lattice, faulty, fault, fault_index, semantics, start_index, start = entry
-        rng = _trail_rng(
-            config, lattice.name, fault_index, semantics, start_index
-        )
+        seed = _trail_seed(config, lattice.name, fault_index, semantics, start_index)
         return follow_trail(lattice, fault, start, semantics, runners[semantics],
-                            faulty=faulty, untyped_lists=untyped_lists, rng=rng)
+                            faulty=faulty, untyped_lists=untyped_lists, seed=seed)
 
     if config.workers > 0:
         from ..serve.pool import WorkerPool

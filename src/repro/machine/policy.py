@@ -341,7 +341,7 @@ class ThreesomePolicy(MediationPolicy):
     (:func:`~repro.threesomes.runtime.compose_threesome`, memoised on interned
     identity like ``#``).  Observables — values, blame labels, timeouts, and
     the constant pending-mediator footprint — agree with the coercion backend
-    (enforced by ``check_mediator_oracle``).
+    (enforced by ``check_oracle_matrix``).
     """
 
     name = "S"

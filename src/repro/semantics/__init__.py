@@ -2,8 +2,8 @@
 
 The λS pipeline is parametric in *how* run-time enforcement happens — which
 :class:`~repro.machine.policy.MediationPolicy` the machines execute, how a
-canonical coercion is pre-interned into a constant pool, what id a ``.gradb``
-image carries, and which string salts the compile-cache key.  Historically
+canonical coercion is pre-interned into a constant pool, and what it can
+promise (blame, the space bound, Natural observables).  Historically
 that choice was a two-value string (``"coercion"``/``"threesome"``)
 duplicated across per-module dispatch dicts; this package replaces all of
 them with one registry keyed by semantics name:
@@ -56,10 +56,8 @@ class EnforcementSemantics:
     ``pre_intern`` maps an *interned* canonical λS coercion to the node this
     backend pools (:meth:`ConstantPool.with_mediators` calls it once per
     coercion of a lowered program's pool, when the program is compiled for
-    this backend).  ``serialize_id`` is the provenance string written
-    into ``.gradb`` headers and ``cache_key`` the compile-cache axis — kept
-    as separate fields so a representation change can version one without
-    the other.
+    this backend).  ``name`` is also what ``.gradb`` headers record and what
+    salts the compile-cache key.
 
     Capability flags: ``blames`` — can a run ever end in blame;
     ``space_bounded`` — does the backend preserve the constant
@@ -72,8 +70,6 @@ class EnforcementSemantics:
     policy: MediationPolicy
     machine: CEKMachine
     pre_intern: Callable[[object], object]
-    serialize_id: str
-    cache_key: str
     blames: bool
     space_bounded: bool
     natural: bool
@@ -97,8 +93,6 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
             policy=SPACE_POLICY,
             machine=MACHINE_S,
             pre_intern=_pool_coercion,
-            serialize_id="coercion",
-            cache_key="coercion",
             blames=True,
             space_bounded=True,
             natural=True,
@@ -108,8 +102,6 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
             policy=THREESOME_POLICY,
             machine=CEKMachine(THREESOME_POLICY),
             pre_intern=threesome_of_coercion,
-            serialize_id="threesome",
-            cache_key="threesome",
             blames=True,
             space_bounded=True,
             natural=True,
@@ -119,8 +111,6 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
             policy=TRANSIENT_POLICY,
             machine=CEKMachine(TRANSIENT_POLICY),
             pre_intern=transient_of_coercion,
-            serialize_id="transient",
-            cache_key="transient",
             blames=True,
             space_bounded=True,
             natural=False,
@@ -130,8 +120,6 @@ SEMANTICS: dict[str, EnforcementSemantics] = {
             policy=ERASURE_POLICY,
             machine=CEKMachine(ERASURE_POLICY),
             pre_intern=_pool_erased,
-            serialize_id="erasure",
-            cache_key="erasure",
             blames=False,
             space_bounded=True,
             natural=False,

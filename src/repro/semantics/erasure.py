@@ -10,7 +10,7 @@ what remains is the raw computation, which is exactly the speed ceiling the
 benchmarks compare the enforcing backends against.
 
 On blame-free programs Erasure agrees with Natural on values (enforced by
-``check_mediator_oracle`` and a hypothesis property); on programs Natural
+``check_oracle_matrix`` and a hypothesis property); on programs Natural
 blames, Erasure either produces a value or diverges — it can never exit
 with blame.
 """

@@ -169,7 +169,7 @@ def _remember(memo: dict, key, value, cap: int):
 
 
 def _obtain_image(job: dict, memo: WorkerMemo):
-    """The image for a ``run_source`` job, through memo → cache → compile.
+    """The image for a pool job, through memo → cache → compile.
 
     Returns ``(LoadedImage, cache_status)`` where status is ``"warm"``
     (worker-resident), ``"hit"``/``"miss"``/``"recovered"`` (compile
@@ -242,17 +242,14 @@ def handle_job(job: dict, memo: WorkerMemo) -> dict:
     as it is): what a worker does with each job it receives, and what the
     batch runner's inline mode does in-process.
 
-    The one op is ``run_source``: a job carries source text or a cache
-    address (see :func:`_obtain_image`).  ``memo`` is the worker's
+    A job runs one program: it carries source text or a cache address
+    (see :func:`_obtain_image`).  ``memo`` is the worker's
     :class:`WorkerMemo`.
     """
     from ..api import run_image
     from ..core.errors import ReproError
     from ..machine.values import json_value
 
-    op = job.get("op")
-    if op != "run_source":
-        return {"kind": "error", "error": f"unknown pool op: {op!r}"}
     started = time.perf_counter()
     with _deadline(job.get("deadline_s")):
         try:

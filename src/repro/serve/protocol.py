@@ -159,7 +159,6 @@ def normalize_run_request(obj: dict, defaults: dict) -> dict:
     check_deadline(deadline_s)
 
     return {
-        "op": "run_source",
         "source": source,
         "source_hash": source_hash,
         "engine": config.engine,

@@ -64,10 +64,8 @@ class ServeConfig:
     max_requests: int = 0  # recycle a worker after this many jobs (0 = never)
     max_rss_mb: int = 0  # recycle a worker past this RSS (0 = never)
     retries: int = 2
-    backoff_s: float = 0.05
     grace_s: float = DEFAULT_GRACE_S
     faults: str | None = None  # fault spec (default: the environment)
-    faults_seed: int | None = None
 
 
 def _check_settings(config: ServeConfig) -> None:
@@ -85,13 +83,12 @@ def _check_settings(config: ServeConfig) -> None:
         check_deadline(config.deadline_s)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    for name in ("grace_s", "backoff_s"):
-        value = getattr(config, name)
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and 0 <= value <= MAX_DEADLINE_S):
-            raise UsageError(
-                f"{name} must be a number of seconds in [0, {MAX_DEADLINE_S:g}], got {value!r}"
-            )
+    grace_s = config.grace_s
+    if not (isinstance(grace_s, (int, float)) and not isinstance(grace_s, bool)
+            and 0 <= grace_s <= MAX_DEADLINE_S):
+        raise UsageError(
+            f"grace_s must be a number of seconds in [0, {MAX_DEADLINE_S:g}], got {grace_s!r}"
+        )
 
 
 class Server:
@@ -260,9 +257,7 @@ class Server:
         self._pool = WorkerPool(
             config.workers,
             faults=config.faults,
-            seed=config.faults_seed,
             retries=config.retries,
-            backoff_s=config.backoff_s,
             grace_s=config.grace_s,
             max_requests=config.max_requests,
             max_rss_mb=config.max_rss_mb,

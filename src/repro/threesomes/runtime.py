@@ -22,7 +22,7 @@ The representation gets exactly the performance treatment λS coercions got in
 The mediation semantics itself lives in
 :class:`repro.machine.policy.ThreesomePolicy`; the equivalence with the
 coercion backend is enforced end to end by
-:func:`repro.properties.bisimulation.check_mediator_oracle`.
+:func:`repro.properties.bisimulation.check_oracle_matrix`.
 """
 
 from __future__ import annotations

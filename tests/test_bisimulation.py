@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 
+from repro.compiler.rvm import RVM
+from repro.compiler.vm import VM
 from repro.core.labels import label
 from repro.core.terms import App, Cast, Lam, Op, Var, const_int
 from repro.core.types import BOOL, DYN, INT, FunType
@@ -19,12 +24,15 @@ from repro.gen.programs import (
     untyped_client_bad_argument,
     untyped_library_bad_result,
 )
+from repro.machine.cek import CEKMachine
+from repro.machine.values import MConst
 from repro.properties.bisimulation import (
     check_lockstep_b_c,
+    check_oracle_matrix,
     check_outcomes_b_c_s,
     check_outcomes_c_s,
-    check_vm_oracle,
 )
+from repro.semantics import SEMANTICS
 from repro.translate.b_to_c import term_to_lambda_c
 
 from .strategies import lambda_b_programs
@@ -132,7 +140,8 @@ class TestOutcomeBisimulationCS:
 
 
 class TestVMOracle:
-    """The bytecode VM against its oracles: the CEK machine and the reducers."""
+    """Every engine × semantics × ``-O`` cell against the others and against
+    the oracles: the CEK machine and the λS substitution reducer."""
 
     def test_vm_oracle_on_the_boundary_workloads(self):
         for program in (
@@ -145,7 +154,7 @@ class TestVMOracle:
             safe_boundary_program(),
             pair_boundary_swap(),
         ):
-            report = check_vm_oracle(program)
+            report = check_oracle_matrix(program)
             assert report.ok, report.reason
 
     def test_vm_oracle_on_the_vm_stress_shapes(self):
@@ -156,15 +165,81 @@ class TestVMOracle:
             let_chain_boundary(30),
             let_chain_boundary(0),
         ):
-            report = check_vm_oracle(program)
+            report = check_oracle_matrix(program)
             assert report.ok, report.reason
 
     @given(lambda_b_programs())
     @settings(max_examples=30)
     def test_vm_oracle_on_generated_programs(self, program):
         term, _ = program
-        report = check_vm_oracle(term)
+        report = check_oracle_matrix(term)
         assert report.ok, report.reason
+
+
+def _bump(stat: str, by: int):
+    return lambda outcome: replace(
+        outcome, stats={**outcome.stats, stat: outcome.stats[stat] + by})
+
+
+def _int_plus_one(outcome):
+    value = outcome.value
+    if outcome.is_value and isinstance(value, MConst) and type(value.value) is int:
+        return replace(outcome, value=MConst(value.value + 1, value.type))
+    return outcome
+
+
+def _value_to_blame(outcome):
+    if outcome.is_value:
+        return replace(outcome, kind="blame", value=None, label=label("seeded"))
+    return outcome
+
+
+#: Seeded engine defects: the engine class, the semantics and -O level of
+#: the cell it is planted in (no level for the machine), and what it does to
+#: the outcome of a run in that cell.
+SEEDED_DEFECTS = {
+    "rvm/coercion/-O2 max_pending_mediators +1": (
+        RVM, "coercion", 2, _bump("max_pending_mediators", 1)),
+    "vm/coercion/-O2 max_pending_mediators +5": (
+        VM, "coercion", 2, _bump("max_pending_mediators", 5)),
+    "rvm/threesome/-O2 int value +1": (RVM, "threesome", 2, _int_plus_one),
+    "vm/erasure/-O2 value to blame": (VM, "erasure", 2, _value_to_blame),
+    "machine/transient int value +1": (CEKMachine, "transient", None, _int_plus_one),
+    "machine/coercion int value +1": (CEKMachine, "coercion", None, _int_plus_one),
+    "rvm/threesome/-O0 int value +1": (RVM, "threesome", 0, _int_plus_one),
+    "rvm/transient/-O0 int value +1": (RVM, "transient", 0, _int_plus_one),
+    "rvm/threesome/-O2 max_pending_size +1": (
+        RVM, "threesome", 2, _bump("max_pending_size", 1)),
+    "rvm/erasure/-O0 value to blame": (RVM, "erasure", 0, _value_to_blame),
+}
+
+
+class TestOracleMatrixCatchesSeededDefects:
+    """Each defect, planted in one engine × semantics × level cell, makes the
+    matrix fail on at least one boundary workload."""
+
+    @pytest.mark.parametrize("defect", sorted(SEEDED_DEFECTS))
+    def test_defect_is_caught(self, defect, monkeypatch):
+        engine, semantics, level, mutate = SEEDED_DEFECTS[defect]
+        original = engine.run
+
+        def seeded_run(self, program, *args, **kwargs):
+            outcome = original(self, program, *args, **kwargs)
+            if engine is CEKMachine:
+                hit = self is SEMANTICS[semantics].machine
+            else:
+                hit = program.pool.semantics == semantics and program.opt_level == level
+            return mutate(outcome) if hit else outcome
+
+        monkeypatch.setattr(engine, "run", seeded_run)
+        reports = [
+            check_oracle_matrix(program)
+            for program in (fib_boundary(6), even_odd_boundary(8),
+                            tail_countdown_boundary(40), twice_boundary(3))
+        ]
+        failures = [report for report in reports if not report.ok]
+        assert failures, defect
+        assert all(report.reason for report in failures)
 
 
 class TestThreeWayAgreement:

@@ -26,7 +26,6 @@ from repro.compiler import (
     lower_program,
     parse_disassembly,
     run_code,
-    run_on_vm,
 )
 from repro.compiler.bytecode import (
     COERCE,
@@ -55,8 +54,7 @@ from repro.gen.programs import (
     untyped_library_bad_result,
 )
 from repro.lambda_s.coercions import is_interned_space
-from repro.machine import run_on_machine
-from repro.properties.bisimulation import check_vm_oracle
+from repro.properties.bisimulation import check_oracle_matrix
 from repro.translate import b_to_s
 
 from .strategies import lambda_b_programs
@@ -68,7 +66,7 @@ Q = label("q")
 
 
 def _vm_and_machine(term_b):
-    return run_on_vm(term_b), run_on_machine(term_b, "S")
+    return run(term_b, engine="vm"), run(term_b, engine="machine")
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +93,8 @@ class TestVMAgainstMachine:
     def test_workload_values(self, term_b, expected):
         vm, machine = _vm_and_machine(term_b)
         assert vm.is_value and machine.is_value
-        assert vm.python_value() == expected
-        assert vm.python_value() == machine.python_value()
+        assert vm.value == expected
+        assert vm.value == machine.value
 
     @pytest.mark.parametrize(
         "term_b",
@@ -105,20 +103,20 @@ class TestVMAgainstMachine:
     def test_blame_labels_agree(self, term_b):
         vm, machine = _vm_and_machine(term_b)
         assert vm.is_blame and machine.is_blame
-        assert vm.label == machine.label
+        assert vm.blame_label == machine.blame_label
 
-    def test_check_vm_oracle_on_all_registered_workloads(self):
+    def test_oracle_matrix_on_all_registered_workloads(self):
         sizes = {"deep_cast_chain": 6}
         for name, builder in WORKLOADS.items():
             term = builder(sizes.get(name, 12))
-            report = check_vm_oracle(term)
+            report = check_oracle_matrix(term)
             assert report.ok, f"{name}: {report.reason}"
 
     @given(lambda_b_programs())
     @settings(max_examples=60, deadline=None)
     def test_vm_agrees_with_machine_and_subst_on_generated_programs(self, program):
         term, _ = program
-        report = check_vm_oracle(term)
+        report = check_oracle_matrix(term)
         assert report.ok, report.reason
 
 
@@ -153,8 +151,8 @@ class TestSpaceDiscipline:
     @pytest.mark.parametrize("builder", [tail_countdown_boundary, even_odd_boundary,
                                          typed_loop_untyped_step])
     def test_tail_loops_run_in_constant_pending_space(self, builder):
-        small = run_on_vm(builder(20)).stats
-        large = run_on_vm(builder(400)).stats
+        small = run(builder(20), engine="vm").space_stats
+        large = run(builder(400), engine="vm").space_stats
         # The pending-coercion footprint must not grow with the iteration count.
         assert large["max_pending_mediators"] == small["max_pending_mediators"]
         assert large["max_pending_size"] == small["max_pending_size"]
@@ -163,13 +161,13 @@ class TestSpaceDiscipline:
     def test_tail_calls_reuse_frames(self):
         # At -O0 the boundary coercions survive to run time, so the loop
         # must *merge* them into the single pending slot every iteration.
-        stats = run_on_vm(tail_countdown_boundary(300), opt_level=0).stats
+        stats = run(tail_countdown_boundary(300), engine="vm", opt_level=0).space_stats
         # One saved frame at most: the whole countdown runs in the entry frame.
         assert stats["max_kont_depth"] <= 1
         assert stats["merges"] >= 299
         # At -O2 the same chain pre-composes statically (to the identity,
         # here), but frame reuse is unchanged.
-        stats_o2 = run_on_vm(tail_countdown_boundary(300)).stats
+        stats_o2 = run(tail_countdown_boundary(300), engine="vm").space_stats
         assert stats_o2["max_kont_depth"] <= 1
 
     def test_compose_and_tailcall_are_emitted_for_tail_coercions(self):
@@ -355,21 +353,21 @@ class TestVMDetails:
             run("(: 1 ?)", engine="vm", calculus="B")
 
     def test_vm_closure_projects_as_function(self):
-        outcome = run_on_vm(Lam("x", INT, Var("x")))
+        outcome = run_code(compile_term(Lam("x", INT, Var("x"))))
         assert isinstance(outcome.value, VMClosure)
         assert outcome.python_value() == "<function>"
 
     def test_fix_unrolls_without_frame_growth(self):
-        outcome = run_on_vm(even_odd_boundary(100))
-        assert outcome.is_value
-        assert outcome.stats["max_kont_depth"] <= 3
+        result = run(even_odd_boundary(100), engine="vm")
+        assert result.is_value
+        assert result.space_stats["max_kont_depth"] <= 3
 
     def test_higher_order_proxies_compose_result_coercions(self):
         # twice applies a proxied function twice: the dom/cod coercions of the
         # proxy go through the pending-slot discipline, not stacked frames.
-        outcome = run_on_vm(twice_boundary(3))
-        assert outcome.is_value and outcome.python_value() == 5
-        assert outcome.stats["max_pending_mediators"] <= 3
+        result = run(twice_boundary(3), engine="vm")
+        assert result.is_value and result.value == 5
+        assert result.space_stats["max_pending_mediators"] <= 3
 
     def test_compile_term_returns_code_object(self):
         code = compile_term(const_int(1))

@@ -19,7 +19,6 @@ The load-bearing properties:
 from __future__ import annotations
 
 import json
-import random
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -208,7 +207,7 @@ def test_trail_terminates_within_untyped_budget(
     start = configs[start_choice % len(configs)]
     trail = follow_trail(
         lattice, fault, start, semantics, _runner(semantics),
-        faulty=apply_fault(lattice, fault), untyped_lists={}, rng=random.Random(0),
+        faulty=apply_fault(lattice, fault), untyped_lists={}, seed=0,
     )
     assert trail.outcome in OUTCOMES
     assert trail.length <= len(start)
@@ -365,7 +364,7 @@ class TestDriver:
             for index, start in enumerate(configurations):
                 trails.append(follow_trail(
                     lattice, fault, start, "erasure", crash, faulty=faulty,
-                    untyped_lists=untyped_lists, rng=random.Random(f"{thread}|{index}")))
+                    untyped_lists=untyped_lists, seed=f"{thread}|{index}"))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -8,7 +8,7 @@ running with ``semantics="threesome"``, must be observationally
 indistinguishable from the coercion backend — values, blame labels,
 timeouts, and the constant pending-mediator footprint — on the boundary
 workloads, the shipped example programs, and hypothesis-generated programs
-(``check_mediator_oracle``).
+(``check_oracle_matrix``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.api import run
-from repro.compiler import compile_term, run_on_vm
+from repro.compiler import compile_term
 from repro.core.errors import UsageError
 from repro.gen.programs import (
     even_odd_boundary,
@@ -34,7 +34,7 @@ from repro.gen.programs import (
     untyped_library_bad_result,
 )
 from repro.machine import run_on_machine
-from repro.properties.bisimulation import check_mediator_oracle
+from repro.properties.bisimulation import check_oracle_matrix
 from repro.semantics import SEMANTICS
 from repro.surface.interp import compile_source
 from repro.threesomes import Threesome, threesome_of_coercion
@@ -126,15 +126,16 @@ class TestThreesomeVMBackend:
         # -O0 keeps the boundary mediators at run time: exactly one pending
         # threesome, composed in place.  At the default -O2 the optimizer
         # pre-composes this workload's chain away entirely (still ≤ 1).
-        value = run_on_vm(tail_countdown_boundary(100), semantics="threesome", opt_level=0)
-        assert value.is_value and value.python_value() is True
-        assert value.stats["max_pending_mediators"] == 1
-        optimized = run_on_vm(tail_countdown_boundary(100), semantics="threesome")
-        assert optimized.is_value and optimized.stats["max_pending_mediators"] <= 1
+        value = run(tail_countdown_boundary(100), engine="vm", semantics="threesome",
+                    opt_level=0)
+        assert value.is_value and value.value is True
+        assert value.space_stats["max_pending_mediators"] == 1
+        optimized = run(tail_countdown_boundary(100), engine="vm", semantics="threesome")
+        assert optimized.is_value and optimized.space_stats["max_pending_mediators"] <= 1
 
-        blame = run_on_vm(untyped_client_bad_argument(), semantics="threesome")
-        reference = run_on_vm(untyped_client_bad_argument(), semantics="coercion")
-        assert blame.is_blame and blame.label == reference.label
+        blame = run(untyped_client_bad_argument(), engine="vm", semantics="threesome")
+        reference = run(untyped_client_bad_argument(), engine="vm", semantics="coercion")
+        assert blame.is_blame and blame.blame_label == reference.blame_label
 
     def test_vm_timeout_is_uniform_across_backends(self):
         from repro.core.terms import App, Lam, Var
@@ -142,10 +143,10 @@ class TestThreesomeVMBackend:
 
         omega = App(Lam("x", DYN, App(Var("x"), Var("x"))),
                     Lam("x", DYN, App(Var("x"), Var("x"))))
-        coercion = run_on_vm(omega, fuel=5_000, semantics="coercion")
-        threesome = run_on_vm(omega, fuel=5_000, semantics="threesome")
+        coercion = run(omega, engine="vm", fuel=5_000, semantics="coercion")
+        threesome = run(omega, engine="vm", fuel=5_000, semantics="threesome")
         assert coercion.is_timeout and threesome.is_timeout
-        assert coercion.stats["steps"] == threesome.stats["steps"] == 5_000
+        assert coercion.space_stats["steps"] == threesome.space_stats["steps"] == 5_000
 
 
 class TestMediatorOracle:
@@ -164,13 +165,13 @@ class TestMediatorOracle:
             tail_countdown_boundary(40),
             let_chain_boundary(30),
         ):
-            report = check_mediator_oracle(program)
+            report = check_oracle_matrix(program)
             assert report.ok, report.reason
 
     def test_mediator_oracle_on_the_shipped_examples(self):
         for example in sorted(EXAMPLES.glob("*.grad")):
             term, _ = compile_source(example.read_text())
-            report = check_mediator_oracle(term)
+            report = check_oracle_matrix(term)
             assert report.ok, f"{example.name}: {report.reason}"
 
     def test_mediator_oracle_flags_timeout_disagreement(self):
@@ -182,14 +183,15 @@ class TestMediatorOracle:
 
         omega = App(Lam("x", DYN, App(Var("x"), Var("x"))),
                     Lam("x", DYN, App(Var("x"), Var("x"))))
-        report = check_mediator_oracle(omega, machine_fuel=3_000, vm_fuel=3_000)
+        report = check_oracle_matrix(omega, machine_fuel=3_000, vm_fuel=3_000,
+                                     subst_fuel=3_000)
         assert report.ok, report.reason
 
     @given(lambda_b_programs())
     @settings(max_examples=30, deadline=None)
     def test_mediator_oracle_on_generated_programs(self, program):
         term, _ = program
-        report = check_mediator_oracle(term)
+        report = check_oracle_matrix(term)
         assert report.ok, report.reason
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.api import run
 from repro.compiler import (
     DEFAULT_OPT_LEVEL,
     all_code_objects,
@@ -29,7 +30,6 @@ from repro.compiler import (
     optimize,
     parse_disassembly,
     run_code,
-    run_on_vm,
 )
 from repro.compiler.bytecode import (
     COERCE,
@@ -111,27 +111,27 @@ class TestLevelsAgree:
         "term", [untyped_library_bad_result(), untyped_client_bad_argument()]
     )
     def test_blame_labels_survive_optimization(self, term, semantics):
-        o0 = run_on_vm(term, semantics=semantics, opt_level=0)
-        o2 = run_on_vm(term, semantics=semantics, opt_level=2)
+        o0 = run(term, engine="vm", semantics=semantics, opt_level=0)
+        o2 = run(term, engine="vm", semantics=semantics, opt_level=2)
         assert o0.is_blame and o2.is_blame
-        assert o0.label == o2.label
+        assert o0.blame_label == o2.blame_label
 
     def test_all_registered_workloads(self):
         sizes = {"deep_cast_chain": 6}
         for name, builder in WORKLOADS.items():
             term = builder(sizes.get(name, 12))
             for semantics in NATURAL_SEMANTICS_NAMES:
-                o0 = run_on_vm(term, semantics=semantics, opt_level=0)
-                o2 = run_on_vm(term, semantics=semantics, opt_level=2)
+                o0, o2 = (run_code(compile_term(term, semantics=semantics, opt_level=level))
+                          for level in (0, 2))
                 assert _outcome_key(o0) == _outcome_key(o2), (name, semantics)
 
     def test_timeouts_report_fuel_at_every_level(self):
         omega = App(Lam("x", DYN, App(Var("x"), Var("x"))),
                     Lam("x", DYN, App(Var("x"), Var("x"))))
         for level in (0, 1, 2):
-            outcome = run_on_vm(omega, fuel=3_000, opt_level=level)
-            assert outcome.is_timeout
-            assert outcome.stats["steps"] == 3_000
+            result = run(omega, engine="vm", fuel=3_000, opt_level=level)
+            assert result.is_timeout
+            assert result.space_stats["steps"] == 3_000
 
     @given(lambda_b_programs())
     @settings(max_examples=60, deadline=None)
@@ -140,20 +140,18 @@ class TestLevelsAgree:
         label, timeout step count, and space profile, under both mediators."""
         term, _ = program
         for semantics in NATURAL_SEMANTICS_NAMES:
-            o0 = run_on_vm(term, semantics=semantics, opt_level=0)
-            o2 = run_on_vm(term, semantics=semantics, opt_level=2)
+            o0 = run(term, engine="vm", semantics=semantics, opt_level=0)
+            o2 = run(term, engine="vm", semantics=semantics, opt_level=2)
             assert o0.kind == o2.kind, semantics
-            if o0.is_value:
-                assert o0.python_value() == o2.python_value()
-            elif o0.is_blame:
-                assert o0.label == o2.label
-            else:  # both timed out: the step count is the fuel, identically
-                assert o0.stats["steps"] == o2.stats["steps"]
+            assert o0.value == o2.value and o0.blame_label == o2.blame_label
+            if o0.is_timeout:  # the step count is the fuel, identically
+                assert o0.steps == o2.steps
+            stats0, stats2 = o0.space_stats, o2.space_stats
             assert (
-                o2.stats["max_pending_mediators"] <= o0.stats["max_pending_mediators"]
+                stats2["max_pending_mediators"] <= stats0["max_pending_mediators"]
             ), semantics
             assert (
-                o2.stats["max_pending_mediators"] <= o2.stats["max_kont_depth"] + 1
+                stats2["max_pending_mediators"] <= stats2["max_kont_depth"] + 1
             ), semantics
 
 
@@ -420,9 +418,9 @@ class TestInlineCaches:
             assert obj.pool.semantics == "threesome"
 
     def test_proxy_call_cache_preserves_higher_order_results(self):
-        outcome0 = run_on_vm(twice_boundary(3), opt_level=0)
-        outcome2 = run_on_vm(twice_boundary(3), opt_level=2)
-        assert outcome0.python_value() == outcome2.python_value() == 5
+        outcome0 = run(twice_boundary(3), engine="vm", opt_level=0)
+        outcome2 = run(twice_boundary(3), engine="vm", opt_level=2)
+        assert outcome0.value == outcome2.value == 5
 
 
 # ---------------------------------------------------------------------------

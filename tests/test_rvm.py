@@ -37,8 +37,7 @@ from repro.compiler import (
     load_image,
     parse_register_disassembly,
     register_streams,
-    run_on_rvm,
-    run_on_vm,
+    run_code,
     run_rcode,
     save_image,
     serialize_image,
@@ -56,7 +55,6 @@ from repro.gen.programs import (
 )
 from repro.compiler.regalloc import R_OPCODE_NAMES, instruction_width
 from repro.core.errors import EvaluationError
-from repro.machine import run_on_machine
 from repro.semantics import NATURAL_SEMANTICS_NAMES, SEMANTICS_NAMES
 from repro.surface.interp import compile_source
 
@@ -125,15 +123,13 @@ def _closure_sites(rcode) -> set[tuple[str, int]]:
     return sites
 
 
-def _outcome_or_error(run) -> tuple:
+def _outcome_or_error(term, **config) -> tuple:
     """What a run observably did: its value, blame label, or error text."""
     try:
-        outcome = run()
+        result = api.run(term, **config)
     except EvaluationError as exc:
         return ("error", str(exc))
-    if outcome.is_value:
-        return ("value", outcome.python_value())
-    return (outcome.kind, outcome.label)
+    return (result.kind, result.value, result.blame_label)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +143,8 @@ class TestAgreement:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_workloads_agree(self, name, semantics, opt_level):
         term = WORKLOADS[name]
-        rvm = run_on_rvm(term, semantics=semantics, opt_level=opt_level)
-        vm = run_on_vm(term, semantics=semantics, opt_level=opt_level)
+        rvm = run_rcode(compile_register_program(term, semantics, opt_level))
+        vm = run_code(compile_term(term, semantics, opt_level))
         _assert_same_outcome(rvm, vm)
 
     @settings(max_examples=40, deadline=None)
@@ -156,14 +152,14 @@ class TestAgreement:
     def test_generated_programs_agree_both_mediators(self, program):
         term, _ = program
         for semantics in NATURAL_SEMANTICS_NAMES:
-            rvm = run_on_rvm(term, semantics=semantics)
-            vm = run_on_vm(term, semantics=semantics)
+            rvm = run_rcode(compile_register_program(term, semantics))
+            vm = run_code(compile_term(term, semantics))
             _assert_same_outcome(rvm, vm)
 
     def test_timeouts_report_uniformly(self):
-        outcome = run_on_rvm(even_odd_boundary(4000), fuel=500)
-        assert outcome.is_timeout
-        assert outcome.stats["steps"] == 500
+        result = api.run(even_odd_boundary(4000), engine="rvm", fuel=500)
+        assert result.is_timeout
+        assert result.space_stats["steps"] == 500
 
     @pytest.mark.parametrize("semantics", SEMANTICS_NAMES)
     @pytest.mark.parametrize("opt_level", OPT_LEVELS)
@@ -180,9 +176,9 @@ class TestAgreement:
             if opt_level == 2:
                 assert ("CLOSURE_BR_PRIM1", n) in closures
                 assert n == 0 or ("CLOSURE_RETURN", n - 1) in closures
-            machine = _outcome_or_error(lambda: run_on_machine(term, "S", semantics=semantics))
-            rvm = _outcome_or_error(
-                lambda: run_on_rvm(term, semantics=semantics, opt_level=opt_level))
+            machine = _outcome_or_error(term, engine="machine", semantics=semantics)
+            rvm = _outcome_or_error(term, engine="rvm", semantics=semantics,
+                                    opt_level=opt_level)
             assert rvm == machine, (n, bad)
 
 
@@ -206,17 +202,15 @@ class TestSpaceGuarantee:
         optimizer may statically elide it to 0, as the stack VM does) and
         *constant in the iteration count*."""
         for build in (even_odd_boundary, tail_countdown_boundary):
-            small = run_on_rvm(build(60), semantics=semantics)
-            large = run_on_rvm(build(400), semantics=semantics)
-            assert small.stats["max_pending_mediators"] <= 1
-            assert (small.stats["max_pending_mediators"]
-                    == large.stats["max_pending_mediators"])
-            assert (small.stats["max_pending_size"]
-                    == large.stats["max_pending_size"])
+            small = api.run(build(60), engine="rvm", semantics=semantics).space_stats
+            large = api.run(build(400), engine="rvm", semantics=semantics).space_stats
+            assert small["max_pending_mediators"] <= 1
+            assert small["max_pending_mediators"] == large["max_pending_mediators"]
+            assert small["max_pending_size"] == large["max_pending_size"]
             # At -O0 nothing is elided: the raw boundary loop holds exactly
             # one composed pending mediator, never a stack of them.
-            raw = run_on_rvm(build(60), semantics=semantics, opt_level=0)
-            assert raw.stats["max_pending_mediators"] == 1
+            raw = api.run(build(60), engine="rvm", semantics=semantics, opt_level=0)
+            assert raw.space_stats["max_pending_mediators"] == 1
 
 
 # ---------------------------------------------------------------------------

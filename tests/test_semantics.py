@@ -8,8 +8,8 @@ no proxies, blame may diverge from Natural by design) and **Erasure** (all
 mediation elided — the speed ceiling, never blames).  The suite covers the
 registry itself, the transient derivation/composition algebra, the
 end-to-end 4-semantics × 3-engines matrix, the erasure elision guarantee,
-image round-trips, cache-key separation, and the extended
-``check_mediator_oracle``.
+image round-trips, cache-key separation, and the oracle matrix
+(``check_oracle_matrix``).
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.compiler import compile_term, run_on_vm
+from repro.compiler import compile_term
 from repro.compiler.bytecode import COERCE, COMPOSE, all_code_objects
 from repro.compiler.cache import cache_key
-from repro.compiler.rvm import run_on_rvm
 from repro.compiler.serialize import (
     deserialize_image,
     serialize_image,
@@ -47,7 +46,6 @@ from repro.lambda_s.coercions import (
     Injection,
     Projection,
 )
-from repro.machine import run_on_machine
 from repro.machine.policy import (
     ACT_GENERAL,
     ACT_IDENTITY,
@@ -57,7 +55,7 @@ from repro.machine.policy import (
     THREESOME_POLICY,
 )
 from repro.machine.values import MConst, MPair
-from repro.properties.bisimulation import check_mediator_oracle
+from repro.properties.bisimulation import check_oracle_matrix
 from repro.semantics import (
     NATURAL_SEMANTICS_NAMES,
     SEMANTICS,
@@ -114,10 +112,6 @@ class TestRegistry:
     def test_each_machine_runs_its_own_policy(self):
         for name, sem in SEMANTICS.items():
             assert sem.machine.policy is sem.policy, name
-
-    def test_serialize_ids_and_cache_keys_are_distinct(self):
-        assert len({sem.serialize_id for sem in SEMANTICS.values()}) == 4
-        assert len({sem.cache_key for sem in SEMANTICS.values()}) == 4
 
     def test_old_dispatch_tables_are_gone(self):
         from repro.compiler import opt, vm
@@ -245,48 +239,44 @@ SAFE_SOURCES = (
 BLAMING_SOURCE = "(: (: 21 ?) bool)"
 
 
-def _engines():
-    return (
-        ("machine", lambda term, sem: run_on_machine(term, "S", semantics=sem)),
-        ("vm", lambda term, sem: run_on_vm(term, semantics=sem)),
-        ("rvm", lambda term, sem: run_on_rvm(term, semantics=sem)),
-    )
+#: The engines every semantics runs on.
+ENGINES = ("machine", "vm", "rvm")
 
 
 class TestFourByThreeMatrix:
     def test_all_semantics_and_engines_agree_on_safe_programs(self):
         for source in SAFE_SOURCES:
             term, _ = compile_source(source)
-            expected = run_on_machine(term, "S", semantics="coercion").python_value()
-            for engine, run in _engines():
+            expected = api.run(term, engine="machine").value
+            for engine in ENGINES:
                 for sem in SEMANTICS_NAMES:
-                    outcome = run(term, sem)
-                    assert outcome.is_value, f"{engine}/{sem}: {outcome.kind}"
-                    assert outcome.python_value() == expected, f"{engine}/{sem}"
+                    result = api.run(term, engine=engine, semantics=sem)
+                    assert result.is_value, f"{engine}/{sem}: {result.kind}"
+                    assert result.value == expected, f"{engine}/{sem}"
 
     def test_blaming_semantics_blame_and_erasure_does_not(self):
         term, _ = compile_source(BLAMING_SOURCE)
-        for engine, run in _engines():
+        for engine in ENGINES:
             for sem in ("coercion", "threesome", "transient"):
-                outcome = run(term, sem)
-                assert outcome.is_blame, f"{engine}/{sem}"
-            erased = run(term, "erasure")
-            assert erased.is_value and erased.python_value() == 21, engine
+                result = api.run(term, engine=engine, semantics=sem)
+                assert result.is_blame, f"{engine}/{sem}"
+            erased = api.run(term, engine=engine, semantics="erasure")
+            assert erased.is_value and erased.value == 21, engine
 
     def test_transient_blame_labels_match_natural_on_first_order_projections(self):
         # For a bad base-type projection both disciplines inspect the same
         # tag under the same label, so the labels coincide here even though
         # they may diverge on higher-order programs.
         term, _ = compile_source(BLAMING_SOURCE)
-        natural = run_on_vm(term, semantics="coercion")
-        transient = run_on_vm(term, semantics="transient")
-        assert natural.label == transient.label
+        natural = api.run(term, engine="vm", semantics="coercion")
+        transient = api.run(term, engine="vm", semantics="transient")
+        assert natural.blame_label == transient.blame_label
 
     def test_erasure_never_blames_the_known_blamers(self):
         for program in (untyped_library_bad_result(), untyped_client_bad_argument()):
-            for engine, run in _engines():
-                outcome = run(program, "erasure")
-                assert not outcome.is_blame, engine
+            for engine in ENGINES:
+                result = api.run(program, engine=engine, semantics="erasure")
+                assert not result.is_blame, engine
 
 
 #: Erasure lets a string reach ``+``: the meaning function's TypeError.
@@ -303,7 +293,7 @@ class TestErasureOperandTypeErrors:
 
     def test_the_mediator_oracle_holds_on_the_term(self):
         term, _ = compile_source(ILL_TYPED_ERASURE_SOURCE)
-        assert check_mediator_oracle(term).ok
+        assert check_oracle_matrix(term).ok
 
     @pytest.mark.parametrize("engine", ["machine", "vm", "rvm"])
     @pytest.mark.parametrize("opt_level", [0, 2])
@@ -340,21 +330,21 @@ class TestErasureElision:
         term, _ = compile_source(BLAMING_SOURCE)
         code = compile_term(term, semantics="erasure", opt_level=0)
         assert all(entry is ERASED for entry in code.pool.coercions)
-        outcome = run_on_vm(term, semantics="erasure", opt_level=0)
-        assert outcome.is_value and outcome.python_value() == 21
+        result = api.run(term, engine="vm", semantics="erasure", opt_level=0)
+        assert result.is_value and result.value == 21
 
 
 class TestSpaceBounds:
     def test_transient_pending_stays_within_the_one_slot_discipline(self):
         for program in (tail_countdown_boundary(200), even_odd_boundary(100)):
-            outcome = run_on_vm(program, semantics="transient")
-            assert outcome.is_value
-            assert outcome.stats["max_pending_mediators"] <= 1
+            result = api.run(program, engine="vm", semantics="transient")
+            assert result.is_value
+            assert result.space_stats["max_pending_mediators"] <= 1
 
     def test_erasure_has_no_pending_mediators_after_elision(self):
-        outcome = run_on_vm(even_odd_boundary(100), semantics="erasure")
-        assert outcome.is_value
-        assert outcome.stats["max_pending_mediators"] == 0
+        result = api.run(even_odd_boundary(100), engine="vm", semantics="erasure")
+        assert result.is_value
+        assert result.space_stats["max_pending_mediators"] == 0
 
 
 class TestExtendedOracle:
@@ -368,14 +358,14 @@ class TestExtendedOracle:
             safe_boundary_program(),
             pair_boundary_swap(),
         ):
-            report = check_mediator_oracle(program)
+            report = check_oracle_matrix(program)
             assert report.ok, report.reason
 
     @given(lambda_b_programs())
     @settings(max_examples=20, deadline=None)
     def test_oracle_on_generated_programs(self, program):
         term, _ = program
-        report = check_mediator_oracle(term)
+        report = check_oracle_matrix(term)
         assert report.ok, report.reason
 
 
@@ -456,10 +446,10 @@ class TestErasureAgreesWithNaturalProperty:
     @settings(max_examples=30, deadline=None)
     def test_erasure_agrees_with_natural_on_blame_free_programs(self, program):
         term, _ = program
-        natural = run_on_vm(term)
-        for run in (run_on_vm, run_on_rvm):
+        natural = api.run(term, engine="vm")
+        for engine in ("vm", "rvm"):
             try:
-                erased = run(term, semantics="erasure")
+                erased = api.run(term, engine=engine, semantics="erasure")
             except EvaluationError:
                 # The elided guard would have intercepted this as blame — a
                 # dynamic type error is only legitimate when Natural did not
@@ -468,4 +458,4 @@ class TestErasureAgreesWithNaturalProperty:
                 continue
             assert not erased.is_blame  # erasure can never exit 1
             if natural.is_value and erased.is_value:
-                assert erased.python_value() == natural.python_value()
+                assert erased.value == natural.value

@@ -42,7 +42,6 @@ PROGRAMS = [
 
 def job(source: str, **overrides) -> dict:
     base = {
-        "op": "run_source",
         "source": source,
         "source_hash": None,
         "engine": "vm",
@@ -241,10 +240,6 @@ class TestWorkerPool:
             # from the on-disk compile cache instead.
             assert second["cache"] == "hit"
             assert pool.info()["recycled"] >= 1
-
-    def test_unknown_op_is_an_error(self):
-        with WorkerPool(1) as pool:
-            assert pool.execute({"op": "nope"})["kind"] == "error"
 
     def test_execute_after_shutdown_raises(self):
         pool = WorkerPool(1)
