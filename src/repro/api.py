@@ -82,7 +82,12 @@ from .translate import b_to_c, c_to_s
 ENGINES = ("vm", "rvm", "machine", "subst")
 
 #: The two compiled engines: λS only, ``opt_level`` applies, cacheable.
+#: The front doors that run through the worker pool (batch, serve, the
+#: experiment) accept these only.
 VM_ENGINES = ("vm", "rvm")
+
+#: The three calculi: λB, λC, and the space-efficient λS.
+CALCULI = ("B", "C", "S")
 
 #: Default fuel per engine, in that engine's own step unit.  All four come
 #: from :mod:`repro.core.fuel`, the single source of fuel defaults.
@@ -168,6 +173,8 @@ def resolve_config(config: RunConfig | None = None, **overrides) -> RunConfig:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     calculus = (base.calculus or "S").upper()
+    if calculus not in CALCULI:
+        raise UsageError(f"unknown calculus {base.calculus!r}; expected one of {CALCULI}")
     if base.semantics not in SEMANTICS_NAMES:
         raise UsageError(
             f"unknown semantics {base.semantics!r}; expected one of {SEMANTICS_NAMES}"
@@ -187,6 +194,11 @@ def resolve_config(config: RunConfig | None = None, **overrides) -> RunConfig:
             "engine 'subst' reduces coercion terms literally and supports "
             f"only the 'coercion' semantics (requested {base.semantics!r}); "
             "use engine='machine' or engine='vm'"
+        )
+    if base.semantics != "coercion" and calculus != "S":
+        raise UsageError(
+            f"the {base.semantics!r} enforcement semantics implements λS only "
+            f"(requested calculus {calculus!r})"
         )
     ir = IR_FOR_ENGINE.get(engine)
     if base.ir is not None and base.ir != ir:
@@ -410,7 +422,6 @@ def _execute_term(term: Term, ty: Type | None, cfg: RunConfig,
         return _run_compiled(image, cfg, None, opcode_counts)
 
     if engine == "machine":
-        # run_on_machine validates the calculus × semantics combination.
         with phase(metrics, "run"):
             outcome = run_on_machine(term, calculus, fuel, semantics)
         record_run(metrics, outcome.kind, outcome.stats, engine)
@@ -422,10 +433,8 @@ def _execute_term(term: Term, ty: Type | None, cfg: RunConfig,
             outcome = reduction_b.run(term, fuel)
         elif calculus == "C":
             outcome = reduction_c.run(b_to_c(term), fuel)
-        elif calculus == "S":
-            outcome = reduction_s.run(c_to_s(b_to_c(term)), fuel)
         else:
-            raise ValueError(f"unknown calculus {calculus!r}")
+            outcome = reduction_s.run(c_to_s(b_to_c(term)), fuel)
     record_run(metrics, outcome.kind, {"steps": outcome.steps}, engine)
     if outcome.is_value:
         return RunResult("value", reducer_value_to_python(outcome.term), type=ty,
@@ -440,6 +449,7 @@ def _execute_term(term: Term, ty: Type | None, cfg: RunConfig,
 
 
 __all__ = [
+    "CALCULI",
     "DEFAULT_FUEL",
     "ENGINES",
     "ENGINE_FOR_IR",

@@ -112,11 +112,14 @@ def run_batch(
     environment variable) — the chaos tests use it to SIGKILL workers
     mid-corpus and assert every program still gets a terminal record.
     """
-    from ..api import RunConfig, resolve_config
+    from ..api import VM_ENGINES, RunConfig, resolve_config
+    from ..core.errors import UsageError
     from ..serve.pool import WorkerMemo, handle_job
 
     config = resolve_config(config if config is not None
                             else RunConfig(engine="vm", cache=True))
+    if config.engine not in VM_ENGINES:
+        raise UsageError(f"unknown engine {config.engine!r} for a batch; expected one of {VM_ENGINES}")
     wall_start = time.perf_counter()
     results: list[dict] = []
     jobs: list[dict] = []

@@ -14,7 +14,7 @@ engine), each with its shared :class:`~repro.compiler.bytecode.ConstantPool`::
     │ provenance: semantics, opt level, source hash, static type       │
     │ type table     — deduplicated, children before parents           │
     │ label table    — (name, polarity) pairs                          │
-    │ coercion and labeled-type node tables, name table                │
+    │ coercion and labeled-type node tables (as types), name table     │
     │ const pool     — machine constants and bare types                │
     │ mediator pool  — the semantics' mediators (coercions, …)         │
     │ label pool, prim pool — operator names (meanings re-resolved)    │
@@ -41,18 +41,20 @@ than the header's, a fused register instruction below ``-O2``.  Each is an
 is no unchecked load: the compile cache's own entries, images named on the
 command line, and every other image take the same path.
 
-**Load-time re-interning** is the point of the exercise.  Every type, label,
-coercion, labeled type, and threesome decoded from an image goes back
-through the interners (:func:`~repro.core.intern.intern_type`,
-:func:`~repro.lambda_s.coercions.intern_space`,
-:func:`~repro.threesomes.runtime.intern_threesome`), so pool entries of a
-deserialized image are the *same canonical nodes* a fresh compilation would
-produce.  Everything downstream that is keyed on mediator identity — the
-memoised ``#``/``∘`` composition caches, the VM's pool-parallel action
-tables, and the per-site inline mediator caches — therefore works
-identically on a loaded image, which ``tests/test_serialize.py`` asserts by
-comparing outcomes, blame labels, step counts, and space profiles against
-in-memory compilation (and byte-identical disassembly on top).
+**Load-time re-interning** is the point of the exercise.  The type,
+coercion and labeled-type tables are written and read by one codec driven
+by the interners' field signatures (:class:`~repro.core.intern.Interner`):
+a record's tag is its class's place in the interner, and each node decodes
+straight into its interner's table, as do threesomes
+(:func:`~repro.threesomes.runtime.threesome_node`) and transient checks.
+So pool entries of a deserialized image are the *same canonical nodes* a
+fresh compilation would produce.  Everything downstream that is keyed on
+mediator identity — the memoised ``#``/``∘`` composition caches, the VM's
+pool-parallel action tables, and the per-site inline mediator caches —
+therefore works identically on a loaded image, which
+``tests/test_serialize.py`` asserts by comparing outcomes, blame labels,
+step counts, and space profiles against in-memory compilation (and
+byte-identical disassembly on top).
 
 Primitive operators are stored by *name* and re-resolved through
 :func:`~repro.core.ops.op_spec` on load — meaning functions never touch the
@@ -71,33 +73,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.errors import ReproError
-from ..core.intern import intern_type
+from ..core.intern import TYPE_TABLE, Interner
 from ..core.labels import Label
-from ..core.types import BaseType, DynType, FunType, ProdType, Type, UnknownType
-from ..lambda_s.coercions import (
-    FailS,
-    FunCo,
-    IdBase,
-    IdDyn,
-    Injection,
-    ProdCo,
-    Projection,
-    SpaceCoercion,
-    intern_space,
-)
+from ..core.types import Type
+from ..lambda_s.coercions import SPACE_TABLE, SpaceCoercion
 from ..machine.values import MConst
-from ..threesomes.labeled_types import (
-    LArrow,
-    LBase,
-    LDyn,
-    LFail,
-    LProd,
-    LabeledType,
-)
 from ..semantics import SEMANTICS_NAMES
 from ..semantics.erasure import ERASED, ErasedMediator
 from ..semantics.transient import TransientCheck, intern_transient
-from ..threesomes.runtime import Threesome, intern_labeled, intern_threesome
+from ..threesomes.runtime import LABELED_TABLE, Threesome, threesome_node
 from .bytecode import (
     BLAME,
     CALL,
@@ -346,33 +330,70 @@ class _Reader:
 # Serialization
 # ---------------------------------------------------------------------------
 
-_TY_DYN, _TY_UNKNOWN, _TY_BASE, _TY_FUN, _TY_PROD = range(5)
-_CO_IDDYN, _CO_IDBASE, _CO_PROJ, _CO_INJ, _CO_FAIL, _CO_FUN, _CO_PROD = range(7)
-_LT_DYN, _LT_BASE, _LT_ARROW, _LT_PROD, _LT_FAIL = range(5)
 _CONST_MCONST, _CONST_TYPE = range(2)
 _VAL_INT, _VAL_BOOL, _VAL_STR, _VAL_NONE = range(4)
 
 
-class _Tables:
-    """Deduplicating type/label tables built while the payload is encoded.
+class _NodeTable:
+    """One node family's deduplicated table, built while the payload is
+    encoded.  A record is the node's tag — its class's index in the
+    interner's ``classes`` — and one entry per signature character (see
+    :class:`~repro.core.intern.Interner`): ``n``/``t``/``l`` a varint index
+    into this, the type or the label table, ``T``/``L`` a signed index (-1
+    for ``None``), ``s`` a string.
 
-    Children are registered before parents, so each table record only refers
-    to lower indices and the loader can decode with one forward pass.
+    Nodes are keyed by interned identity, so shared subtrees are stored (and
+    later decoded) once per image; children are registered before parents,
+    so each record only refers to lower indices and the loader decodes with
+    one forward pass.
     """
 
+    def __init__(self, interner: Interner, tables: "_Tables") -> None:
+        self.intern = interner.intern
+        self.tags = interner.tags
+        self.layout = interner.layout
+        self.tables = tables
+        self.records = bytearray()
+        self.count = 0
+        self._index: dict[int, int] = {}
+
+    def ref(self, node) -> int:
+        node = self.intern(node)
+        index = self._index.get(id(node))
+        if index is not None:
+            return index
+        cls = type(node)
+        layout = self.layout[cls]
+        # Children first: a record refers to lower indices only.
+        values = []
+        for ch, name in layout:
+            value = getattr(node, name)
+            values.append(self.ref(value) if ch == "n" else value)
+        out = self.records
+        out.append(self.tags[cls])
+        write_field = self.tables.write_field
+        for (ch, _), value in zip(layout, values):
+            if ch == "n":
+                _write_varint(out, value)
+            else:
+                write_field(out, ch, value)
+        index = self.count
+        self.count += 1
+        self._index[id(node)] = index
+        return index
+
+
+class _Tables:
+    """The image's tables — types, labels, coercion and labeled-type nodes,
+    names — built while the payload is encoded."""
+
     def __init__(self) -> None:
-        self.type_records = bytearray()
-        self.type_count = 0
-        self._type_index: dict[int, int] = {}
+        self.types = _NodeTable(TYPE_TABLE, self)
         self.label_records = bytearray()
         self.label_count = 0
         self._label_index: dict[Label, int] = {}
-        self.co_records = bytearray()
-        self.co_count = 0
-        self._co_index: dict[int, int] = {}
-        self.lt_records = bytearray()
-        self.lt_count = 0
-        self._lt_index: dict[int, int] = {}
+        self.coercions = _NodeTable(SPACE_TABLE, self)
+        self.labeled = _NodeTable(LABELED_TABLE, self)
         self.name_records = bytearray()
         self.name_count = 0
         self._name_index: dict[str, int] = {}
@@ -388,41 +409,6 @@ class _Tables:
             _write_str(self.name_records, name)
         return index
 
-    def type_ref(self, ty: Type) -> int:
-        ty = intern_type(ty)
-        index = self._type_index.get(id(ty))
-        if index is not None:
-            return index
-        if isinstance(ty, DynType):
-            record = bytes([_TY_DYN])
-        elif isinstance(ty, UnknownType):
-            record = bytes([_TY_UNKNOWN])
-        elif isinstance(ty, BaseType):
-            out = bytearray([_TY_BASE])
-            _write_str(out, ty.name)
-            record = bytes(out)
-        elif isinstance(ty, FunType):
-            dom = self.type_ref(ty.dom)
-            cod = self.type_ref(ty.cod)
-            out = bytearray([_TY_FUN])
-            _write_varint(out, dom)
-            _write_varint(out, cod)
-            record = bytes(out)
-        elif isinstance(ty, ProdType):
-            left = self.type_ref(ty.left)
-            right = self.type_ref(ty.right)
-            out = bytearray([_TY_PROD])
-            _write_varint(out, left)
-            _write_varint(out, right)
-            record = bytes(out)
-        else:
-            raise ImageError(f"cannot serialize unknown type node: {ty!r}")
-        index = self.type_count
-        self.type_count += 1
-        self._type_index[id(ty)] = index
-        self.type_records.extend(record)
-        return index
-
     def label_ref(self, lbl: Label) -> int:
         index = self._label_index.get(lbl)
         if index is not None:
@@ -434,127 +420,39 @@ class _Tables:
         self.label_records.append(1 if lbl.positive else 0)
         return index
 
-
-def _tables_coercion_ref(tables: _Tables, s: SpaceCoercion) -> int:
-    """Index of a coercion in the image's deduplicated node table.
-
-    Nodes are keyed by interned identity, so shared subtrees — e.g. the
-    repeated components of a deep product coercion — are stored (and later
-    decoded) exactly once per image.
-    """
-    s = intern_space(s)
-    index = tables._co_index.get(id(s))
-    if index is not None:
-        return index
-    out = bytearray()
-    if isinstance(s, IdDyn):
-        out.append(_CO_IDDYN)
-    elif isinstance(s, IdBase):
-        out.append(_CO_IDBASE)
-        _write_varint(out, tables.type_ref(s.base))
-    elif isinstance(s, Projection):
-        body = _tables_coercion_ref(tables, s.body)
-        out.append(_CO_PROJ)
-        _write_varint(out, tables.type_ref(s.ground))
-        _write_varint(out, tables.label_ref(s.label))
-        _write_varint(out, body)
-    elif isinstance(s, Injection):
-        body = _tables_coercion_ref(tables, s.body)
-        out.append(_CO_INJ)
-        _write_varint(out, body)
-        _write_varint(out, tables.type_ref(s.ground))
-    elif isinstance(s, FailS):
-        out.append(_CO_FAIL)
-        _write_varint(out, tables.type_ref(s.source_ground))
-        _write_varint(out, tables.label_ref(s.label))
-        _write_varint(out, tables.type_ref(s.target_ground))
-        _write_signed(out, tables.type_ref(s.source) if s.source is not None else -1)
-        _write_signed(out, tables.type_ref(s.target) if s.target is not None else -1)
-    elif isinstance(s, FunCo):
-        dom = _tables_coercion_ref(tables, s.dom)
-        cod = _tables_coercion_ref(tables, s.cod)
-        out.append(_CO_FUN)
-        _write_varint(out, dom)
-        _write_varint(out, cod)
-    elif isinstance(s, ProdCo):
-        left = _tables_coercion_ref(tables, s.left)
-        right = _tables_coercion_ref(tables, s.right)
-        out.append(_CO_PROD)
-        _write_varint(out, left)
-        _write_varint(out, right)
-    else:
-        raise ImageError(f"cannot serialize unknown canonical coercion: {s!r}")
-    index = tables.co_count
-    tables.co_count += 1
-    tables._co_index[id(s)] = index
-    tables.co_records.extend(out)
-    return index
-
-
-def _write_opt_label(out: bytearray, tables: _Tables, lbl: Label | None) -> None:
-    _write_signed(out, tables.label_ref(lbl) if lbl is not None else -1)
-
-
-def _tables_labeled_ref(tables: _Tables, p: LabeledType) -> int:
-    """Index of a labeled type in the image's deduplicated node table."""
-    p = intern_labeled(p)
-    index = tables._lt_index.get(id(p))
-    if index is not None:
-        return index
-    out = bytearray()
-    if isinstance(p, LDyn):
-        out.append(_LT_DYN)
-    elif isinstance(p, LBase):
-        out.append(_LT_BASE)
-        _write_varint(out, tables.type_ref(p.base))
-        _write_opt_label(out, tables, p.label)
-    elif isinstance(p, LArrow):
-        dom = _tables_labeled_ref(tables, p.dom)
-        cod = _tables_labeled_ref(tables, p.cod)
-        out.append(_LT_ARROW)
-        _write_varint(out, dom)
-        _write_varint(out, cod)
-        _write_opt_label(out, tables, p.label)
-    elif isinstance(p, LProd):
-        left = _tables_labeled_ref(tables, p.left)
-        right = _tables_labeled_ref(tables, p.right)
-        out.append(_LT_PROD)
-        _write_varint(out, left)
-        _write_varint(out, right)
-        _write_opt_label(out, tables, p.label)
-    elif isinstance(p, LFail):
-        out.append(_LT_FAIL)
-        _write_varint(out, tables.label_ref(p.fail_label))
-        _write_varint(out, tables.type_ref(p.ground))
-        _write_opt_label(out, tables, p.label)
-    else:
-        raise ImageError(f"cannot serialize unknown labeled type: {p!r}")
-    index = tables.lt_count
-    tables.lt_count += 1
-    tables._lt_index[id(p)] = index
-    tables.lt_records.extend(out)
-    return index
+    def write_field(self, out: bytearray, ch: str, value) -> None:
+        """Write one non-node field of signature character ``ch``."""
+        if ch == "t":
+            _write_varint(out, self.types.ref(value))
+        elif ch == "l":
+            _write_varint(out, self.label_ref(value))
+        elif ch == "s":
+            _write_str(out, value)
+        elif value is None:  # "T" or "L"
+            _write_signed(out, -1)
+        else:
+            _write_signed(out, self.types.ref(value) if ch == "T" else self.label_ref(value))
 
 
 def _write_mediator(out: bytearray, tables: _Tables, semantics: str, entry: object) -> None:
     if semantics == "coercion":
         if not isinstance(entry, SpaceCoercion):
             raise ImageError(f"coercion pool holds a non-coercion entry: {entry!r}")
-        _write_varint(out, _tables_coercion_ref(tables, entry))
+        _write_varint(out, tables.coercions.ref(entry))
     elif semantics == "threesome":
         if not isinstance(entry, Threesome):
             raise ImageError(f"threesome pool holds a non-threesome entry: {entry!r}")
-        _write_varint(out, tables.type_ref(entry.source))
-        _write_varint(out, _tables_labeled_ref(tables, entry.mid))
-        _write_varint(out, tables.type_ref(entry.target))
+        _write_varint(out, tables.types.ref(entry.source))
+        _write_varint(out, tables.labeled.ref(entry.mid))
+        _write_varint(out, tables.types.ref(entry.target))
     elif semantics == "transient":
         if not isinstance(entry, TransientCheck):
             raise ImageError(f"transient pool holds a non-check entry: {entry!r}")
         _write_varint(out, len(entry.checks))
         for ground, label in entry.checks:
-            _write_varint(out, tables.type_ref(ground))
+            _write_varint(out, tables.types.ref(ground))
             _write_varint(out, tables.label_ref(label))
-        _write_opt_label(out, tables, entry.fail)
+        tables.write_field(out, "L", entry.fail)
     elif semantics == "erasure":
         if not isinstance(entry, ErasedMediator):
             raise ImageError(f"erasure pool holds a non-erased entry: {entry!r}")
@@ -581,10 +479,10 @@ def _write_const(out: bytearray, tables: _Tables, entry: object) -> None:
             out.append(_VAL_NONE)
         else:
             raise ImageError(f"cannot serialize constant value: {value!r}")
-        _write_varint(out, tables.type_ref(entry.type))
+        _write_varint(out, tables.types.ref(entry.type))
     elif isinstance(entry, Type):
         out.append(_CONST_TYPE)
-        _write_varint(out, tables.type_ref(entry))
+        _write_varint(out, tables.types.ref(entry))
     else:
         raise ImageError(f"cannot serialize constant-pool entry: {entry!r}")
 
@@ -653,7 +551,7 @@ def serialize_image(
     tables = _Tables()
     payload = bytearray()
 
-    static_ref = tables.type_ref(static_type) if static_type is not None else -1
+    static_ref = tables.types.ref(static_type) if static_type is not None else -1
 
     _write_varint(payload, len(pool.consts))
     for entry in pool.consts:
@@ -682,14 +580,13 @@ def serialize_image(
     _write_varint(out, code.opt_level)
     _write_str(out, source_hash)
     _write_signed(out, static_ref)
-    _write_varint(out, tables.type_count)
-    out.extend(tables.type_records)
+    _write_varint(out, tables.types.count)
+    out.extend(tables.types.records)
     _write_varint(out, tables.label_count)
     out.extend(tables.label_records)
-    _write_varint(out, tables.co_count)
-    out.extend(tables.co_records)
-    _write_varint(out, tables.lt_count)
-    out.extend(tables.lt_records)
+    for table in (tables.coercions, tables.labeled):
+        _write_varint(out, table.count)
+        out.extend(table.records)
     _write_varint(out, tables.name_count)
     out.extend(tables.name_records)
     out.extend(payload)
@@ -700,41 +597,6 @@ def serialize_image(
 # ---------------------------------------------------------------------------
 # Deserialization
 # ---------------------------------------------------------------------------
-
-
-def _read_types(reader: _Reader) -> list[Type]:
-    count = reader.varint()
-    table: list[Type] = []
-
-    def ref() -> Type:
-        index = reader.varint()
-        if index >= len(table):
-            raise ImageError(f"forward type reference in image: {index}")
-        return table[index]
-
-    for _ in range(count):
-        tag = reader.byte()
-        if tag == _TY_DYN:
-            ty = _memo_intern(("tydyn",), DynType, intern_type)
-        elif tag == _TY_UNKNOWN:
-            ty = _memo_intern(("tyunk",), UnknownType, intern_type)
-        elif tag == _TY_BASE:
-            name = reader.string()
-            ty = _memo_intern(("tybase", name), lambda: BaseType(name), intern_type)
-        elif tag == _TY_FUN:
-            dom, cod = ref(), ref()
-            ty = _memo_intern(
-                ("tyfun", id(dom), id(cod)), lambda: FunType(dom, cod), intern_type
-            )
-        elif tag == _TY_PROD:
-            left, right = ref(), ref()
-            ty = _memo_intern(
-                ("typrod", id(left), id(right)), lambda: ProdType(left, right), intern_type
-            )
-        else:
-            raise ImageError(f"unknown type tag in image: {tag}")
-        table.append(ty)
-    return table
 
 
 def _read_labels(reader: _Reader) -> list[Label]:
@@ -756,147 +618,45 @@ def _table_ref(reader: _Reader, table: list, what: str):
     return table[index]
 
 
-#: Loader-side memo: identity key of a decoded node → its canonical form.
-#: ``intern_space``/``intern_labeled`` hash a *fresh* node structurally
-#: before finding (or creating) its canonical twin, which is O(subtree) per
-#: node; decoded children are already canonical, so a key of child ``id``\ s
-#: is exact and O(1).  Canonical nodes are immortal, so the ids — and this
-#: memo — stay valid for the life of the process.  This is what makes a
-#: warm compile-cache load cheap in a long-lived (serving or batch) process.
-_DECODE_MEMO: dict[tuple, object] = {}
-
-
-def _memo_intern(key: tuple, build, intern) -> object:
-    node = _DECODE_MEMO.get(key)
-    if node is None:
-        node = intern(build())
-        _DECODE_MEMO[key] = node
-    return node
-
-
-def _read_coercion_table(
-    reader: _Reader, types: list[Type], labels: list[Label]
-) -> list[SpaceCoercion]:
-    """Decode the deduplicated coercion-node table (children precede parents)."""
-    count = reader.varint()
-    table: list[SpaceCoercion] = []
-    for _ in range(count):
-        tag = reader.byte()
-        try:
-            if tag == _CO_IDDYN:
-                node = _memo_intern(("id?",), IdDyn, intern_space)
-            elif tag == _CO_IDBASE:
-                base = _table_ref(reader, types, "type")
-                node = _memo_intern(("idb", id(base)), lambda: IdBase(base), intern_space)
-            elif tag == _CO_PROJ:
-                ground = _table_ref(reader, types, "type")
-                lbl = _table_ref(reader, labels, "label")
-                body = _table_ref(reader, table, "coercion")
-                node = _memo_intern(
-                    ("proj", id(ground), lbl, id(body)),
-                    lambda: Projection(ground, lbl, body), intern_space,
-                )
-            elif tag == _CO_INJ:
-                body = _table_ref(reader, table, "coercion")
-                ground = _table_ref(reader, types, "type")
-                node = _memo_intern(
-                    ("inj", id(body), id(ground)),
-                    lambda: Injection(body, ground), intern_space,
-                )
-            elif tag == _CO_FAIL:
-                source_ground = _table_ref(reader, types, "type")
-                lbl = _table_ref(reader, labels, "label")
-                target_ground = _table_ref(reader, types, "type")
-                source_ref = reader.signed()
-                target_ref = reader.signed()
-                source = types[source_ref] if source_ref >= 0 else None
-                target = types[target_ref] if target_ref >= 0 else None
-                node = _memo_intern(
-                    ("fail", id(source_ground), lbl, id(target_ground),
-                     id(source) if source is not None else None,
-                     id(target) if target is not None else None),
-                    lambda: FailS(source_ground, lbl, target_ground, source, target),
-                    intern_space,
-                )
-            elif tag == _CO_FUN:
-                dom = _table_ref(reader, table, "coercion")
-                cod = _table_ref(reader, table, "coercion")
-                node = _memo_intern(
-                    ("fun", id(dom), id(cod)), lambda: FunCo(dom, cod), intern_space
-                )
-            elif tag == _CO_PROD:
-                left = _table_ref(reader, table, "coercion")
-                right = _table_ref(reader, table, "coercion")
-                node = _memo_intern(
-                    ("prodco", id(left), id(right)),
-                    lambda: ProdCo(left, right), intern_space,
-                )
-            else:
-                raise ImageError(f"unknown coercion tag in image: {tag}")
-        except (TypeError, ValueError, IndexError, ReproError) as exc:
-            if isinstance(exc, ImageError):
-                raise
-            raise ImageError(f"malformed coercion in image: {exc}") from exc
-        table.append(node)
-    return table
-
-
-def _read_opt_label(reader: _Reader, labels: list[Label]) -> Label | None:
+def _read_field(reader: _Reader, ch: str, types: list[Type], labels: list[Label]):
+    """Read one non-node field of signature character ``ch`` (see
+    :class:`_NodeTable`)."""
+    if ch == "t":
+        return _table_ref(reader, types, "type")
+    if ch == "l":
+        return _table_ref(reader, labels, "label")
+    if ch == "s":
+        return reader.string()
+    table, what = (types, "type") if ch == "T" else (labels, "label")
     index = reader.signed()
-    if index < 0:
-        return None
-    if index >= len(labels):
-        raise ImageError(f"out-of-range label reference in image: {index}")
-    return labels[index]
+    if index >= len(table):
+        raise ImageError(f"out-of-range {what} reference in image: {index}")
+    return table[index] if index >= 0 else None
 
 
-def _read_labeled_table(
-    reader: _Reader, types: list[Type], labels: list[Label]
-) -> list[LabeledType]:
-    """Decode the deduplicated labeled-type node table."""
-    count = reader.varint()
-    table: list[LabeledType] = []
-    for _ in range(count):
+def _read_nodes(reader: _Reader, interner: Interner, what: str,
+                types: list[Type], labels: list[Label]) -> list:
+    """Decode one family's node table (children precede parents) straight
+    into its interner: every node is the canonical node of its class and
+    already-canonical fields (:meth:`~repro.core.intern.Interner.node`)."""
+    classes = interner.classes
+    layout = interner.layout
+    table: list = []
+    for _ in range(reader.varint()):
         tag = reader.byte()
-        try:
-            if tag == _LT_DYN:
-                node = _memo_intern(("ldyn",), LDyn, intern_labeled)
-            elif tag == _LT_BASE:
-                base = _table_ref(reader, types, "type")
-                lbl = _read_opt_label(reader, labels)
-                node = _memo_intern(
-                    ("lbase", id(base), lbl), lambda: LBase(base, lbl), intern_labeled
-                )
-            elif tag == _LT_ARROW:
-                dom = _table_ref(reader, table, "labeled type")
-                cod = _table_ref(reader, table, "labeled type")
-                lbl = _read_opt_label(reader, labels)
-                node = _memo_intern(
-                    ("larrow", id(dom), id(cod), lbl),
-                    lambda: LArrow(dom, cod, lbl), intern_labeled,
-                )
-            elif tag == _LT_PROD:
-                left = _table_ref(reader, table, "labeled type")
-                right = _table_ref(reader, table, "labeled type")
-                lbl = _read_opt_label(reader, labels)
-                node = _memo_intern(
-                    ("lprod", id(left), id(right), lbl),
-                    lambda: LProd(left, right, lbl), intern_labeled,
-                )
-            elif tag == _LT_FAIL:
-                fail_label = _table_ref(reader, labels, "label")
-                ground = _table_ref(reader, types, "type")
-                lbl = _read_opt_label(reader, labels)
-                node = _memo_intern(
-                    ("lfail", fail_label, id(ground), lbl),
-                    lambda: LFail(fail_label, ground, lbl), intern_labeled,
-                )
+        if tag >= len(classes):
+            raise ImageError(f"unknown {what} tag in image: {tag}")
+        cls = classes[tag]
+        values = []
+        for ch, _ in layout[cls]:
+            if ch == "n":
+                values.append(_table_ref(reader, table, what))
             else:
-                raise ImageError(f"unknown labeled-type tag in image: {tag}")
+                values.append(_read_field(reader, ch, types, labels))
+        try:
+            node = interner.node(cls, values)
         except (TypeError, ValueError, ReproError) as exc:
-            if isinstance(exc, ImageError):
-                raise
-            raise ImageError(f"malformed labeled type in image: {exc}") from exc
+            raise ImageError(f"malformed {what} in image: {exc}") from exc
         table.append(node)
     return table
 
@@ -1023,13 +783,13 @@ def deserialize_image(data: bytes) -> LoadedImage:
     source_hash = reader.string()
     static_ref = reader.signed()
 
-    types = _read_types(reader)
+    types = _read_nodes(reader, TYPE_TABLE, "type", [], [])
     labels = _read_labels(reader)
     if static_ref >= len(types):
         raise ImageError(f"out-of-range static-type reference in image: {static_ref}")
     static_type = types[static_ref] if static_ref >= 0 else None
-    coercion_nodes = _read_coercion_table(reader, types, labels)
-    labeled_nodes = _read_labeled_table(reader, types, labels)
+    coercion_nodes = _read_nodes(reader, SPACE_TABLE, "coercion", types, labels)
+    labeled_nodes = _read_nodes(reader, LABELED_TABLE, "labeled type", types, labels)
     names = _read_names(reader)
 
     # Rebuild the pool.  Constants are appended directly (the VM only ever
@@ -1046,20 +806,14 @@ def deserialize_image(data: bytes) -> LoadedImage:
             source = _table_ref(reader, types, "type")
             mid = _table_ref(reader, labeled_nodes, "labeled type")
             target = _table_ref(reader, types, "type")
-            entry = _memo_intern(
-                ("3some", id(source), id(mid), id(target)),
-                lambda: Threesome(source, mid, target), intern_threesome,
-            )
+            entry = threesome_node(source, mid, target)
         elif semantics == "transient":
             checks = []
             for _ in range(reader.varint()):
                 ground = _table_ref(reader, types, "type")
                 label = _table_ref(reader, labels, "label")
                 checks.append((ground, label))
-            fail_ref = reader.signed()
-            if fail_ref >= len(labels):
-                raise ImageError(f"out-of-range label reference in image: {fail_ref}")
-            fail = labels[fail_ref] if fail_ref >= 0 else None
+            fail = _read_field(reader, "L", types, labels)
             entry = intern_transient(TransientCheck(tuple(checks), fail))
         else:  # erasure: the entry is the no-op token, no payload bytes
             entry = ERASED

@@ -13,18 +13,18 @@ equal value a single canonical representative, so
   *identity* of canonical nodes, turning a structural recursion into a
   dictionary hit.
 
-The tables key children by ``id`` of their (already canonical) nodes, so an
-intern lookup costs O(1) per node rather than a structural hash; canonical
-nodes are kept alive for the lifetime of the process, which keeps the ids
-stable.  The per-language intern functions live next to the classes they
-canonicalise: :func:`intern_type` here, ``intern_coercion`` in
-:mod:`repro.lambda_c.coercions`, and ``intern_space`` in
-:mod:`repro.lambda_s.coercions`.
+Each family of nodes has one :class:`Interner`, declared with one field
+signature per class: :data:`TYPE_TABLE` here, ``COERCION_TABLE`` in
+:mod:`repro.lambda_c.coercions`, ``SPACE_TABLE`` in
+:mod:`repro.lambda_s.coercions` and ``LABELED_TABLE`` in
+:mod:`repro.threesomes.runtime`.  The signatures drive interning and the
+``.gradb`` node tables (:mod:`repro.compiler.serialize`) alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from dataclasses import fields
+from typing import Callable, Hashable, Iterable
 
 from .types import (
     BASE_TYPES,
@@ -36,64 +36,126 @@ from .types import (
     DynType,
     FunType,
     ProdType,
-    Type,
     UnknownType,
 )
+
+#: Signature characters whose field is keyed by the ``id`` of its canonical
+#: value; labels and strings are keyed by value.
+_BY_ID = frozenset("ntT")
 
 
 class Interner:
     """A hash-consing table for one family of immutable tree values.
 
-    ``canonical(key, build)`` returns the canonical node for ``key``,
-    constructing it with ``build()`` on first sight.  ``key`` must determine
-    the node up to structural equality and should reference children by the
-    ``id`` of their canonical representatives (cheap to hash).  Canonical
-    nodes are retained forever, so their ids are stable cache keys.
+    ``sigs`` maps the family's node classes, in tag order (the ``.gradb``
+    node tables number them so), to their field signatures: one character
+    per dataclass field, in field order —
+
+    =====  ====================================================
+    char   field
+    =====  ====================================================
+    ``n``  a node of this family
+    ``t``  a type (``T``: a type or ``None``)
+    ``l``  a blame label (``L``: a label or ``None``)
+    ``s``  a string
+    =====  ====================================================
+
+    :meth:`intern` canonicalizes any node of the family; :meth:`node` finds
+    (or builds) the canonical node of a class with given canonical field
+    values — the image decoder's lookup, which records no alias.  A node's
+    key is its class and, per field, the ``id`` of the canonical child or
+    the label or string itself; canonical nodes are retained forever, so
+    their ids are stable cache keys.  ``seeds`` are interned first, so
+    interning maps onto those module constants.
     """
 
-    __slots__ = ("name", "_by_key", "_canonical_ids", "_aliases", "hits", "misses")
+    __slots__ = ("name", "sigs", "classes", "tags", "layout", "_by_key", "_canonical_ids",
+                 "_aliases", "hits", "misses")
 
-    def __init__(self, name: str):
+    #: Bound on remembered aliases (see :meth:`remember_alias`).
+    MAX_ALIASES = 1 << 16
+
+    def __init__(self, name: str, sigs: dict[type, str] | None = None,
+                 seeds: Iterable[object] = ()):
         self.name = name
+        self.sigs = dict(sigs or {})
+        self.classes = tuple(self.sigs)
+        self.tags = {cls: tag for tag, cls in enumerate(self.classes)}
+        #: Each class's ``(signature character, field name)`` pairs.
+        self.layout = {
+            cls: tuple(zip(sig, [field.name for field in fields(cls)]))
+            for cls, sig in self.sigs.items()
+        }
         self._by_key: dict[Hashable, object] = {}
         self._canonical_ids: set[int] = set()
         # Non-canonical nodes we have interned before, mapped to their
         # canonical representative.  The aliased node itself is retained so
         # its id cannot be reused; this is what makes re-interning the same
         # AST node (e.g. a Coerce's coercion, once per loop iteration) O(1).
-        # Bounded: evicting an entry is always safe (the node just re-interns
-        # through the canonical table), so long-lived processes don't retain
-        # every transient object ever interned.
         self._aliases: dict[int, tuple[object, object]] = {}
         self.hits = 0
         self.misses = 0
         _REGISTRY[name] = self
+        for node in seeds:
+            self.intern(node)
 
     def is_canonical(self, node: object) -> bool:
         """Has ``node`` itself been issued by this table?"""
         return id(node) in self._canonical_ids
 
-    def alias_of(self, node: object) -> object | None:
-        """The canonical representative recorded for this exact node, if any."""
+    def intern(self, node):
+        """The canonical node equal to ``node``; idempotent, and O(1) when
+        ``node`` is canonical or was interned before."""
+        if id(node) in self._canonical_ids:
+            return node
         entry = self._aliases.get(id(node))
-        if entry is None:
-            return None
-        self.hits += 1
-        return entry[1]
+        if entry is not None:
+            self.hits += 1
+            return entry[1]
+        canon = self._canonicalize(node)
+        self.remember_alias(node, canon)
+        return canon
 
-    MAX_ALIASES = 1 << 16
+    def _canonicalize(self, node):
+        cls = type(node)
+        layout = self.layout.get(cls)
+        if layout is None:
+            raise TypeError(f"cannot intern {node!r}: not a node of the {self.name} table")
+        values = []
+        same = True
+        for ch, name in layout:
+            value = getattr(node, name)
+            if ch == "n":
+                canon = self.intern(value)
+            elif ch == "t" or (ch == "T" and value is not None):
+                canon = intern_type(value)
+            else:
+                canon = value
+            same = same and canon is value
+            values.append(canon)
+        return self.node(cls, values, node if same else None)
 
-    def remember_alias(self, node: object, canonical: object) -> None:
-        if node is canonical:
-            return
-        if len(self._aliases) >= self.MAX_ALIASES:
-            # FIFO eviction: drop the oldest alias.  Its node may then be
-            # garbage collected and its id reused, but the entry is gone, so
-            # a stale hit is impossible.
-            self._aliases.pop(next(iter(self._aliases)))
-        self._aliases[id(node)] = (node, canonical)
+    def node(self, cls: type, values: list, fresh: object = None):
+        """The canonical ``cls`` node whose fields are the canonical
+        ``values``, built on first sight — or, when given, ``fresh`` (a node
+        whose fields are exactly ``values``) becomes it."""
+        key = [cls]
+        for (ch, _), value in zip(self.layout[cls], values):
+            key.append(id(value) if ch in _BY_ID else value)
+        key = tuple(key)
+        found = self._by_key.get(key)
+        if found is not None:
+            self.hits += 1
+            return found
+        node = fresh if fresh is not None else cls(*values)
+        self._by_key[key] = node
+        self._canonical_ids.add(id(node))
+        self.misses += 1
+        return node
 
     def canonical(self, key: Hashable, build: Callable[[], object]) -> object:
+        """The canonical node for a caller-made ``key``, built with
+        ``build()`` on first sight (for nodes outside any signature)."""
         found = self._by_key.get(key)
         if found is not None:
             self.hits += 1
@@ -104,14 +166,25 @@ class Interner:
         self.misses += 1
         return node
 
-    def seed(self, key: Hashable, node: object) -> object:
-        """Install ``node`` as the canonical representative for ``key``."""
-        existing = self._by_key.get(key)
-        if existing is not None:
-            return existing
-        self._by_key[key] = node
-        self._canonical_ids.add(id(node))
-        return node
+    def alias_of(self, node: object) -> object | None:
+        """The canonical representative recorded for this exact node, if any."""
+        entry = self._aliases.get(id(node))
+        if entry is None:
+            return None
+        self.hits += 1
+        return entry[1]
+
+    def remember_alias(self, node: object, canonical: object) -> None:
+        """Remember that ``node`` interns to ``canonical``.  The table is
+        bounded: when it is full it is cleared, which is always safe (a
+        forgotten node re-interns through its key) and costs O(1) per alias
+        amortized."""
+        if node is canonical:
+            return
+        aliases = self._aliases
+        if len(aliases) >= self.MAX_ALIASES:
+            aliases.clear()
+        aliases[id(node)] = (node, canonical)
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -128,56 +201,12 @@ def intern_stats() -> dict[str, dict[str, int]]:
     return {name: table.stats() for name, table in _REGISTRY.items()}
 
 
-# ---------------------------------------------------------------------------
-# Types
-# ---------------------------------------------------------------------------
-
-_types = Interner("types")
-
-# Seed the well-known singletons so interning maps onto the module constants.
-_types.seed(("dyn",), DYN)
-_types.seed(("unknown",), UNKNOWN)
-for _base in BASE_TYPES:
-    _types.seed(("base", _base.name), _base)
-_types.seed(("fun", id(DYN), id(DYN)), GROUND_FUN)
-_types.seed(("prod", id(DYN), id(DYN)), GROUND_PROD)
-
-
-def intern_type(ty: Type) -> Type:
-    """The canonical representative of ``ty``; idempotent, O(1) when canonical.
-
-    ``intern_type(a) is intern_type(b)``  iff  ``a == b``.
-    """
-    if _types.is_canonical(ty):
-        return ty
-    aliased = _types.alias_of(ty)
-    if aliased is not None:
-        return aliased
-    if isinstance(ty, DynType):
-        canon = _types.canonical(("dyn",), lambda: ty)
-    elif isinstance(ty, UnknownType):
-        canon = _types.canonical(("unknown",), lambda: ty)
-    elif isinstance(ty, BaseType):
-        canon = _types.canonical(("base", ty.name), lambda: ty)
-    elif isinstance(ty, FunType):
-        dom = intern_type(ty.dom)
-        cod = intern_type(ty.cod)
-        canon = _types.canonical(
-            ("fun", id(dom), id(cod)),
-            lambda: ty if (ty.dom is dom and ty.cod is cod) else FunType(dom, cod),
-        )
-    elif isinstance(ty, ProdType):
-        left = intern_type(ty.left)
-        right = intern_type(ty.right)
-        canon = _types.canonical(
-            ("prod", id(left), id(right)),
-            lambda: ty if (ty.left is left and ty.right is right) else ProdType(left, right),
-        )
-    else:
-        raise TypeError(f"cannot intern unknown type node: {ty!r}")
-    _types.remember_alias(ty, canon)
-    return canon
-
-
-def is_interned_type(ty: Type) -> bool:
-    return _types.is_canonical(ty)
+#: The types, seeded so interning maps onto the module constants.
+#: ``intern_type(a) is intern_type(b)``  iff  ``a == b``.
+TYPE_TABLE = Interner(
+    "types",
+    {DynType: "", UnknownType: "", BaseType: "s", FunType: "nn", ProdType: "nn"},
+    seeds=(DYN, UNKNOWN, *BASE_TYPES, GROUND_FUN, GROUND_PROD),
+)
+intern_type = TYPE_TABLE.intern
+is_interned_type = TYPE_TABLE.is_canonical

@@ -29,7 +29,6 @@ from .types import (
     FunType,
     ProdType,
     Type,
-    is_ground,
 )
 
 
@@ -252,30 +251,3 @@ def gradual_meet(a: Type, b: Type) -> Type | None:
     """
     result = meet(a, b)
     return None if contains_bottom(result) else result
-
-
-# ---------------------------------------------------------------------------
-# Precision helpers used in a few property tests
-# ---------------------------------------------------------------------------
-
-
-def is_more_precise(a: Type, b: Type) -> bool:
-    """Alias for ``A <:n B`` (A is at least as precise as B)."""
-    return subtype_naive(a, b)
-
-
-def naive_upper_bounds(a: Type, b: Type, candidates) -> list[Type]:
-    """All candidate types ``C`` with ``A & B <:n C`` — parameter space of Lemma 20."""
-    lower = meet(a, b)
-    return [c for c in candidates if subtype_naive(lower, c)]
-
-
-def ground_subtype_facts(a: Type) -> dict[str, bool]:
-    """Small diagnostic summary used by the CLI's ``explain`` command."""
-    return {
-        "is_ground": is_ground(a),
-        "subtype_of_dyn": subtype(a, DYN),
-        "pos_subtype_of_dyn": subtype_pos(a, DYN),
-        "neg_subtype_of_dyn": subtype_neg(a, DYN),
-        "naive_subtype_of_dyn": subtype_naive(a, DYN),
-    }

@@ -119,14 +119,6 @@ def is_dyn(ty: Type) -> bool:
     return isinstance(ty, DynType)
 
 
-def is_fun(ty: Type) -> bool:
-    return isinstance(ty, FunType)
-
-
-def is_prod(ty: Type) -> bool:
-    return isinstance(ty, ProdType)
-
-
 def is_ground(ty: Type) -> bool:
     """Is ``ty`` a ground type ``G`` (a base type, ``?→?``, or ``?×?``)?"""
     if isinstance(ty, BaseType):

@@ -78,6 +78,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        from ..api import VM_ENGINES
+
+        if self.engine not in VM_ENGINES:
+            raise UsageError(
+                f"unknown engine {self.engine!r} for an experiment; expected one of {VM_ENGINES}"
+            )
         for name in self.semantics:
             if name not in SEMANTICS_NAMES:
                 raise UsageError(

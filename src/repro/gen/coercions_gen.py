@@ -32,16 +32,6 @@ def random_label(rng: random.Random, pool: Sequence[Label] | None = None) -> Lab
     return lbl if rng.random() < 0.7 else lbl.complement()
 
 
-def random_cast_coercion(
-    rng: random.Random,
-    source: Type,
-    target: Type,
-    pool: Sequence[Label] | None = None,
-) -> Coercion:
-    """The coercion of a single random-labelled cast between compatible types."""
-    return cast_to_coercion(source, random_label(rng, pool), target)
-
-
 def random_coercion(
     rng: random.Random,
     length: int = 3,

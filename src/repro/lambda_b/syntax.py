@@ -61,11 +61,6 @@ def is_value(term: Term) -> bool:
     return False
 
 
-def is_uncasted_value(term: Term) -> bool:
-    """A value with no top-level cast (``k``, ``λx:A.N``, or a pair of values)."""
-    return is_value(term) and not isinstance(term, Cast)
-
-
 def casts_in(term: Term) -> list[Cast]:
     """All cast nodes occurring in a term."""
     return [t for t in subterms(term) if isinstance(t, Cast)]

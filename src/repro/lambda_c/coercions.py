@@ -348,81 +348,18 @@ def sequence(*coercions: Coercion) -> Coercion:
 # ---------------------------------------------------------------------------
 
 from ..core.intern import Interner as _Interner  # noqa: E402  (layered import)
-from ..core.intern import intern_type as _intern_type  # noqa: E402
 
-_interned = _Interner("coercions_c")
-
-
-def intern_coercion(c: Coercion) -> Coercion:
-    """The canonical representative of a λC coercion; idempotent.
-
-    Pointer equality on canonical coercions coincides with structural
-    equality (for :class:`Fail`, whose equality ignores the informal
-    source/target annotations, each annotation variant keeps its own
-    canonical node so the annotations survive interning).
-    """
-    if _interned.is_canonical(c):
-        return c
-    aliased = _interned.alias_of(c)
-    if aliased is not None:
-        return aliased
-    canon = _intern_coercion_node(c)
-    _interned.remember_alias(c, canon)
-    return canon
-
-
-def _intern_coercion_node(c: Coercion) -> Coercion:
-    if isinstance(c, Identity):
-        ty = _intern_type(c.type)
-        return _interned.canonical(
-            ("id", id(ty)), lambda: c if c.type is ty else Identity(ty)
-        )
-    if isinstance(c, Inject):
-        ground = _intern_type(c.ground)
-        return _interned.canonical(
-            ("inj", id(ground)), lambda: c if c.ground is ground else Inject(ground)
-        )
-    if isinstance(c, Project):
-        ground = _intern_type(c.ground)
-        return _interned.canonical(
-            ("proj", id(ground), c.label),
-            lambda: c if c.ground is ground else Project(ground, c.label),
-        )
-    if isinstance(c, FunCoercion):
-        dom = intern_coercion(c.dom)
-        cod = intern_coercion(c.cod)
-        return _interned.canonical(
-            ("fun", id(dom), id(cod)),
-            lambda: c if (c.dom is dom and c.cod is cod) else FunCoercion(dom, cod),
-        )
-    if isinstance(c, ProdCoercion):
-        left = intern_coercion(c.left)
-        right = intern_coercion(c.right)
-        return _interned.canonical(
-            ("prod", id(left), id(right)),
-            lambda: c if (c.left is left and c.right is right) else ProdCoercion(left, right),
-        )
-    if isinstance(c, Sequence):
-        first = intern_coercion(c.first)
-        second = intern_coercion(c.second)
-        return _interned.canonical(
-            ("seq", id(first), id(second)),
-            lambda: c if (c.first is first and c.second is second) else Sequence(first, second),
-        )
-    if isinstance(c, Fail):
-        sg = _intern_type(c.source_ground)
-        tg = _intern_type(c.target_ground)
-        src = _intern_type(c.source) if c.source is not None else None
-        tgt = _intern_type(c.target) if c.target is not None else None
-        key = ("fail", id(sg), c.label, id(tg),
-               id(src) if src is not None else None,
-               id(tgt) if tgt is not None else None)
-        return _interned.canonical(key, lambda: Fail(sg, c.label, tg, src, tgt))
-    raise CoercionTypeError(f"cannot intern unknown coercion node: {c!r}")
-
-
-def is_interned_coercion(c: Coercion) -> bool:
-    return _interned.is_canonical(c)
+#: The λC coercions.  Pointer equality on canonical coercions coincides with
+#: structural equality (for :class:`Fail`, whose equality ignores the
+#: informal source/target annotations, each annotation variant keeps its own
+#: canonical node so the annotations survive interning).
+COERCION_TABLE = _Interner(
+    "coercions_c",
+    {Identity: "t", Inject: "t", Project: "tl", FunCoercion: "nn", ProdCoercion: "nn",
+     Sequence: "nn", Fail: "tltTT"},
+)
+intern_coercion = COERCION_TABLE.intern
+is_interned_coercion = COERCION_TABLE.is_canonical
 
 
 def coercion_to_str(c: Coercion) -> str:

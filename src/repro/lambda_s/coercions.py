@@ -277,79 +277,18 @@ def compose(s: SpaceCoercion, t: SpaceCoercion) -> SpaceCoercion:
 # ---------------------------------------------------------------------------
 
 from ..core.intern import Interner as _Interner  # noqa: E402  (layered import)
-from ..core.intern import intern_type as _intern_type  # noqa: E402
 
-_interned = _Interner("coercions_s")
-_interned.seed(("iddyn",), ID_DYN)
-
-
-def intern_space(s: SpaceCoercion) -> SpaceCoercion:
-    """The canonical representative of a canonical coercion; idempotent.
-
-    Pointer equality on interned coercions coincides with structural
-    equality (:class:`FailS` annotation variants each keep their own node,
-    mirroring :func:`repro.lambda_c.coercions.intern_coercion`).
-    """
-    if _interned.is_canonical(s):
-        return s
-    aliased = _interned.alias_of(s)
-    if aliased is not None:
-        return aliased
-    canon = _intern_space_node(s)
-    _interned.remember_alias(s, canon)
-    return canon
-
-
-def _intern_space_node(s: SpaceCoercion) -> SpaceCoercion:
-    if isinstance(s, IdDyn):
-        return ID_DYN
-    if isinstance(s, IdBase):
-        base = _intern_type(s.base)
-        return _interned.canonical(
-            ("idb", id(base)), lambda: s if s.base is base else IdBase(base)
-        )
-    if isinstance(s, Projection):
-        ground = _intern_type(s.ground)
-        body = intern_space(s.body)
-        return _interned.canonical(
-            ("proj", id(ground), s.label, id(body)),
-            lambda: s if (s.ground is ground and s.body is body) else Projection(ground, s.label, body),
-        )
-    if isinstance(s, Injection):
-        body = intern_space(s.body)
-        ground = _intern_type(s.ground)
-        return _interned.canonical(
-            ("inj", id(body), id(ground)),
-            lambda: s if (s.body is body and s.ground is ground) else Injection(body, ground),
-        )
-    if isinstance(s, FailS):
-        sg = _intern_type(s.source_ground)
-        tg = _intern_type(s.target_ground)
-        src = _intern_type(s.source) if s.source is not None else None
-        tgt = _intern_type(s.target) if s.target is not None else None
-        key = ("fail", id(sg), s.label, id(tg),
-               id(src) if src is not None else None,
-               id(tgt) if tgt is not None else None)
-        return _interned.canonical(key, lambda: FailS(sg, s.label, tg, src, tgt))
-    if isinstance(s, FunCo):
-        dom = intern_space(s.dom)
-        cod = intern_space(s.cod)
-        return _interned.canonical(
-            ("fun", id(dom), id(cod)),
-            lambda: s if (s.dom is dom and s.cod is cod) else FunCo(dom, cod),
-        )
-    if isinstance(s, ProdCo):
-        left = intern_space(s.left)
-        right = intern_space(s.right)
-        return _interned.canonical(
-            ("prod", id(left), id(right)),
-            lambda: s if (s.left is left and s.right is right) else ProdCo(left, right),
-        )
-    raise CoercionTypeError(f"cannot intern unknown canonical coercion: {s!r}")
-
-
-def is_interned_space(s: SpaceCoercion) -> bool:
-    return _interned.is_canonical(s)
+#: The canonical coercions, in ``.gradb`` tag order.  Pointer equality on
+#: interned coercions coincides with structural equality (:class:`FailS`
+#: annotation variants each keep their own node, as λC's ``Fail`` does).
+SPACE_TABLE = _Interner(
+    "coercions_s",
+    {IdDyn: "", IdBase: "t", Projection: "tln", Injection: "nt", FailS: "tltTT",
+     FunCo: "nn", ProdCo: "nn"},
+    seeds=(ID_DYN,),
+)
+intern_space = SPACE_TABLE.intern
+is_interned_space = SPACE_TABLE.is_canonical
 
 
 #: Memo table for :func:`compose_memo`, keyed by the identity of the interned

@@ -72,10 +72,6 @@ def intern_transient(t: TransientCheck) -> TransientCheck:
     return found
 
 
-def is_interned_transient(t: TransientCheck) -> bool:
-    return _INTERNED.get((t.checks, t.fail)) is t
-
-
 #: The transient mediator that checks nothing (every ground coercion,
 #: injection, and identity abstracts to this).
 NO_CHECK = intern_transient(TransientCheck(()))

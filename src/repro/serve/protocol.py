@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import json
 
+from ..api import VM_ENGINES
+
 #: Every ``run`` response's ``kind`` is exactly one of these.
 TERMINAL_KINDS = ("value", "blame", "timeout", "error", "overloaded")
 
@@ -59,7 +61,7 @@ TERMINAL_KINDS = ("value", "blame", "timeout", "error", "overloaded")
 OPS = ("run", "ping", "stats", "shutdown")
 
 #: Engines a request may name (the serving pipeline is compiled-only).
-SERVE_ENGINES = ("vm", "rvm")
+SERVE_ENGINES = VM_ENGINES
 
 #: The longest deadline a request or the server may set, in seconds.  A day
 #: is ample, and it keeps every deadline within what the worker's interval

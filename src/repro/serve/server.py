@@ -95,9 +95,11 @@ class Server:
     """One serving process: pool, listener, and drain logic."""
 
     def __init__(self, config: ServeConfig, metrics: MetricsRegistry | None = None):
-        from ..api import resolve_config
+        from ..api import VM_ENGINES, resolve_config
 
         _check_settings(config)
+        if config.engine not in VM_ENGINES:
+            raise UsageError(f"unknown engine {config.engine!r} to serve; expected one of {VM_ENGINES}")
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Fail fast at startup through the shared validation path: the same

@@ -92,58 +92,16 @@ class Threesome:
 # Interning — the labeled-type counterpart of intern_space
 # ---------------------------------------------------------------------------
 
-_labeled = Interner("labeled_types")
-_labeled.seed(("dyn",), DYN_LABELED)
+#: The labeled types, in ``.gradb`` tag order.
+LABELED_TABLE = Interner(
+    "labeled_types",
+    {LDyn: "", LBase: "tL", LArrow: "nnL", LProd: "nnL", LFail: "ltL"},
+    seeds=(DYN_LABELED,),
+)
+intern_labeled = LABELED_TABLE.intern
+is_interned_labeled = LABELED_TABLE.is_canonical
 
 _threesomes = Interner("threesomes")
-
-
-def intern_labeled(p: LabeledType) -> LabeledType:
-    """The canonical representative of a labeled type; idempotent, O(1) when canonical."""
-    if _labeled.is_canonical(p):
-        return p
-    aliased = _labeled.alias_of(p)
-    if aliased is not None:
-        return aliased
-    canon = _intern_labeled_node(p)
-    _labeled.remember_alias(p, canon)
-    return canon
-
-
-def _intern_labeled_node(p: LabeledType) -> LabeledType:
-    if isinstance(p, LDyn):
-        return DYN_LABELED
-    if isinstance(p, LBase):
-        base = intern_type(p.base)
-        return _labeled.canonical(
-            ("base", id(base), p.label),
-            lambda: p if p.base is base else LBase(base, p.label),
-        )
-    if isinstance(p, LArrow):
-        dom = intern_labeled(p.dom)
-        cod = intern_labeled(p.cod)
-        return _labeled.canonical(
-            ("arrow", id(dom), id(cod), p.label),
-            lambda: p if (p.dom is dom and p.cod is cod) else LArrow(dom, cod, p.label),
-        )
-    if isinstance(p, LProd):
-        left = intern_labeled(p.left)
-        right = intern_labeled(p.right)
-        return _labeled.canonical(
-            ("prod", id(left), id(right), p.label),
-            lambda: p if (p.left is left and p.right is right) else LProd(left, right, p.label),
-        )
-    if isinstance(p, LFail):
-        ground = intern_type(p.ground)
-        return _labeled.canonical(
-            ("fail", p.fail_label, id(ground), p.label),
-            lambda: p if p.ground is ground else LFail(p.fail_label, ground, p.label),
-        )
-    raise CoercionTypeError(f"cannot intern unknown labeled type: {p!r}")
-
-
-def is_interned_labeled(p: LabeledType) -> bool:
-    return _labeled.is_canonical(p)
 
 
 def intern_threesome(t: Threesome) -> Threesome:
@@ -153,21 +111,20 @@ def intern_threesome(t: Threesome) -> Threesome:
     aliased = _threesomes.alias_of(t)
     if aliased is not None:
         return aliased
-    source = intern_type(t.source)
-    mid = intern_labeled(t.mid)
-    target = intern_type(t.target)
-    canon = _threesomes.canonical(
-        (id(source), id(mid), id(target)),
-        lambda: t
-        if (t.source is source and t.mid is mid and t.target is target)
-        else Threesome(source, mid, target),
-    )
+    canon = threesome_node(intern_type(t.source), intern_labeled(t.mid), intern_type(t.target))
     _threesomes.remember_alias(t, canon)
     return canon
 
 
-def is_interned_threesome(t: Threesome) -> bool:
-    return _threesomes.is_canonical(t)
+def threesome_node(source: Type, mid: LabeledType, target: Type) -> Threesome:
+    """The canonical threesome of three canonical parts (an image decoder's
+    lookup: it records no alias)."""
+    return _threesomes.canonical(
+        (id(source), id(mid), id(target)), lambda: Threesome(source, mid, target)
+    )
+
+
+is_interned_threesome = _threesomes.is_canonical
 
 
 # ---------------------------------------------------------------------------

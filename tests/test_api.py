@@ -65,6 +65,25 @@ class TestResolveConfig:
     def test_calculus_is_uppercased(self):
         assert resolve_config(engine="machine", calculus="b").calculus == "B"
 
+    def test_unknown_calculus(self):
+        with pytest.raises(UsageError, match="unknown calculus"):
+            resolve_config(engine="machine", calculus="q")
+
+    @pytest.mark.parametrize("overrides", [
+        {"engine": "machine", "calculus": "q"},
+        {"engine": "subst", "calculus": "q"},
+        {"engine": "machine", "semantics": "threesome", "calculus": "B"},
+    ])
+    def test_bad_calculus_is_refused_before_the_front_end(self, monkeypatch, overrides):
+        from repro.surface import interp
+
+        def front_end(*args, **kwargs):
+            raise AssertionError("the front end ran")
+
+        monkeypatch.setattr(interp, "compile_source", front_end)
+        with pytest.raises(UsageError):
+            run("(+ 1 2)", **overrides)
+
     def test_subst_requires_coercion(self):
         with pytest.raises(UsageError):
             resolve_config(engine="subst", semantics="threesome")

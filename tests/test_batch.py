@@ -153,6 +153,18 @@ class TestRunBatch:
             json.dumps(result)
         json.dumps(aggregate)
 
+    @pytest.mark.parametrize("engine", ["machine", "subst"])
+    def test_an_engine_the_pool_cannot_run_is_rejected(self, corpus, engine, monkeypatch):
+        from repro.core.errors import UsageError
+        from repro.serve import pool
+
+        def handle_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(pool, "handle_job", handle_job)
+        with pytest.raises(UsageError, match="unknown engine"):
+            run_batch([corpus], RunConfig(engine=engine))
+
     def test_aggregate_of_empty_corpus(self):
         aggregate = aggregate_results([])
         assert aggregate["programs"] == 0

@@ -407,6 +407,13 @@ class TestDriver:
         with pytest.raises(UsageError, match="unknown semantics"):
             ExperimentConfig(semantics=("laissez-faire",))
 
+    @pytest.mark.parametrize("engine", ["machine", "subst"])
+    def test_an_engine_the_pool_cannot_run_is_rejected(self, engine):
+        from repro.core.errors import UsageError
+
+        with pytest.raises(UsageError, match="unknown engine"):
+            ExperimentConfig(engine=engine, workers=1)
+
 
 class TestCli:
     def test_experiment_subcommand(self, tmp_path, capsys):

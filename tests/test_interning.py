@@ -138,6 +138,63 @@ class TestCoercionInterning:
         assert intern_space(coercion) is intern_space(deepcopy(coercion))
 
 
+class TestSignatures:
+    """One field signature per node class drives interning and the image
+    node tables, so every class of a family must have one, of the right
+    length."""
+
+    @staticmethod
+    def _families():
+        from repro.core.intern import TYPE_TABLE
+        from repro.core.subtyping import BottomType
+        from repro.core.types import Type
+        from repro.lambda_c.coercions import COERCION_TABLE, Coercion
+        from repro.lambda_s.coercions import SPACE_TABLE, SpaceCoercion
+        from repro.threesomes.labeled_types import LabeledType
+        from repro.threesomes.runtime import LABELED_TABLE
+
+        # The pointed type ⊥ of §5.2 lives only in the subtyping relations
+        # and is never interned.
+        return [(Type, TYPE_TABLE, {BottomType}), (Coercion, COERCION_TABLE, set()),
+                (SpaceCoercion, SPACE_TABLE, set()), (LabeledType, LABELED_TABLE, set())]
+
+    def test_every_concrete_node_class_has_a_signature_of_its_field_count(self):
+        from dataclasses import fields, is_dataclass
+
+        for base, table, outside in self._families():
+            pending, concrete = [base], set()
+            while pending:
+                for sub in pending.pop().__subclasses__():
+                    pending.append(sub)
+                    if is_dataclass(sub):
+                        concrete.add(sub)
+            assert concrete - outside == set(table.sigs), table.name
+            for cls, sig in table.sigs.items():
+                assert len(sig) == len(fields(cls)), f"{cls.__name__}: {sig!r}"
+                assert set(sig) <= set("ntTlLs"), f"{cls.__name__}: {sig!r}"
+
+    def test_node_lookup_returns_the_interned_node(self):
+        from repro.core.intern import TYPE_TABLE
+
+        canon = intern_type(FunType(ProdType(INT, BOOL), DYN))
+        assert TYPE_TABLE.node(FunType, [canon.dom, DYN]) is canon
+        assert TYPE_TABLE.node(ProdType, [DYN, DYN]) is GROUND_PROD
+
+
+class TestAliasTable:
+    def test_a_full_alias_table_is_cleared_and_interning_stays_canonical(self, monkeypatch):
+        from repro.core.intern import TYPE_TABLE, Interner
+
+        monkeypatch.setattr(Interner, "MAX_ALIASES", 8)
+        canon = intern_type(FunType(INT, BOOL))
+        copies = [FunType(INT, BOOL) for _ in range(50)]
+        for copy in copies:
+            assert intern_type(copy) is canon
+            assert len(TYPE_TABLE._aliases) <= 8
+        # A copy whose alias was cleared re-interns through its key.
+        assert all(intern_type(copy) is canon for copy in copies)
+
+
 # ---------------------------------------------------------------------------
 # Memoised operations agree with the reference implementations
 # ---------------------------------------------------------------------------

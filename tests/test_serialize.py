@@ -176,6 +176,17 @@ class TestRoundTrip:
         for entry in image.code.pool.coercions:
             assert is_interned_threesome(entry)
 
+    @pytest.mark.parametrize("semantics", SEMANTICS_NAMES)
+    def test_loading_records_no_alias(self, semantics):
+        """A decoded node is looked up by its canonical children, so a load
+        adds to no table's aliases (only, on first sight, to its nodes)."""
+        from repro.core.intern import _REGISTRY
+
+        data = serialize_image(_compile(BLAME, semantics, 2)[0])
+        before = {name: len(table._aliases) for name, table in _REGISTRY.items()}
+        deserialize_image(data)
+        assert {name: len(table._aliases) for name, table in _REGISTRY.items()} == before
+
     def test_huge_and_negative_integer_constants_round_trip(self):
         # Regression: the varint reader used to cap continuations at ~77
         # bits, so a valid program with a big literal serialized into an

@@ -292,6 +292,15 @@ class TestStartupValidation:
         assert len(lines) == 1 and lines[0].startswith("error: "), completed.stderr
 
 
+    @pytest.mark.parametrize("engine", ["machine", "subst"])
+    def test_an_engine_the_pool_cannot_run_is_refused(self, engine):
+        from repro.core.errors import UsageError
+        from repro.serve.server import ServeConfig, Server
+
+        with pytest.raises(UsageError, match="unknown engine"):
+            Server(ServeConfig(engine=engine))
+
+
 class TestOverload:
     def test_queue_limit_sheds_with_overloaded(self, tmp_path):
         proc, ready = start_server(tmp_path, "--workers", "1", "--queue-limit", "1")
@@ -387,6 +396,51 @@ class TestLongLines:
         assert client.ping()["ok"] is True
         _, err = stop(proc, client)
         assert err == ""  # no traceback
+
+
+class TestReadLoop:
+    """``_read_line`` over a request stream split at arbitrary offsets: each
+    line within the reader's limit comes back once and in order, each
+    longer one is one ``None``, and the line after it is intact."""
+
+    LIMIT = 16
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        payloads=st.lists(
+            st.binary(max_size=3 * LIMIT).map(lambda data: data.replace(b"\n", b" ")),
+            max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_lines_survive_arbitrary_chunking(self, payloads, data):
+        import asyncio
+
+        from repro.serve.server import _read_line
+
+        stream = b"".join(payload + b"\n" for payload in payloads)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=20)))
+        chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+
+        async def read_all() -> list:
+            reader = asyncio.StreamReader(limit=self.LIMIT)
+
+            async def feed() -> None:
+                for chunk in chunks:
+                    reader.feed_data(chunk)
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+
+            feeder = asyncio.create_task(feed())
+            lines = []
+            while (line := await _read_line(reader)) != b"":
+                lines.append(line)
+            await feeder
+            return lines
+
+        expected = [payload + b"\n" if len(payload) <= self.LIMIT else None
+                    for payload in payloads]
+        assert asyncio.run(read_all()) == expected
 
 
 class TestLongIntegers:
