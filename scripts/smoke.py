@@ -1,7 +1,7 @@
 """Quick smoke test exercised during development (not part of the test suite)."""
 
-from repro.core import DYN, INT, Label, label
-from repro.core.terms import App, Cast, Const, Lam, Var, const_int
+from repro.core import DYN, INT, label
+from repro.core.terms import App, Cast, Lam, Var, const_int
 from repro.lambda_b import run as run_b, type_of as type_b
 from repro.lambda_c import run as run_c, type_of as type_c
 from repro.lambda_s import run as run_s, type_of as type_s

@@ -96,8 +96,8 @@ from .bytecode import (
 #: stable).  The label is compared by value, so ``p`` and ``p̄`` stay apart.
 _CASTS: dict[tuple[int, Label, int], SpaceCoercion] = {}
 
-#: Entries kept before the oldest is dropped (dropping one only means that
-#: cast is translated again), so a long-lived worker stays bounded.
+#: Entries kept before the memo is cleared (a forgotten cast is only
+#: translated again), so a long-lived worker stays bounded.
 _CASTS_CAP = 1 << 16
 
 
@@ -176,7 +176,7 @@ def cast_coercion(source: Type, label: Label, target: Type) -> SpaceCoercion:
     if canon is None:
         canon = intern_space(cast_to_space(source, label, target))
         if len(_CASTS) >= _CASTS_CAP:
-            _CASTS.pop(next(iter(_CASTS)))
+            _CASTS.clear()
         _CASTS[key] = canon
     return canon
 

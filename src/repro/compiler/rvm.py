@@ -67,11 +67,9 @@ from .regalloc import (
     R_CALL,
     R_CLOSURE,
     R_CLOSURE_BR_PRIM1,
-    R_CLOSURE_RETURN,
     R_COERCE,
     R_COERCE_BR_PRIM1,
     R_COERCE_CALL,
-    R_COERCE_COERCE,
     R_COERCE_TAILCALL,
     R_COMPOSE,
     R_COMPOSE_COERCE,
@@ -84,7 +82,6 @@ from .regalloc import (
     R_PAIR,
     R_PRIM1,
     R_PRIM2,
-    R_PRIM2_CALL,
     R_PRIM2_RETURN,
     R_PRIM2_TAILCALL,
     R_PRIMN,

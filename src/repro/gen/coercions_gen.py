@@ -6,7 +6,7 @@ import random
 from typing import Sequence
 
 from ..core.labels import Label
-from ..core.types import Type, compatible, ground_of, is_ground, DynType
+from ..core.types import Type, ground_of, DynType
 from ..lambda_c.coercions import (
     Coercion,
     Fail,
@@ -18,7 +18,7 @@ from ..lambda_c.coercions import (
 from ..lambda_s.coercions import SpaceCoercion
 from ..translate.b_to_c import cast_to_coercion
 from ..translate.c_to_s import coercion_to_space
-from .types_gen import DEFAULT_LEAVES, random_cast_path, random_type
+from .types_gen import DEFAULT_LEAVES, random_cast_path
 
 
 def label_pool(rng: random.Random, count: int = 6) -> list[Label]:

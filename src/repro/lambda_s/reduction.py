@@ -56,12 +56,11 @@ from .coercions import (
     FunCo,
     IdBase,
     IdDyn,
-    Injection,
     ProdCo,
     Projection,
     compose,
 )
-from .syntax import is_uncoerced_value, is_value
+from .syntax import is_value
 
 
 # ---------------------------------------------------------------------------

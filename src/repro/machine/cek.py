@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.errors import EvaluationError, FuelExhausted
+from ..core.errors import EvaluationError
 from ..core.labels import Label
 from ..core.ops import op_spec
 from ..core.terms import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.terms import Term
-from ..core.types import FunType, Type
+from ..core.types import FunType
 from .values import Environment, MachineValue
 
 

@@ -17,9 +17,9 @@ approximations used throughout the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from ..core.labels import Label, LabelSupply
+from ..core.labels import LabelSupply
 from ..core.terms import (
     App,
     Cast,
@@ -95,7 +95,7 @@ def kleene_equivalent(
 
 def _sample_arguments(ty: Type, supply: LabelSupply) -> list[Term]:
     """Closed sample arguments of a given type, used to probe function values."""
-    from ..core.terms import Lam, Var, const_bool, const_int
+    from ..core.terms import Lam, const_bool, const_int
 
     if isinstance(ty, BaseType):
         if ty == INT:

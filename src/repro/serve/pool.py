@@ -9,13 +9,14 @@ process holding the state that makes requests cheap the second time:
   warm automatically as requests flow);
 * the serialize layer's decode memo (re-interning a cached image is a
   dictionary lookup per node after the first load);
-* a :class:`WorkerMemo` of two bounded least-recently-used memos: hot
-  deserialized images, so a repeated ``(source, semantics, opt level,
-  IR)`` skips even the image decode; and lowered programs (the
-  semantics-independent code :func:`~repro.compiler.lower.lower_term`
-  makes of the elaborated λB term, with the static type), so a source
-  already compiled under one semantics is only mapped to the next
-  semantics, optimized and run.
+* a :class:`WorkerMemo` of three bounded memos: hot deserialized
+  images, so a repeated ``(source, semantics, opt level, IR)`` skips even
+  the image decode; lowered programs (the semantics-independent code
+  :func:`~repro.compiler.lower.lower_term` makes of the elaborated λB
+  term, with the static type), so a source already compiled under one
+  semantics is only mapped to the next semantics, optimized and run; and
+  parsed lines, so a new source has only the lines the worker has not
+  seen lexed and parsed.
 
 The robustness contract, which the chaos tests hold the pool to:
 
@@ -137,19 +138,24 @@ def _deadline(seconds: float | None):
 
 
 class WorkerMemo:
-    """A worker's memos, both least-recently-used: ``images`` maps
-    ``(source_hash, semantics, opt_level, ir)`` to a loaded image, and
+    """A worker's memos.  The first two are least-recently-used: ``images``
+    maps ``(source_hash, semantics, opt_level, ir)`` to a loaded image, and
     ``front_ends`` maps ``source_hash`` to ``(lowered program, static
     type)``: the :func:`~repro.compiler.lower.lower_term` lowering of the
     λB term :func:`~repro.surface.interp.compile_source` returned, and that
     term's type.  No semantics changes either, so every semantics, level
-    and IR shares the entry, and compiling from it never modifies it."""
+    and IR shares the entry, and compiling from it never modifies it.
+    ``lines`` maps ``(line number, line text)`` to what that line parses
+    to (:func:`~repro.surface.parser.memoized_program`, cleared when full),
+    so a source that differs from earlier ones in a few lines has only
+    those lexed and parsed."""
 
-    __slots__ = ("images", "front_ends")
+    __slots__ = ("images", "front_ends", "lines")
 
     def __init__(self) -> None:
         self.images: dict = {}
         self.front_ends: dict = {}
+        self.lines: dict = {}
 
 
 def _recall(memo: dict, key):
@@ -207,7 +213,7 @@ def _obtain_image(job: dict, memo: WorkerMemo):
         if found is None:
             from ..compiler.lower import lower_term
 
-            term, static_type = compile_source(source)
+            term, static_type = compile_source(source, lines=memo.lines)
             found = (lower_term(term), static_type)
             evicted = _remember(memo.front_ends, source_hash, found, _FRONT_END_MEMO_CAP)
             if evicted is not None:

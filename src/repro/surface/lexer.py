@@ -64,11 +64,12 @@ class Token:
         return f"Token({self.kind!r}, {self.text!r}, {self.line}, {self.column})"
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split a program into tokens, tracking line/column for blame labels."""
+def tokenize(source: str, first_line: int = 1) -> list[Token]:
+    """Split a program into tokens, tracking line/column for blame labels.
+    ``first_line`` is the number of the source's first line."""
     tokens: list[Token] = []
     append = tokens.append
-    line, line_start = 1, 0
+    line, line_start = first_line, 0
     # Every non-blank character starts one alternative, so the matches tile
     # the source: only trailing blanks fall between them.
     for match in _TOKEN.finditer(source):

@@ -322,6 +322,10 @@ def _parse_define(sexpr: _Form) -> Definition:
     raise ParseError("malformed define", line, column)
 
 
+def _is_define(form: Token | _Form) -> bool:
+    return not isinstance(form, Token) and bool(form) and _head_name(form) == "define"
+
+
 def parse_program(source: str, tokens: list[Token] | None = None) -> Program:
     """Parse a whole program: zero or more ``define`` forms and a main
     expression.  ``tokens``, if given, is ``tokenize(source)`` already made."""
@@ -331,7 +335,7 @@ def parse_program(source: str, tokens: list[Token] | None = None) -> Program:
     definitions: list[Definition] = []
     main: SurfaceExpr | None = None
     for form in forms:
-        if not isinstance(form, Token) and form and _head_name(form) == "define":
+        if _is_define(form):
             if main is not None:
                 raise ParseError("definitions must precede the main expression")
             definitions.append(_parse_define(form))
@@ -339,6 +343,48 @@ def parse_program(source: str, tokens: list[Token] | None = None) -> Program:
             if main is not None:
                 raise ParseError("a program may have only one main expression")
             main = parse_expr_sexpr(form)
+    return Program(tuple(definitions), main)
+
+
+#: Lines a memo passed to :func:`memoized_program` holds before it is
+#: cleared, and the longest line it keeps (a longer one is parsed alone but
+#: not kept), so what the memo retains stays small whatever it is fed.
+LINE_MEMO_CAP = 256
+LINE_MEMO_WIDTH = 1000
+
+
+def memoized_program(source: str, lines: dict) -> Program | None:
+    """The program of ``source`` assembled line by line from ``lines``, a
+    memo from ``(line number, line text)`` to the definitions and
+    expressions that line parses to; a line not in the memo is lexed and
+    parsed alone and added.  Returns ``None`` unless every line holds whole
+    forms that parse, and the forms are definitions followed by one main
+    expression: :func:`parse_program` reads such a source whole, and raises
+    its errors."""
+    definitions: list[Definition] = []
+    main: SurfaceExpr | None = None
+    for key in enumerate(source.split("\n"), 1):
+        parsed = lines.get(key)
+        if parsed is None:
+            number, text = key
+            try:
+                parsed = tuple([_parse_define(form) if _is_define(form) else parse_expr_sexpr(form)
+                                for form in _read_all(tokenize(text, number))])
+            except ParseError:
+                return None
+            if len(text) <= LINE_MEMO_WIDTH:
+                if len(lines) >= LINE_MEMO_CAP:
+                    lines.clear()
+                lines[key] = parsed
+        for item in parsed:
+            if main is not None:
+                return None
+            if isinstance(item, Definition):
+                definitions.append(item)
+            else:
+                main = item
+    if main is None:
+        return None
     return Program(tuple(definitions), main)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..core.errors import CoercionTypeError
 from ..core.labels import BULLET, Label
-from ..core.types import BaseType, DynType, FunType, ProdType, Type, ground_of, is_ground
+from ..core.types import BaseType, DynType, FunType, ProdType, Type, ground_of
 from ..lambda_s.coercions import (
     FailS,
     FunCo,
@@ -22,7 +22,6 @@ from ..lambda_s.coercions import (
     ProdCo,
     Projection,
     SpaceCoercion,
-    compose,
 )
 from ..translate.b_to_s import cast_to_space
 from .labeled_types import (

@@ -36,12 +36,11 @@ from repro.compiler.bytecode import (
 from repro.core.errors import CompileError
 from repro.core.labels import label
 from repro.core.terms import App, Cast, Coerce, Lam, Let, Op, Var, const_int
-from repro.core.types import DYN, INT, BOOL, FunType
+from repro.core.types import DYN, INT
 from repro.gen.programs import (
     WORKLOADS,
     deep_cast_chain,
     even_odd_boundary,
-    even_odd_expected,
     fib_boundary,
     fib_expected,
     let_chain_boundary,

@@ -15,15 +15,13 @@ from hypothesis import strategies as st
 
 from repro.core.labels import label
 from repro.core.terms import Coerce, Lam, Op, Var, const_int
-from repro.core.types import BOOL, DYN, GROUND_FUN, INT, FunType
+from repro.core.types import BOOL, DYN, GROUND_FUN, INT
 from repro.lambda_c.coercions import (
     FunCoercion,
     Identity,
     Inject,
     Project,
     Sequence,
-    coercion_source,
-    coercion_target,
 )
 from repro.properties.calculi import LAMBDA_C
 from repro.properties.equivalence import contextually_equivalent, kleene_equivalent

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.labels import label
-from repro.core.subtyping import meet, subtype_naive
+from repro.core.subtyping import meet
 from repro.core.terms import Lam, Op, Var, const_int
 from repro.core.types import BOOL, DYN, INT, FunType, all_types, compatible
 from repro.properties.casts import (

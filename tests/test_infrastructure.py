@@ -10,8 +10,8 @@ from repro.core.errors import EvaluationError, TypeCheckError
 from repro.core.labels import label
 from repro.core.pretty import summary, term_to_str
 from repro.core.terms import App, Blame, Cast, Coerce, Lam, Op, Pair, Var, const_bool, const_int
-from repro.core.types import BOOL, DYN, INT, FunType, ProdType
-from repro.lambda_c.coercions import FunCoercion, Identity, Inject, Project, Sequence
+from repro.core.types import BOOL, DYN, INT, FunType
+from repro.lambda_c.coercions import FunCoercion, Inject, Project, Sequence
 from repro.lambda_s.coercions import FailS, FunCo, IdBase, Injection, Projection
 from repro.machine.policy import (
     BLAME_POLICY,
@@ -20,7 +20,7 @@ from repro.machine.policy import (
     CastMediator,
     MachineBlame,
 )
-from repro.machine.values import MClosure, MConst, MPair, MProxy, Environment
+from repro.machine.values import MClosure, MConst, MProxy, Environment
 from repro.properties.calculi import LAMBDA_B, LAMBDA_C
 from repro.properties.equivalence import Observation, kleene_equivalent, observations_equal
 

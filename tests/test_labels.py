@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given
 
-from repro.core.labels import BULLET, Label, LabelSupply, complement, label
+from repro.core.labels import BULLET, LabelSupply, complement, label
 
 from .strategies import labels
 

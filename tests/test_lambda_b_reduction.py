@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given
 
@@ -13,7 +11,6 @@ from repro.core.terms import (
     App,
     Blame,
     Cast,
-    Const,
     Fix,
     Fst,
     If,
@@ -26,9 +23,9 @@ from repro.core.terms import (
     const_bool,
     const_int,
 )
-from repro.core.types import BOOL, DYN, GROUND_FUN, INT, FunType, ProdType, all_types, compatible, ground_of, is_ground
+from repro.core.types import BOOL, DYN, GROUND_FUN, INT, FunType, ProdType, all_types, compatible, ground_of
 from repro.lambda_b.embed import embed
-from repro.lambda_b.reduction import Outcome, blame_in_evaluation_position, run, step, trace
+from repro.lambda_b.reduction import blame_in_evaluation_position, run, step, trace
 from repro.lambda_b.syntax import is_value
 from repro.lambda_b.typecheck import type_of
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from repro.core.labels import label
-from repro.core.terms import App, Blame, Cast, Lam, Op, Var, const_bool, const_int
-from repro.core.types import BOOL, DYN, INT, FunType
+from repro.core.terms import Blame, Cast, Lam, Op, Var, const_int
+from repro.core.types import DYN, INT, FunType
 from repro.gen.programs import (
     safe_boundary_program,
     untyped_client_bad_argument,

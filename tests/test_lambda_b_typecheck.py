@@ -12,7 +12,6 @@ from repro.core.terms import (
     App,
     Blame,
     Cast,
-    Const,
     Fix,
     Fst,
     If,

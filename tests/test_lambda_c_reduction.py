@@ -23,7 +23,7 @@ from repro.core.terms import (
     const_bool,
     const_int,
 )
-from repro.core.types import BOOL, DYN, GROUND_FUN, INT, FunType, ProdType
+from repro.core.types import BOOL, DYN, INT
 from repro.lambda_c.coercions import (
     Fail,
     FunCoercion,

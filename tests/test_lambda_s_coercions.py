@@ -14,7 +14,6 @@ from repro.lambda_s.coercions import (
     FunCo,
     GroundCoercion,
     IdBase,
-    IdDyn,
     Injection,
     Intermediate,
     ProdCo,

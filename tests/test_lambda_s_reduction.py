@@ -23,7 +23,7 @@ from repro.core.terms import (
     const_int,
     max_adjacent_coercions,
 )
-from repro.core.types import BOOL, DYN, GROUND_FUN, INT, FunType, ProdType
+from repro.core.types import BOOL, DYN, INT
 from repro.lambda_s.coercions import (
     ID_DYN,
     FailS,

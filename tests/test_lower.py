@@ -197,3 +197,16 @@ class TestCastMemo:
         for cast in casts + casts:
             assert cast_coercion(*cast) is intern_space(cast_to_space(*cast))
             assert len(lower._CASTS) <= 2
+
+    def test_a_full_memo_is_cleared_and_answers_stay_canonical(self, monkeypatch):
+        monkeypatch.setattr(lower, "_CASTS", {})
+        monkeypatch.setattr(lower, "_CASTS_CAP", 8)
+        casts = [(DYN, Label(f"p{index}"), FunType(INT, INT)) for index in range(50)]
+        canonical = [intern_space(cast_to_space(*cast)) for cast in casts]
+        for index, (cast, canon) in enumerate(zip(casts, canonical)):
+            assert cast_coercion(*cast) is canon
+            assert len(lower._CASTS) == index % 8 + 1  # cleared when full
+        # Casts whose entries were cleared are translated again, to the
+        # same interned coercions.
+        assert [cast_coercion(*cast) for cast in casts] == canonical
+        assert all(cast_coercion(*cast) is canon for cast, canon in zip(casts, canonical))

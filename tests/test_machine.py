@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.labels import label
-from repro.core.terms import App, Cast, Const, Lam, Op, Pair, Var, const_bool, const_int, erase
-from repro.core.types import BOOL, DYN, INT, FunType, ProdType
+from repro.core.terms import App, Cast, Const, Lam, Op, Var, const_int, erase
+from repro.core.types import BOOL, DYN, INT, FunType
 from repro.gen.programs import (
     even_odd_all_typed,
     even_odd_boundary,

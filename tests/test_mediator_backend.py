@@ -37,8 +37,7 @@ from repro.machine import run_on_machine
 from repro.properties.bisimulation import check_oracle_matrix
 from repro.semantics import SEMANTICS
 from repro.surface.interp import compile_source
-from repro.threesomes import Threesome, threesome_of_coercion
-from repro.threesomes.labeled_types import LBase
+from repro.threesomes import Threesome
 
 from .strategies import lambda_b_programs
 

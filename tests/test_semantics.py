@@ -49,7 +49,6 @@ from repro.lambda_s.coercions import (
 from repro.machine.policy import (
     ACT_GENERAL,
     ACT_IDENTITY,
-    COERCION_POLICY,
     MachineBlame,
     SPACE_POLICY,
     THREESOME_POLICY,

@@ -287,9 +287,9 @@ def front_end_calls(monkeypatch):
     calls: list[str] = []
     original = interp.compile_source
 
-    def counted(source, metrics=None):
+    def counted(source, metrics=None, lines=None):
         calls.append(source)
-        return original(source, metrics)
+        return original(source, metrics, lines)
 
     monkeypatch.setattr(interp, "compile_source", counted)
     return calls

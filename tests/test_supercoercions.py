@@ -20,7 +20,6 @@ from repro.lambda_s.coercions import (
     IdDyn,
     Injection,
     Projection,
-    compose,
 )
 from repro.supercoercions import (
     SArrow,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.labels import label
 from repro.core.terms import (
     App,

@@ -14,7 +14,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.labels import BULLET, label
+from repro.core.labels import label
 from repro.core.types import BOOL, DYN, GROUND_FUN, INT, FunType
 from repro.gen.coercions_gen import (
     random_composable_space_pair,

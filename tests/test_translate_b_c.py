@@ -7,7 +7,7 @@ from hypothesis import given
 
 from repro.core.errors import TypeCheckError
 from repro.core.labels import label
-from repro.core.terms import App, Blame, Cast, Coerce, Lam, Op, Var, const_int
+from repro.core.terms import App, Blame, Cast, Coerce, Lam, Var, const_int
 from repro.core.types import BOOL, DYN, GROUND_FUN, GROUND_PROD, INT, FunType, ProdType, types_equal
 from repro.lambda_b.safety import term_safe_for as safe_b
 from repro.lambda_b.typecheck import type_of as type_b

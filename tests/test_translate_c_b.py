@@ -21,7 +21,7 @@ from repro.lambda_c.coercions import (
     Sequence,
 )
 from repro.lambda_c.typecheck import type_of as type_c
-from repro.properties.calculi import LAMBDA_B, LAMBDA_C
+from repro.properties.calculi import LAMBDA_C
 from repro.properties.equivalence import contextually_equivalent, kleene_equivalent
 from repro.translate.b_to_c import term_to_lambda_c
 from repro.translate.c_to_b import (

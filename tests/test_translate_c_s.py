@@ -26,7 +26,6 @@ from repro.lambda_s.coercions import (
     Injection,
     ProdCo,
     Projection,
-    identity_for,
 )
 from repro.lambda_s.safety import term_safe_for as safe_s
 from repro.lambda_s.typecheck import type_of as type_s

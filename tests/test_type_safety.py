@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from repro.core.labels import label
-from repro.core.terms import App, Cast, Coerce, Lam, Var, const_int
+from repro.core.terms import App, Cast, const_int
 from repro.core.types import BOOL, DYN, INT
 from repro.gen.programs import (
     even_odd_boundary,

@@ -14,7 +14,6 @@ from repro.core.types import (
     STR,
     UNIT,
     UNKNOWN,
-    BaseType,
     DynType,
     FunType,
     ProdType,
@@ -22,7 +21,6 @@ from repro.core.types import (
     compatible,
     ground_of,
     grounds_to,
-    is_base,
     is_dyn,
     is_ground,
     needs_ground_factoring,
