@@ -9,7 +9,8 @@ functions here:
   It returns a *fully resolved* :class:`RunConfig`: the engine actually
   selected, the effective fuel, the IR the compiled engines will execute,
   and ``cache`` normalized to whether the run can actually cache.  Invalid
-  combinations fail here, identically, no matter which entrypoint was used.
+  combinations fail here, identically, no matter which entrypoint was used,
+  as a :class:`~repro.core.errors.UsageError`.
 * :func:`run` — the façade: ``run(source_or_term, config)`` executes a
   surface program (a ``str``) or an elaborated λB term on the resolved
   configuration and returns a :class:`RunResult` that *carries* that
@@ -18,6 +19,9 @@ functions here:
 * :func:`run_image` — runs an already-compiled ``.gradb`` image on the
   engine its IR fixes; :func:`run`, the CLI, the serve pool and the batch
   runner all execute compiled code through it.
+* :meth:`RunResult.describe` and :func:`error_record` — the JSON-ready
+  record of a run that ended, or raised: what serve answers, batch prints
+  and the experiment follows, built here once for every front door.
 
 Backends are a triple of knobs:
 
@@ -55,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .compiler.opt import DEFAULT_OPT_LEVEL, OPT_LEVELS
-from .core.errors import UsageError
+from .core.errors import EvaluationError, ReproError, UsageError
 from .core.fuel import (
     DEFAULT_MACHINE_FUEL,
     DEFAULT_RVM_FUEL,
@@ -69,7 +73,7 @@ from .lambda_b import reduction as reduction_b
 from .lambda_c import reduction as reduction_c
 from .lambda_s import reduction as reduction_s
 from .machine import run_on_machine
-from .machine.values import repr_value
+from .machine.values import json_value, repr_value
 from .obs.metrics import phase, record_run
 from .semantics import SEMANTICS_NAMES
 from .translate import b_to_c, c_to_s
@@ -82,8 +86,7 @@ from .translate import b_to_c, c_to_s
 ENGINES = ("vm", "rvm", "machine", "subst")
 
 #: The two compiled engines: λS only, ``opt_level`` applies, cacheable.
-#: The front doors that run through the worker pool (batch, serve, the
-#: experiment) accept these only.
+#: The worker pool runs these only (:func:`repro.serve.pool.pool_job`).
 VM_ENGINES = ("vm", "rvm")
 
 #: The three calculi: λB, λC, and the space-efficient λS.
@@ -161,17 +164,17 @@ def resolve_config(config: RunConfig | None = None, **overrides) -> RunConfig:
     through), and returns the fully-resolved configuration: calculus
     uppercased, fuel filled from the engine default, ``ir`` derived from
     the engine, and ``cache`` narrowed to the engines that can actually
-    cache.  Raises ``ValueError`` for an unknown engine and
-    :class:`UsageError` for every other invalid knob.
+    cache.  Raises :class:`UsageError` (a ``ValueError``) for every invalid
+    knob.
     """
     base = config if config is not None else RunConfig()
     given = {name: value for name, value in overrides.items() if value is not None}
     if given:
         base = replace(base, **given)
 
-    engine = base.engine or "machine"
+    engine = "machine" if base.engine is None else base.engine
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        raise UsageError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     calculus = (base.calculus or "S").upper()
     if calculus not in CALCULI:
         raise UsageError(f"unknown calculus {base.calculus!r}; expected one of {CALCULI}")
@@ -250,6 +253,25 @@ class RunResult:
     def is_timeout(self) -> bool:
         return self.kind == "timeout"
 
+    def describe(self) -> dict:
+        """The JSON-ready record of the outcome, the one serve answers, batch
+        prints and the experiment follows: ``kind``, ``steps`` and
+        ``max_pending_mediators``, plus ``value`` (JSON-safe, see
+        :func:`~repro.machine.values.json_value`) and ``type``, or
+        ``blame``."""
+        record = {
+            "kind": self.kind,
+            "steps": self.steps,
+            "max_pending_mediators": (self.space_stats or {}).get("max_pending_mediators", 0),
+        }
+        if self.kind == "value":
+            record["value"] = json_value(self.value)
+            if self.type is not None:
+                record["type"] = str(self.type)
+        elif self.kind == "blame":
+            record["blame"] = str(self.blame_label)
+        return record
+
     def __str__(self) -> str:  # pragma: no cover - presentation
         if self.kind == "value":
             return f"{repr_value(self.value)} : {self.type}"
@@ -258,24 +280,32 @@ class RunResult:
         return f"timeout after {self.steps} {self.engine} steps"
 
 
+def error_record(exc: Exception) -> dict:
+    """The JSON-ready record of a run that raised ``exc``: ``kind`` ``error``,
+    the ``error`` message, and a ``reason`` the exception's type decides,
+    wherever it was raised: ``"runtime"`` for an
+    :class:`~repro.core.errors.EvaluationError` (say, an erasure ``if`` given
+    ``7``), ``"static"`` for any other :class:`~repro.core.errors.ReproError`
+    (a parse or type error, a rejected image), and ``"defect"`` for anything
+    else, a fault of this library, whose message is ``worker exception:
+    <repr>``."""
+    if isinstance(exc, ReproError):
+        reason = "runtime" if isinstance(exc, EvaluationError) else "static"
+        return {"kind": "error", "error": str(exc), "reason": reason}
+    return {"kind": "error", "error": f"worker exception: {exc!r}", "reason": "defect"}
+
+
 def _from_machine_outcome(outcome, ty, calculus: str, engine: str,
                           semantics: str = "coercion",
                           config: RunConfig | None = None,
                           cache_status: str | None = None) -> RunResult:
     """Map a :class:`~repro.machine.cek.MachineOutcome` (machine or VM) to a
     :class:`RunResult` — one code path so the outcome shapes stay uniform."""
-    steps = (outcome.stats or {}).get("steps", 0)
-    if outcome.is_value:
-        return RunResult("value", outcome.python_value(), type=ty, calculus=calculus,
-                         engine=engine, semantics=semantics, space_stats=outcome.stats,
-                         steps=steps, cache_status=cache_status, config=config)
-    if outcome.is_blame:
-        return RunResult("blame", blame_label=outcome.label, type=ty, calculus=calculus,
-                         engine=engine, semantics=semantics, space_stats=outcome.stats,
-                         steps=steps, cache_status=cache_status, config=config)
-    return RunResult("timeout", type=ty, calculus=calculus, engine=engine,
-                     semantics=semantics, space_stats=outcome.stats, steps=steps,
-                     cache_status=cache_status, config=config)
+    return RunResult(outcome.kind, outcome.python_value() if outcome.is_value else None,
+                     blame_label=outcome.label, type=ty, calculus=calculus, engine=engine,
+                     semantics=semantics, space_stats=outcome.stats,
+                     steps=(outcome.stats or {}).get("steps", 0), cache_status=cache_status,
+                     config=config)
 
 
 def reducer_value_to_python(term: Term) -> object:
@@ -436,15 +466,9 @@ def _execute_term(term: Term, ty: Type | None, cfg: RunConfig,
         else:
             outcome = reduction_s.run(c_to_s(b_to_c(term)), fuel)
     record_run(metrics, outcome.kind, {"steps": outcome.steps}, engine)
-    if outcome.is_value:
-        return RunResult("value", reducer_value_to_python(outcome.term), type=ty,
-                         calculus=calculus, engine=engine, steps=outcome.steps,
-                         config=cfg)
-    if outcome.is_blame:
-        return RunResult("blame", blame_label=outcome.label, type=ty,
-                         calculus=calculus, engine=engine, steps=outcome.steps,
-                         config=cfg)
-    return RunResult("timeout", type=ty, calculus=calculus, engine=engine,
+    return RunResult(outcome.kind,
+                     reducer_value_to_python(outcome.term) if outcome.is_value else None,
+                     blame_label=outcome.label, type=ty, calculus=calculus, engine=engine,
                      steps=outcome.steps, config=cfg)
 
 
@@ -457,6 +481,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "VM_ENGINES",
+    "error_record",
     "resolve_config",
     "run",
     "run_image",

@@ -7,9 +7,13 @@ it through the compile cache (not at all when the cache is warm) and runs
 it.  That is a worker of the fault-tolerant
 :class:`~repro.serve.pool.WorkerPool`, or with ``workers=1`` the
 coordinating process itself (no pool, no pickling), which is also the
-deterministic-ordering mode the tests use.  Front-end errors (parse errors,
-type errors) come back as per-program ``"error"`` results, as does a file
-that cannot be read, which never becomes a job.
+deterministic-ordering mode the tests use; either way a program gets the
+same record.  A program that fails comes back as an ``"error"`` record
+whose ``reason`` says how (:func:`repro.api.error_record`): ``"static"``
+for parse and type errors (timed to the error), ``"runtime"`` for a run
+that went wrong (with both timings), ``"defect"`` for a fault of this
+library.  A file that cannot
+be read never becomes a job: its ``"error"`` record has no ``reason``.
 
 A worker that dies mid-job (SIGKILL, OOM) is detected and replaced: the
 job is retried on a fresh worker, and past the retry budget it is reported
@@ -112,14 +116,12 @@ def run_batch(
     environment variable) — the chaos tests use it to SIGKILL workers
     mid-corpus and assert every program still gets a terminal record.
     """
-    from ..api import VM_ENGINES, RunConfig, resolve_config
-    from ..core.errors import UsageError
-    from ..serve.pool import WorkerMemo, handle_job
+    from ..api import RunConfig, resolve_config
+    from ..serve.pool import WorkerMemo, handle_job, pool_job
 
     config = resolve_config(config if config is not None
                             else RunConfig(engine="vm", cache=True))
-    if config.engine not in VM_ENGINES:
-        raise UsageError(f"unknown engine {config.engine!r} for a batch; expected one of {VM_ENGINES}")
+    pool_job(config)  # an engine the workers cannot run fails here, before any work
     wall_start = time.perf_counter()
     results: list[dict] = []
     jobs: list[dict] = []
@@ -143,16 +145,7 @@ def run_batch(
         except OSError as exc:
             finish({"program": str(path), "kind": "error", "error": f"unreadable: {exc}"})
             continue
-        jobs.append({
-            "program": str(path),
-            "source": source,
-            "engine": config.engine,
-            "semantics": config.semantics,
-            "opt_level": config.opt_level,
-            "fuel": config.fuel,
-            "use_cache": config.cache,
-            "cache_dir": config.cache_dir,
-        })
+        jobs.append(pool_job(config, source, program=str(path)))
 
     memo = WorkerMemo()
 

@@ -11,9 +11,9 @@ type a seeded-random untyped binding; repeat.  The trail ends when
   semantics' blame did its job),
 * the program runs to a value (``no-error`` — this configuration never
   exercises the fault),
-* the error is static, the fuel runs out, or no untyped binding is left
-  to follow (``static-error`` / ``timeout`` / ``runtime-error`` /
-  ``dead-end``).
+* the error is static (or a defect of this library), the fuel runs out,
+  or no untyped binding is left to follow (``static-error`` / ``timeout``
+  / ``runtime-error`` / ``dead-end``).
 
 Every step types one binding, so a trail's length is bounded by the number
 of initially-untyped bindings — the termination property the test suite
@@ -32,8 +32,8 @@ from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from ..core.errors import ParseError, ReproError, TypeCheckError, UsageError
-from ..semantics import SEMANTICS_NAMES, resolve
+from ..semantics import resolve
+from ..serve.pool import WorkerPool, pool_job
 from .inject import Fault, apply_fault, sample_faults
 from .lattice import (
     ProgramLattice,
@@ -51,11 +51,6 @@ OUTCOMES = (
     "localized", "no-error", "timeout", "static-error", "runtime-error",
     "dead-end",
 )
-
-#: Pool results carry runtime crashes (as opposed to front-end failures)
-#: with this prefix; the inline runner mints the same shape.
-_RUNTIME_PREFIX = "worker exception:"
-
 
 def strategy_for(semantics: str) -> str:
     """Which navigation strategy a semantics supports: blame-following for
@@ -78,18 +73,18 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        from ..api import VM_ENGINES
+        self.run_configs()  # an invalid knob fails here, before any work
 
-        if self.engine not in VM_ENGINES:
-            raise UsageError(
-                f"unknown engine {self.engine!r} for an experiment; expected one of {VM_ENGINES}"
-            )
-        for name in self.semantics:
-            if name not in SEMANTICS_NAMES:
-                raise UsageError(
-                    f"unknown semantics {name!r}; expected one of "
-                    f"{', '.join(SEMANTICS_NAMES)}"
-                )
+    def run_configs(self) -> dict:
+        """Each semantics' resolved :class:`~repro.api.RunConfig`, by name;
+        an engine the pool cannot run (:func:`~repro.serve.pool.pool_job`)
+        or any other invalid knob is a :class:`~repro.core.errors.UsageError`."""
+        from ..api import resolve_config
+
+        base = resolve_config(engine=self.engine, opt_level=self.opt_level, fuel=self.fuel,
+                              cache=False)
+        pool_job(base)
+        return {name: resolve_config(base, semantics=name) for name in self.semantics}
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,11 @@ def follow_trail(
 ) -> Trail:
     """Follow one fault from one starting configuration to its outcome.
 
-    ``runner`` maps rendered source text to a result dict with at least
-    ``kind`` (``value`` / ``blame`` / ``timeout`` / ``error``) plus
-    ``blame`` or ``error`` payloads — the shape of a pool job's result.
+    ``runner`` maps rendered source text to a run record
+    (:meth:`~repro.api.RunResult.describe` or
+    :func:`~repro.api.error_record`): ``kind`` (``value`` / ``blame`` /
+    ``timeout`` / ``error``) plus ``blame``, or ``error`` and its
+    ``reason``.
     The loop types exactly one binding per continued step, so it runs at
     most ``len(start_untyped) + 1`` configurations.
 
@@ -250,13 +247,12 @@ def follow_trail(
             steps.append(step)
             untyped.discard(target)
             continue
-        # An error result: front-end failures stop the trail; runtime
-        # crashes without blame are the null move — type a seeded-random
-        # untyped binding (same move for every strategy, so erasure is a
-        # fair baseline).
-        message = sys.intern(str(result.get("error", "")))
-        step["error"] = message
-        if not message.startswith(_RUNTIME_PREFIX):
+        # An error record: a runtime error without blame is the null move —
+        # type a seeded-random untyped binding (same move for every
+        # strategy, so erasure is a fair baseline); a static error or a
+        # defect stops the trail.
+        step["error"] = sys.intern(str(result.get("error", "")))
+        if result.get("reason") != "runtime":
             steps.append(step)
             outcome = "static-error"
             break
@@ -290,28 +286,19 @@ def follow_trail(
 
 
 class InlineRunner:
-    """Run configurations in-process through :func:`repro.api.run`."""
+    """Run configurations in-process through :func:`repro.api.run`, to the
+    records a worker returns for them, less the timings."""
 
     def __init__(self, config):
         self.config = config
 
     def __call__(self, source: str) -> dict:
-        from ..api import run
+        from ..api import error_record, run
 
         try:
-            result = run(source, self.config)
-        except (ParseError, TypeCheckError, UsageError) as exc:
-            return {"kind": "error", "error": str(exc)}
-        except ReproError as exc:
-            return {"kind": "error", "error": f"{_RUNTIME_PREFIX} {exc!r}"}
-        except Exception as exc:  # any other defect surfaces as an error record
-            return {"kind": "error", "error": f"{_RUNTIME_PREFIX} {exc!r}"}
-        out: dict = {"kind": result.kind}
-        if result.is_blame:
-            out["blame"] = result.blame_label
-        elif result.is_value:
-            out["value"] = result.value
-        return out
+            return run(source, self.config).describe()
+        except Exception as exc:
+            return error_record(exc)
 
 
 class PoolRunner:
@@ -326,16 +313,7 @@ class PoolRunner:
         self._lock = threading.Lock()
 
     def __call__(self, source: str) -> dict:
-        cfg = self.config
-        result = self.pool.execute({
-            "source": source,
-            "engine": cfg.engine,
-            "semantics": cfg.semantics,
-            "opt_level": cfg.opt_level,
-            "fuel": cfg.fuel,
-            "use_cache": cfg.cache,
-            "cache_dir": cfg.cache_dir,
-        })
+        result = self.pool.execute(pool_job(self.config, source))
         with self._lock:
             self.compile_s += result.get("compile_s", 0.0)
             self.run_s += result.get("run_s", 0.0)
@@ -395,17 +373,9 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
     ``crashes``, ``retries`` and ``lost`` counters.  The trails share
     their untyped lists (see :meth:`Trail.describe`).
     """
-    from ..api import resolve_config
-
     started = time.perf_counter()
     started_cpu = time.process_time()
-    run_configs = {
-        name: resolve_config(
-            engine=config.engine, semantics=name, opt_level=config.opt_level,
-            fuel=config.fuel, cache=False,
-        )
-        for name in config.semantics
-    }
+    run_configs = config.run_configs()
     plan = _plan_trails(programs, config)
     trails: list[Trail] = []
     untyped_lists: dict[frozenset[str], list[str]] = {}
@@ -417,8 +387,6 @@ def run_experiment(programs, config: ExperimentConfig, *, emit=None):
                             faulty=faulty, untyped_lists=untyped_lists, seed=seed)
 
     if config.workers > 0:
-        from ..serve.pool import WorkerPool
-
         # Group the plan by (program, fault, start), noting each entry's
         # group and its place in that group.
         groups: dict[tuple, list] = {}

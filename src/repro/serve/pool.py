@@ -72,6 +72,8 @@ import time
 from collections import deque
 from contextlib import contextmanager
 
+from ..api import VM_ENGINES
+from ..core.errors import UsageError
 from ..core.faults import FAULTS_ENV, FaultPlan
 
 #: How workers announce crash-simulation compliance (never seen by callers;
@@ -97,8 +99,10 @@ _FRONT_END_MEMO_CAP = 32
 _FORKING = threading.Lock()
 
 
-class _DeadlineExceeded(Exception):
-    """Raised inside a worker by the SIGALRM handler at the job deadline."""
+class _DeadlineExceeded(BaseException):
+    """Raised inside a worker by the SIGALRM handler at the job deadline.  A
+    ``BaseException``, so that no ``except Exception`` on the job's path
+    swallows it before the worker loop reports the ``timeout``."""
 
 
 # ---------------------------------------------------------------------------
@@ -243,42 +247,65 @@ def _unlink(pool) -> None:
     pool.rcodes.clear()
 
 
-def handle_job(job: dict, memo: WorkerMemo) -> dict:
-    """One job to one JSON-ready result dict (serve and ``batch`` write it
-    as it is): what a worker does with each job it receives, and what the
-    batch runner's inline mode does in-process.
+def pool_job(config, source: str | None = None, *, source_hash: str | None = None,
+             deadline_s: float | None = None, program: str | None = None) -> dict:
+    """The job :func:`handle_job` runs for ``config``, a resolved
+    :class:`~repro.api.RunConfig`: ``source`` text or the ``source_hash`` of
+    a compiled program (see :func:`_obtain_image`), the cooperative
+    ``deadline_s``, and the ``program`` name its record repeats.  Workers
+    run compiled code only: an engine not in :data:`~repro.api.VM_ENGINES`
+    is a :class:`~repro.core.errors.UsageError` here, before any work."""
+    if config.engine not in VM_ENGINES:
+        raise UsageError(f"unknown engine {config.engine!r} for the worker pool; "
+                         f"expected one of {VM_ENGINES}")
+    job = {"source": source, "source_hash": source_hash, "engine": config.engine,
+           "semantics": config.semantics, "opt_level": config.opt_level, "fuel": config.fuel,
+           "deadline_s": deadline_s, "use_cache": config.cache, "cache_dir": config.cache_dir}
+    if program is not None:
+        job["program"] = program
+    return job
 
-    A job runs one program: it carries source text or a cache address
-    (see :func:`_obtain_image`).  ``memo`` is the worker's
-    :class:`WorkerMemo`.
+
+def handle_job(job: dict, memo: WorkerMemo) -> dict:
+    """One job (see :func:`pool_job`) to one JSON-ready record, which serve
+    and ``batch`` write as it is: what a worker does with each job, and what
+    the batch runner's inline mode does in-process.  ``memo`` is the
+    worker's :class:`WorkerMemo`.
+
+    The record is :meth:`~repro.api.RunResult.describe`'s, or
+    :func:`~repro.api.error_record`'s for any exception the job raises, plus
+    the ``cache`` status (``None`` without an image), ``compile_s`` (to the
+    image, or to the error that stopped the compile) and, once the run
+    began, ``run_s``.  Only :class:`_DeadlineExceeded` passes through, for
+    the worker loop to report.
     """
-    from ..api import run_image
-    from ..core.errors import ReproError
-    from ..machine.values import json_value
+    from ..api import error_record, run_image
 
     started = time.perf_counter()
-    with _deadline(job.get("deadline_s")):
-        try:
-            image, status = _obtain_image(job, memo)
-        except ReproError as exc:
-            return {"kind": "error", "error": str(exc), "cache": None}
-        loaded = time.perf_counter()
-        result = run_image(image, job.get("fuel"))
-        fields = {
-            "kind": result.kind,
-            "steps": result.steps,
-            "max_pending_mediators": (result.space_stats or {}).get("max_pending_mediators", 0),
-            "run_s": time.perf_counter() - loaded,
-            "cache": status,
-            "compile_s": loaded - started,
-        }
-        if result.is_value:
-            fields["value"] = json_value(result.value)
-            if result.type is not None:
-                fields["type"] = str(result.type)
-        elif result.is_blame:
-            fields["blame"] = str(result.blame_label)
-    return fields
+    timings: dict = {"cache": None}
+    try:
+        with _deadline(job.get("deadline_s")):
+            try:
+                image, timings["cache"] = _obtain_image(job, memo)
+            finally:
+                loaded = time.perf_counter()
+                timings["compile_s"] = loaded - started
+            try:
+                result = run_image(image, job.get("fuel"))
+            finally:
+                timings["run_s"] = time.perf_counter() - loaded
+            record = result.describe()
+    except Exception as exc:
+        record = error_record(exc)
+    record.update(timings)
+    return record
+
+
+def _deadline_record(job: dict) -> dict:
+    """The record of a job stopped at its deadline: by the worker's alarm,
+    or by the parent when the worker stays silent past its grace."""
+    return {"kind": "timeout", "reason": "deadline", "deadline_s": job.get("deadline_s"),
+            "steps": 0, "max_pending_mediators": 0}
 
 
 def _worker_main(conn, parent_end, slot: int, faults_spec: str, seed: int) -> None:
@@ -314,17 +341,7 @@ def _worker_main(conn, parent_end, slot: int, faults_spec: str, seed: int) -> No
         try:
             result = handle_job(job, memo)
         except _DeadlineExceeded:
-            result = {
-                "kind": "timeout",
-                "reason": "deadline",
-                "deadline_s": job.get("deadline_s"),
-                "steps": 0,
-                "max_pending_mediators": 0,
-            }
-        except Exception as exc:  # a worker bug must not kill the worker
-            result = {"kind": "error", "error": f"worker exception: {exc!r}"}
-        if "program" in job:
-            result["program"] = job["program"]
+            result = _deadline_record(job)
         result["served"] = served
         result["rss_kb"] = _rss_kb()
         try:
@@ -614,45 +631,34 @@ class WorkerPool:
                 if reply is _HUNG:
                     self._count("deadline_kills")
                     worker = self._swap(worker, force=True)
-                    self._count("served")
-                    return {
-                        "kind": "timeout",
-                        "reason": "deadline",
-                        "deadline_s": deadline_s,
-                        "steps": 0,
-                        "max_pending_mediators": 0,
-                        "attempts": attempts,
-                        **({"program": job["program"]} if "program" in job else {}),
-                    }
-                if reply is _CRASHED:
+                    reply = {**_deadline_record(job), "attempts": attempts}
+                elif reply is _CRASHED:
                     self._count("crashes")
                     worker = self._swap(worker, force=True)
-                    if attempts > self.retries:
-                        self._count("lost")
-                        self._count("served")
-                        return {
-                            "kind": "error",
-                            "error": (
-                                f"worker lost: crashed on all {attempts} "
-                                "dispatch attempts"
-                            ),
-                            "reason": "worker-lost",
-                            "attempts": attempts,
-                            **({"program": job["program"]} if "program" in job else {}),
-                        }
-                    self._count("retries")
+                    if attempts <= self.retries:
+                        self._count("retries")
+                        if attempts > 1:
+                            yield None, self.backoff_s * 2 ** (attempts - 2)
+                        continue
+                    self._count("lost")
+                    reply = {
+                        "kind": "error",
+                        "error": f"worker lost: crashed on all {attempts} dispatch attempts",
+                        "reason": "worker-lost",
+                        "attempts": attempts,
+                    }
+                else:
+                    worker.served = reply.pop("served", worker.served + 1)
+                    rss_kb = reply.pop("rss_kb", 0)
                     if attempts > 1:
-                        yield None, self.backoff_s * 2 ** (attempts - 2)
-                    continue
-                worker.served = reply.pop("served", worker.served + 1)
-                rss_kb = reply.pop("rss_kb", 0)
-                if attempts > 1:
-                    reply["attempts"] = attempts
-                if (self.max_requests and worker.served >= self.max_requests) or (
-                    self.max_rss_kb and rss_kb > self.max_rss_kb
-                ):
-                    self._count("recycled")
-                    worker = self._swap(worker, force=False)
+                        reply["attempts"] = attempts
+                    if (self.max_requests and worker.served >= self.max_requests) or (
+                        self.max_rss_kb and rss_kb > self.max_rss_kb
+                    ):
+                        self._count("recycled")
+                        worker = self._swap(worker, force=False)
+                if "program" in job:
+                    reply["program"] = job["program"]
                 self._count("served")
                 return reply
         finally:

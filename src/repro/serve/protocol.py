@@ -15,7 +15,8 @@ the next request.  Operations:
       a hash-only request that misses the cache fails with an ``error``
       response rather than compiling nothing.  A request may carry both
       only when the hash is the source's own.
-    * ``engine`` — ``"vm"`` (default) or ``"rvm"``.
+    * ``engine`` — ``"vm"`` (default) or ``"rvm"``: workers run compiled
+      code only (:func:`repro.serve.pool.pool_job`).
     * ``semantics`` — an enforcement-semantics name (default from the
       server's ``--semantics``).
     * ``opt_level`` — 0/1/2 (default from the server).
@@ -32,9 +33,21 @@ the next request.  Operations:
     The response is the batch runner's JSON record (``kind``, ``value`` /
     ``blame``, ``steps``, ``max_pending_mediators``, ``cache``, timings)
     plus ``id``.  An int ``value`` past CPython's int→str digit limit is
-    sent as its decimal string (``type`` still says ``int``).  ``kind`` is always one of :data:`TERMINAL_KINDS`:
-    ``value``, ``blame``, ``timeout``, ``error``, or ``overloaded`` (the
-    load-shed outcome — the request was rejected at admission, not queued).
+    sent as its decimal string (``type`` still says ``int``).  ``kind`` is
+    always one of :data:`TERMINAL_KINDS`: ``value``, ``blame``, ``timeout``,
+    ``error``, or ``overloaded`` (the load-shed outcome — the request was
+    rejected at admission, not queued).
+
+    An ``error`` from a worker carries the ``error`` message and a
+    ``reason``: ``"static"`` (a parse or type error, an unknown
+    ``source_hash``: ``cache`` is ``null``, ``compile_s`` the time to the
+    error), ``"runtime"`` (the program went wrong as it ran, say an erasure
+    ``if`` given ``7``: the message is the evaluator's, and ``cache``,
+    ``compile_s`` and ``run_s`` are there as for a value), ``"defect"`` (a
+    fault of this library: ``worker exception: <repr>``), or
+    ``"worker-lost"`` (the worker crashed on every attempt).  A ``timeout`` past ``deadline_s`` has ``reason``
+    ``"deadline"``.  A request refused before it reaches a worker is an
+    ``error`` with no ``reason``.
 
 ``ping``
     Liveness probe; response ``{"id": ..., "ok": true}``.
@@ -52,16 +65,11 @@ from __future__ import annotations
 
 import json
 
-from ..api import VM_ENGINES
-
 #: Every ``run`` response's ``kind`` is exactly one of these.
 TERMINAL_KINDS = ("value", "blame", "timeout", "error", "overloaded")
 
 #: Recognized request operations.
 OPS = ("run", "ping", "stats", "shutdown")
-
-#: Engines a request may name (the serving pipeline is compiled-only).
-SERVE_ENGINES = VM_ENGINES
 
 #: The longest deadline a request or the server may set, in seconds.  A day
 #: is ample, and it keeps every deadline within what the worker's interval
@@ -136,38 +144,26 @@ def normalize_run_request(obj: dict, defaults: dict) -> dict:
         value = obj.get(name)
         return defaults[name] if value is None else value
 
-    engine = field("engine")
-    if engine not in SERVE_ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (expected one of {SERVE_ENGINES})")
     if "mediator" in obj:
         raise ValueError("unknown request field 'mediator'; name the enforcement "
                          "semantics with 'semantics'")
     opt_level = field("opt_level")
     if not isinstance(opt_level, int) or isinstance(opt_level, bool):
         raise ValueError(f"opt_level must be 0, 1, or 2, got {opt_level!r}")
-    # The shared validation path: the same checks every other entrypoint
-    # runs, re-raised with the protocol's client-presentable error type.
-    from ..api import resolve_config
-    from ..core.errors import UsageError
-
-    try:
-        config = resolve_config(engine=engine, semantics=field("semantics"),
-                                opt_level=opt_level)
-    except (UsageError, ValueError) as exc:
-        raise ValueError(str(exc)) from None
     fuel = field("fuel")
     check_fuel(fuel)
     deadline_s = field("deadline_s")
     check_deadline(deadline_s)
+    # The shared validation path: the checks every other entrypoint runs,
+    # and the pool's own, re-raised as the protocol's client-presentable
+    # error type.
+    from ..api import resolve_config
+    from .pool import pool_job
 
-    return {
-        "source": source,
-        "source_hash": source_hash,
-        "engine": config.engine,
-        "semantics": config.semantics,
-        "opt_level": config.opt_level,
-        "fuel": fuel,
-        "deadline_s": deadline_s,
-        "cache_dir": defaults["cache_dir"],
-        "use_cache": defaults["use_cache"],
-    }
+    try:
+        config = resolve_config(engine=field("engine"), semantics=field("semantics"),
+                                opt_level=opt_level, fuel=fuel,
+                                cache=defaults["use_cache"], cache_dir=defaults["cache_dir"])
+        return pool_job(config, source, source_hash=source_hash, deadline_s=deadline_s)
+    except ValueError as exc:
+        raise ValueError(str(exc)) from None

@@ -95,16 +95,16 @@ class Server:
     """One serving process: pool, listener, and drain logic."""
 
     def __init__(self, config: ServeConfig, metrics: MetricsRegistry | None = None):
-        from ..api import VM_ENGINES, resolve_config
+        from ..api import resolve_config
+        from .pool import pool_job
 
         _check_settings(config)
-        if config.engine not in VM_ENGINES:
-            raise UsageError(f"unknown engine {config.engine!r} to serve; expected one of {VM_ENGINES}")
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # Fail fast at startup through the shared validation path: the same
-        # resolve_config every other entrypoint uses (per-request overrides
-        # re-validate in normalize_run_request).
+        # resolve_config and pool job every other entrypoint makes.  That job
+        # holds the requests' defaults (normalize_run_request re-validates
+        # their overrides); its fuel stays unset, for each engine's default.
         run_defaults = resolve_config(
             engine=config.engine,
             semantics=config.semantics,
@@ -113,15 +113,8 @@ class Server:
             cache=config.use_cache,
             cache_dir=config.cache_dir,
         )
-        self._defaults = {
-            "semantics": run_defaults.semantics,
-            "opt_level": run_defaults.opt_level,
-            "engine": run_defaults.engine,
-            "fuel": config.fuel,
-            "deadline_s": config.deadline_s,
-            "cache_dir": run_defaults.cache_dir,
-            "use_cache": run_defaults.cache,
-        }
+        self._defaults = {**pool_job(run_defaults, deadline_s=config.deadline_s),
+                          "fuel": config.fuel}
         self._pool: WorkerPool | None = None
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._writers: set[asyncio.StreamWriter] = set()

@@ -18,9 +18,12 @@ Grammar (informally)::
     type     ::= int | bool | str | unit | ? | dyn
                | (-> type+ type) | (* type type)
 
-Brackets nest at most :data:`MAX_NESTING` deep.  Every cast inserted by
-elaboration carries a blame label derived from the source location of the
-expression that required it.
+Programs nest at most :data:`MAX_NESTING` deep: brackets, and the levels
+the λB term nests besides, one per top-level definition, ``let`` binding,
+lambda parameter and application argument.  Past it a program is one
+:class:`~repro.core.errors.ParseError` at the first form too deep.  Every
+cast inserted by elaboration carries a blame label derived from the source
+location of the expression that required it.
 """
 
 from __future__ import annotations
@@ -48,10 +51,19 @@ from .ast import (
 )
 from .lexer import Token, tokenize
 
-#: The deepest bracket nesting a program may have.  Elaboration, the
-#: translations and lowering recurse once per level, so this keeps every
-#: later pass well inside Python's default recursion limit.
+#: The deepest nesting a program may have.  Elaboration, the translations
+#: and lowering recurse once per level of the λB term, so this keeps every
+#: later pass well inside Python's default recursion limit.  It bounds the
+#: brackets, and the levels elaboration nests besides (see
+#: :func:`_parse_expr`): one per top-level definition before a form, per
+#: ``let`` binding, per lambda parameter and per application argument.
+#: Casts, which elaboration inserts where types differ, are not counted: at
+#: most one per level, they fit in the limit's headroom.
 MAX_NESTING = 200
+
+#: The levels a recursive binding's body sits below it, at most: ``let f =
+#: fix (λf. body)``, plus the ``let`` that rebinds ``f`` when it is typed ``?``.
+_RECURSION_LEVELS = 4
 
 _KEYWORDS = {
     "lambda",
@@ -202,9 +214,17 @@ def _parse_atom(token: Token) -> SurfaceExpr:
     return SVar(token.text, location)
 
 
-def parse_expr_sexpr(sexpr: Token | _Form) -> SurfaceExpr:
+def _parse_expr(sexpr: Token | _Form) -> tuple[SurfaceExpr, int]:
+    """The expression ``sexpr`` denotes, and its depth: how many levels deep
+    the λB term that elaboration makes of it nests, casts not counted (see
+    :data:`MAX_NESTING`).  An atom is 0 deep; a lambda nests its body one
+    level per parameter, a ``let`` its body one level per binding (and each
+    binding's expression one level below the one before), and an
+    application its function one level per argument (the last argument one
+    level, the one before it two, ...); a ``letrec`` its binding
+    :data:`_RECURSION_LEVELS` down; every other form is one level."""
     if isinstance(sexpr, Token):
-        return _parse_atom(sexpr)
+        return _parse_atom(sexpr), 0
 
     line, column = sexpr.line, sexpr.column
     if not sexpr:
@@ -219,17 +239,22 @@ def parse_expr_sexpr(sexpr: Token | _Form) -> SurfaceExpr:
         params = tuple(map(_parse_param, rest[0]))
         if not params:
             raise ParseError("lambda needs at least one parameter", line, column)
-        return SLam(params, parse_expr_sexpr(rest[1]), location)
+        body, depth = _parse_expr(rest[1])
+        return SLam(params, body, location), len(params) + depth
 
     if head_name == "let":
         if len(rest) != 2 or isinstance(rest[0], Token):
             raise ParseError("let expects a binding list and a body", line, column)
         bindings = []
-        for binding in rest[0]:
+        depth = 0
+        for level, binding in enumerate(rest[0], 1):
             if isinstance(binding, Token) or len(binding) != 2 or not isinstance(binding[0], Token):
                 raise ParseError("malformed let binding", line, column)
-            bindings.append((binding[0].text, parse_expr_sexpr(binding[1])))
-        return SLet(tuple(bindings), parse_expr_sexpr(rest[1]), location)
+            bound, bound_depth = _parse_expr(binding[1])
+            bindings.append((binding[0].text, bound))
+            depth = max(depth, level + bound_depth)
+        body, body_depth = _parse_expr(rest[1])
+        return SLet(tuple(bindings), body, location), max(depth, len(bindings) + body_depth)
 
     if head_name == "letrec":
         if len(rest) != 2 or isinstance(rest[0], Token) or len(rest[0]) != 1:
@@ -240,41 +265,71 @@ def parse_expr_sexpr(sexpr: Token | _Form) -> SurfaceExpr:
         if not (isinstance(binding[1], Token) and binding[1].text == ":"):
             raise ParseError("letrec binding must be [name : type expr]", line, column)
         annotation = parse_type_sexpr(binding[2])
-        bound = parse_expr_sexpr(binding[3])
-        return SLetRec(binding[0].text, annotation, bound, parse_expr_sexpr(rest[1]), location)
+        bound, bound_depth = _parse_expr(binding[3])
+        body, body_depth = _parse_expr(rest[1])
+        return (SLetRec(binding[0].text, annotation, bound, body, location),
+                max(_RECURSION_LEVELS + bound_depth, 1 + body_depth))
 
     if head_name == "if":
         if len(rest) != 3:
             raise ParseError("if expects three subexpressions", line, column)
-        return SIf(*map(parse_expr_sexpr, rest), location)
+        parts, depth = _parse_all(rest)
+        return SIf(*parts, location), 1 + depth
 
     if head_name in ("pair", "cons"):
         if len(rest) != 2:
             raise ParseError("pair expects two subexpressions", line, column)
-        return SPair(parse_expr_sexpr(rest[0]), parse_expr_sexpr(rest[1]), location)
+        (left, right), depth = _parse_all(rest)
+        return SPair(left, right, location), 1 + depth
 
     if head_name == "fst":
         if len(rest) != 1:
             raise ParseError("fst expects one subexpression", line, column)
-        return SFst(parse_expr_sexpr(rest[0]), location)
+        arg, depth = _parse_expr(rest[0])
+        return SFst(arg, location), 1 + depth
 
     if head_name == "snd":
         if len(rest) != 1:
             raise ParseError("snd expects one subexpression", line, column)
-        return SSnd(parse_expr_sexpr(rest[0]), location)
+        arg, depth = _parse_expr(rest[0])
+        return SSnd(arg, location), 1 + depth
 
     if head_name in (":", "ann"):
         if len(rest) != 2:
             raise ParseError("ascription expects an expression and a type", line, column)
-        return SAscribe(parse_expr_sexpr(rest[0]), parse_type_sexpr(rest[1]), location)
+        expr, depth = _parse_expr(rest[0])
+        return SAscribe(expr, parse_type_sexpr(rest[1]), location), 1 + depth
 
     if head_name is not None and op_exists(head_name) and head_name not in _KEYWORDS:
-        return SOp(head_name, tuple(map(parse_expr_sexpr, rest)), location)
+        args, depth = _parse_all(rest)
+        return SOp(head_name, args, location), 1 + depth
 
-    # Application.
+    # Application: ((f a1) a2) ... ak, f k levels down and a_j k - j + 1.
     if not rest:
         raise ParseError("application needs at least one argument", line, column)
-    return SApp(parse_expr_sexpr(sexpr[0]), tuple(map(parse_expr_sexpr, rest)), location)
+    fun, depth = _parse_expr(sexpr[0])
+    level = len(rest)
+    depth += level
+    args = []
+    for arg in rest:
+        parsed, arg_depth = _parse_expr(arg)
+        args.append(parsed)
+        if level + arg_depth > depth:
+            depth = level + arg_depth
+        level -= 1
+    return SApp(fun, tuple(args), location), depth
+
+
+def _parse_all(sexprs: list) -> tuple[tuple[SurfaceExpr, ...], int]:
+    """Expressions side by side, and the deepest one's depth."""
+    exprs = []
+    depth = 0
+    for sexpr in sexprs:
+        expr, expr_depth = _parse_expr(sexpr)
+        exprs.append(expr)
+        if expr_depth > depth:
+            depth = expr_depth
+    return tuple(exprs), depth
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +337,10 @@ def parse_expr_sexpr(sexpr: Token | _Form) -> SurfaceExpr:
 # ---------------------------------------------------------------------------
 
 
-def _parse_define(sexpr: _Form) -> Definition:
+def _parse_define(sexpr: _Form) -> tuple[Definition, int]:
+    """A definition, and its depth: one level for the ``let`` the program
+    binds it with, three more for a recursive one (annotated with a function
+    type), and its body's."""
     line, column = sexpr.line, sexpr.column
     location = SourceLocation(line, column)
     items = sexpr[1:]
@@ -297,33 +355,45 @@ def _parse_define(sexpr: _Form) -> Definition:
         name = header[0].text
         params = tuple(map(_parse_param, header[1:]))
         rest = items[1:]
-        return_type: Type = DYN
+        annotation: Type = DYN
         if len(rest) == 3 and isinstance(rest[0], Token) and rest[0].text == ":":
-            return_type = parse_type_sexpr(rest[1])
-            body = parse_expr_sexpr(rest[2])
+            annotation = parse_type_sexpr(rest[1])
+            body, depth = _parse_expr(rest[2])
         elif len(rest) == 1:
-            body = parse_expr_sexpr(rest[0])
+            body, depth = _parse_expr(rest[0])
         else:
             raise ParseError("malformed define", line, column)
         if params:
-            fun_type: Type = return_type
             for _, param_type in reversed(params):
-                fun_type = FunType(param_type, fun_type)
-            return Definition(name, fun_type, SLam(params, body, location), location)
-        return Definition(name, return_type, body, location)
-
-    # (define name [: type] body)
-    name = items[0].text
-    rest = items[1:]
-    if len(rest) == 3 and isinstance(rest[0], Token) and rest[0].text == ":":
-        return Definition(name, parse_type_sexpr(rest[1]), parse_expr_sexpr(rest[2]), location)
-    if len(rest) == 1:
-        return Definition(name, None, parse_expr_sexpr(rest[0]), location)
-    raise ParseError("malformed define", line, column)
+                annotation = FunType(param_type, annotation)
+            body, depth = SLam(params, body, location), len(params) + depth
+    else:
+        # (define name [: type] body)
+        name = items[0].text
+        rest = items[1:]
+        if len(rest) == 3 and isinstance(rest[0], Token) and rest[0].text == ":":
+            annotation = parse_type_sexpr(rest[1])
+            body, depth = _parse_expr(rest[2])
+        elif len(rest) == 1:
+            annotation = None
+            body, depth = _parse_expr(rest[0])
+        else:
+            raise ParseError("malformed define", line, column)
+    if isinstance(annotation, FunType):
+        depth += _RECURSION_LEVELS
+    return Definition(name, annotation, body, location), 1 + depth
 
 
 def _is_define(form: Token | _Form) -> bool:
     return not isinstance(form, Token) and bool(form) and _head_name(form) == "define"
+
+
+def _check_depth(form: Token | _Form, depth: int) -> None:
+    """Raise the nesting error at ``form`` if ``depth``, its own plus the
+    definitions before it, passes :data:`MAX_NESTING`."""
+    if depth > MAX_NESTING:
+        raise ParseError(f"nested deeper than {MAX_NESTING} levels, counting definitions, "
+                         "let bindings, parameters and arguments", form.line, form.column)
 
 
 def parse_program(source: str, tokens: list[Token] | None = None) -> Program:
@@ -338,11 +408,14 @@ def parse_program(source: str, tokens: list[Token] | None = None) -> Program:
         if _is_define(form):
             if main is not None:
                 raise ParseError("definitions must precede the main expression")
-            definitions.append(_parse_define(form))
+            definition, depth = _parse_define(form)
+            _check_depth(form, len(definitions) + depth)
+            definitions.append(definition)
         else:
             if main is not None:
                 raise ParseError("a program may have only one main expression")
-            main = parse_expr_sexpr(form)
+            main, depth = _parse_expr(form)
+            _check_depth(form, len(definitions) + depth)
     return Program(tuple(definitions), main)
 
 
@@ -356,11 +429,12 @@ LINE_MEMO_WIDTH = 1000
 def memoized_program(source: str, lines: dict) -> Program | None:
     """The program of ``source`` assembled line by line from ``lines``, a
     memo from ``(line number, line text)`` to the definitions and
-    expressions that line parses to; a line not in the memo is lexed and
-    parsed alone and added.  Returns ``None`` unless every line holds whole
-    forms that parse, and the forms are definitions followed by one main
-    expression: :func:`parse_program` reads such a source whole, and raises
-    its errors."""
+    expressions that line parses to, each with its depth; a line not in the
+    memo is lexed and parsed alone and added.  Returns ``None`` unless every
+    line holds whole forms that parse, the forms are definitions followed by
+    one main expression, and none nests past :data:`MAX_NESTING`:
+    :func:`parse_program` reads such a source whole, and raises its
+    errors."""
     definitions: list[Definition] = []
     main: SurfaceExpr | None = None
     for key in enumerate(source.split("\n"), 1):
@@ -368,7 +442,7 @@ def memoized_program(source: str, lines: dict) -> Program | None:
         if parsed is None:
             number, text = key
             try:
-                parsed = tuple([_parse_define(form) if _is_define(form) else parse_expr_sexpr(form)
+                parsed = tuple([_parse_define(form) if _is_define(form) else _parse_expr(form)
                                 for form in _read_all(tokenize(text, number))])
             except ParseError:
                 return None
@@ -376,8 +450,8 @@ def memoized_program(source: str, lines: dict) -> Program | None:
                 if len(lines) >= LINE_MEMO_CAP:
                     lines.clear()
                 lines[key] = parsed
-        for item in parsed:
-            if main is not None:
+        for item, depth in parsed:
+            if main is not None or len(definitions) + depth > MAX_NESTING:
                 return None
             if isinstance(item, Definition):
                 definitions.append(item)

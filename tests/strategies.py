@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.labels import Label
 from repro.core.types import BOOL, DYN, INT, FunType, ProdType
+from repro.experiment.inject import apply_fault, sample_faults
 from repro.experiment.lattice import ProgramLattice, render_configuration
 from repro.gen.coercions_gen import (
     random_coercion,
@@ -109,6 +110,26 @@ def lattice_configurations(draw):
     lattice = ProgramLattice.from_source(generate_program(seed, bindings))
     names = lattice.typeable_names
     return render_configuration(lattice, {names[i] for i in untyped if i < len(names)})[0]
+
+
+@st.composite
+def lattice_sweeps(draw):
+    """The sources a sweep compiles: configurations of the lattices of one
+    to three generated programs and of their faulted lattices, in the order
+    drawn."""
+    lattices = []
+    for _ in range(draw(st.integers(1, 3))):
+        seed = draw(st.integers(0, 10**6))
+        lattice = ProgramLattice.from_source(generate_program(seed, draw(st.integers(2, 8))))
+        lattices.append(lattice)
+        lattices += [apply_fault(lattice, fault) for fault in sample_faults(lattice, 2, seed)]
+    sources = []
+    for _ in range(draw(st.integers(1, 12))):
+        lattice = draw(st.sampled_from(lattices))
+        names = lattice.typeable_names
+        untyped = draw(st.sets(st.integers(0, len(names) - 1)))
+        sources.append(render_configuration(lattice, {names[i] for i in untyped})[0])
+    return sources
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,28 @@ SQUARE = "(define (square [x : int]) : int (* x x))\n(square (: 6 ?))\n"
 BLAME = "(define lib : ? (lambda (x) #t))\n(+ 1 ((: lib (-> int int)) 3))\n"
 SPIN = "(define (spin [n : int]) : int (spin n))\n(spin 0)\n"
 ILL_TYPED = "(+ 1 #t)\n"
+#: Under erasure the 7 reaches the ``if``: a runtime error, not blame.
+RUNTIME = "(if (: 7 ?) 1 2)\n"
+
+#: What varies between two runs of one corpus.
+TIMINGS = ("compile_s", "run_s", "compile_s_total", "run_s_total", "wall_s", "workers")
+
+
+def mixed_corpus(root: Path) -> Path:
+    """A value, a blame (under erasure, a value), a runtime error under
+    erasure (blame otherwise), a parse error and a file that cannot be
+    read."""
+    root.mkdir()
+    (root / "a_value.grad").write_text(SQUARE)
+    (root / "b_blame.grad").write_text(BLAME)
+    (root / "c_runtime.grad").write_text(RUNTIME)
+    (root / "d_parse.grad").write_text("(+ 1\n")
+    (root / "e_unreadable.grad").mkdir()
+    return root
+
+
+def untimed(record: dict) -> dict:
+    return {key: value for key, value in record.items() if key not in TIMINGS}
 
 
 def vm_config(tmp_path: Path) -> RunConfig:
@@ -110,6 +132,30 @@ class TestRunBatch:
             assert a["steps"] == b["steps"]
             assert a["max_pending_mediators"] == b["max_pending_mediators"]
         assert aggregate["workers"] == 2
+
+    @pytest.mark.parametrize("semantics, kinds", [
+        ("coercion", ["value", "blame", "blame", "error", "error"]),
+        ("erasure", ["value", "value", "error", "error", "error"]),
+    ])
+    def test_the_same_records_at_any_worker_count(self, tmp_path, semantics, kinds):
+        corpus = mixed_corpus(tmp_path / "corpus")
+        runs = [run_batch([corpus], RunConfig(engine="vm", semantics=semantics, cache=True,
+                                              cache_dir=str(tmp_path / f"cache{workers}")),
+                          workers=workers)
+                for workers in (1, 2)]
+        (inline, inline_aggregate), (pooled, pooled_aggregate) = runs
+        key = lambda r: r["program"]  # noqa: E731 - tiny sort key
+        inline, pooled = sorted(inline, key=key), sorted(pooled, key=key)
+        assert [untimed(r) for r in inline] == [untimed(r) for r in pooled]
+        assert untimed(inline_aggregate) == untimed(pooled_aggregate)
+        assert [r["kind"] for r in inline] == kinds
+        reasons = [r.get("reason") for r in inline if r["kind"] == "error"]
+        assert reasons == (["runtime"] if semantics == "erasure" else []) + ["static", None]
+        assert inline[-1]["error"].startswith("unreadable:")
+        for records in (inline, pooled):
+            assert all("worker exception" not in r.get("error", "") for r in records)
+            assert all({"compile_s", "run_s"} <= set(r) for r in records
+                       if r.get("reason") == "runtime")
 
     def test_killed_worker_yields_worker_lost_record(self, corpus, tmp_path):
         """A worker SIGKILLed mid-corpus must not lose its in-flight record
@@ -225,6 +271,24 @@ class TestBatchCommand:
         assert Path(lines[0]["program"]).name == "one.grad"
         assert lines[0]["kind"] == "value"
         assert lines[0]["cache"] == "off"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_runtime_error_is_one_record(self, tmp_path, capsys, workers):
+        root = tmp_path / "erasure"
+        root.mkdir()
+        (root / "square.grad").write_text(SQUARE)
+        (root / "runtime.grad").write_text(RUNTIME)
+        assert main(["batch", str(root), "--semantics", "erasure",
+                     "--workers", workers, "--no-cache"]) == 2
+        lines = self._lines(capsys)
+        assert len(lines) == 3  # two programs + the aggregate
+        by_name = {Path(line["program"]).name: line for line in lines[:-1]}
+        assert (by_name["runtime.grad"]["kind"], by_name["runtime.grad"]["reason"]) == (
+            "error", "runtime")
+        assert not by_name["runtime.grad"]["error"].startswith("worker exception")
+        assert lines[-1]["aggregate"]["outcomes"] == {
+            "value": 1, "blame": 0, "timeout": 0, "error": 1,
+        }
 
     def test_missing_path_is_a_static_error(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "absent.txt")]) == 2

@@ -358,7 +358,7 @@ class TestDriver:
         trails: list = []
 
         def crash(_source):  # the null move: each step types a random binding
-            return {"kind": "error", "error": "worker exception: RuntimeError()"}
+            return {"kind": "error", "error": "if-condition is not a boolean", "reason": "runtime"}
 
         def follow(thread: int) -> None:
             for index, start in enumerate(configurations):

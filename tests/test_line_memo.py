@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import repro.surface.parser as parser
 from repro.core.errors import ReproError
-from repro.experiment.inject import apply_fault, sample_faults
 from repro.experiment.lattice import ProgramLattice, render_configuration
 from repro.gen.surface_programs import generate_program
 from repro.surface.interp import compile_source
 from repro.surface.parser import MAX_NESTING, memoized_program, parse_program
 
-from .strategies import surface_sources
+from .strategies import lattice_sweeps, surface_sources
 
 
 def outcome(thunk):
@@ -37,26 +36,6 @@ def assert_as_whole(source: str, lines: dict) -> None:
         assert program == parse_program(source)
     assert outcome(lambda: compile_source(source, lines=lines)) == outcome(
         lambda: compile_source(source))
-
-
-@st.composite
-def lattice_sweeps(draw):
-    """The sources a sweep compiles: configurations of the lattices of one
-    to three generated programs and of their faulted lattices, in the order
-    drawn."""
-    lattices = []
-    for _ in range(draw(st.integers(1, 3))):
-        seed = draw(st.integers(0, 10**6))
-        lattice = ProgramLattice.from_source(generate_program(seed, draw(st.integers(2, 8))))
-        lattices.append(lattice)
-        lattices += [apply_fault(lattice, fault) for fault in sample_faults(lattice, 2, seed)]
-    sources = []
-    for _ in range(draw(st.integers(1, 12))):
-        lattice = draw(st.sampled_from(lattices))
-        names = lattice.typeable_names
-        untyped = draw(st.sets(st.integers(0, len(names) - 1)))
-        sources.append(render_configuration(lattice, {names[i] for i in untyped})[0])
-    return sources
 
 
 class TestIdentity:

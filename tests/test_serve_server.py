@@ -27,10 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import VM_ENGINES
 from repro.compiler.serialize import source_fingerprint
 from repro.semantics import SEMANTICS_NAMES
 from repro.serve.client import ServeClient
-from repro.serve.protocol import (MAX_DEADLINE_S, SERVE_ENGINES, TERMINAL_KINDS, encode_line,
+from repro.serve.protocol import (MAX_DEADLINE_S, TERMINAL_KINDS, encode_line,
                                   normalize_run_request)
 from repro.serve.server import MAX_LINE_BYTES
 
@@ -57,7 +58,7 @@ JSON_VALUES = st.sampled_from(
 REQUEST_FIELDS = {
     "source": st.just(SQUARE),
     "source_hash": st.just(source_fingerprint(SQUARE)),
-    "engine": st.sampled_from(SERVE_ENGINES),
+    "engine": st.sampled_from(VM_ENGINES),
     "semantics": st.sampled_from(SEMANTICS_NAMES),
     "opt_level": st.sampled_from([0, 1, 2]),
     "fuel": st.integers(min_value=1),
@@ -266,7 +267,7 @@ class TestRequestValidation:
         assert (job["source"], job["source_hash"]) != (None, None)
         if None not in (job["source"], job["source_hash"]):
             assert source_fingerprint(job["source"]) == job["source_hash"]
-        assert job["engine"] in SERVE_ENGINES
+        assert job["engine"] in VM_ENGINES
         assert job["semantics"] in SEMANTICS_NAMES
         assert type(job["opt_level"]) is int and job["opt_level"] in (0, 1, 2)
         assert job["fuel"] is None or (type(job["fuel"]) is int and job["fuel"] > 0)

@@ -29,11 +29,12 @@ from repro.surface.ast import (
 )
 from repro.gen.surface_programs import generate_corpus
 from repro.surface.cast_insertion import ElaborationError
+from repro.surface.interp import compile_source
 from repro.surface.lexer import tokenize
 from repro.surface.parser import MAX_NESTING, parse, parse_program, parse_type
 
 from . import reference_frontend as reference
-from .strategies import surface_sources
+from .strategies import lattice_configurations, surface_sources
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "programs"
 
@@ -304,6 +305,148 @@ class TestNestingLimit:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and err.count("\n") == 1, err
+
+
+def _definitions(levels: int) -> str:
+    """``levels`` definitions, each naming the one before, one per line."""
+    lines = ["(define x1 1)"] + [f"(define x{i} x{i - 1})" for i in range(2, levels + 1)]
+    return "\n".join(lines + [f"x{levels}"]) + "\n"
+
+
+def _wide_let(levels: int) -> str:
+    """One ``let`` of ``levels`` bindings, each naming the one before."""
+    bindings = " ".join(["[x1 1]"] + [f"[x{i} x{i - 1}]" for i in range(2, levels + 1)])
+    return f"(let ({bindings}) x{levels})\n"
+
+
+def _applied_lambda(levels: int) -> str:
+    """A lambda of ``levels / 2`` parameters applied to as many arguments
+    (one fewer when ``levels`` is odd)."""
+    params = " ".join(f"x{i}" for i in range(1, (levels + 1) // 2 + 1))
+    return f"((lambda ({params}) x1) {' '.join(['1'] * (levels // 2))})\n"
+
+
+def _curried(levels: int) -> str:
+    """A ``?``-typed function applied to ``levels - 1`` arguments: each
+    application casts its function and its argument, so the λB term nests
+    about twice as deep as the levels counted."""
+    args = " ".join(map(str, range(levels - 1)))
+    return f"(letrec ([g : ? (lambda (x) g)]) (g {args}))\n"
+
+
+def _first_arguments(levels: int) -> str:
+    """Applications of a two-parameter function nested in their first
+    argument, two levels each, after one or two definitions."""
+    definitions = ["(define h (lambda (x y) x))", "(define z 0)"][:2 - levels % 2]
+    nests = (levels - len(definitions)) // 2
+    return "\n".join(definitions + ["(h " * nests + "1" + " 0)" * nests]) + "\n"
+
+
+def _deep_bindings(levels: int) -> str:
+    """``let``s of eight bindings nested in their last binding, eight levels
+    each, after ``levels % 8`` definitions."""
+    definitions = [f"(define d{i} {i})" for i in range(levels % 8)]
+    first = " ".join(f"[a{i} 1]" for i in range(7))
+    main = f"(let ({first} [b " * (levels // 8) + "1" + "]) b)" * (levels // 8)
+    return "\n".join(definitions + [main]) + "\n"
+
+
+def _mixed(levels: int) -> str:
+    """50 definitions, then a 50-binding ``let`` whose body applies a
+    25-parameter lambda, whose body applies a ``?``-typed function to
+    ``levels - 150`` arguments."""
+    definitions = ["(define g (letrec ([h : ? (lambda (x) h)]) h))"]
+    definitions += [f"(define y{i} {i})" for i in range(1, 50)]
+    bindings = " ".join(f"[z{i} y{1 + i % 49}]" for i in range(50))
+    params = " ".join(f"p{i}" for i in range(25))
+    args = " ".join(map(str, range(levels - 150)))
+    main = f"(let ({bindings}) ((lambda ({params}) (g {args})) {' '.join(['z0'] * 25)}))"
+    return "\n".join(definitions + [main]) + "\n"
+
+
+#: Each shape, and where its form one level past the limit starts.
+SHAPES = {
+    _definitions: (MAX_NESTING + 1, 1),
+    _wide_let: (1, 1),
+    _applied_lambda: (1, 1),
+    _curried: (1, 1),
+    _first_arguments: (2, 1),
+    _deep_bindings: (2, 1),
+    _mixed: (51, 1),
+}
+
+#: Every engine, under every calculus it runs.
+CELLS = [("machine", "B"), ("machine", "C"), ("machine", "S"), ("subst", "B"), ("subst", "C"),
+         ("subst", "S"), ("vm", "S"), ("rvm", "S")]
+
+
+def _term_depth(term) -> int:
+    """How many levels a λB term nests, casts not counted."""
+    from repro.core.terms import Cast, children
+
+    below = children(term)
+    if not below:
+        return 0
+    deepest = max(map(_term_depth, below))
+    return deepest if isinstance(term, Cast) else deepest + 1
+
+
+class TestElaborationNesting:
+    """Definitions, ``let`` bindings, lambda parameters and application
+    arguments nest the λB term one level each; the limit counts them."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shapes_at_the_limit_run_on_every_engine_and_calculus(self, shape):
+        source = shape(MAX_NESTING)
+        assert _term_depth(compile_source(source)[0]) == MAX_NESTING
+        results = [run(source, RunConfig(engine=engine, calculus=calculus))
+                   for engine, calculus in CELLS]
+        assert {(r.kind, r.value) for r in results} == {(results[0].kind, results[0].value)}
+        assert results[0].kind == "value"
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_level_past_the_limit_is_a_parse_error(self, shape):
+        source = shape(MAX_NESTING + 1)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels") as info:
+            parse_program(source)
+        assert (info.value.line, info.value.column) == SHAPES[shape]
+        with pytest.raises(ParseError) as memoized:
+            compile_source(source, lines={})
+        assert str(memoized.value) == str(info.value)
+
+    @pytest.mark.parametrize("engine, calculus", CELLS)
+    @pytest.mark.parametrize("shape, levels", [(_definitions, 1000), (_wide_let, 1000),
+                                               (_applied_lambda, 2000)],
+                             ids=["definitions", "let", "lambda"])
+    def test_a_thousand_is_a_parse_error_on_every_engine(self, shape, levels, engine,
+                                                         calculus):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels") as info:
+            run(shape(levels), RunConfig(engine=engine, calculus=calculus))
+        assert (info.value.line, info.value.column) == SHAPES[shape]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_the_cli_exits_2_with_one_line(self, shape, tmp_path, capsys):
+        path = tmp_path / "deep.grad"
+        path.write_text(shape(MAX_NESTING + 1))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1, err
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(lattice_configurations() | surface_sources())
+    def test_a_limit_below_the_elaborated_depth_rejects_the_program(self, source):
+        """Whatever the program, the levels counted are at least the levels
+        its λB term nests."""
+        import repro.surface.parser as parser
+
+        try:
+            depth = _term_depth(compile_source(source)[0])
+        except ReproError:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parser, "MAX_NESTING", depth - 1)
+            with pytest.raises(ParseError, match="nested deeper than"):
+                parse_program(source)
 
 
 def _tokens_of(tokenizer, source: str):
